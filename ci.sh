@@ -193,7 +193,7 @@ gate_stream_equivalence() {
 # submit the quick campaign twice through fleetctl, and require
 # (a) the cold payload to be byte-identical to the single-process
 #     smoke report (the fleet path runs the same grid through
-#     `evaluate_job`),
+#     `build_job`),
 # (b) the second submission to be served from the fingerprint cache
 #     with identical bytes, and
 # (c) a capacity-0 daemon to reject a submission through admission
@@ -265,10 +265,10 @@ gate_fleet_smoke() {
     wait "$daemon0"
 }
 
-# Kernel-equivalence gate: Scalar vs Lanes vs Lanes-Q14 across every ISP
+# Kernel-equivalence gate: Scalar vs Lanes across every ISP
 # configuration, perception ROI, and a fixed-seed classifier window set
-# (bit-identity for the exact backends, the declared tolerance band for
-# fixed-point, batched ≡ sequential inference). See DESIGN.md §17.
+# (bit-identity of the two backends, batched ≡ sequential inference).
+# See DESIGN.md §17.
 gate_kernel_equivalence() {
   ./target/release/kernel_equivalence
 }
@@ -287,6 +287,14 @@ gate_isp_throughput() {
 # warm-up, and the tiled path must stay bit-identical.
 gate_zero_alloc() {
   cargo test --release -p lkas-suite --test zero_alloc -q
+}
+
+# Benchmark-API gate: the closed-loop benchmark under hilbench/ is a
+# separate package that builds against the library crates' public API
+# and is never edited alongside them. A public-API change that breaks it
+# fails here instead of at benchmark time.
+gate_hilbench_api() {
+  cargo check --offline --manifest-path hilbench/Cargo.toml --all-targets
 }
 
 # Hygiene gate: generated outputs must never be git-tracked, and the
@@ -323,6 +331,7 @@ stage gate-tuner-equivalence gate_tuner_equivalence
 stage gate-stream-equivalence gate_stream_equivalence
 stage gate-fleet-smoke gate_fleet_smoke
 stage gate-zero-alloc gate_zero_alloc
+stage gate-hilbench-api gate_hilbench_api
 stage gate-hygiene gate_hygiene
 
 echo

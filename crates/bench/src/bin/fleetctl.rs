@@ -24,7 +24,7 @@
 //! `6` connection to the daemon lost mid-stream, `2` usage or other
 //! transport errors.
 
-use lkas_bench::{arg_value, render_table};
+use lkas_bench::{arg_value, fail, render_table};
 use lkas_fleet::{ClientError, Event, FleetClient, RequestOp, SubmitRequest};
 use serde::Value;
 use std::path::PathBuf;
@@ -32,11 +32,6 @@ use std::path::PathBuf;
 /// Exit code when the daemon connection died mid-stream (distinct from
 /// the job-failed code so scripts can retry connection losses).
 const EXIT_CONNECTION_LOST: i32 = 6;
-
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
 
 fn connect() -> FleetClient {
     let addr = arg_value("--addr").unwrap_or_else(|| fail("missing --addr HOST:PORT"));

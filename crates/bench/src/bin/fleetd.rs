@@ -24,18 +24,13 @@
 //! (scripts scrape the ephemeral port from it) and runs until a client
 //! sends a `shutdown` request.
 
-use lkas_bench::arg_value;
 use lkas_bench::fleet::BenchRunner;
+use lkas_bench::{arg_value, fail};
 use lkas_fleet::{serve, FleetConfig};
 use std::io::Write;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::Arc;
-
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
 
 fn numeric_flag(name: &str, default: usize) -> usize {
     match arg_value(name) {

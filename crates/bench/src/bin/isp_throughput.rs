@@ -4,7 +4,7 @@
 //! along two axes — the memory path (one-shot allocating `process`,
 //! pooled in-place `process_into`, row-tiled `process_into` on worker
 //! threads) and the kernel backend (`scalar` reference, bit-exact
-//! `lanes`, fixed-point `lanes-q14`) — plus the perception pipeline
+//! `lanes`) — plus the perception pipeline
 //! (rectify + binarize) per backend. This is the harness behind the
 //! README "Steady-state frame path" table and DESIGN.md §10/§17.
 //!
@@ -38,7 +38,6 @@ struct ConfigRow {
     alloc_us: f64,
     scalar_us: f64,
     lanes_us: f64,
-    lanes_q14_us: f64,
     tiled_us: f64,
     lanes_speedup: f64,
 }
@@ -83,7 +82,7 @@ fn measure(iters: usize, tile_threads: usize) -> Report {
         let alloc_us = time_us(iters, || {
             std::hint::black_box(IspPipeline::new(cfg).process(&raw));
         });
-        let mut backend_us = [0.0f64; 3];
+        let mut backend_us = [0.0f64; 2];
         for (i, backend) in KernelBackend::ALL.into_iter().enumerate() {
             let isp = IspPipeline::new(cfg).with_backend(backend);
             let mut scratch = Scratch::new();
@@ -93,7 +92,7 @@ fn measure(iters: usize, tile_threads: usize) -> Report {
                 std::hint::black_box(&out);
             });
         }
-        let [scalar_us, lanes_us, lanes_q14_us] = backend_us;
+        let [scalar_us, lanes_us] = backend_us;
         let isp = IspPipeline::new(cfg);
         let mut tiled_scratch = Scratch::with_threads(tile_threads);
         let mut out = RgbImage::new(2, 2);
@@ -106,7 +105,6 @@ fn measure(iters: usize, tile_threads: usize) -> Report {
             alloc_us,
             scalar_us,
             lanes_us,
-            lanes_q14_us,
             tiled_us,
             lanes_speedup: scalar_us / lanes_us,
         };
@@ -115,7 +113,6 @@ fn measure(iters: usize, tile_threads: usize) -> Report {
             format!("{alloc_us:.0}"),
             format!("{scalar_us:.0}"),
             format!("{lanes_us:.0}"),
-            format!("{lanes_q14_us:.0}"),
             format!("{tiled_us:.0}"),
             format!("{:.2}x", row.lanes_speedup),
         ]);
@@ -136,10 +133,7 @@ fn measure(iters: usize, tile_threads: usize) -> Report {
 
     println!(
         "{}",
-        render_table(
-            &["config", "alloc µs", "scalar µs", "lanes µs", "q14 µs", "tiled µs", "lanes"],
-            &table,
-        )
+        render_table(&["config", "alloc µs", "scalar µs", "lanes µs", "tiled µs", "lanes"], &table,)
     );
     for p in &perception {
         println!("perception[{}]: pooled {:.0} µs", p.backend, p.pooled_us);

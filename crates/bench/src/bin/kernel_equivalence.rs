@@ -1,20 +1,16 @@
-//! Kernel-equivalence gate: Scalar vs Lanes vs Lanes-Q14, end to end.
+//! Kernel-equivalence gate: Scalar vs Lanes, end to end.
 //!
 //! The CI stage `gate-kernel-equivalence` runs this binary; it exits
-//! non-zero on the first class of mismatch. Four claims are checked
+//! non-zero on the first class of mismatch. Three claims are checked
 //! (DESIGN.md §17):
 //!
-//! 1. **Exact kernels are bit-identical.** For every ISP configuration
+//! 1. **ISP lanes are bit-identical.** For every ISP configuration
 //!    S0–S8 the `lanes` backend's full `process_into` output equals the
 //!    scalar path byte for byte, on multiple frames/seeds.
-//! 2. **Fixed-point kernels stay in their declared band.** The
-//!    `lanes-q14` backend's output stays within `Q14_TOLERANCE` of the
-//!    scalar path per channel — the documented epsilon of the Q2.14
-//!    demosaic/denoise kernels, not a fitted constant.
-//! 3. **Perception lanes are bit-identical.** Rectify + binarize under
+//! 2. **Perception lanes are bit-identical.** Rectify + binarize under
 //!    the lane backend reproduce the scalar BEV scores, mask bits, and
 //!    threshold exactly, for every ROI.
-//! 4. **Batched classifier inference ≡ sequential.** On a fixed-seed
+//! 3. **Batched classifier inference ≡ sequential.** On a fixed-seed
 //!    window set, stacking the three classifiers into one grouped GEMM
 //!    per layer yields the same logits-level decisions as three
 //!    independent forward passes.
@@ -35,18 +31,6 @@ use lkas_scene::render::SceneRenderer;
 use lkas_scene::situation::TABLE3_SITUATIONS;
 use lkas_scene::track::Track;
 
-/// Declared end-to-end per-channel tolerance of the Q2.14 fixed-point
-/// backend, in 8-bit output quantization units. The kernel-level band
-/// is 2^-10 per stage (rounded Q2.14 shifts; asserted by the imaging
-/// crate's `q14_*_stays_in_band` tests and proptests); end to end that
-/// error passes through the tone map, whose gamma slope amplifies small
-/// shadow values by up to ~8× across the usable range, and then lands
-/// in 1/255 output bins — so a pre-quantize error of ~2^-7 can move the
-/// output by a few bins. 8 LSBs is the declared band: an order of
-/// magnitude above the observed worst case (3 LSBs, S1), two below what
-/// an actual kernel bug produces.
-const Q14_TOLERANCE: f32 = 8.0 / 255.0;
-
 fn max_abs_diff(a: &RgbImage, b: &RgbImage) -> f32 {
     a.as_slice().iter().zip(b.as_slice()).map(|(x, y)| (x - y).abs()).fold(0.0f32, f32::max)
 }
@@ -56,8 +40,7 @@ fn main() {
     let cam = Camera::default_automotive();
     let mut failures = 0usize;
 
-    // --- 1 & 2: ISP backends, S0–S8 × frames ---------------------------
-    let mut worst_q14 = 0.0f32;
+    // --- 1: ISP backends, S0–S8 × frames -------------------------------
     for cfg in IspConfig::ALL {
         for f in 0..frames {
             let sit = &TABLE3_SITUATIONS[f % TABLE3_SITUATIONS.len()];
@@ -74,7 +57,7 @@ fn main() {
                 isp.process_into(&raw, &mut scratch, &mut out);
                 outs.push(out);
             }
-            let [scalar, lanes, q14] = <[RgbImage; 3]>::try_from(outs).unwrap();
+            let [scalar, lanes] = <[RgbImage; 2]>::try_from(outs).unwrap();
             if scalar.as_slice() != lanes.as_slice() {
                 eprintln!(
                     "FAIL: {} frame {f}: lanes differs from scalar (max |Δ| = {})",
@@ -83,24 +66,11 @@ fn main() {
                 );
                 failures += 1;
             }
-            let q14_diff = max_abs_diff(&scalar, &q14);
-            worst_q14 = worst_q14.max(q14_diff);
-            if q14_diff > Q14_TOLERANCE {
-                eprintln!(
-                    "FAIL: {} frame {f}: lanes-q14 off by {q14_diff} > {Q14_TOLERANCE}",
-                    cfg.name()
-                );
-                failures += 1;
-            }
         }
     }
-    eprintln!(
-        "[1/3] ISP: {} configs × {frames} frames checked (worst q14 |Δ| = {:.1} LSB)",
-        IspConfig::ALL.len(),
-        worst_q14 * 255.0
-    );
+    eprintln!("[1/3] ISP: {} configs × {frames} frames checked", IspConfig::ALL.len());
 
-    // --- 3: perception backends, every ROI -----------------------------
+    // --- 2: perception backends, every ROI -----------------------------
     let track = Track::for_situation(&TABLE3_SITUATIONS[0], 500.0);
     let frame = SceneRenderer::new(cam.clone()).render(&track, 25.0, 0.05, 0.0);
     let raw = Sensor::new(SensorConfig::default(), 9).capture(&frame, 1.0);
@@ -109,7 +79,7 @@ fn main() {
         let scalar_pr = Perception::new(PerceptionConfig::new(roi), cam.clone())
             .with_backend(KernelBackend::Scalar);
         let lanes_pr = Perception::new(PerceptionConfig::new(roi), cam.clone())
-            .with_backend(KernelBackend::lanes());
+            .with_backend(KernelBackend::Lanes);
         let mut s_scratch = PerceptionScratch::new();
         let mut l_scratch = PerceptionScratch::new();
         // Two passes: the second exercises the warmed tap cache.
@@ -124,7 +94,7 @@ fn main() {
     }
     eprintln!("[2/3] perception: {} ROIs × 2 passes checked", Roi::ALL.len());
 
-    // --- 4: batched vs sequential classifiers --------------------------
+    // --- 3: batched vs sequential classifiers --------------------------
     let bundle: &ClassifierBundle = &load_or_train_bundle();
     let mut batch = BundleBatch::new(bundle);
     let isp = IspPipeline::new(IspConfig::S0);

@@ -41,26 +41,21 @@
 //! `robustness_campaign drift --compare` runs both knob sources and
 //! exits non-zero unless the tuned loop strictly improves the MAE.
 
+use lkas::hil::HilSimulator;
 use lkas_bench::robustness::{
-    assemble_report, campaign_spec, config_from_params, drift_report_for, drift_report_json,
-    report_from_merged, run_campaign_shard, run_drift, run_drift_hil_tapped, write_report,
-    CampaignConfig, DriftKnobs, DriftTaps, RobustnessReport, DRIFT_SITUATIONS,
+    assemble_report, build_job, campaign_spec, config_from_params, drift_report_for,
+    drift_report_json, report_from_merged, run_campaign_shard, run_drift, write_report,
+    CampaignConfig, CampaignJob, DriftKnobs, RobustnessReport, DRIFT_SITUATIONS,
 };
 use lkas_bench::{
-    arg_value, default_threads, kernel_backend_flag, render_table, write_metrics, Metrics,
+    arg_value, default_threads, fail, merge_shards_cli, render_table, write_metrics, Metrics,
     ARTIFACTS_DIR,
 };
 use lkas_runtime::{
-    merge_shard_files, read_shard_file, write_shard_file, FlightRecorder, Shard, TelemetryBus,
-    DEFAULT_FLIGHT_CAPACITY,
+    write_shard_file, FlightRecorder, Shard, TelemetryBus, DEFAULT_FLIGHT_CAPACITY,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
-
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
 
 fn report_out_path() -> PathBuf {
     arg_value("--out")
@@ -83,8 +78,7 @@ fn main() {
         .with_threads(
             arg_value("--threads").and_then(|s| s.parse().ok()).unwrap_or_else(default_threads),
         )
-        .with_quick(args.iter().any(|a| a == "--quick"))
-        .with_kernel_backend(kernel_backend_flag());
+        .with_quick(args.iter().any(|a| a == "--quick"));
     let shard = match arg_value("--shard") {
         Some(text) => Shard::parse(&text).unwrap_or_else(|e| fail(&e)),
         None => Shard::full(),
@@ -122,26 +116,10 @@ fn main() {
 /// `robustness_campaign merge SHARD...`: fold shard artifacts into the
 /// full report and the merged telemetry artifact.
 fn merge(args: &[String]) {
-    let mut paths = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--out" | "--metrics-out" => {
-                iter.next();
-            }
-            flag if flag.starts_with("--") => fail(&format!("unknown merge flag `{flag}`")),
-            path => paths.push(PathBuf::from(path)),
-        }
-    }
-    if paths.is_empty() {
-        fail("merge needs at least one shard file");
-    }
-    let files =
-        paths.iter().map(|p| read_shard_file(p).unwrap_or_else(|e| fail(&e))).collect::<Vec<_>>();
-    let mut merged = merge_shard_files(files).unwrap_or_else(|e| fail(&e));
+    let (mut merged, shards) = merge_shards_cli(args, &["--out", "--metrics-out"]);
     let cfg = config_from_params(&merged.params).unwrap_or_else(|e| fail(&e));
     let report = report_from_merged(&cfg, &mut merged).unwrap_or_else(|e| fail(&e));
-    eprintln!("[merge] {} shard file(s), {} grid entries", paths.len(), report.entries.len());
+    eprintln!("[merge] {shards} shard file(s), {} grid entries", report.entries.len());
     print_report(&cfg, &report);
     write_report(&report, &report_out_path());
     write_metrics("robustness_campaign", &merged.metrics);
@@ -152,8 +130,7 @@ fn merge(args: &[String]) {
 /// `--compare`.
 fn drift(args: &[String]) {
     let cfg = CampaignConfig::new(arg_value("--seed").and_then(|s| s.parse().ok()).unwrap_or(7))
-        .with_quick(args.iter().any(|a| a == "--quick"))
-        .with_kernel_backend(kernel_backend_flag());
+        .with_quick(args.iter().any(|a| a == "--quick"));
     let epsilon = arg_value("--epsilon").map(|s| match s.parse::<f64>() {
         Ok(e) => e,
         Err(_) => fail(&format!("bad --epsilon `{s}`")),
@@ -201,12 +178,8 @@ fn drift(args: &[String]) {
         Some("tuned") => DriftKnobs::Tuned { epsilon },
         Some(other) => fail(&format!("bad --knobs `{other}` (want static|tuned)")),
     };
-    let tile_threads = match arg_value("--tile-threads") {
-        None => 0,
-        Some(text) => {
-            text.parse().unwrap_or_else(|_| fail(&format!("bad --tile-threads `{text}`")))
-        }
-    };
+    let tile_threads = arg_value("--tile-threads")
+        .map(|text| text.parse().unwrap_or_else(|_| fail(&format!("bad --tile-threads `{text}`"))));
     let stream_out = arg_value("--stream-out").map(PathBuf::from);
     let metrics_out = arg_value("--metrics-out").map(PathBuf::from);
     let flight_out = arg_value("--flight-out").map(PathBuf::from);
@@ -220,9 +193,15 @@ fn drift(args: &[String]) {
         .as_ref()
         .map(|path| Arc::new(FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY).with_auto_dump(path)));
     let metrics = metrics_out.as_ref().map(|_| Arc::new(Metrics::new()));
-    let taps = DriftTaps { stream: bus, flight: flight.clone(), tile_threads };
 
-    let result = run_drift_hil_tapped(&cfg, knobs, situation, None, metrics.clone(), &taps);
+    let (track, mut config) = build_job(&cfg, &CampaignJob::Drift { situation, knobs }, None);
+    config.stream = bus;
+    config.flight = flight.clone();
+    config.metrics = metrics.clone();
+    if let Some(threads) = tile_threads {
+        config = config.with_tile_threads(threads);
+    }
+    let result = HilSimulator::new(track, config).run();
     let report = drift_report_for(&cfg, &result);
     println!("{}", drift_report_json(&report));
     if let Some(out) = arg_value("--out").map(PathBuf::from) {

@@ -22,16 +22,14 @@
 use lkas::characterize::{Characterization, CharacterizeConfig, Characterizer};
 use lkas::knobs::KnobTable;
 use lkas::TABLE3_SITUATIONS;
-use lkas_bench::{arg_value, default_threads, render_table, write_result, Metrics, ARTIFACTS_DIR};
+use lkas_bench::{
+    arg_value, default_threads, fail, merge_shards_cli, render_table, write_result, Metrics,
+    ARTIFACTS_DIR,
+};
 use lkas_control::design_controller;
 use lkas_platform::schedule::ClassifierSet;
-use lkas_runtime::{merge_shard_files, read_shard_file, write_shard_file, Shard};
+use lkas_runtime::{write_shard_file, Shard};
 use std::path::PathBuf;
-
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -86,25 +84,11 @@ fn main() {
 /// `table3_characterization merge SHARD...`: fold shard artifacts into
 /// the full characterization.
 fn merge(args: &[String]) {
-    let paths: Vec<PathBuf> = args
-        .iter()
-        .map(|arg| {
-            if arg.starts_with("--") {
-                fail(&format!("unknown merge flag `{arg}`"));
-            }
-            PathBuf::from(arg)
-        })
-        .collect();
-    if paths.is_empty() {
-        fail("merge needs at least one shard file");
-    }
-    let files =
-        paths.iter().map(|p| read_shard_file(p).unwrap_or_else(|e| fail(&e))).collect::<Vec<_>>();
-    let mut merged = merge_shard_files(files).unwrap_or_else(|e| fail(&e));
+    let (mut merged, shards) = merge_shards_cli(args, &[]);
     let characterizer = Characterizer::from_params(&merged.params).unwrap_or_else(|e| fail(&e));
     let out =
         characterizer.from_merged(&TABLE3_SITUATIONS, &mut merged).unwrap_or_else(|e| fail(&e));
-    eprintln!("[merge] {} shard file(s), {} situations", paths.len(), out.sweeps.len());
+    eprintln!("[merge] {shards} shard file(s), {} situations", out.sweeps.len());
     print_and_cache(&out, &characterizer);
 }
 

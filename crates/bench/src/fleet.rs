@@ -6,8 +6,8 @@
 //! * `grid` — one point of the robustness campaign grid, addressed by
 //!   index. Submitting every index (at whatever priorities) and
 //!   reassembling the returned entries yields a report byte-identical
-//!   to the single-process [`run_campaign`] — both paths call
-//!   [`evaluate_job`] on the identical canonical grid.
+//!   to the single-process [`run_campaign`] — both paths run
+//!   [`build_job`] on the identical canonical grid.
 //! * `campaign` — the whole grid in one job, returning the assembled
 //!   [`RobustnessReport`] with per-entry progress and telemetry
 //!   streaming.
@@ -24,11 +24,11 @@
 //! identical submissions byte-for-byte without re-simulating.
 
 use crate::robustness::{
-    assemble_report, campaign_camera, campaign_grid, campaign_track, config_fingerprint,
-    drift_report_for, evaluate_job_tapped, run_drift_hil_tapped, CampaignConfig, DriftKnobs,
-    DriftTaps,
+    assemble_report, build_job, campaign_grid, config_fingerprint, drift_report_for, entry_for,
+    CampaignConfig, CampaignJob, DriftKnobs,
 };
-use lkas::TABLE3_SITUATIONS;
+use lkas::hil::{HilResult, HilSimulator};
+use lkas::{KnobStore, TABLE3_SITUATIONS};
 use lkas_fleet::{JobContext, JobKey, JobRunner, TenantStores};
 use lkas_runtime::{Counter, TelemetryBus, DEFAULT_STREAM_CAPACITY};
 use serde::{Serialize, Value};
@@ -189,18 +189,15 @@ impl FleetSpec {
 /// whole campaigns, and ad-hoc drift scenarios.
 pub struct BenchRunner;
 
-/// Runs `work` with live observability taps: the simulation publishes
-/// per-cycle events to a private bus, and a forwarder thread drains the
-/// subscription while the run is still going, re-emitting each event to
-/// the job's watchers as an `Event::CycleDelta` frame. The daemon's
-/// per-job flight recorder (when configured) rides the same taps. The
-/// bus is drop-oldest, so a slow watcher path costs evicted frames,
-/// never simulation stalls.
-fn with_live_taps<T: Send>(ctx: &JobContext, work: impl FnOnce(&DriftTaps) -> T + Send) -> T {
+/// Runs `work` with a live stream: the simulations [`run_job`] starts
+/// on the bus publish per-cycle events, and a forwarder thread drains
+/// the subscription while the run is still going, re-emitting each
+/// event to the job's watchers as an `Event::CycleDelta` frame. The bus
+/// is drop-oldest, so a slow watcher path costs evicted frames, never
+/// simulation stalls.
+fn with_live_stream<T>(ctx: &JobContext, work: impl FnOnce(&Arc<TelemetryBus>) -> T) -> T {
     let bus = Arc::new(TelemetryBus::new(DEFAULT_STREAM_CAPACITY));
     let sub = bus.subscribe();
-    let taps =
-        DriftTaps { stream: Some(bus), flight: ctx.flight_recorder().cloned(), tile_threads: 0 };
     let done = AtomicBool::new(false);
     // Sets the stop flag even when `work` unwinds, so the scope's
     // implicit join cannot deadlock on a forwarder that never exits.
@@ -224,11 +221,27 @@ fn with_live_taps<T: Send>(ctx: &JobContext, work: impl FnOnce(&DriftTaps) -> T 
             std::thread::sleep(Duration::from_millis(20));
         });
         let stop = StopOnDrop(&done);
-        let out = work(&taps);
+        let out = work(&bus);
         drop(stop);
         forwarder.join().expect("cycle forwarder");
         out
     })
+}
+
+/// Runs one campaign job with the job context's metrics, the daemon's
+/// per-job flight recorder (when configured) and the live stream
+/// attached. None of them changes the result.
+fn run_job(
+    ctx: &JobContext,
+    bus: &Arc<TelemetryBus>,
+    cfg: &CampaignConfig,
+    job: &CampaignJob,
+    store: Option<KnobStore>,
+) -> HilResult {
+    let (track, mut config) = build_job(cfg, job, store);
+    config = config.with_metrics(Arc::clone(ctx.metrics())).with_stream(Arc::clone(bus));
+    config.flight = ctx.flight_recorder().cloned();
+    HilSimulator::new(track, config).run()
 }
 
 impl JobRunner for BenchRunner {
@@ -282,18 +295,9 @@ impl JobRunner for BenchRunner {
             FleetSpec::GridPoint { cfg, index } => {
                 let grid = campaign_grid(&cfg);
                 let (key, job) = &grid[index];
-                let track = campaign_track(cfg.quick);
-                let camera = campaign_camera(cfg.quick);
                 ctx.emit_progress(0, 1);
-                let entry = with_live_taps(ctx, |taps| {
-                    evaluate_job_tapped(
-                        &cfg,
-                        &track,
-                        &camera,
-                        job,
-                        Some(Arc::clone(ctx.metrics())),
-                        taps,
-                    )
+                let entry = with_live_stream(ctx, |bus| {
+                    entry_for(job, &run_job(ctx, bus, &cfg, job, None))
                 });
                 ctx.metrics().incr(Counter::CampaignEvaluations);
                 ctx.emit_telemetry();
@@ -306,20 +310,11 @@ impl JobRunner for BenchRunner {
             }
             FleetSpec::Campaign { cfg } => {
                 let grid = campaign_grid(&cfg);
-                let track = campaign_track(cfg.quick);
-                let camera = campaign_camera(cfg.quick);
                 let total = grid.len() as u64;
-                let entries = with_live_taps(ctx, |taps| {
+                let entries = with_live_stream(ctx, |bus| {
                     let mut entries = Vec::with_capacity(grid.len());
                     for (done, (_, job)) in grid.iter().enumerate() {
-                        entries.push(evaluate_job_tapped(
-                            &cfg,
-                            &track,
-                            &camera,
-                            job,
-                            Some(Arc::clone(ctx.metrics())),
-                            taps,
-                        ));
+                        entries.push(entry_for(job, &run_job(ctx, bus, &cfg, job, None)));
                         ctx.metrics().incr(Counter::CampaignEvaluations);
                         ctx.emit_progress(done as u64 + 1, total);
                         ctx.emit_telemetry();
@@ -334,21 +329,13 @@ impl JobRunner for BenchRunner {
             }
             FleetSpec::Drift { cfg, tuned, epsilon, situation } => {
                 let knobs = if tuned { DriftKnobs::Tuned { epsilon } } else { DriftKnobs::Static };
+                let job = CampaignJob::Drift { situation, knobs };
                 // The tuned arm warm-starts from the tenant's persisted
                 // learning when it exists (falling back to a fresh
-                // characterization inside the runner).
-                let store_override = if tuned { ctx.tenant_store() } else { None };
+                // characterization inside the builder).
+                let store = if tuned { ctx.tenant_store() } else { None };
                 ctx.emit_progress(0, 1);
-                let result = with_live_taps(ctx, |taps| {
-                    run_drift_hil_tapped(
-                        &cfg,
-                        knobs,
-                        situation,
-                        store_override,
-                        Some(Arc::clone(ctx.metrics())),
-                        taps,
-                    )
-                });
+                let result = with_live_stream(ctx, |bus| run_job(ctx, bus, &cfg, &job, store));
                 if tuned {
                     if let Some(evolved) = &result.knob_store {
                         ctx.record_store(evolved)?;

@@ -14,6 +14,7 @@ use lkas::identify::ClassifierBundle;
 use lkas_nn::classifiers::{
     ClassifierSpec, LaneClassifier, RoadClassifier, SceneClassifier, TrainReport,
 };
+use lkas_runtime::{merge_shard_files, read_shard_file, MergedShards};
 use lkas_scene::track::Track;
 use serde::Serialize;
 use std::path::{Path, PathBuf};
@@ -155,9 +156,7 @@ impl HilJob {
         HilJob {
             label: label.into(),
             track,
-            config: HilConfig::new(case, source)
-                .with_seed(seed)
-                .with_kernel_backend(kernel_backend_flag()),
+            config: HilConfig::new(case, source).with_seed(seed),
             shared_metrics: None,
         }
     }
@@ -265,23 +264,35 @@ pub fn oracle_flag() -> bool {
     std::env::args().any(|a| a == "--oracle")
 }
 
-/// Resolves the `--backend scalar|lanes|lanes-q14` flag: the kernel
-/// backend for the frame-path kernels, defaulting to the bit-exact lane
-/// backend. A runtime knob only — campaign fingerprints and result
-/// schemas do not include it (the default backend is byte-identical to
-/// scalar by construction, so reports do not drift).
-///
-/// # Panics
-///
-/// Panics on an unknown backend name (harness binaries want loud
-/// failures).
-pub fn kernel_backend_flag() -> lkas_imaging::KernelBackend {
-    match arg_value("--backend") {
-        Some(name) => lkas_imaging::KernelBackend::parse(&name).unwrap_or_else(|| {
-            panic!("unknown --backend {name:?} (expected scalar, lanes, or lanes-q14)")
-        }),
-        None => lkas_imaging::KernelBackend::default(),
+/// Prints `error: MSG` and exits with status 2 — how harness binaries
+/// reject bad arguments and unreadable inputs.
+pub fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
+/// The `merge SHARD...` subcommand of the sharded harnesses: collects
+/// the shard paths from `args` (skipping each flag in `value_flags`
+/// together with its value, which the caller reads with [`arg_value`]),
+/// reads every shard file and merges them. Returns the merge and the
+/// number of shard files; any error [`fail`]s.
+pub fn merge_shards_cli(args: &[String], value_flags: &[&str]) -> (MergedShards, usize) {
+    let mut paths = Vec::new();
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        if value_flags.contains(&arg.as_str()) {
+            iter.next();
+        } else if arg.starts_with("--") {
+            fail(&format!("unknown merge flag `{arg}`"));
+        } else {
+            paths.push(PathBuf::from(arg));
+        }
     }
+    if paths.is_empty() {
+        fail("merge needs at least one shard file");
+    }
+    let files = paths.iter().map(|p| read_shard_file(p).unwrap_or_else(|e| fail(&e))).collect();
+    (merge_shard_files(files).unwrap_or_else(|e| fail(&e)), paths.len())
 }
 
 /// Fetches `--arg value` style overrides from the command line.

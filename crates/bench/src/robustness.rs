@@ -20,7 +20,6 @@ use lkas::knobs::KnobTable;
 use lkas::tuner::TunerConfig;
 use lkas_faults::FaultPlan;
 use lkas_imaging::sensor::SensorConfig;
-use lkas_imaging::KernelBackend;
 use lkas_runtime::{
     run_campaign as run_campaign_engine, CampaignRun, CampaignSpec, Fingerprint, MergedShards,
     Shard,
@@ -58,18 +57,12 @@ pub struct CampaignConfig {
     pub threads: usize,
     /// Shrinks the grid (one case, four plans, short track) for CI.
     pub quick: bool,
-    /// Frame-path kernel backend. Like `threads`, a runtime knob that
-    /// never enters the fingerprint: the default lane backend is
-    /// byte-identical to scalar by construction (CI's
-    /// gate-kernel-equivalence holds it there), so the report cannot
-    /// depend on it.
-    pub kernel_backend: KernelBackend,
 }
 
 impl CampaignConfig {
     /// The default full-grid campaign at a seed.
     pub fn new(seed: u64) -> Self {
-        CampaignConfig { seed, threads: 1, quick: false, kernel_backend: KernelBackend::default() }
+        CampaignConfig { seed, threads: 1, quick: false }
     }
 
     /// Replaces the worker-thread count (builder style). Clamped to at
@@ -82,12 +75,6 @@ impl CampaignConfig {
     /// Switches the shrunk CI grid on or off (builder style).
     pub fn with_quick(mut self, quick: bool) -> Self {
         self.quick = quick;
-        self
-    }
-
-    /// Replaces the frame-path kernel backend (builder style).
-    pub fn with_kernel_backend(mut self, backend: KernelBackend) -> Self {
-        self.kernel_backend = backend;
         self
     }
 }
@@ -175,15 +162,39 @@ pub enum CampaignJob {
     },
     /// A run under the drifted sensor model ([`drift_sensor`]) on a
     /// single-situation straight track, with the frozen characterized
-    /// table (`tuned: false`) or the online tuner warm-started from
-    /// the characterized store (`tuned: true`).
+    /// table or the online tuner warm-started from a knob store.
     Drift {
         /// Index into [`TABLE3_SITUATIONS`] of the driven situation
-        /// (one of [`DRIFT_SITUATIONS`]).
+        /// (one of [`DRIFT_SITUATIONS`] on the campaign grid).
         situation: usize,
-        /// `true` runs the online tuner instead of the frozen table.
-        tuned: bool,
+        /// Knob source.
+        knobs: DriftKnobs,
     },
+}
+
+/// Which knob source a drift run uses.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum DriftKnobs {
+    /// The frozen characterized table (design-time Table III).
+    Static,
+    /// The online tuner warm-started from the characterized store,
+    /// optionally overriding the default exploration rate (`Some(0.0)`
+    /// disables exploration entirely — pure prior).
+    Tuned {
+        /// Exploration-rate override; `None` keeps the
+        /// [`TunerConfig`] default.
+        epsilon: Option<f64>,
+    },
+}
+
+impl DriftKnobs {
+    /// The report's `knobs` column value: `"static"` or `"tuned"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            DriftKnobs::Static => "static",
+            DriftKnobs::Tuned { .. } => "tuned",
+        }
+    }
 }
 
 /// One grid point's outcome.
@@ -544,14 +555,14 @@ pub fn campaign_grid(cfg: &CampaignConfig) -> Vec<(String, CampaignJob)> {
         grid.push((key, CampaignJob::BlindBurst { arm }));
     }
     for &situation in &DRIFT_SITUATIONS {
-        for tuned in [false, true] {
+        for knobs in [DriftKnobs::Static, DriftKnobs::Tuned { epsilon: None }] {
             let key = format!(
                 "{}|{DRIFT_PLAN_NAME}|s{situation:02}|knobs-{}|seed={:016x}|cfg={config_hash}",
                 Case::Case4.name(),
-                if tuned { "tuned" } else { "static" },
+                knobs.name(),
                 cfg.seed
             );
-            grid.push((key, CampaignJob::Drift { situation, tuned }));
+            grid.push((key, CampaignJob::Drift { situation, knobs }));
         }
     }
     grid
@@ -614,8 +625,6 @@ pub fn run_campaign_shard(
     spec: &CampaignSpec,
     metrics: Option<&Arc<Metrics>>,
 ) -> CampaignRun<CampaignEntry> {
-    let track = campaign_track(cfg.quick);
-    let camera = campaign_camera(cfg.quick);
     let shared = metrics.map(Arc::clone);
     run_campaign_engine(
         spec,
@@ -627,7 +636,9 @@ pub fn run_campaign_shard(
         || shared.as_ref().map(|_| Arc::new(Metrics::new())),
         |key, job, local: &mut Option<Arc<Metrics>>| {
             eprintln!("[run] {key}");
-            evaluate_job(cfg, &track, &camera, &job, local.as_ref().map(Arc::clone))
+            let (track, mut config) = build_job(cfg, &job, None);
+            config.metrics = local.clone();
+            entry_for(&job, &HilSimulator::new(track, config).run())
         },
         |local| {
             if let (Some(shared), Some(local)) = (&shared, local) {
@@ -637,81 +648,32 @@ pub fn run_campaign_shard(
     )
 }
 
-/// Optional observability taps and execution knobs for a single HiL
-/// run: a per-cycle stream bus, a flight recorder, and a tile-thread
-/// override. The default (no taps, `tile_threads` 0) leaves the
-/// simulation exactly as the untapped entry points configure it, so
-/// tapped and untapped runs stay byte-identical.
-#[derive(Debug, Default, Clone)]
-pub struct DriftTaps {
-    /// Per-cycle [`CycleDelta`](lkas_runtime::CycleDelta) stream bus.
-    pub stream: Option<Arc<lkas_runtime::TelemetryBus>>,
-    /// Bounded ring of recent cycles, dumped on safe-mode entry.
-    pub flight: Option<Arc<lkas_runtime::FlightRecorder>>,
-    /// ISP tile-thread override; 0 keeps the [`HilConfig`] default.
-    pub tile_threads: usize,
-}
-
-impl DriftTaps {
-    fn apply(&self, mut config: HilConfig) -> HilConfig {
-        if let Some(stream) = &self.stream {
-            config = config.with_stream(Arc::clone(stream));
-        }
-        if let Some(flight) = &self.flight {
-            config = config.with_flight_recorder(Arc::clone(flight));
-        }
-        if self.tile_threads > 0 {
-            config = config.with_tile_threads(self.tile_threads);
-        }
-        config
-    }
-}
-
-/// Evaluates one grid point. This is the single simulation path behind
-/// both drivers: the campaign engine's shard closure and the fleet
-/// service's per-job runner call exactly this function, which is what
-/// makes a fleet-assembled report byte-identical to the single-process
-/// one.
-pub fn evaluate_job(
+/// Builds one grid point's closed loop: the track it drives and its
+/// [`HilConfig`]. This is the single configuration path behind every
+/// driver — the campaign engine's shard closure, the fleet service's
+/// runner and the `drift` subcommand — which is what makes a
+/// fleet-assembled report byte-identical to the single-process one.
+/// Drivers attach metrics, a stream, a flight recorder or tile threads
+/// with the ordinary `HilConfig` builders (none of them changes the
+/// entry), run the loop, and reduce the result with [`entry_for`].
+///
+/// `store` warm-starts the tuned drift arm (a tenant's persisted
+/// [`KnobStore`] in the fleet service); `None` characterizes a fresh
+/// [`warm_start_store`]. Every other job ignores it.
+pub fn build_job(
     cfg: &CampaignConfig,
-    track: &Track,
-    camera: &Camera,
     job: &CampaignJob,
-    metrics: Option<Arc<Metrics>>,
-) -> CampaignEntry {
-    evaluate_job_tapped(cfg, track, camera, job, metrics, &DriftTaps::default())
-}
-
-/// [`evaluate_job`] with observability taps: the fleet runner attaches
-/// a stream bus (forwarded to watchers as live `CycleDelta` frames)
-/// and the daemon's per-job flight recorder. Taps never change the
-/// entry — the bus is non-blocking and the recorder only observes.
-pub fn evaluate_job_tapped(
-    cfg: &CampaignConfig,
-    track: &Track,
-    camera: &Camera,
-    job: &CampaignJob,
-    metrics: Option<Arc<Metrics>>,
-    taps: &DriftTaps,
-) -> CampaignEntry {
+    store: Option<KnobStore>,
+) -> (Track, HilConfig) {
     match job {
         CampaignJob::Fault { case, plan, arm } => {
             let mut config = HilConfig::new(*case, SituationSource::Oracle)
                 .with_seed(cfg.seed)
-                .with_camera(camera.clone())
-                .with_kernel_backend(cfg.kernel_backend)
+                .with_camera(campaign_camera(cfg.quick))
                 .with_error_fit(true);
-            if !plan.is_empty() {
-                config = config.with_fault_plan(Arc::clone(plan));
-            }
-            if let Some(degradation) = arm.degradation() {
-                config = config.with_degradation(degradation);
-            }
-            if let Some(metrics) = metrics {
-                config = config.with_metrics(metrics);
-            }
-            let result = HilSimulator::new(track.clone(), taps.apply(config)).run();
-            entry_for(case.name(), &plan.name, *arm, "static", None, &result)
+            config.fault_plan = (!plan.is_empty()).then(|| Arc::clone(plan));
+            config.degradation = arm.degradation();
+            (campaign_track(cfg.quick), config)
         }
         CampaignJob::BlindBurst { arm } => {
             // Pinned scenario: its own track, camera, and plan — the
@@ -720,30 +682,30 @@ pub fn evaluate_job_tapped(
             let mut config = HilConfig::new(Case::Case3, SituationSource::Oracle)
                 .with_seed(cfg.seed)
                 .with_camera(campaign_camera(true))
-                .with_kernel_backend(cfg.kernel_backend)
                 .with_fault_plan(Arc::new(blind_burst_plan(cfg.seed)))
                 .with_error_fit(true);
-            if let Some(degradation) = arm.degradation() {
-                config = config.with_degradation(degradation);
-            }
-            if let Some(metrics) = metrics {
-                config = config.with_metrics(metrics);
-            }
-            let result = HilSimulator::new(blind_burst_track(), taps.apply(config)).run();
-            entry_for(Case::Case3.name(), BLIND_BURST_PLAN_NAME, *arm, "static", None, &result)
+            config.degradation = arm.degradation();
+            (blind_burst_track(), config)
         }
-        CampaignJob::Drift { situation, tuned } => {
-            let knobs =
-                if *tuned { DriftKnobs::Tuned { epsilon: None } } else { DriftKnobs::Static };
-            let result = run_drift_hil_tapped(cfg, knobs, *situation, None, metrics, taps);
-            entry_for(
-                Case::Case4.name(),
-                DRIFT_PLAN_NAME,
-                PolicyArm::Off,
-                if *tuned { "tuned" } else { "static" },
-                Some(*situation),
-                &result,
-            )
+        CampaignJob::Drift { situation, knobs } => {
+            let camera = campaign_camera(cfg.quick);
+            let features = TABLE3_SITUATIONS[*situation];
+            let mut config = HilConfig::new(Case::Case4, SituationSource::Oracle)
+                .with_seed(cfg.seed)
+                .with_camera(camera.clone())
+                .with_sensor(drift_sensor())
+                .with_initial_estimate(features)
+                .with_error_fit(true);
+            if let DriftKnobs::Tuned { epsilon } = *knobs {
+                let store =
+                    store.unwrap_or_else(|| warm_start_store(cfg.seed, &camera, *situation));
+                let mut tuner = TunerConfig::new().with_seed(cfg.seed).with_store(store);
+                if let Some(eps) = epsilon {
+                    tuner = tuner.with_epsilon(eps);
+                }
+                config = config.with_tuner(tuner);
+            }
+            (drift_track(&features, cfg.quick), config)
         }
     }
 }
@@ -799,94 +761,6 @@ pub fn run_campaign(cfg: &CampaignConfig, metrics: Option<&Arc<Metrics>>) -> Rob
     assemble_report(cfg, run.entries.into_iter().map(|(_, entry)| entry).collect())
 }
 
-/// Which knob source a drift run uses.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DriftKnobs {
-    /// The frozen characterized table (design-time Table III).
-    Static,
-    /// The online tuner warm-started from the characterized store,
-    /// optionally overriding the default exploration rate (`Some(0.0)`
-    /// disables exploration entirely — pure prior).
-    Tuned {
-        /// Exploration-rate override; `None` keeps the
-        /// [`TunerConfig`] default.
-        epsilon: Option<f64>,
-    },
-}
-
-/// Runs the drifted-sensor scenario once with the chosen knob source,
-/// on the situation at `situation_index` (an index into
-/// [`TABLE3_SITUATIONS`]). Shared by the campaign's drift axis and the
-/// `drift` subcommand, so both measure exactly the same loop.
-pub fn run_drift_hil(
-    cfg: &CampaignConfig,
-    knobs: DriftKnobs,
-    situation_index: usize,
-    metrics: Option<Arc<Metrics>>,
-) -> HilResult {
-    run_drift_hil_with_store(cfg, knobs, situation_index, None, metrics)
-}
-
-/// [`run_drift_hil`] with an explicit warm-start store for the tuned
-/// arm (a tenant's persisted [`KnobStore`] in the fleet service).
-/// `None` falls back to the freshly characterized [`warm_start_store`];
-/// the override is ignored by the static arm. The evolved store comes
-/// back in [`HilResult::knob_store`], which is how a fleet job feeds a
-/// tenant's learning back into persistence.
-pub fn run_drift_hil_with_store(
-    cfg: &CampaignConfig,
-    knobs: DriftKnobs,
-    situation_index: usize,
-    store_override: Option<KnobStore>,
-    metrics: Option<Arc<Metrics>>,
-) -> HilResult {
-    run_drift_hil_tapped(
-        cfg,
-        knobs,
-        situation_index,
-        store_override,
-        metrics,
-        &DriftTaps::default(),
-    )
-}
-
-/// [`run_drift_hil_with_store`] with observability taps (stream bus,
-/// flight recorder, tile-thread override). With an external stream the
-/// tuner consumes its reward window from that bus instead of a private
-/// one — behaviorally identical, which CI asserts as eps=0 report
-/// byte-identity.
-pub fn run_drift_hil_tapped(
-    cfg: &CampaignConfig,
-    knobs: DriftKnobs,
-    situation_index: usize,
-    store_override: Option<KnobStore>,
-    metrics: Option<Arc<Metrics>>,
-    taps: &DriftTaps,
-) -> HilResult {
-    let camera = campaign_camera(cfg.quick);
-    let situation = TABLE3_SITUATIONS[situation_index];
-    let mut config = HilConfig::new(Case::Case4, SituationSource::Oracle)
-        .with_seed(cfg.seed)
-        .with_camera(camera.clone())
-        .with_kernel_backend(cfg.kernel_backend)
-        .with_sensor(drift_sensor())
-        .with_initial_estimate(situation)
-        .with_error_fit(true);
-    if let DriftKnobs::Tuned { epsilon } = knobs {
-        let store =
-            store_override.unwrap_or_else(|| warm_start_store(cfg.seed, &camera, situation_index));
-        let mut tuner = TunerConfig::new().with_seed(cfg.seed).with_store(store);
-        if let Some(eps) = epsilon {
-            tuner = tuner.with_epsilon(eps);
-        }
-        config = config.with_tuner(tuner);
-    }
-    if let Some(metrics) = metrics {
-        config = config.with_metrics(metrics);
-    }
-    HilSimulator::new(drift_track(&situation, cfg.quick), taps.apply(config)).run()
-}
-
 /// Schema tag of the standalone drift report.
 pub const DRIFT_SCHEMA: &str = "lkas-drift-v1";
 
@@ -919,14 +793,16 @@ pub struct DriftReport {
 
 /// Runs the drift scenario on one situation (an index into
 /// [`TABLE3_SITUATIONS`]) and packages the standalone report.
-pub fn run_drift(cfg: &CampaignConfig, knobs: DriftKnobs, situation_index: usize) -> DriftReport {
-    drift_report_for(cfg, &run_drift_hil(cfg, knobs, situation_index, None))
+pub fn run_drift(cfg: &CampaignConfig, knobs: DriftKnobs, situation: usize) -> DriftReport {
+    let (track, config) = build_job(cfg, &CampaignJob::Drift { situation, knobs }, None);
+    drift_report_for(cfg, &HilSimulator::new(track, config).run())
 }
 
 /// Packages a drift-scenario [`HilResult`] as the standalone report.
 /// Split out of [`run_drift`] for drivers that run the loop themselves
-/// (the fleet service runs [`run_drift_hil_with_store`] with a tenant's
-/// persisted store, then packages the result with this).
+/// (the fleet service warm-starts [`build_job`] from a tenant's
+/// persisted store and attaches taps, then packages the result with
+/// this).
 pub fn drift_report_for(cfg: &CampaignConfig, r: &HilResult) -> DriftReport {
     DriftReport {
         schema: DRIFT_SCHEMA.to_string(),
@@ -970,14 +846,19 @@ fn certificate_for(r: &HilResult) -> Option<f64> {
     Some(round_um(lkas_control::certify(&certification_controller(), &profile).margin))
 }
 
-fn entry_for(
-    case: &str,
-    plan: &str,
-    arm: PolicyArm,
-    knobs: &str,
-    situation: Option<usize>,
-    r: &HilResult,
-) -> CampaignEntry {
+/// Reduces one job's [`HilResult`] to its report entry.
+pub fn entry_for(job: &CampaignJob, r: &HilResult) -> CampaignEntry {
+    let (case, plan, arm, knobs, situation) = match job {
+        CampaignJob::Fault { case, plan, arm } => {
+            (case.name(), plan.name.as_str(), *arm, "static", None)
+        }
+        CampaignJob::BlindBurst { arm } => {
+            (Case::Case3.name(), BLIND_BURST_PLAN_NAME, *arm, "static", None)
+        }
+        CampaignJob::Drift { situation, knobs } => {
+            (Case::Case4.name(), DRIFT_PLAN_NAME, PolicyArm::Off, knobs.name(), Some(*situation))
+        }
+    };
     CampaignEntry {
         case: case.to_string(),
         plan: plan.to_string(),
@@ -1309,12 +1190,15 @@ mod tests {
             let (tuned_key, tuned_job) = &grid[15 + 2 * offset];
             assert!(static_key.contains(&format!("sensor-drift|s{situation:02}|knobs-static")));
             assert!(tuned_key.contains(&format!("sensor-drift|s{situation:02}|knobs-tuned")));
-            assert!(
-                matches!(static_job, CampaignJob::Drift { situation: s, tuned: false } if *s == situation)
-            );
-            assert!(
-                matches!(tuned_job, CampaignJob::Drift { situation: s, tuned: true } if *s == situation)
-            );
+            assert!(matches!(
+                static_job,
+                CampaignJob::Drift { situation: s, knobs: DriftKnobs::Static } if *s == situation
+            ));
+            assert!(matches!(
+                tuned_job,
+                CampaignJob::Drift { situation: s, knobs: DriftKnobs::Tuned { epsilon: None } }
+                    if *s == situation
+            ));
         }
     }
 }

@@ -119,28 +119,3 @@ fn sharded_report_is_byte_identical_to_single_process() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-#[test]
-fn kernel_backend_is_invisible_in_the_report() {
-    // The frame-path kernel backend is a runtime knob, like
-    // `--threads`: selecting the exact lane kernels (the default) over
-    // the scalar reference must leave the quick robustness report
-    // byte-identical. This is the end-to-end closure of the per-kernel
-    // bit-identity the imaging proptests and gate-kernel-equivalence
-    // assert — if a lane kernel ever drifts, the diff surfaces here as
-    // report bytes, not just as pixel deltas.
-    use lkas_imaging::KernelBackend;
-    let scalar = run_campaign(
-        &CampaignConfig::new(7).with_quick(true).with_kernel_backend(KernelBackend::Scalar),
-        None,
-    );
-    let lanes = run_campaign(
-        &CampaignConfig::new(7).with_quick(true).with_kernel_backend(KernelBackend::lanes()),
-        None,
-    );
-    assert_eq!(
-        report_json(&scalar).as_bytes(),
-        report_json(&lanes).as_bytes(),
-        "exact lane kernels must not change the report"
-    );
-}

@@ -139,11 +139,10 @@ pub struct HilConfig {
     pub error_fit: bool,
     /// Kernel backend for the data-parallel frame-path kernels
     /// (demosaic/denoise/gamut in the ISP, rectify/binarize in
-    /// perception). The default (`KernelBackend::lanes()`) is
-    /// bit-identical to `KernelBackend::Scalar`; the fixed-point
-    /// `lanes-q14` backend trades a documented tolerance band for
-    /// integer arithmetic. A runtime knob only — deliberately not part
-    /// of any campaign fingerprint.
+    /// perception). The default (`KernelBackend::Lanes`) is
+    /// bit-identical to `KernelBackend::Scalar`, the reference the
+    /// tests select. A runtime knob only — deliberately not part of any
+    /// campaign fingerprint.
     pub kernel_backend: KernelBackend,
 }
 
@@ -414,17 +413,14 @@ impl HilSimulator {
         // mirrored into the shared registry); the result's counters are
         // read back from it at the end.
         let tally = Tally { local: Metrics::new(), shared: metrics };
-        let sink = config.trace_sink.as_ref();
+        let mut events = Events { sink: config.trace_sink.as_ref(), cycle: 0, delta: None };
         let n_sectors = track.sectors().len();
         let scheme =
             config.scheme_override.clone().unwrap_or_else(|| config.case.invocation_scheme());
-        if let Some(s) = sink {
-            s.instant(
-                0,
-                "run_start",
-                Some(format!("case={:?} scheme={}", config.case, scheme.describe())),
-            );
-        }
+        // No cycle is open yet, so this one reaches the trace only.
+        events.emit_with("run_start", || {
+            Some(format!("case={:?} scheme={}", config.case, scheme.describe()))
+        });
         let delay_set = config.case.delay_classifier_set();
         let fault_plan = config.fault_plan.clone();
         let plan_seed = fault_plan.as_ref().map_or(0, |p| p.seed);
@@ -467,7 +463,6 @@ impl HilSimulator {
             probing: wants_delta && metrics.is_some(),
         };
         let mut counter_base = vec![0u64; Counter::ALL.len()];
-        let mut open_delta: Option<CycleDelta> = None;
 
         let mut controller_cfg = knobs.controller_config(delay_set);
         let mut controller = fetch_controller(&tally, &controller_cfg);
@@ -521,7 +516,7 @@ impl HilSimulator {
                 // the stream-fed tuner must see cycle N's reward before
                 // cycle N+1's `select` — the same interleaving the
                 // in-loop buffer had.
-                if let Some(delta) = open_delta.take() {
+                if let Some(delta) = events.open(frame_index, wants_delta) {
                     publish_delta(
                         delta,
                         &clock,
@@ -533,22 +528,13 @@ impl HilSimulator {
                         tuner_sub.as_ref(),
                     );
                 }
-                let cycle = frame_index;
-                if wants_delta {
-                    open_delta = Some(CycleDelta::new(cycle));
-                }
                 tally.incr(Counter::Cycles);
                 let faults =
                     fault_plan.as_ref().map(|p| p.faults_at(frame_index)).unwrap_or_default();
                 if faults.any() {
                     tally.incr(Counter::FaultsInjected);
                     for label in faults.trace_labels() {
-                        if let Some(s) = sink {
-                            s.instant(cycle, label, None);
-                        }
-                        if let Some(d) = open_delta.as_mut() {
-                            d.labels.push(label.to_string());
-                        }
+                        events.emit(label);
                     }
                 }
                 if fault_plan.is_some() {
@@ -598,22 +584,13 @@ impl HilSimulator {
                             // the cycle coasts frameless, like a dropped
                             // frame, and the rejection is counted.
                             tally.incr(Counter::RenderErrors);
-                            if let Some(s) = sink {
-                                s.instant(cycle, "render_error", Some(e.to_string()));
-                            }
-                            if let Some(d) = open_delta.as_mut() {
-                                d.labels.push("render_error".to_string());
-                            }
+                            events.emit_with("render_error", || Some(e.to_string()));
                             false
                         }
                     }
                 };
-                if let Some(s) = sink {
-                    if have_frame {
-                        s.span(cycle, Stage::Render);
-                        s.span(cycle, Stage::Sensor);
-                        s.span(cycle, Stage::Isp);
-                    }
+                if have_frame {
+                    events.spans(&[Stage::Render, Stage::Sensor, Stage::Isp]);
                 }
 
                 // Situation identification with the scheduled
@@ -649,9 +626,7 @@ impl HilSimulator {
                         }
                     }
                 });
-                if let Some(s) = sink {
-                    s.span(cycle, Stage::Classifier);
-                }
+                events.spans(&[Stage::Classifier]);
                 if let Some(mp) = faults.mispredict {
                     // A dropped frame produces no classifier output to
                     // corrupt.
@@ -669,12 +644,7 @@ impl HilSimulator {
                 }
                 if estimate.current() != previous_estimate {
                     tally.incr(Counter::SituationSwitches);
-                    if let Some(s) = sink {
-                        s.instant(cycle, "situation_switch", Some(estimate.current().describe()));
-                    }
-                    if let Some(d) = open_delta.as_mut() {
-                        d.labels.push("situation_switch".to_string());
-                    }
+                    events.emit_with("situation_switch", || Some(estimate.current().describe()));
                 }
                 if estimate.current() != vehicle.preview_situation(ORACLE_PREVIEW_M) {
                     tally.incr(Counter::Misidentifications);
@@ -697,29 +667,17 @@ impl HilSimulator {
                                 }
                                 let label =
                                     if explored { "tuner_explore" } else { "tuner_decision" };
-                                if let Some(s) = sink {
-                                    s.instant(
-                                        cycle,
-                                        label,
-                                        Some(format!(
-                                            "isp={} roi={}",
-                                            choice.tuning.isp.name(),
-                                            choice.tuning.roi.name()
-                                        )),
-                                    );
-                                }
-                                if let Some(d) = open_delta.as_mut() {
-                                    d.labels.push(label.to_string());
-                                }
+                                events.emit_with(label, || {
+                                    Some(format!(
+                                        "isp={} roi={}",
+                                        choice.tuning.isp.name(),
+                                        choice.tuning.roi.name()
+                                    ))
+                                });
                             }
                             Some(TunerEvent::Fallback) => {
                                 tally.incr(Counter::TunerFallbacks);
-                                if let Some(s) = sink {
-                                    s.instant(cycle, "tuner_fallback", None);
-                                }
-                                if let Some(d) = open_delta.as_mut() {
-                                    d.labels.push("tuner_fallback".to_string());
-                                }
+                                events.emit("tuner_fallback");
                             }
                             None => {}
                         }
@@ -739,22 +697,12 @@ impl HilSimulator {
                         )
                         .with_backend(config.kernel_backend);
                         tally.incr(Counter::PerceptionReconfigurations);
-                        if let Some(s) = sink {
-                            s.instant(cycle, "reconfig:perception", None);
-                        }
-                        if let Some(d) = open_delta.as_mut() {
-                            d.labels.push("reconfig:perception".to_string());
-                        }
+                        events.emit("reconfig:perception");
                     }
                     if new_knobs.isp != knobs.isp {
                         staged_isp = Some(new_knobs.isp);
                         tally.incr(Counter::IspReconfigurations);
-                        if let Some(s) = sink {
-                            s.instant(cycle, "reconfig:isp", None);
-                        }
-                        if let Some(d) = open_delta.as_mut() {
-                            d.labels.push("reconfig:isp".to_string());
-                        }
+                        events.emit("reconfig:isp");
                     }
                     vehicle.set_target_speed_kmph(new_knobs.speed_kmph);
                     knobs = new_knobs;
@@ -791,12 +739,7 @@ impl HilSimulator {
                     controller = next;
                     controller_cfg = new_cfg;
                     tally.incr(Counter::ControlReconfigurations);
-                    if let Some(s) = sink {
-                        s.instant(cycle, "reconfig:control", None);
-                    }
-                    if let Some(d) = open_delta.as_mut() {
-                        d.labels.push("reconfig:control".to_string());
-                    }
+                    events.emit("reconfig:control");
                 }
 
                 // Perception, then the degradation policy's substitution.
@@ -814,10 +757,8 @@ impl HilSimulator {
                 } else {
                     None
                 };
-                if let Some(s) = sink {
-                    if have_frame {
-                        s.span(cycle, Stage::Perception);
-                    }
+                if have_frame {
+                    events.spans(&[Stage::Perception]);
                 }
                 // The cycle event carries the raw perception output —
                 // before any degradation hold substitutes a synthetic
@@ -825,7 +766,7 @@ impl HilSimulator {
                 // stream-fed tuner reads its reward from exactly this
                 // field when the delta is published at the top of the
                 // next cycle.
-                if let Some(d) = open_delta.as_mut() {
+                if let Some(d) = events.delta.as_mut() {
                     d.y_l_measured = raw_y_l;
                     d.y_l_true = Some(vehicle.true_y_l());
                 }
@@ -848,48 +789,23 @@ impl HilSimulator {
                         let obs = p.observe_with(raw_y_l, &coast_input);
                         if obs.held {
                             tally.incr(Counter::MeasurementHolds);
-                            if let Some(s) = sink {
-                                s.instant(cycle, "measurement_hold", None);
-                            }
-                            if let Some(d) = open_delta.as_mut() {
-                                d.labels.push("measurement_hold".to_string());
-                            }
+                            events.emit("measurement_hold");
                         }
                         if obs.coasted {
                             tally.incr(Counter::ObserverCoasts);
-                            if let Some(s) = sink {
-                                s.instant(cycle, "observer_coast", None);
-                            }
-                            if let Some(d) = open_delta.as_mut() {
-                                d.labels.push("observer_coast".to_string());
-                            }
+                            events.emit("observer_coast");
                         }
                         if obs.reacquired {
                             tally.incr(Counter::ObserverReacquisitions);
-                            if let Some(s) = sink {
-                                s.instant(cycle, "observer_reacquire", None);
-                            }
-                            if let Some(d) = open_delta.as_mut() {
-                                d.labels.push("observer_reacquire".to_string());
-                            }
+                            events.emit("observer_reacquire");
                         }
                         if obs.entered {
                             tally.incr(Counter::DegradedEntries);
-                            if let Some(s) = sink {
-                                s.instant(cycle, "degraded_enter", None);
-                            }
-                            if let Some(d) = open_delta.as_mut() {
-                                d.labels.push("degraded_enter".to_string());
-                            }
+                            events.emit("degraded_enter");
                         }
                         if obs.exited {
                             tally.incr(Counter::DegradedExits);
-                            if let Some(s) = sink {
-                                s.instant(cycle, "degraded_exit", None);
-                            }
-                            if let Some(d) = open_delta.as_mut() {
-                                d.labels.push("degraded_exit".to_string());
-                            }
+                            events.emit("degraded_exit");
                         }
                         obs.y_l
                     }
@@ -905,12 +821,9 @@ impl HilSimulator {
                 let u = clock.timed(Stage::Control, || {
                     controller.step(&Measurement { y_l, yaw_rate: vehicle.state().r })
                 });
-                if let Some(s) = sink {
-                    s.span(cycle, Stage::Control);
-                    // The command's actuation slot belongs to this cycle
-                    // in virtual time, though it takes effect τ later.
-                    s.span(cycle, Stage::Actuation);
-                }
+                // The command's actuation slot belongs to this cycle in
+                // virtual time, though it takes effect τ later.
+                events.spans(&[Stage::Control, Stage::Actuation]);
                 if faults.extra_delay_ms > 0.0 {
                     tally.incr(Counter::DeadlineOverruns);
                 }
@@ -964,7 +877,7 @@ impl HilSimulator {
         // physics-step Actuation recordings) reaches the subscribers,
         // the flight recorder, and the tuner's open reward window
         // before that window is committed below.
-        if let Some(delta) = open_delta.take() {
+        if let Some(delta) = events.delta.take() {
             publish_delta(
                 delta,
                 &clock,
@@ -1026,6 +939,46 @@ pub fn knobs_for_case(case: Case, estimate: &SituationFeatures, table: &KnobTabl
             speed_for(estimate.layout),
         ),
         Case::Case4 | Case::VariableInvocation => table.lookup(estimate),
+    }
+}
+
+/// Run-local event emitter: every loop event is written once here and
+/// fans out to the trace sink (an instant with an optional detail,
+/// built only when a sink is attached) and to the open cycle delta (a
+/// label). Stage spans go to the sink alone.
+struct Events<'a> {
+    sink: Option<&'a TraceSink>,
+    cycle: u64,
+    delta: Option<CycleDelta>,
+}
+
+impl Events<'_> {
+    /// Moves on to `cycle`, opening its delta when a stream or flight
+    /// consumer wants one, and returns the previous cycle's delta.
+    fn open(&mut self, cycle: u64, wants_delta: bool) -> Option<CycleDelta> {
+        self.cycle = cycle;
+        std::mem::replace(&mut self.delta, wants_delta.then(|| CycleDelta::new(cycle)))
+    }
+
+    fn emit(&mut self, name: &'static str) {
+        self.emit_with(name, || None);
+    }
+
+    fn emit_with(&mut self, name: &'static str, detail: impl FnOnce() -> Option<String>) {
+        if let Some(s) = self.sink {
+            s.instant(self.cycle, name, detail());
+        }
+        if let Some(d) = self.delta.as_mut() {
+            d.labels.push(name.to_string());
+        }
+    }
+
+    fn spans(&self, stages: &[Stage]) {
+        if let Some(s) = self.sink {
+            for &stage in stages {
+                s.span(self.cycle, stage);
+            }
+        }
     }
 }
 
@@ -1349,6 +1302,56 @@ mod tests {
         assert_eq!(a.faulted_cycles, b.faulted_cycles);
         assert_eq!(a.perception_failures, b.perception_failures);
         assert!(a.faulted_cycles >= 60, "both windows must land inside the run");
+    }
+
+    #[test]
+    fn scalar_kernels_replay_the_default_trace_bit_for_bit() {
+        // The frame-path kernel backend is a runtime knob: the scalar
+        // reference must reproduce the default lane backend's whole
+        // closed-loop trajectory, through ISP and ROI switches and a
+        // Bayer fault storm. A drifting lane kernel surfaces here as a
+        // different measurement, not only as a pixel delta.
+        use lkas_scene::track::Sector;
+        let run = |backend: KernelBackend| {
+            let plan = Arc::new(
+                FaultPlan::named("bayer-storm", 3)
+                    .hot_pixels(30, 40, 0.03)
+                    .row_banding(150, 40, 3, 0.35)
+                    .exposure_glitch(300, 30, 2.5),
+            );
+            let track = Track::new(vec![
+                Sector::for_situation(&TABLE3_SITUATIONS[0], 120.0),
+                Sector::for_situation(&TABLE3_SITUATIONS[7], 200.0),
+            ]);
+            let config = HilConfig::new(Case::Case4, SituationSource::Oracle)
+                .with_camera(test_camera())
+                .with_seed(42)
+                .with_fault_plan(plan)
+                .with_trace(true)
+                .with_kernel_backend(backend);
+            HilSimulator::new(track, config).run()
+        };
+        let lanes = run(KernelBackend::default());
+        let scalar = run(KernelBackend::Scalar);
+        let first = lanes.trace[0];
+        assert!(lanes.trace.iter().any(|s| s.isp != first.isp), "the ISP knob must switch");
+        assert!(lanes.trace.iter().any(|s| s.roi != first.roi), "the ROI knob must switch");
+        assert!(lanes.faulted_cycles >= 110, "every Bayer window must land inside the run");
+        let bits = |r: &HilResult| {
+            r.trace
+                .iter()
+                .map(|s| {
+                    (
+                        s.t_ms.to_bits(),
+                        s.y_l_measured.map(f64::to_bits),
+                        s.y_l_true.to_bits(),
+                        s.steering.to_bits(),
+                        (s.isp, s.roi, s.vx.to_bits(), s.sector),
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&scalar), bits(&lanes));
     }
 
     #[test]

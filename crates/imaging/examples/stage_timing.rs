@@ -30,7 +30,7 @@ fn main() {
     }
     let _ = Sensor::new(SensorConfig::default(), 1); // keep the dep honest
 
-    for backend in [KernelBackend::Scalar, KernelBackend::lanes(), KernelBackend::lanes_fixed()] {
+    for backend in KernelBackend::ALL {
         let mut scratch = Scratch::new();
         let mut out = RgbImage::new(2, 2);
         let dm = time_us(iters, || {
@@ -42,7 +42,7 @@ fn main() {
 
     // Full configs for the composite view.
     for cfg in [IspConfig::S0, IspConfig::S4, IspConfig::S5] {
-        for backend in [KernelBackend::Scalar, KernelBackend::lanes()] {
+        for backend in KernelBackend::ALL {
             let isp = IspPipeline::new(cfg).with_backend(backend);
             let mut scratch = Scratch::new();
             let mut out = RgbImage::new(2, 2);

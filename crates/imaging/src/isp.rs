@@ -24,7 +24,7 @@
 //! Each hot interior exists in the per-pixel scalar reference form and
 //! as a chunked-lane data-parallel kernel, selected per pipeline via
 //! [`KernelBackend`] (see `crate::kernel` for the policy). The exact
-//! lane kernels (`KernelBackend::lanes()`, the default) evaluate the
+//! lane kernels (`KernelBackend::Lanes`, the default) evaluate the
 //! scalar expressions in the same floating-point order — restructured
 //! only for vectorizable control flow — so they are bit-identical to
 //! the scalar reference. Two lane-only specializations carry most of
@@ -41,11 +41,6 @@
 //!   whose maximum stays below the knee (the common case on road
 //!   scenes) is written back with the vectorized identity path, and
 //!   only knee-crossing chunks fall back to the scalar expression.
-//!
-//! The fixed-point backend (`KernelBackend::lanes_fixed()`) swaps the
-//! demosaic/denoise interiors for 16-bit Q2.14 integer lanes; those are
-//! tolerance-banded (see [`DM_Q14_EPS`] / [`DN_Q14_EPS`]) rather than
-//! bit-identical, and never run in the default pipeline.
 
 use crate::image::{BayerChannel, RawImage, RgbImage};
 use crate::kernel::KernelBackend;
@@ -94,11 +89,9 @@ impl IspStage {
         self.apply_with(KernelBackend::Scalar, scratch, img);
     }
 
-    /// Applies this stage with an explicit [`KernelBackend`].
-    ///
-    /// Exact backends produce bit-identical output; the fixed-point
-    /// backend substitutes the Q2.14 denoise interior (demosaic is not
-    /// an RGB-domain stage and dispatches in [`demosaic_into_with`]).
+    /// Applies this stage with an explicit [`KernelBackend`]; both
+    /// backends produce bit-identical output (demosaic is not an
+    /// RGB-domain stage and dispatches in [`demosaic_into_with`]).
     pub fn apply_with(&self, backend: KernelBackend, scratch: &mut Scratch, img: &mut RgbImage) {
         match backend {
             KernelBackend::Scalar => match self {
@@ -108,15 +101,9 @@ impl IspStage {
                 IspStage::GamutMap => gamut_map_in_place(img),
                 IspStage::ToneMap => tone_map_in_place(img),
             },
-            KernelBackend::Lanes { fixed_point } => match self {
+            KernelBackend::Lanes => match self {
                 IspStage::Demosaic => {}
-                IspStage::Denoise => {
-                    if fixed_point {
-                        denoise_in_place_q14(img, scratch);
-                    } else {
-                        denoise_in_place(img, scratch, true);
-                    }
-                }
+                IspStage::Denoise => denoise_in_place(img, scratch, true),
                 IspStage::ColorMap => color_map_in_place(img),
                 IspStage::GamutMap => gamut_map_lanes(img),
                 IspStage::ToneMap => tone_map_in_place(img),
@@ -247,7 +234,7 @@ pub struct IspPipeline {
 
 impl IspPipeline {
     /// Creates a pipeline running the given configuration on the default
-    /// (exact lane) kernel backend.
+    /// (lane) kernel backend.
     pub fn new(config: IspConfig) -> Self {
         IspPipeline { config, backend: KernelBackend::default() }
     }
@@ -282,8 +269,8 @@ impl IspPipeline {
     /// and a reused `out`, processing at stable frame dimensions
     /// performs no heap allocations (when `scratch` is single-threaded)
     /// and the output is byte-identical to [`IspPipeline::process`] at
-    /// any scratch thread count. Exact backends (everything but the
-    /// fixed-point lanes) are additionally byte-identical to each other.
+    /// any scratch thread count. Both backends are additionally
+    /// byte-identical to each other.
     pub fn process_into(&self, raw: &RawImage, scratch: &mut Scratch, out: &mut RgbImage) {
         demosaic_into_with(raw, scratch, out, self.backend);
         match self.backend {
@@ -293,7 +280,7 @@ impl IspPipeline {
                 }
                 out.quantize(OUTPUT_LEVELS);
             }
-            KernelBackend::Lanes { .. } => {
+            KernelBackend::Lanes => {
                 let (last, rest) =
                     self.config.stages().split_last().expect("every config demosaics");
                 for stage in rest {
@@ -333,7 +320,7 @@ impl IspPipeline {
 }
 
 // ---------------------------------------------------------------------
-// Demosaic (scalar reference + exact lane + Q2.14 lane kernels)
+// Demosaic (scalar reference + exact lane kernels)
 // ---------------------------------------------------------------------
 
 /// Average of the in-bounds 3×3 neighbors holding channel `chan` — the
@@ -514,11 +501,8 @@ pub fn demosaic_into(raw: &RawImage, scratch: &mut Scratch, out: &mut RgbImage) 
     demosaic_into_with(raw, scratch, out, KernelBackend::Scalar);
 }
 
-/// [`demosaic_into`] with an explicit [`KernelBackend`].
-///
-/// The scalar and exact-lane backends are bit-identical and tile
-/// row-band parallel; the fixed-point backend runs the sequential
-/// Q2.14 kernel (see [`DM_Q14_EPS`] for its tolerance band).
+/// [`demosaic_into`] with an explicit [`KernelBackend`]; both backends
+/// are bit-identical and tile row-band parallel.
 pub fn demosaic_into_with(
     raw: &RawImage,
     scratch: &mut Scratch,
@@ -529,10 +513,7 @@ pub fn demosaic_into_with(
     out.reshape(w, h);
     let rows: fn(&RawImage, &mut [f32], usize) = match backend {
         KernelBackend::Scalar => demosaic_rows,
-        KernelBackend::Lanes { fixed_point: false } => demosaic_rows_lanes,
-        KernelBackend::Lanes { fixed_point: true } => {
-            return demosaic_into_q14(raw, scratch, out);
-        }
+        KernelBackend::Lanes => demosaic_rows_lanes,
     };
     let exec = scratch.executor;
     if exec.threads() == 1 {
@@ -551,117 +532,7 @@ pub fn demosaic_into_with(
 }
 
 // ---------------------------------------------------------------------
-// Q2.14 fixed-point lanes (tolerance-banded, never the default)
-// ---------------------------------------------------------------------
-
-/// Q2.14 scale: 16-bit signed lanes covering (−2, +2) — signed because
-/// read noise drives RAW photosites slightly negative, and clamping
-/// them would cost far more accuracy than the format's quantization.
-const Q14_ONE: f32 = 16384.0;
-
-/// Declared tolerance band of the Q2.14 demosaic against the scalar
-/// f32 reference: |lanes-q14 − scalar| ≤ 2⁻¹⁰ per channel value.
-///
-/// Derivation: input quantization contributes ≤ 2⁻¹⁵ (half a Q2.14
-/// step), the rounded neighbor-average division ≤ 2⁻¹⁴, so the true
-/// worst case is ≲ 10⁻⁴; 2⁻¹⁰ ≈ 9.8·10⁻⁴ leaves an order-of-magnitude
-/// margin. Enforced by `gate-kernel-equivalence` and the imaging
-/// proptests.
-pub const DM_Q14_EPS: f32 = 1.0 / 1024.0;
-
-/// Declared tolerance band of the Q2.14 denoise against the scalar f32
-/// reference (same derivation as [`DM_Q14_EPS`], two rounded passes).
-pub const DN_Q14_EPS: f32 = 1.0 / 1024.0;
-
-#[inline(always)]
-fn to_q14(v: f32) -> i16 {
-    (v.clamp(-1.999, 1.999) * Q14_ONE).round() as i16
-}
-
-#[inline(always)]
-fn from_q14(q: i32) -> f32 {
-    // i32 → f32 is exact for these magnitudes; /2¹⁴ is a power of two.
-    q as f32 / Q14_ONE
-}
-
-#[inline(always)]
-fn rdiv2(s: i32) -> i32 {
-    (s + 1) >> 1
-}
-
-#[inline(always)]
-fn rdiv4(s: i32) -> i32 {
-    (s + 2) >> 2
-}
-
-#[inline(always)]
-fn rdiv5(s: i32) -> i32 {
-    (s + 2) / 5
-}
-
-/// Q2.14 demosaic: quantizes the RAW plane to 16-bit lanes, runs the
-/// integer phase kernels (exact shifts for /2 and /4, rounded division
-/// for /5), and dequantizes into the RGB output. Borders round-trip the
-/// scalar border sampler through Q2.14 so the whole frame shares one
-/// error model. Sequential (the integer interior outruns the tiled f32
-/// path on its own); within [`DM_Q14_EPS`] of [`demosaic_into`].
-fn demosaic_into_q14(raw: &RawImage, scratch: &mut Scratch, out: &mut RgbImage) {
-    let (w, h) = (raw.width(), raw.height());
-    let mut plane = scratch.pool.take_plane_i16(w * h);
-    for (q, &v) in plane.iter_mut().zip(raw.as_slice()) {
-        *q = to_q14(v);
-    }
-    let dst = out.as_mut_slice();
-    for y in 0..h {
-        let out_row = &mut dst[y * w * 3..(y + 1) * w * 3];
-        if y == 0 || y + 1 >= h {
-            for x in 0..w {
-                dm_border_pixel_q14(raw, &mut out_row[x * 3..x * 3 + 3], x, y);
-            }
-            continue;
-        }
-        dm_border_pixel_q14(raw, &mut out_row[0..3], 0, y);
-        dm_border_pixel_q14(raw, &mut out_row[(w - 1) * 3..w * 3], w - 1, y);
-        let above = &plane[(y - 1) * w..y * w];
-        let cur = &plane[y * w..(y + 1) * w];
-        let below = &plane[(y + 1) * w..(y + 2) * w];
-        let even_row = y & 1 == 0;
-        for x in 1..w - 1 {
-            let px = &mut out_row[x * 3..x * 3 + 3];
-            let (a0, a1, a2) = (above[x - 1] as i32, above[x] as i32, above[x + 1] as i32);
-            let (c0, c1, c2) = (cur[x - 1] as i32, cur[x] as i32, cur[x + 1] as i32);
-            let (b0, b1, b2) = (below[x - 1] as i32, below[x] as i32, below[x + 1] as i32);
-            let cross = rdiv4(a1 + c0 + c2 + b1);
-            let diag = rdiv4(a0 + a2 + b0 + b2);
-            let horiz = rdiv2(c0 + c2);
-            let vert = rdiv2(a1 + b1);
-            let plus = rdiv5(a0 + a2 + c1 + b0 + b2);
-            let (r, g, b) = match (even_row, x & 1 == 0) {
-                (true, true) => (c1, cross, diag),
-                (true, false) => (horiz, plus, vert),
-                (false, true) => (vert, plus, horiz),
-                (false, false) => (diag, cross, c1),
-            };
-            px[0] = from_q14(r);
-            px[1] = from_q14(g);
-            px[2] = from_q14(b);
-        }
-    }
-    scratch.pool.put_plane_i16(plane);
-}
-
-/// Border pixel of the Q2.14 demosaic: the scalar sampler's value,
-/// round-tripped through the Q2.14 format.
-fn dm_border_pixel_q14(raw: &RawImage, px: &mut [f32], x: usize, y: usize) {
-    let mut tmp = [0.0f32; 3];
-    dm_border_pixel(raw, &mut tmp, x, y);
-    for (d, v) in px.iter_mut().zip(tmp) {
-        *d = from_q14(to_q14(v) as i32);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Denoise (scalar reference + exact lane + Q2.14 lane kernels)
+// Denoise (scalar reference + exact lane kernels)
 // ---------------------------------------------------------------------
 
 /// The separable binomial denoise taps.
@@ -812,55 +683,6 @@ fn denoise_in_place(img: &mut RgbImage, scratch: &mut Scratch, lanes: bool) {
         exec.run(jobs, |(y0, band)| denoise_vertical_rows(tmp_ref, band, y0));
     }
     scratch.pool.put_rgb(tmp);
-}
-
-/// Q2.14 denoise: quantizes the frame to 16-bit lanes and runs both
-/// binomial passes as exact integer shifts, `(a + 2b + c + 2) >> 2` —
-/// the (1, 2, 1)/4 taps are exactly representable, so the only error
-/// sources are the input quantization and the per-pass rounding.
-/// Sequential; within [`DN_Q14_EPS`] of the scalar reference.
-fn denoise_in_place_q14(img: &mut RgbImage, scratch: &mut Scratch) {
-    let (w, h) = (img.width(), img.height());
-    let n = w * h * 3;
-    let row_n = w * 3;
-    let mut a = scratch.pool.take_plane_i16(n);
-    let mut b = scratch.pool.take_plane_i16(n);
-    for (q, &v) in a.iter_mut().zip(img.as_slice()) {
-        *q = to_q14(v);
-    }
-    // Horizontal pass (a → b), clamped taps at the row ends.
-    for y in 0..h {
-        let src = &a[y * row_n..(y + 1) * row_n];
-        let dst = &mut b[y * row_n..(y + 1) * row_n];
-        for c in 0..3 {
-            dst[c] = dn_tap3_q14(src[c], src[c], src[3 + c]);
-            dst[row_n - 3 + c] =
-                dn_tap3_q14(src[row_n - 6 + c], src[row_n - 3 + c], src[row_n - 3 + c]);
-        }
-        for i in 3..row_n - 3 {
-            dst[i] = dn_tap3_q14(src[i - 3], src[i], src[i + 3]);
-        }
-    }
-    // Vertical pass (b → img), clamped taps at the first/last row.
-    let out = img.as_mut_slice();
-    for y in 0..h {
-        let y_up = y.saturating_sub(1);
-        let y_dn = (y + 1).min(h - 1);
-        let above = &b[y_up * row_n..(y_up + 1) * row_n];
-        let cur = &b[y * row_n..(y + 1) * row_n];
-        let below = &b[y_dn * row_n..(y_dn + 1) * row_n];
-        let dst = &mut out[y * row_n..(y + 1) * row_n];
-        for i in 0..row_n {
-            dst[i] = from_q14(dn_tap3_q14(above[i], cur[i], below[i]) as i32);
-        }
-    }
-    scratch.pool.put_plane_i16(a);
-    scratch.pool.put_plane_i16(b);
-}
-
-#[inline(always)]
-fn dn_tap3_q14(a: i16, b: i16, c: i16) -> i16 {
-    rdiv4(a as i32 + 2 * b as i32 + c as i32) as i16
 }
 
 // ---------------------------------------------------------------------
@@ -1174,27 +996,13 @@ mod tests {
             let mut scalar = RgbImage::new(w, h);
             let mut lanes = RgbImage::new(w, h);
             demosaic_into_with(&raw, &mut Scratch::new(), &mut scalar, KernelBackend::Scalar);
-            demosaic_into_with(&raw, &mut Scratch::new(), &mut lanes, KernelBackend::lanes());
+            demosaic_into_with(&raw, &mut Scratch::new(), &mut lanes, KernelBackend::Lanes);
             assert_eq!(scalar, lanes, "{w}x{h}");
         }
     }
 
     #[test]
-    fn q14_demosaic_stays_in_band() {
-        let mut s = Sensor::new(SensorConfig::default(), 19);
-        let scene = RgbImage::filled(32, 16, [0.4, 0.5, 0.3]);
-        let raw = s.capture(&scene, 1.0);
-        let mut scalar = RgbImage::new(32, 16);
-        let mut q14 = RgbImage::new(32, 16);
-        demosaic_into_with(&raw, &mut Scratch::new(), &mut scalar, KernelBackend::Scalar);
-        demosaic_into_with(&raw, &mut Scratch::new(), &mut q14, KernelBackend::lanes_fixed());
-        for (a, b) in scalar.as_slice().iter().zip(q14.as_slice()) {
-            assert!((a - b).abs() <= DM_Q14_EPS, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn exact_backends_are_byte_identical_per_config() {
+    fn backends_are_byte_identical_per_config() {
         let mut s = Sensor::new(SensorConfig::default(), 23);
         let scene = RgbImage::filled(48, 24, [0.35, 0.5, 0.25]);
         let raw = s.capture(&scene, 1.0);
@@ -1206,7 +1014,7 @@ mod tests {
                 &mut Scratch::new(),
                 &mut scalar,
             );
-            IspPipeline::new(cfg).with_backend(KernelBackend::lanes()).process_into(
+            IspPipeline::new(cfg).with_backend(KernelBackend::Lanes).process_into(
                 &raw,
                 &mut Scratch::new(),
                 &mut lanes,
@@ -1342,22 +1150,8 @@ mod tests {
         let mut scalar = base.clone();
         let mut lanes = base.clone();
         IspStage::Denoise.apply_with(KernelBackend::Scalar, &mut Scratch::new(), &mut scalar);
-        IspStage::Denoise.apply_with(KernelBackend::lanes(), &mut Scratch::new(), &mut lanes);
+        IspStage::Denoise.apply_with(KernelBackend::Lanes, &mut Scratch::new(), &mut lanes);
         assert_eq!(scalar, lanes);
-    }
-
-    #[test]
-    fn q14_denoise_stays_in_band() {
-        let mut s = Sensor::new(SensorConfig::default(), 31);
-        let raw = s.capture(&RgbImage::filled(34, 18, [0.4, 0.5, 0.3]), 1.0);
-        let base = dm(&raw);
-        let mut scalar = base.clone();
-        let mut q14 = base.clone();
-        IspStage::Denoise.apply_with(KernelBackend::Scalar, &mut Scratch::new(), &mut scalar);
-        IspStage::Denoise.apply_with(KernelBackend::lanes_fixed(), &mut Scratch::new(), &mut q14);
-        for (a, b) in scalar.as_slice().iter().zip(q14.as_slice()) {
-            assert!((a - b).abs() <= DN_Q14_EPS, "{a} vs {b}");
-        }
     }
 
     #[test]

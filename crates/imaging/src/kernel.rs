@@ -4,85 +4,42 @@
 //! perception rectify/binarize kernels) exist in two implementations:
 //!
 //! * [`KernelBackend::Scalar`] — the original per-pixel reference
-//!   kernels. They stay compiled and testable forever; every other
-//!   backend is judged against them.
+//!   kernels. They stay compiled and testable forever; the lane kernels
+//!   are judged against them.
 //! * [`KernelBackend::Lanes`] — chunked-lane data-parallel kernels that
 //!   the compiler autovectorizes (plain slices and fixed-width chunks,
-//!   no intrinsics, no new dependencies). With `fixed_point: false`
-//!   (the default) the lane kernels execute *exactly* the scalar
-//!   expressions in the same order, so their output is bit-identical to
-//!   `Scalar` — which is what lets the default backend change without
-//!   moving a single byte of any campaign/stream/certificate report.
-//!   With `fixed_point: true` the demosaic/denoise interiors switch to
-//!   16-bit Q2.14 fixed-point lanes; those are *not* bit-identical and
-//!   are instead held inside a documented tolerance band (see
-//!   [`crate::isp::DM_Q14_EPS`] / [`crate::isp::DN_Q14_EPS`]) by the
-//!   `gate-kernel-equivalence` CI stage.
+//!   no intrinsics, no new dependencies). The lane kernels execute
+//!   *exactly* the scalar expressions in the same order, so their output
+//!   is bit-identical to `Scalar` — which is what lets the default
+//!   backend change without moving a single byte of any
+//!   campaign/stream/certificate report. The `gate-kernel-equivalence`
+//!   CI stage holds that identity.
 //!
 //! Every consumer (the ISP pipeline, the perception pipeline, the HiL
-//! loop via `HilConfig::with_kernel_backend`) defaults to the exact
-//! lane backend.
+//! loop via `HilConfig::with_kernel_backend`) defaults to the lane
+//! backend; only tests select the scalar reference.
 
 /// Which interior implementation the hot image kernels run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelBackend {
     /// Per-pixel scalar reference kernels.
     Scalar,
-    /// Chunked-lane data-parallel kernels.
-    Lanes {
-        /// `false`: exact f32 lanes, bit-identical to `Scalar`.
-        /// `true`: 16-bit Q2.14 fixed-point demosaic/denoise interiors,
-        /// tolerance-banded against the scalar f32 reference.
-        fixed_point: bool,
-    },
+    /// Chunked-lane data-parallel kernels, bit-identical to `Scalar`.
+    #[default]
+    Lanes,
 }
 
 impl KernelBackend {
-    /// The exact lane backend (bit-identical to `Scalar`) — the default.
-    pub const fn lanes() -> Self {
-        KernelBackend::Lanes { fixed_point: false }
-    }
-
-    /// The fixed-point lane backend (tolerance-banded).
-    pub const fn lanes_fixed() -> Self {
-        KernelBackend::Lanes { fixed_point: true }
-    }
-
-    /// `true` if this backend produces bit-identical output to
-    /// [`KernelBackend::Scalar`] (everything except the fixed-point
-    /// lanes).
-    pub const fn is_exact(self) -> bool {
-        !matches!(self, KernelBackend::Lanes { fixed_point: true })
-    }
-
-    /// Stable CLI/report name: `"scalar"`, `"lanes"` or `"lanes-q14"`.
+    /// Stable report name: `"scalar"` or `"lanes"`.
     pub const fn name(self) -> &'static str {
         match self {
             KernelBackend::Scalar => "scalar",
-            KernelBackend::Lanes { fixed_point: false } => "lanes",
-            KernelBackend::Lanes { fixed_point: true } => "lanes-q14",
-        }
-    }
-
-    /// Parses a [`KernelBackend::name`] string.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "scalar" => Some(KernelBackend::Scalar),
-            "lanes" => Some(KernelBackend::lanes()),
-            "lanes-q14" => Some(KernelBackend::lanes_fixed()),
-            _ => None,
+            KernelBackend::Lanes => "lanes",
         }
     }
 
     /// All backends, in `name()` order (used by bench sweeps).
-    pub const ALL: [KernelBackend; 3] =
-        [KernelBackend::Scalar, KernelBackend::lanes(), KernelBackend::lanes_fixed()];
-}
-
-impl Default for KernelBackend {
-    fn default() -> Self {
-        KernelBackend::lanes()
-    }
+    pub const ALL: [KernelBackend; 2] = [KernelBackend::Scalar, KernelBackend::Lanes];
 }
 
 impl std::fmt::Display for KernelBackend {
@@ -96,18 +53,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_exact_lanes() {
-        assert_eq!(KernelBackend::default(), KernelBackend::lanes());
-        assert!(KernelBackend::default().is_exact());
-        assert!(!KernelBackend::lanes_fixed().is_exact());
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for b in KernelBackend::ALL {
-            assert_eq!(KernelBackend::parse(b.name()), Some(b));
-            assert_eq!(b.to_string(), b.name());
-        }
-        assert_eq!(KernelBackend::parse("simd"), None);
+    fn default_is_lanes() {
+        assert_eq!(KernelBackend::default(), KernelBackend::Lanes);
+        assert_eq!(KernelBackend::default().to_string(), "lanes");
     }
 }

@@ -19,8 +19,8 @@
 //!   [`IspConfig`](isp::IspConfig) knobs (S0–S8) and the
 //!   [`IspPipeline`](isp::IspPipeline),
 //! * [`kernel`] — the [`KernelBackend`](kernel::KernelBackend) toggle
-//!   selecting scalar-reference vs. chunked-lane (and Q2.14
-//!   fixed-point) interiors for the hot kernels,
+//!   selecting scalar-reference vs. chunked-lane interiors for the hot
+//!   kernels,
 //! * [`pool`] — the [`FramePool`](pool::FramePool) buffer arena and the
 //!   [`Scratch`](pool::Scratch) working memory of the zero-allocation
 //!   `*_into` frame path,

@@ -51,7 +51,6 @@ pub struct FramePool {
     raw: Vec<RawImage>,
     rgb: Vec<RgbImage>,
     gray: Vec<GrayImage>,
-    planes_i16: Vec<Vec<i16>>,
     stats: PoolStats,
 }
 
@@ -139,28 +138,6 @@ impl FramePool {
     /// Checks a grayscale frame back in for later reuse.
     pub fn put_gray(&mut self, img: GrayImage) {
         self.gray.push(img);
-    }
-
-    /// Checks out a 16-bit lane plane of exactly `len` elements
-    /// (contents unspecified) — working memory of the Q2.14 fixed-point
-    /// kernels.
-    pub fn take_plane_i16(&mut self, len: usize) -> Vec<i16> {
-        match take_matching(&mut self.planes_i16, |p| p.len() == len) {
-            Some(mut plane) => {
-                self.stats.reuses += 1;
-                plane.resize(len, 0);
-                plane
-            }
-            None => {
-                self.stats.allocations += 1;
-                vec![0; len]
-            }
-        }
-    }
-
-    /// Checks a 16-bit lane plane back in for later reuse.
-    pub fn put_plane_i16(&mut self, plane: Vec<i16>) {
-        self.planes_i16.push(plane);
     }
 }
 

@@ -1,16 +1,11 @@
 //! Property tests for the kernel backends (DESIGN.md §17).
 //!
-//! The exact lane backend must be *bit-identical* to the scalar
-//! reference on arbitrary mosaics — not just the rendered frames the
-//! equivalence gate replays — and the Q2.14 fixed-point kernels must
-//! stay inside their *declared* tolerance bands ([`DM_Q14_EPS`],
-//! [`DN_Q14_EPS`]), which are derived from the format, not fitted to
-//! observed diffs.
+//! The lane backend must be *bit-identical* to the scalar reference on
+//! arbitrary mosaics — not just the rendered frames the equivalence
+//! gate replays.
 
 use lkas_imaging::image::{RawImage, RgbImage};
-use lkas_imaging::isp::{
-    demosaic_into_with, IspConfig, IspPipeline, IspStage, DM_Q14_EPS, DN_Q14_EPS,
-};
+use lkas_imaging::isp::{IspConfig, IspPipeline};
 use lkas_imaging::{KernelBackend, Scratch};
 use proptest::prelude::*;
 
@@ -33,50 +28,10 @@ fn max_abs_diff(a: &RgbImage, b: &RgbImage) -> f32 {
     a.as_slice().iter().zip(b.as_slice()).map(|(x, y)| (x - y).abs()).fold(0.0f32, f32::max)
 }
 
-fn demosaic(raw: &RawImage, backend: KernelBackend) -> RgbImage {
-    let mut scratch = Scratch::new();
-    let mut out = RgbImage::new(2, 2);
-    demosaic_into_with(raw, &mut scratch, &mut out, backend);
-    out
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Q2.14 demosaic stays within its declared band of the scalar f32
-    /// reference on arbitrary mosaics.
-    #[test]
-    fn q14_demosaic_stays_in_declared_band(
-        wp in 1usize..MAX_W / 2 + 1,
-        hp in 1usize..MAX_H / 2 + 1,
-        data in proptest::collection::vec(-0.05f32..1.3, MAX_W * MAX_H),
-    ) {
-        let raw = raw_from(wp, hp, &data);
-        let scalar = demosaic(&raw, KernelBackend::Scalar);
-        let q14 = demosaic(&raw, KernelBackend::lanes_fixed());
-        let diff = max_abs_diff(&scalar, &q14);
-        prop_assert!(diff <= DM_Q14_EPS, "demosaic q14 off by {} > {}", diff, DM_Q14_EPS);
-    }
-
-    /// Q2.14 denoise stays within its declared band of the scalar f32
-    /// reference, measured on the (exactly shared) demosaic output.
-    #[test]
-    fn q14_denoise_stays_in_declared_band(
-        wp in 1usize..MAX_W / 2 + 1,
-        hp in 1usize..MAX_H / 2 + 1,
-        data in proptest::collection::vec(-0.05f32..1.3, MAX_W * MAX_H),
-    ) {
-        let raw = raw_from(wp, hp, &data);
-        let mut scalar = demosaic(&raw, KernelBackend::Scalar);
-        let mut q14 = scalar.clone();
-        let mut scratch = Scratch::new();
-        IspStage::Denoise.apply_with(KernelBackend::Scalar, &mut scratch, &mut scalar);
-        IspStage::Denoise.apply_with(KernelBackend::lanes_fixed(), &mut scratch, &mut q14);
-        let diff = max_abs_diff(&scalar, &q14);
-        prop_assert!(diff <= DN_Q14_EPS, "denoise q14 off by {} > {}", diff, DN_Q14_EPS);
-    }
-
-    /// The exact lane backend is bit-identical to the scalar reference
+    /// The lane backend is bit-identical to the scalar reference
     /// through every full ISP configuration, on arbitrary mosaics.
     #[test]
     fn lanes_full_pipeline_is_bit_identical(
@@ -87,7 +42,7 @@ proptest! {
         let raw = raw_from(wp, hp, &data);
         for cfg in IspConfig::ALL {
             let mut outs = Vec::new();
-            for backend in [KernelBackend::Scalar, KernelBackend::lanes()] {
+            for backend in KernelBackend::ALL {
                 let isp = IspPipeline::new(cfg).with_backend(backend);
                 let mut scratch = Scratch::new();
                 let mut out = RgbImage::new(2, 2);

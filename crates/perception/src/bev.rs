@@ -210,15 +210,13 @@ impl BirdsEye {
 
     /// [`BirdsEye::rectify_into`] with an explicit [`KernelBackend`].
     ///
-    /// The lane backends route through a cached tap table
+    /// The lane backend routes through a cached tap table
     /// ([`RectifyTaps`], rebuilt only when the frame dimensions or ROI
     /// change): the per-cell clamp/floor/cast coordinate arithmetic is
     /// hoisted out of the frame loop, leaving a flat gather + f32
     /// interpolation kernel. Tap weights and the interpolation
     /// expression are shared with the scalar path ([`bilin_tap`] /
-    /// [`bilin_eval`]), so every backend is bit-identical here
-    /// (perception has no fixed-point kernels; `lanes-q14` behaves like
-    /// `lanes`).
+    /// [`bilin_eval`]), so both backends are bit-identical here.
     pub fn rectify_into_with(
         &self,
         frame: &RgbImage,
@@ -228,7 +226,7 @@ impl BirdsEye {
     ) {
         match backend {
             KernelBackend::Scalar => self.rectify_into(frame, out),
-            KernelBackend::Lanes { .. } => {
+            KernelBackend::Lanes => {
                 out.reshape(BEV_WIDTH, BEV_HEIGHT, self.roi);
                 taps.ensure(frame, &self.samples, self.roi);
                 let data = frame.as_slice();
@@ -514,7 +512,7 @@ mod tests {
             let mut taps = RectifyTaps::empty();
             // Twice through the same cache: cold build, then warm replay.
             for _ in 0..2 {
-                be.rectify_into_with(&frame, &mut lanes, KernelBackend::lanes(), &mut taps);
+                be.rectify_into_with(&frame, &mut lanes, KernelBackend::Lanes, &mut taps);
                 assert_eq!(scalar.as_slice(), lanes.as_slice(), "{roi}");
             }
         }
@@ -528,11 +526,11 @@ mod tests {
         // Prime the cache with a *smaller* frame and a different ROI…
         let small = RgbImage::filled(64, 32, [0.3, 0.3, 0.3]);
         let be2 = BirdsEye::new(Camera::default_automotive(), Roi::Roi2).unwrap();
-        be2.rectify_into_with(&small, &mut lanes, KernelBackend::lanes(), &mut taps);
+        be2.rectify_into_with(&small, &mut lanes, KernelBackend::Lanes, &mut taps);
         // …then rectify the real frame with another ROI through the same
         // cache: it must rebuild and match the scalar reference exactly.
         let be = BirdsEye::new(Camera::default_automotive(), Roi::Roi1).unwrap();
-        be.rectify_into_with(&frame, &mut lanes, KernelBackend::lanes(), &mut taps);
+        be.rectify_into_with(&frame, &mut lanes, KernelBackend::Lanes, &mut taps);
         assert_eq!(be.rectify(&frame).as_slice(), lanes.as_slice());
     }
 

@@ -100,14 +100,14 @@ pub fn binarize_into(bev: &BevImage, mask: &mut BinaryMask) {
 
 /// [`binarize_into`] with an explicit [`KernelBackend`].
 ///
-/// Every backend computes the mean/variance statistics with the *same
+/// Both backends compute the mean/variance statistics with the *same
 /// sequential folds*: the threshold is a global statistic, and a
 /// lane-reassociated reduction would move it by a few ULPs — enough to
 /// flip borderline mask bits, which is a discrete (untolerable) change.
 /// The lane restructure is therefore confined to the elementwise
 /// compare, which becomes a flat store loop over a pre-sized buffer
 /// (compare + pack, no per-element push); output is bit-identical
-/// across all backends (perception has no fixed-point kernels).
+/// across backends.
 pub fn binarize_into_with(bev: &BevImage, mask: &mut BinaryMask, backend: KernelBackend) {
     let data = bev.as_slice();
     let n = data.len() as f32;
@@ -122,7 +122,7 @@ pub fn binarize_into_with(bev: &BevImage, mask: &mut BinaryMask, backend: Kernel
             mask.data.clear();
             mask.data.extend(data.iter().map(|&v| v > threshold));
         }
-        KernelBackend::Lanes { .. } => {
+        KernelBackend::Lanes => {
             mask.data.resize(data.len(), false);
             for (d, &v) in mask.data.iter_mut().zip(data) {
                 *d = v > threshold;
@@ -201,7 +201,7 @@ mod tests {
         // Through a stale, larger reused mask so the resize path shrinks.
         let mut lanes = BinaryMask::empty();
         lanes.data = vec![true; bev.as_slice().len() + 64];
-        binarize_into_with(&bev, &mut lanes, lkas_imaging::KernelBackend::lanes());
+        binarize_into_with(&bev, &mut lanes, lkas_imaging::KernelBackend::Lanes);
         assert_eq!(scalar.data, lanes.data);
         assert_eq!(scalar.threshold, lanes.threshold);
     }

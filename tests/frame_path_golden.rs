@@ -4,12 +4,13 @@
 //! change: for every ISP configuration (S0…S8), every ROI, and any
 //! executor thread count, `process_into` writing into reused pooled
 //! buffers must produce bit-identical pixels (and identical perception
-//! measurements) to the one-shot allocating path.
+//! measurements) to the one-shot allocating path — on the default lane
+//! kernels and on the scalar reference kernels alike.
 
 use lkas_imaging::image::RgbImage;
 use lkas_imaging::isp::{IspConfig, IspPipeline};
 use lkas_imaging::sensor::{Sensor, SensorConfig};
-use lkas_imaging::Scratch;
+use lkas_imaging::{KernelBackend, Scratch};
 use lkas_perception::pipeline::{Perception, PerceptionConfig, PerceptionScratch};
 use lkas_perception::roi::Roi;
 use lkas_scene::camera::Camera;
@@ -40,16 +41,18 @@ fn process_into_is_bit_identical_for_every_config_and_thread_count() {
         // One output buffer reused (stale) across all nine configs.
         let mut out = RgbImage::new(2, 2);
         for cfg in IspConfig::ALL {
-            let isp = IspPipeline::new(cfg);
-            let reference = isp.process(&raw);
-            // Twice per config: the second pass runs fully pooled.
-            for pass in 0..2 {
-                isp.process_into(&raw, &mut scratch, &mut out);
-                assert_bit_identical(
-                    &reference,
-                    &out,
-                    &format!("{cfg:?} at {threads} threads, pass {pass}"),
-                );
+            let reference = IspPipeline::new(cfg).process(&raw);
+            for backend in KernelBackend::ALL {
+                let isp = IspPipeline::new(cfg).with_backend(backend);
+                // Twice per config: the second pass runs fully pooled.
+                for pass in 0..2 {
+                    isp.process_into(&raw, &mut scratch, &mut out);
+                    assert_bit_identical(
+                        &reference,
+                        &out,
+                        &format!("{cfg:?} {backend} at {threads} threads, pass {pass}"),
+                    );
+                }
             }
         }
     }

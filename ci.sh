@@ -158,11 +158,14 @@ gate_tuner_equivalence() {
 # Stream-equivalence gate for the per-cycle telemetry bus:
 # (a) folding the streamed CycleDelta capture must reproduce the
 #     end-of-run telemetry snapshot byte-for-byte (the stream carries
-#     every raw sample and counter increment, losslessly),
+#     every raw sample and counter increment, losslessly) — for the
+#     static run and for the tuned run, whose loop also hands each
+#     sealed cycle to the tuner,
 # (b) the deterministic stream (no wall-clock samples attached) must be
 #     byte-identical across tile-thread counts, and
-# (c) the stream-fed tuner at eps=0 must still be byte-identical to the
-#     frozen-table drift report from gate-tuner-equivalence.
+# (c) a tuned run at eps=0 with a stream attached must still be
+#     byte-identical to the frozen-table drift report from
+#     gate-tuner-equivalence.
 gate_stream_equivalence() {
   ./target/release/robustness_campaign \
     drift --quick --seed 7 --knobs static \
@@ -173,6 +176,14 @@ gate_stream_equivalence() {
       fold artifacts/ci_stream_static.jsonl --out artifacts/ci_stream_folded.json &&
     cmp artifacts/ci_stream_metrics.json artifacts/ci_stream_folded.json &&
     echo "folded per-cycle stream is byte-identical to the end-of-run snapshot" &&
+    ./target/release/robustness_campaign \
+      drift --quick --seed 7 --knobs tuned \
+      --stream-out artifacts/ci_stream_tuned.jsonl \
+      --metrics-out artifacts/ci_stream_tuned_metrics.json > /dev/null &&
+    ./target/release/telemetry_report \
+      fold --out artifacts/ci_stream_tuned_folded.json artifacts/ci_stream_tuned.jsonl &&
+    cmp artifacts/ci_stream_tuned_metrics.json artifacts/ci_stream_tuned_folded.json &&
+    echo "folded tuned stream is byte-identical to the end-of-run snapshot" &&
     ./target/release/robustness_campaign \
       drift --quick --seed 7 --knobs static --tile-threads 1 \
       --stream-out artifacts/ci_stream_t1.jsonl > /dev/null &&
@@ -186,7 +197,7 @@ gate_stream_equivalence() {
       --stream-out artifacts/ci_stream_eps0.jsonl \
       --out artifacts/ci_drift_stream_eps0.json > /dev/null &&
     cmp artifacts/ci_drift_static.json artifacts/ci_drift_stream_eps0.json &&
-    echo "stream-fed tuner at eps=0 reproduces the frozen-table report"
+    echo "tuned run at eps=0 with a stream attached reproduces the frozen-table report"
 }
 
 # Fleet-service smoke gate: boot the daemon on an ephemeral port,
@@ -297,6 +308,26 @@ gate_hilbench_api() {
   cargo check --offline --manifest-path hilbench/Cargo.toml --all-targets
 }
 
+# Benchmark-pins gate: one untraced pass of every hilbench workload at
+# seed 1 (about a minute after the build). Each run checks its outcomes
+# against the pins in hilbench/expected.json and exits non-zero when one
+# moves, so a behaviour change fails here instead of at benchmark time.
+gate_hilbench_pins() {
+  local w status=0
+  mkdir -p artifacts
+  for w in fig8-oracle fig8-trained characterize fault-grid; do
+    if bash hilbench/run.sh --workload "$w" --seed 1 --seconds 0 --trace 0 \
+      > "artifacts/ci_hilbench_$w.log" 2>&1; then
+      echo "$w: pins hold"
+    else
+      echo "error: hilbench $w failed (artifacts/ci_hilbench_$w.log):"
+      tail -n 20 "artifacts/ci_hilbench_$w.log"
+      status=1
+    fi
+  done
+  return "$status"
+}
+
 # Hygiene gate: generated outputs must never be git-tracked, and the
 # directories that hold them must be ignored.
 gate_hygiene() {
@@ -332,6 +363,7 @@ stage gate-stream-equivalence gate_stream_equivalence
 stage gate-fleet-smoke gate_fleet_smoke
 stage gate-zero-alloc gate_zero_alloc
 stage gate-hilbench-api gate_hilbench_api
+stage gate-hilbench-pins gate_hilbench_pins
 stage gate-hygiene gate_hygiene
 
 echo

@@ -14,15 +14,17 @@
 //! Usage: `cargo run --release -p lkas-bench --bin fig6_static [--oracle] [--characterized]`
 
 use lkas::cases::Case;
+use lkas::hil::{HilConfig, HilSimulator, SituationSource};
 use lkas::knobs::KnobTable;
 use lkas::TABLE3_SITUATIONS;
 use lkas_bench::{
-    arg_value, default_threads, load_or_train_bundle, oracle_flag, render_table, run_hil_jobs,
-    write_metrics, write_result, HilJob, Metrics, ARTIFACTS_DIR,
+    arg_value, default_threads, load_or_train_bundle, oracle_flag, render_table, write_metrics,
+    write_result, Executor, Metrics, ARTIFACTS_DIR,
 };
 use lkas_scene::camera::Camera;
 use lkas_scene::track::Track;
 use serde::Serialize;
+use std::sync::Arc;
 
 const CASES: [Case; 4] = [Case::Case1, Case::Case2, Case::Case3, Case::Case4];
 
@@ -36,7 +38,11 @@ struct SituationRow {
 }
 
 fn main() {
-    let bundle = if oracle_flag() { None } else { Some(load_or_train_bundle()) };
+    let source = if oracle_flag() {
+        SituationSource::Oracle
+    } else {
+        SituationSource::Trained(load_or_train_bundle())
+    };
     let knob_table = load_knob_table();
     let threads =
         arg_value("--threads").and_then(|v| v.parse().ok()).unwrap_or_else(default_threads);
@@ -49,25 +55,24 @@ fn main() {
         Camera::default_automotive()
     };
 
-    let metrics = std::sync::Arc::new(Metrics::new());
+    let metrics = Arc::new(Metrics::new());
     let mut jobs = Vec::new();
     for (si, situation) in TABLE3_SITUATIONS.iter().enumerate() {
         for case in CASES {
-            let track = Track::for_situation(situation, track_length);
-            let mut job = HilJob::new(
-                format!("situation {} / {}", si + 1, case),
-                case,
-                track,
-                bundle.as_ref(),
-                1000 + si as u64,
-            )
-            .with_metrics(&metrics);
-            job.config.knob_table = knob_table.clone();
-            job.config.camera = camera.clone();
-            jobs.push(job);
+            let config = HilConfig::new(case, source.clone())
+                .with_seed(1000 + si as u64)
+                .with_knob_table(knob_table.clone())
+                .with_camera(camera.clone())
+                .with_metrics(Arc::clone(&metrics));
+            let label = format!("situation {} / {}", si + 1, case);
+            jobs.push((jobs.len(), label, Track::for_situation(situation, track_length), config));
         }
     }
-    let results = run_hil_jobs(jobs, threads);
+    let total = jobs.len();
+    let results = Executor::new(threads).run(jobs, |(i, label, track, config)| {
+        eprintln!("[run {}/{total}] {label}", i + 1);
+        HilSimulator::new(track, config).run()
+    });
 
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();

@@ -17,16 +17,17 @@
 //! Usage: `cargo run --release -p lkas-bench --bin fig8_dynamic [--oracle] [--characterized] [--seeds N]`
 
 use lkas::cases::Case;
+use lkas::hil::{HilConfig, HilSimulator, SituationSource};
 use lkas::knobs::KnobTable;
 use lkas::stability::{certify_switching, minimum_dwell_intervals};
 use lkas_bench::{
-    arg_value, default_threads, load_or_train_bundle, oracle_flag, render_table, run_hil_jobs,
-    trace_out_path, write_metrics, write_result, write_trace, HilJob, Metrics, TraceRecorder,
-    ARTIFACTS_DIR,
+    arg_value, default_threads, load_or_train_bundle, oracle_flag, render_table, trace_out_path,
+    write_metrics, write_result, write_trace, Executor, Metrics, TraceRecorder, ARTIFACTS_DIR,
 };
 use lkas_platform::schedule::ClassifierSet;
 use lkas_scene::track::Track;
 use serde::Serialize;
+use std::sync::Arc;
 
 #[derive(Serialize)]
 struct CaseResult {
@@ -40,37 +41,40 @@ struct CaseResult {
 }
 
 fn main() {
-    let bundle = if oracle_flag() { None } else { Some(load_or_train_bundle()) };
+    let source = if oracle_flag() {
+        SituationSource::Oracle
+    } else {
+        SituationSource::Trained(load_or_train_bundle())
+    };
     let knob_table = load_knob_table();
     let threads =
         arg_value("--threads").and_then(|v| v.parse().ok()).unwrap_or_else(default_threads);
     let seeds: u64 = arg_value("--seeds").and_then(|v| v.parse().ok()).unwrap_or(1);
 
-    let metrics = std::sync::Arc::new(Metrics::new());
+    let metrics = Arc::new(Metrics::new());
     let trace_out = trace_out_path();
     let recorder = trace_out.as_ref().map(|_| TraceRecorder::new());
     let mut jobs = Vec::new();
     for seed in 0..seeds {
         for case in Case::ALL {
-            let mut job = HilJob::new(
-                format!("{case} (seed {seed})"),
-                case,
-                Track::fig7_track(),
-                bundle.as_ref(),
-                9 + seed * 7,
-            )
-            .with_metrics(&metrics);
+            let label = format!("{case} (seed {seed})");
+            let mut config = HilConfig::new(case, source.clone())
+                .with_seed(9 + seed * 7)
+                .with_knob_table(knob_table.clone())
+                .with_metrics(Arc::clone(&metrics));
             if let Some(rec) = &recorder {
                 // pid = stable job index, so the export's process order
                 // matches the sweep order whatever the thread count.
-                let sink = rec.sink(jobs.len() as u64, job.label.clone());
-                job = job.with_trace_sink(sink);
+                config = config.with_trace_sink(rec.sink(jobs.len() as u64, label.clone()));
             }
-            job.config.knob_table = knob_table.clone();
-            jobs.push(job);
+            jobs.push((jobs.len(), label, config));
         }
     }
-    let results = run_hil_jobs(jobs, threads);
+    let total = jobs.len();
+    let results = Executor::new(threads).run(jobs, |(i, label, config)| {
+        eprintln!("[run {}/{total}] {label}", i + 1);
+        HilSimulator::new(Track::fig7_track(), config).run()
+    });
     if let (Some(rec), Some(path)) = (&recorder, &trace_out) {
         write_trace(rec, path);
     }

@@ -6,7 +6,7 @@
 //!   `fleetctl submit --addr A --spec '{"kind":"campaign","quick":true}'
 //!    [--spec-file PATH] [--tenant T] [--priority N] [--no-wait]
 //!    [--out PATH]`
-//!   Progress and telemetry events stream to stderr; the result payload
+//!   Progress events stream to stderr; the result payload
 //!   prints to stdout as pretty JSON (byte-identical between a cold run
 //!   and a cache replay).
 //! * `status` — print the daemon's queue/cache/job table.
@@ -127,7 +127,6 @@ fn stream_to_terminal(client: &mut FleetClient, out: Option<&PathBuf>, mode: Wat
             Event::Progress { job, completed, total } => {
                 eprintln!("[job {job}] progress {completed}/{total}");
             }
-            Event::Telemetry { job, .. } => eprintln!("[job {job}] telemetry delta"),
             Event::CycleDelta { job, delta } => {
                 cycles += 1;
                 if mode.follow {

@@ -35,114 +35,128 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("show") => {
-            let [_, path] = args.as_slice() else {
-                return usage("show takes exactly one snapshot path");
-            };
-            let snap = match load(path) {
-                Ok(s) => s,
-                Err(e) => return fail(&e),
-            };
-            print!("{}", format_snapshot(&snap));
-            ExitCode::SUCCESS
-        }
+    let (value_flags, switches): (&[&str], &[&str]) = match args.first().map(String::as_str) {
+        Some("show") => (&[], &[]),
         Some("diff") => {
-            let rest = &args[1..];
-            // Positional arguments are whatever is left after removing
-            // the flags and their values.
-            let value_flags = ["--max-rel-mean", "--max-rel-tail", "--min-mean-us"];
-            let mut paths = Vec::new();
-            let mut iter = rest.iter();
-            while let Some(a) = iter.next() {
-                if value_flags.contains(&a.as_str()) {
-                    iter.next();
-                } else if !a.starts_with("--") {
-                    paths.push(a);
-                }
-            }
-            let [baseline_path, candidate_path] = paths.as_slice() else {
-                return usage("diff takes a baseline and a candidate path");
-            };
-            let mut thresholds = DiffThresholds::default();
-            if let Some(v) = flag_value(rest, "--max-rel-mean") {
-                match v.parse() {
-                    Ok(f) => thresholds.max_rel_mean = f,
-                    Err(_) => return usage("--max-rel-mean takes a number"),
-                }
-            }
-            if let Some(v) = flag_value(rest, "--max-rel-tail") {
-                match v.parse() {
-                    Ok(f) => thresholds.max_rel_tail = f,
-                    Err(_) => return usage("--max-rel-tail takes a number"),
-                }
-            }
-            if let Some(v) = flag_value(rest, "--min-mean-us") {
-                match v.parse() {
-                    Ok(f) => thresholds.min_mean_us = f,
-                    Err(_) => return usage("--min-mean-us takes a number"),
-                }
-            }
-            if rest.iter().any(|a| a == "--no-counters") {
-                thresholds.check_counters = false;
-            }
-            let (baseline, candidate) = match (load(baseline_path), load(candidate_path)) {
-                (Ok(b), Ok(c)) => (b, c),
-                (Err(e), _) | (_, Err(e)) => return fail(&e),
-            };
-            let outcome = diff_snapshots(&baseline, &candidate, &thresholds);
-            print!("{}", outcome.report);
-            if outcome.passed() {
-                ExitCode::SUCCESS
+            (&["--max-rel-mean", "--max-rel-tail", "--min-mean-us"], &["--no-counters"])
+        }
+        Some("fold") => (&["--out"], &[]),
+        Some("tail") => (&["--last"], &[]),
+        _ => return usage("expected `show`, `diff`, `fold`, or `tail`"),
+    };
+    let parsed = match Args::parse(&args[1..], value_flags, switches) {
+        Ok(parsed) => parsed,
+        Err(e) => return usage(&e),
+    };
+    let outcome = match args[0].as_str() {
+        "show" => show(&parsed),
+        "diff" => diff(&parsed),
+        "fold" => fold(&parsed),
+        _ => tail(&parsed),
+    };
+    outcome.unwrap_or_else(|e| e)
+}
+
+/// A subcommand's arguments: positional paths plus the value flags and
+/// switches it accepts. Each value flag takes the next argument as its
+/// value wherever it appears; any other `--flag` is an error.
+struct Args<'a> {
+    paths: Vec<&'a str>,
+    values: Vec<(&'a str, &'a str)>,
+    switches: Vec<&'a str>,
+}
+
+impl<'a> Args<'a> {
+    fn parse(args: &'a [String], value_flags: &[&str], switches: &[&str]) -> Result<Self, String> {
+        let mut parsed = Args { paths: Vec::new(), values: Vec::new(), switches: Vec::new() };
+        let mut iter = args.iter().map(String::as_str);
+        while let Some(arg) = iter.next() {
+            if value_flags.contains(&arg) {
+                let value = iter.next().ok_or_else(|| format!("{arg} takes a value"))?;
+                parsed.values.push((arg, value));
+            } else if switches.contains(&arg) {
+                parsed.switches.push(arg);
+            } else if arg.starts_with("--") {
+                return Err(format!("unknown flag `{arg}`"));
             } else {
-                ExitCode::FAILURE
+                parsed.paths.push(arg);
             }
         }
-        Some("fold") => {
-            let rest = &args[1..];
-            let Some(path) = rest.iter().find(|a| !a.starts_with("--")) else {
-                return usage("fold takes a stream capture path");
-            };
-            let deltas = match load_stream(path) {
-                Ok(d) => d,
-                Err(e) => return fail(&e),
-            };
-            let metrics = lkas_runtime::fold(&deltas);
-            match flag_value(rest, "--out") {
-                Some(out) => {
-                    if let Err(e) = metrics.write_json(out) {
-                        return fail(&format!("cannot write {out}: {e}"));
-                    }
-                    eprintln!("[fold] {} event(s) -> {out}", deltas.len());
-                }
-                None => print!("{}", format_snapshot(&metrics.snapshot())),
-            }
-            ExitCode::SUCCESS
-        }
-        Some("tail") => {
-            let rest = &args[1..];
-            let Some(path) = rest.iter().find(|a| !a.starts_with("--")) else {
-                return usage("tail takes a stream capture path");
-            };
-            let last = match flag_value(rest, "--last") {
-                None => 10,
-                Some(v) => match v.parse::<usize>() {
-                    Ok(n) => n,
-                    Err(_) => return usage("--last takes a count"),
-                },
-            };
-            let deltas = match load_stream(path) {
-                Ok(d) => d,
-                Err(e) => return fail(&e),
-            };
-            let skip = deltas.len().saturating_sub(last);
-            for delta in &deltas[skip..] {
-                println!("{}", format_cycle(delta));
-            }
-            ExitCode::SUCCESS
-        }
-        _ => usage("expected `show`, `diff`, `fold`, or `tail`"),
+        Ok(parsed)
     }
+
+    /// The value of flag `name` (the last one given), parsed as `T`.
+    fn value<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, ExitCode> {
+        match self.values.iter().rev().find(|(flag, _)| *flag == name) {
+            None => Ok(None),
+            Some((_, v)) => {
+                v.parse().map(Some).map_err(|_| usage(&format!("{name} takes a number")))
+            }
+        }
+    }
+}
+
+/// A subcommand's exit code; `Err` carries an early usage or I/O exit.
+type Outcome = Result<ExitCode, ExitCode>;
+
+fn show(args: &Args) -> Outcome {
+    let [path] = args.paths.as_slice() else {
+        return Err(usage("show takes exactly one snapshot path"));
+    };
+    print!("{}", format_snapshot(&load(path).map_err(|e| fail(&e))?));
+    Ok(ExitCode::SUCCESS)
+}
+
+fn diff(args: &Args) -> Outcome {
+    let [baseline_path, candidate_path] = args.paths.as_slice() else {
+        return Err(usage("diff takes a baseline and a candidate path"));
+    };
+    let mut thresholds = DiffThresholds::default();
+    if let Some(f) = args.value("--max-rel-mean")? {
+        thresholds.max_rel_mean = f;
+    }
+    if let Some(f) = args.value("--max-rel-tail")? {
+        thresholds.max_rel_tail = f;
+    }
+    if let Some(f) = args.value("--min-mean-us")? {
+        thresholds.min_mean_us = f;
+    }
+    thresholds.check_counters = !args.switches.contains(&"--no-counters");
+    let (baseline, candidate) = match (load(baseline_path), load(candidate_path)) {
+        (Ok(b), Ok(c)) => (b, c),
+        (Err(e), _) | (_, Err(e)) => return Err(fail(&e)),
+    };
+    let outcome = diff_snapshots(&baseline, &candidate, &thresholds);
+    print!("{}", outcome.report);
+    Ok(if outcome.passed() { ExitCode::SUCCESS } else { ExitCode::FAILURE })
+}
+
+fn fold(args: &Args) -> Outcome {
+    let [path] = args.paths.as_slice() else {
+        return Err(usage("fold takes one stream capture path"));
+    };
+    let deltas = load_stream(path).map_err(|e| fail(&e))?;
+    let metrics = lkas_runtime::fold(&deltas);
+    match args.value::<String>("--out")? {
+        Some(out) => {
+            metrics.write_json(&out).map_err(|e| fail(&format!("cannot write {out}: {e}")))?;
+            eprintln!("[fold] {} event(s) -> {out}", deltas.len());
+        }
+        None => print!("{}", format_snapshot(&metrics.snapshot())),
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn tail(args: &Args) -> Outcome {
+    let [path] = args.paths.as_slice() else {
+        return Err(usage("tail takes one stream capture path"));
+    };
+    let last = args.value("--last")?.unwrap_or(10);
+    let deltas = load_stream(path).map_err(|e| fail(&e))?;
+    for delta in &deltas[deltas.len().saturating_sub(last)..] {
+        println!("{}", format_cycle(delta));
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// One human-readable line per stream event.
@@ -189,16 +203,14 @@ fn load(path: &str) -> Result<MetricsSnapshot, String> {
     Ok(snap)
 }
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
-}
-
 fn usage(context: &str) -> ExitCode {
     eprintln!("error: {context}");
     eprintln!(
         "usage: telemetry_report show SNAPSHOT.json\n\
          \x20      telemetry_report diff BASELINE.json CANDIDATE.json \
-         [--max-rel-mean F] [--max-rel-tail F] [--min-mean-us F] [--no-counters]"
+         [--max-rel-mean F] [--max-rel-tail F] [--min-mean-us F] [--no-counters]\n\
+         \x20      telemetry_report fold STREAM.jsonl [--out SNAPSHOT.json]\n\
+         \x20      telemetry_report tail STREAM.jsonl [--last N]"
     );
     ExitCode::from(2)
 }

@@ -9,8 +9,8 @@
 //!   to the single-process [`run_campaign`] — both paths run
 //!   [`build_job`] on the identical canonical grid.
 //! * `campaign` — the whole grid in one job, returning the assembled
-//!   [`RobustnessReport`] with per-entry progress and telemetry
-//!   streaming.
+//!   [`RobustnessReport`] with per-entry progress and per-cycle
+//!   telemetry streaming.
 //! * `drift` — one ad-hoc drifted-sensor scenario. The tuned arm
 //!   warm-starts from the submitting tenant's persisted
 //!   [`KnobStore`](lkas::KnobStore) (when one exists) and feeds the
@@ -300,7 +300,6 @@ impl JobRunner for BenchRunner {
                     entry_for(job, &run_job(ctx, bus, &cfg, job, None))
                 });
                 ctx.metrics().incr(Counter::CampaignEvaluations);
-                ctx.emit_telemetry();
                 ctx.emit_progress(1, 1);
                 Ok(Value::Object(vec![
                     ("schema".to_string(), Value::Str(ENTRY_SCHEMA.to_string())),
@@ -317,7 +316,6 @@ impl JobRunner for BenchRunner {
                         entries.push(entry_for(job, &run_job(ctx, bus, &cfg, job, None)));
                         ctx.metrics().incr(Counter::CampaignEvaluations);
                         ctx.emit_progress(done as u64 + 1, total);
-                        ctx.emit_telemetry();
                     }
                     entries
                 });
@@ -341,7 +339,6 @@ impl JobRunner for BenchRunner {
                         ctx.record_store(evolved)?;
                     }
                 }
-                ctx.emit_telemetry();
                 ctx.emit_progress(1, 1);
                 Ok(Serialize::to_value(&drift_report_for(&cfg, &result)))
             }

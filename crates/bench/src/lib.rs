@@ -2,25 +2,23 @@
 //!
 //! Every table and figure of the paper has a dedicated binary in
 //! `src/bin/` (see DESIGN.md §5); this library provides their common
-//! pieces: parallel HiL execution, classifier-bundle caching, plain-text
-//! table rendering, and JSON result emission into `results/`.
+//! pieces: classifier-bundle caching, plain-text table rendering, and
+//! JSON result emission into `results/`. Sweeps build plain
+//! `HilConfig`s and map them through the shared [`Executor`].
 
 pub mod fleet;
 pub mod robustness;
 
-use lkas::cases::Case;
-use lkas::hil::{HilConfig, HilResult, HilSimulator, SituationSource};
 use lkas::identify::ClassifierBundle;
 use lkas_nn::classifiers::{
     ClassifierSpec, LaneClassifier, RoadClassifier, SceneClassifier, TrainReport,
 };
 use lkas_runtime::{merge_shard_files, read_shard_file, MergedShards};
-use lkas_scene::track::Track;
 use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-pub use lkas_runtime::{Executor, Metrics, MetricsSnapshot, TraceRecorder, TraceSink};
+pub use lkas_runtime::{Executor, Metrics, MetricsSnapshot, TraceRecorder};
 
 /// Directory where harnesses drop machine-readable results.
 pub const RESULTS_DIR: &str = "results";
@@ -120,100 +118,6 @@ pub fn load_or_train_bundle() -> Arc<ClassifierBundle> {
     std::fs::write(&path, bundle.to_json().expect("serialize bundle")).expect("write bundle");
     eprintln!("[cached] {}", path.display());
     Arc::new(bundle)
-}
-
-/// A single HiL job for the shared [`Executor`].
-#[derive(Clone)]
-pub struct HilJob {
-    /// Job label (used in progress output).
-    pub label: String,
-    /// Track to drive.
-    pub track: Track,
-    /// Full HiL configuration.
-    pub config: HilConfig,
-    /// Sweep-wide telemetry registry this job aggregates into. The
-    /// executor gives each worker thread a private registry and merges
-    /// it into this one when the worker drains (histogram mergeability
-    /// makes that exactly equal to direct shared recording, minus the
-    /// cache-line contention).
-    pub shared_metrics: Option<Arc<Metrics>>,
-}
-
-impl HilJob {
-    /// Builds a job for a case on a track, wiring the situation source
-    /// (oracle when no bundle is given).
-    pub fn new(
-        label: impl Into<String>,
-        case: Case,
-        track: Track,
-        bundle: Option<&Arc<ClassifierBundle>>,
-        seed: u64,
-    ) -> Self {
-        let source = match bundle {
-            Some(b) => SituationSource::Trained(Arc::clone(b)),
-            None => SituationSource::Oracle,
-        };
-        HilJob {
-            label: label.into(),
-            track,
-            config: HilConfig::new(case, source).with_seed(seed),
-            shared_metrics: None,
-        }
-    }
-
-    /// Attaches a shared telemetry registry (builder style). All jobs of
-    /// a sweep typically share one `Arc` so the emitted artifact
-    /// aggregates the whole sweep.
-    pub fn with_metrics(mut self, metrics: &Arc<Metrics>) -> Self {
-        self.shared_metrics = Some(Arc::clone(metrics));
-        self
-    }
-
-    /// Attaches a per-run trace sink (builder style); obtain one per
-    /// job from a shared [`TraceRecorder`].
-    pub fn with_trace_sink(mut self, sink: TraceSink) -> Self {
-        self.config = self.config.with_trace_sink(sink);
-        self
-    }
-}
-
-/// Runs HiL jobs through the shared [`lkas_runtime::Executor`]:
-/// results come back in input order and worker panics propagate.
-///
-/// Telemetry attached via [`HilJob::with_metrics`] is recorded into a
-/// worker-local registry and merged into the shared one when each
-/// worker finishes ([`Executor::run_with_local`]), so the histogram
-/// buckets see no cross-thread contention on the hot path.
-pub fn run_hil_jobs(jobs: Vec<HilJob>, threads: usize) -> Vec<HilResult> {
-    let total = jobs.len();
-    let indexed: Vec<(usize, HilJob)> = jobs.into_iter().enumerate().collect();
-    // Worker-local state: one private registry per distinct shared
-    // registry this worker has seen (sweeps nearly always use one).
-    type Local = Vec<(Arc<Metrics>, Arc<Metrics>)>;
-    Executor::new(threads).run_with_local(
-        indexed,
-        Local::new,
-        |(idx, mut job), locals: &mut Local| {
-            eprintln!("[run {}/{}] {}", idx + 1, total, job.label);
-            if let Some(shared) = &job.shared_metrics {
-                let local = match locals.iter().find(|(s, _)| Arc::ptr_eq(s, shared)) {
-                    Some((_, local)) => Arc::clone(local),
-                    None => {
-                        let local = Arc::new(Metrics::new());
-                        locals.push((Arc::clone(shared), Arc::clone(&local)));
-                        local
-                    }
-                };
-                job.config = job.config.with_metrics(local);
-            }
-            HilSimulator::new(job.track, job.config).run()
-        },
-        |locals| {
-            for (shared, local) in locals {
-                shared.merge_from(&local);
-            }
-        },
-    )
 }
 
 /// Resolves where a harness writes its telemetry artifact: the

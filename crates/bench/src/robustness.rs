@@ -618,34 +618,19 @@ pub fn config_from_params(params: &Value) -> Result<CampaignConfig, String> {
 }
 
 /// Runs one shard of the campaign grid: restores checkpointed entries,
-/// evaluates the rest through the executor with per-worker telemetry
-/// registries, and returns the shard's entries in canonical grid order.
+/// evaluates the rest through the executor with `metrics` attached to
+/// every run, and returns the shard's entries in canonical grid order.
 pub fn run_campaign_shard(
     cfg: &CampaignConfig,
     spec: &CampaignSpec,
     metrics: Option<&Arc<Metrics>>,
 ) -> CampaignRun<CampaignEntry> {
-    let shared = metrics.map(Arc::clone);
-    run_campaign_engine(
-        spec,
-        campaign_grid(cfg),
-        metrics.map(|m| m.as_ref()),
-        // Worker-local telemetry registry, merged into the shared one
-        // when the worker drains — same scheme as `run_hil_jobs`, so
-        // the histogram buckets see no cross-thread contention.
-        || shared.as_ref().map(|_| Arc::new(Metrics::new())),
-        |key, job, local: &mut Option<Arc<Metrics>>| {
-            eprintln!("[run] {key}");
-            let (track, mut config) = build_job(cfg, &job, None);
-            config.metrics = local.clone();
-            entry_for(&job, &HilSimulator::new(track, config).run())
-        },
-        |local| {
-            if let (Some(shared), Some(local)) = (&shared, local) {
-                shared.merge_from(&local);
-            }
-        },
-    )
+    run_campaign_engine(spec, campaign_grid(cfg), metrics.map(|m| m.as_ref()), |key, job| {
+        eprintln!("[run] {key}");
+        let (track, mut config) = build_job(cfg, &job, None);
+        config.metrics = metrics.cloned();
+        entry_for(&job, &HilSimulator::new(track, config).run())
+    })
 }
 
 /// Builds one grid point's closed loop: the track it drives and its

@@ -1,9 +1,10 @@
 //! Acceptance tests for the observability layer: trace determinism
-//! across executor thread counts, per-worker telemetry merge
-//! equivalence, and the `telemetry_report` diff gate's exit codes.
+//! across executor thread counts, a shared registry's thread-count
+//! invariance, and the `telemetry_report` gate's exit codes.
 
 use lkas::cases::Case;
-use lkas_bench::{run_hil_jobs, HilJob, Metrics, TraceRecorder};
+use lkas::hil::{HilConfig, HilResult, HilSimulator, SituationSource};
+use lkas_bench::{Executor, Metrics, TraceRecorder};
 use lkas_scene::camera::Camera;
 use lkas_scene::situation::TABLE3_SITUATIONS;
 use lkas_scene::track::Track;
@@ -11,26 +12,30 @@ use std::path::PathBuf;
 use std::process::Command;
 use std::sync::Arc;
 
-fn test_camera() -> Camera {
-    Camera::new(256, 128, 150.0, 1.3, 6.0_f64.to_radians())
+/// A short Case 3 run on the 256×128 camera.
+fn short_config(seed: u64) -> HilConfig {
+    HilConfig::new(Case::Case3, SituationSource::Oracle)
+        .with_seed(seed)
+        .with_camera(Camera::new(256, 128, 150.0, 1.3, 6.0_f64.to_radians()))
+        .with_max_time(3.0)
+}
+
+/// Runs `(track, config)` jobs on `threads` executor workers.
+fn sweep(jobs: Vec<(Track, HilConfig)>, threads: usize) -> Vec<HilResult> {
+    Executor::new(threads).run(jobs, |(track, config)| HilSimulator::new(track, config).run())
 }
 
 /// A small 3-job sweep with per-run trace sinks; returns the exported
 /// Chrome trace JSON.
 fn traced_sweep(threads: usize) -> String {
     let recorder = TraceRecorder::new();
-    let jobs: Vec<HilJob> = (0..3u64)
+    let jobs = (0..3u64)
         .map(|i| {
             let track = Track::for_situation(&TABLE3_SITUATIONS[i as usize * 7 % 21], 80.0);
-            let mut job = HilJob::new(format!("job-{i}"), Case::Case3, track, None, 42 + i)
-                .with_trace_sink(recorder.sink(i, format!("job-{i}")));
-            job.config.camera = test_camera();
-            job.config.max_time_s = 3.0;
-            job
+            (track, short_config(42 + i).with_trace_sink(recorder.sink(i, format!("job-{i}"))))
         })
         .collect();
-    let results = run_hil_jobs(jobs, threads);
-    assert_eq!(results.len(), 3);
+    assert_eq!(sweep(jobs, threads).len(), 3);
     recorder.chrome_trace_json()
 }
 
@@ -51,24 +56,20 @@ fn trace_export_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn per_worker_metrics_merge_equals_sequential_recording() {
-    let sweep = |threads: usize| {
+fn shared_metrics_shape_is_independent_of_thread_count() {
+    let metered = |threads: usize| {
         let metrics = Arc::new(Metrics::new());
-        let jobs: Vec<HilJob> = (0..4u64)
+        let jobs = (0..4u64)
             .map(|i| {
                 let track = Track::for_situation(&TABLE3_SITUATIONS[0], 80.0);
-                let mut job = HilJob::new(format!("m-{i}"), Case::Case3, track, None, 7 + i)
-                    .with_metrics(&metrics);
-                job.config.camera = test_camera();
-                job.config.max_time_s = 3.0;
-                job
+                (track, short_config(7 + i).with_metrics(Arc::clone(&metrics)))
             })
             .collect();
-        run_hil_jobs(jobs, threads);
+        sweep(jobs, threads);
         metrics.snapshot()
     };
-    let seq = sweep(1);
-    let par = sweep(4);
+    let seq = metered(1);
+    let par = metered(4);
     // Wall-clock histograms differ run to run, but the deterministic
     // shape must match: same schema, same counters, same stage counts.
     assert_eq!(seq.schema, par.schema);
@@ -190,6 +191,34 @@ fn telemetry_report_failure_modes_are_distinct() {
     assert_eq!(out.status.code(), Some(1), "counter drift: {out:?}");
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("counter cycles: 20 -> 21"), "{text}");
+
+    // A misspelled flag is rejected with exit 2, not silently ignored.
+    let out = report_bin().args(["diff", "--no-countrs"]).arg(&good).arg(&good).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "unknown flag: {out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag `--no-countrs`"));
+
+    // Value flags may precede the stream path: their values are never
+    // taken for it.
+    let stream = dir.join("stream.jsonl");
+    let lines: Vec<String> = (0..3u64)
+        .map(|cycle| {
+            let mut delta = lkas_runtime::CycleDelta::new(cycle);
+            delta.counters.push(("cycles".to_string(), 1));
+            serde_json::to_string(&delta).unwrap()
+        })
+        .collect();
+    std::fs::write(&stream, lines.join("\n") + "\n").unwrap();
+    let folded = dir.join("folded.json");
+    let out = report_bin().arg("fold").arg("--out").arg(&folded).arg(&stream).output().unwrap();
+    assert!(out.status.success(), "flag-first fold: {out:?}");
+    let text = std::fs::read_to_string(&folded).unwrap();
+    let snap: lkas_bench::MetricsSnapshot = serde_json::from_str(&text).unwrap();
+    assert_eq!(snap.counter("cycles"), Some(3));
+    let out = report_bin().args(["tail", "--last", "2"]).arg(&stream).output().unwrap();
+    assert!(out.status.success(), "flag-first tail: {out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(text.lines().count(), 2, "{text}");
+    assert!(text.starts_with("cycle      1"), "{text}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -524,23 +524,16 @@ impl Characterizer {
         metrics: Option<&Metrics>,
     ) -> CampaignRun<CandidateOutcome> {
         let grid = self.grid(situations);
-        run_campaign(
-            spec,
-            grid,
-            metrics,
-            || (),
-            |_key, (si, tuning), _state: &mut ()| {
-                let seed = self.candidate_seed(si, &tuning);
-                let result = self.evaluate(&situations[si], tuning, seed);
-                CandidateOutcome {
-                    tuning,
-                    mae: if result.crashed { None } else { result.overall_mae() },
-                    perception_failures: result.perception_failures,
-                    moments: result.error_fit.unwrap_or_default(),
-                }
-            },
-            |()| {},
-        )
+        run_campaign(spec, grid, metrics, |_key, (si, tuning)| {
+            let seed = self.candidate_seed(si, &tuning);
+            let result = self.evaluate(&situations[si], tuning, seed);
+            CandidateOutcome {
+                tuning,
+                mae: if result.crashed { None } else { result.overall_mae() },
+                perception_failures: result.perception_failures,
+                moments: result.error_fit.unwrap_or_default(),
+            }
+        })
     }
 
     /// Collates full-grid outcomes (in canonical grid order) into the

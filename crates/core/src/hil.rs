@@ -18,7 +18,7 @@ use crate::identify::{BundleBatch, ClassifierBundle, SituationEstimate};
 use crate::knobs::{coarse_roi_for, fine_roi_for, speed_for, KnobTable, KnobTuning};
 use crate::qoc::QocAccumulator;
 use crate::tuner::{KnobTuner, TunerConfig, TunerEvent};
-use lkas_control::controller::{Controller, Measurement};
+use lkas_control::controller::Measurement;
 use lkas_control::design::{design_controller_cached, ControllerConfig};
 use lkas_control::errprofile::PerceptionErrorProfile;
 use lkas_faults::{apply_bayer_fault, derive_cycle_seed, FaultPlan, Misprediction};
@@ -29,16 +29,13 @@ use lkas_imaging::sensor::{Sensor, SensorConfig};
 use lkas_imaging::Scratch;
 use lkas_perception::pipeline::{Perception, PerceptionConfig, PerceptionScratch};
 use lkas_platform::schedule::ClassifierSet;
-use lkas_runtime::{
-    Counter, CycleDelta, FlightRecorder, Metrics, Stage, Subscription, TelemetryBus, TraceSink,
-};
+use lkas_runtime::{Counter, CycleDelta, FlightRecorder, Metrics, Stage, TelemetryBus, TraceSink};
 use lkas_scene::camera::Camera;
 use lkas_scene::render::SceneRenderer;
 use lkas_scene::situation::SituationFeatures;
 use lkas_scene::track::Track;
 use lkas_vehicle::sim::{VehicleSim, VehicleState};
 use lkas_vehicle::PHYSICS_STEP_S;
-use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Where the situation decisions come from.
@@ -121,14 +118,12 @@ pub struct HilConfig {
     /// vs ground truth, tuner/fault/degradation labels) with
     /// drop-oldest backpressure: a slow subscriber loses old frames
     /// (accounted on the bus as `stream_dropped`) but never stalls the
-    /// control loop. `None` leaves external streaming off; a run with
-    /// a tuner still streams internally (the tuner's reward window is
-    /// fed from the stream).
+    /// control loop. `None` leaves streaming off.
     pub stream: Option<Arc<TelemetryBus>>,
     /// Flight recorder: a bounded ring of the most recent cycle events,
-    /// dumpable as a post-mortem artifact. The loop feeds it every
-    /// published delta; with an auto-dump path configured the recorder
-    /// writes itself out on safe-mode entry (`degraded_enter`).
+    /// dumpable as a post-mortem artifact. The loop feeds it the same
+    /// [`CycleDelta`] it streams; with an auto-dump path configured the
+    /// recorder writes itself out on safe-mode entry (`degraded_enter`).
     pub flight: Option<Arc<FlightRecorder>>,
     /// Fit a [`PerceptionErrorProfile`] from this run: every cycle's
     /// raw perception output (pre-degradation-substitution) is compared
@@ -408,17 +403,14 @@ impl HilSimulator {
     /// configuration (cannot happen for the built-in knob space).
     pub fn run(self) -> HilResult {
         let HilSimulator { track, config } = self;
-        let metrics = config.metrics.as_deref();
-        // All event accounting goes through one run-local tally (and is
-        // mirrored into the shared registry); the result's counters are
-        // read back from it at the end.
-        let tally = Tally { local: Metrics::new(), shared: metrics };
-        let mut events = Events { sink: config.trace_sink.as_ref(), cycle: 0, delta: None };
+        // Every telemetry event of the run is written once, into this
+        // per-cycle record; sealing it feeds every consumer.
+        let mut log = CycleLog::new(&config);
         let n_sectors = track.sectors().len();
         let scheme =
             config.scheme_override.clone().unwrap_or_else(|| config.case.invocation_scheme());
         // No cycle is open yet, so this one reaches the trace only.
-        events.emit_with("run_start", || {
+        log.emit_with("run_start", || {
             Some(format!("case={:?} scheme={}", config.case, scheme.describe()))
         });
         let delay_set = config.case.delay_classifier_set();
@@ -441,31 +433,10 @@ impl HilSimulator {
         } else {
             None
         };
-        // ---- per-cycle telemetry stream ------------------------------
-        // With a tuner but no external stream the loop still streams
-        // internally: the tuner's reward window is fed from a private
-        // bus subscription drained every cycle, so the stream-fed path
-        // is the *only* path (the reward values and their interleaving
-        // with `select` are unchanged from the old in-loop buffer).
-        let internal_bus = if tuner.is_some() && config.stream.is_none() {
-            Some(TelemetryBus::new(4))
-        } else {
-            None
-        };
-        let bus: Option<&TelemetryBus> = config.stream.as_deref().or(internal_bus.as_ref());
-        let tuner_sub: Option<Subscription> =
-            if tuner.is_some() { bus.map(TelemetryBus::subscribe) } else { None };
-        let flight = config.flight.as_deref();
-        let wants_delta = bus.is_some() || flight.is_some();
-        let clock = StageClock {
-            metrics,
-            probe: RefCell::new(Vec::new()),
-            probing: wants_delta && metrics.is_some(),
-        };
-        let mut counter_base = vec![0u64; Counter::ALL.len()];
 
         let mut controller_cfg = knobs.controller_config(delay_set);
-        let mut controller = fetch_controller(&tally, &controller_cfg);
+        let (mut controller, hit) = design_controller_cached(&controller_cfg).expect(DESIGNABLE);
+        log.count_lookup(hit);
 
         // Plant, camera stack.
         let renderer = SceneRenderer::new(config.camera.clone());
@@ -511,43 +482,30 @@ impl HilSimulator {
         while !vehicle.finished() && vehicle.time_s() < config.max_time_s {
             if t_ms + 1e-9 >= next_sample_ms {
                 // ---- control sample -------------------------------------
-                // Seal and publish the previous cycle's delta first: the
-                // inter-sample Actuation recordings belong to it, and
-                // the stream-fed tuner must see cycle N's reward before
-                // cycle N+1's `select` — the same interleaving the
-                // in-loop buffer had.
-                if let Some(delta) = events.open(frame_index, wants_delta) {
-                    publish_delta(
-                        delta,
-                        &clock,
-                        &tally,
-                        &mut counter_base,
-                        bus,
-                        flight,
-                        tuner.as_mut(),
-                        tuner_sub.as_ref(),
-                    );
-                }
-                tally.incr(Counter::Cycles);
+                // Seal the previous cycle first: the inter-sample
+                // Actuation recordings belong to it, and the tuner must
+                // see cycle N's reward before cycle N+1's `select`.
+                log.begin(frame_index, tuner.as_mut());
+                log.incr(Counter::Cycles);
                 let faults =
                     fault_plan.as_ref().map(|p| p.faults_at(frame_index)).unwrap_or_default();
                 if faults.any() {
-                    tally.incr(Counter::FaultsInjected);
+                    log.incr(Counter::FaultsInjected);
                     for label in faults.trace_labels() {
-                        events.emit(label);
+                        log.emit(label);
                     }
                 }
                 if fault_plan.is_some() {
                     let act = faults.actuation.map(lkas_faults::ActuationFault::to_actuator);
                     if act.is_some() && vehicle.actuator_fault().is_none() {
-                        tally.incr(Counter::ActuationFaults);
+                        log.incr(Counter::ActuationFaults);
                     }
                     vehicle.set_actuator_fault(act);
                 }
                 // Safe-mode state as of the previous cycle's outcome.
                 let degraded = policy.as_ref().map_or(false, DegradationPolicy::is_degraded);
                 if degraded {
-                    tally.incr(Counter::DegradedCycles);
+                    log.incr(Counter::DegradedCycles);
                 }
                 // Apply the ISP knob staged in the previous cycle
                 // (Sec. III-D: "ISP knobs are configured in the next
@@ -559,22 +517,22 @@ impl HilSimulator {
                 // and abandoned for the cycle on a render rejection. The
                 // stages write into the run's reusable buffers.
                 let have_frame = if faults.drop_frame {
-                    tally.incr(Counter::FrameDrops);
+                    log.incr(Counter::FrameDrops);
                     false
                 } else {
                     let (s, d, psi) = vehicle.camera_pose();
-                    let rendered = clock.timed(Stage::Render, || {
+                    let rendered = log.timed(Stage::Render, || {
                         renderer.render_into(vehicle.track(), s, d, psi, &mut scene_rgb)
                     });
                     match rendered {
                         Ok(()) => {
-                            clock.timed(Stage::Sensor, || {
+                            log.timed(Stage::Sensor, || {
                                 sensor.capture_into(&scene_rgb, 1.0, &mut raw)
                             });
                             if let Some(kind) = faults.bayer {
                                 apply_bayer_fault(kind, &mut raw, plan_seed, frame_index);
                             }
-                            clock.timed(Stage::Isp, || {
+                            log.timed(Stage::Isp, || {
                                 isp.process_into(&raw, &mut imaging_scratch, &mut rgb)
                             });
                             true
@@ -583,14 +541,14 @@ impl HilSimulator {
                             // An invalid camera no longer aborts the run:
                             // the cycle coasts frameless, like a dropped
                             // frame, and the rejection is counted.
-                            tally.incr(Counter::RenderErrors);
-                            events.emit_with("render_error", || Some(e.to_string()));
+                            log.incr(Counter::RenderErrors);
+                            log.emit_with("render_error", || Some(e.to_string()));
                             false
                         }
                     }
                 };
                 if have_frame {
-                    events.spans(&[Stage::Render, Stage::Sensor, Stage::Isp]);
+                    log.spans(&[Stage::Render, Stage::Sensor, Stage::Isp]);
                 }
 
                 // Situation identification with the scheduled
@@ -603,7 +561,7 @@ impl HilSimulator {
                     degraded,
                 );
                 let previous_estimate = estimate.current();
-                clock.timed(Stage::Classifier, || match &config.source {
+                log.timed(Stage::Classifier, || match &config.source {
                     SituationSource::Oracle => {
                         // A frame classifier sees the *preview* region,
                         // so the oracle reports the situation ~12 m
@@ -626,7 +584,7 @@ impl HilSimulator {
                         }
                     }
                 });
-                events.spans(&[Stage::Classifier]);
+                log.spans(&[Stage::Classifier]);
                 if let Some(mp) = faults.mispredict {
                     // A dropped frame produces no classifier output to
                     // corrupt.
@@ -639,15 +597,15 @@ impl HilSimulator {
                             ),
                         };
                         estimate.force(forced);
-                        tally.incr(Counter::ForcedMispredictions);
+                        log.incr(Counter::ForcedMispredictions);
                     }
                 }
                 if estimate.current() != previous_estimate {
-                    tally.incr(Counter::SituationSwitches);
-                    events.emit_with("situation_switch", || Some(estimate.current().describe()));
+                    log.incr(Counter::SituationSwitches);
+                    log.emit_with("situation_switch", || Some(estimate.current().describe()));
                 }
                 if estimate.current() != vehicle.preview_situation(ORACLE_PREVIEW_M) {
-                    tally.incr(Counter::Misidentifications);
+                    log.incr(Counter::Misidentifications);
                 }
 
                 // Knob reconfiguration: PR/control now, ISP next cycle.
@@ -661,13 +619,13 @@ impl HilSimulator {
                         let choice = t.select(&estimate.current(), degraded);
                         match choice.event {
                             Some(TunerEvent::Decision { explored }) => {
-                                tally.incr(Counter::TunerDecisions);
+                                log.incr(Counter::TunerDecisions);
                                 if explored {
-                                    tally.incr(Counter::TunerExplorations);
+                                    log.incr(Counter::TunerExplorations);
                                 }
                                 let label =
                                     if explored { "tuner_explore" } else { "tuner_decision" };
-                                events.emit_with(label, || {
+                                log.emit_with(label, || {
                                     Some(format!(
                                         "isp={} roi={}",
                                         choice.tuning.isp.name(),
@@ -676,8 +634,8 @@ impl HilSimulator {
                                 });
                             }
                             Some(TunerEvent::Fallback) => {
-                                tally.incr(Counter::TunerFallbacks);
-                                events.emit("tuner_fallback");
+                                log.incr(Counter::TunerFallbacks);
+                                log.emit("tuner_fallback");
                             }
                             None => {}
                         }
@@ -689,20 +647,20 @@ impl HilSimulator {
                     },
                 };
                 if new_knobs != knobs {
-                    tally.incr(Counter::KnobReconfigurations);
+                    log.incr(Counter::KnobReconfigurations);
                     if new_knobs.roi != knobs.roi {
                         perception = Perception::new(
                             PerceptionConfig::new(new_knobs.roi),
                             config.camera.clone(),
                         )
                         .with_backend(config.kernel_backend);
-                        tally.incr(Counter::PerceptionReconfigurations);
-                        events.emit("reconfig:perception");
+                        log.incr(Counter::PerceptionReconfigurations);
+                        log.emit("reconfig:perception");
                     }
                     if new_knobs.isp != knobs.isp {
                         staged_isp = Some(new_knobs.isp);
-                        tally.incr(Counter::IspReconfigurations);
-                        events.emit("reconfig:isp");
+                        log.incr(Counter::IspReconfigurations);
+                        log.emit("reconfig:isp");
                     }
                     vehicle.set_target_speed_kmph(new_knobs.speed_kmph);
                     knobs = new_knobs;
@@ -733,24 +691,26 @@ impl HilSimulator {
                     new_cfg.h_ms = knobs.controller_config(ClassifierSet::all()).h_ms;
                 }
                 if new_cfg != controller_cfg {
-                    let mut next =
-                        clock.timed(Stage::Control, || fetch_controller(&tally, &new_cfg));
+                    let (mut next, hit) = log
+                        .timed(Stage::Control, || design_controller_cached(&new_cfg))
+                        .expect(DESIGNABLE);
+                    log.count_lookup(hit);
                     next.adopt_state(&controller);
                     controller = next;
                     controller_cfg = new_cfg;
-                    tally.incr(Counter::ControlReconfigurations);
-                    events.emit("reconfig:control");
+                    log.incr(Counter::ControlReconfigurations);
+                    log.emit("reconfig:control");
                 }
 
                 // Perception, then the degradation policy's substitution.
                 let raw_y_l = if have_frame {
-                    let out = clock.timed(Stage::Perception, || {
+                    let out = log.timed(Stage::Perception, || {
                         perception.process_into(&rgb, &mut perception_scratch)
                     });
                     match out {
                         Ok(out) => Some(out.y_l),
                         Err(_) => {
-                            tally.incr(Counter::PerceptionFailures);
+                            log.incr(Counter::PerceptionFailures);
                             None
                         }
                     }
@@ -758,18 +718,15 @@ impl HilSimulator {
                     None
                 };
                 if have_frame {
-                    events.spans(&[Stage::Perception]);
+                    log.spans(&[Stage::Perception]);
                 }
-                // The cycle event carries the raw perception output —
+                // The cycle record carries the raw perception output —
                 // before any degradation hold substitutes a synthetic
-                // measurement — next to the ground truth. The
-                // stream-fed tuner reads its reward from exactly this
-                // field when the delta is published at the top of the
-                // next cycle.
-                if let Some(d) = events.delta.as_mut() {
-                    d.y_l_measured = raw_y_l;
-                    d.y_l_true = Some(vehicle.true_y_l());
-                }
+                // measurement — next to the ground truth. The tuner
+                // reads its reward from exactly this field when the
+                // cycle is sealed.
+                log.y_l_measured = raw_y_l;
+                log.y_l_true = Some(vehicle.true_y_l());
                 if let Some(f) = fitter.as_mut() {
                     f.record(raw_y_l, vehicle.true_y_l());
                 }
@@ -788,24 +745,24 @@ impl HilSimulator {
                         };
                         let obs = p.observe_with(raw_y_l, &coast_input);
                         if obs.held {
-                            tally.incr(Counter::MeasurementHolds);
-                            events.emit("measurement_hold");
+                            log.incr(Counter::MeasurementHolds);
+                            log.emit("measurement_hold");
                         }
                         if obs.coasted {
-                            tally.incr(Counter::ObserverCoasts);
-                            events.emit("observer_coast");
+                            log.incr(Counter::ObserverCoasts);
+                            log.emit("observer_coast");
                         }
                         if obs.reacquired {
-                            tally.incr(Counter::ObserverReacquisitions);
-                            events.emit("observer_reacquire");
+                            log.incr(Counter::ObserverReacquisitions);
+                            log.emit("observer_reacquire");
                         }
                         if obs.entered {
-                            tally.incr(Counter::DegradedEntries);
-                            events.emit("degraded_enter");
+                            log.incr(Counter::DegradedEntries);
+                            log.emit("degraded_enter");
                         }
                         if obs.exited {
-                            tally.incr(Counter::DegradedExits);
-                            events.emit("degraded_exit");
+                            log.incr(Counter::DegradedExits);
+                            log.emit("degraded_exit");
                         }
                         obs.y_l
                     }
@@ -818,14 +775,14 @@ impl HilSimulator {
                 // the safest blind behavior (an explicit zero-steering
                 // override would freeze a mid-correction heading error
                 // and integrate it into a departure over a long outage).
-                let u = clock.timed(Stage::Control, || {
+                let u = log.timed(Stage::Control, || {
                     controller.step(&Measurement { y_l, yaw_rate: vehicle.state().r })
                 });
                 // The command's actuation slot belongs to this cycle in
                 // virtual time, though it takes effect τ later.
-                events.spans(&[Stage::Control, Stage::Actuation]);
+                log.spans(&[Stage::Control, Stage::Actuation]);
                 if faults.extra_delay_ms > 0.0 {
-                    tally.incr(Counter::DeadlineOverruns);
+                    log.incr(Counter::DeadlineOverruns);
                 }
                 pending.push((t_ms + controller_cfg.tau_ms + faults.extra_delay_ms, u));
                 if config.record_trace {
@@ -849,7 +806,7 @@ impl HilSimulator {
             // then advance physics. Timed as the actuation stage; this
             // runs once per 5 ms physics step, so its count exceeds the
             // cycle count.
-            let sector = clock.timed(Stage::Actuation, || {
+            let sector = log.timed(Stage::Actuation, || {
                 while let Some(&(act_t, cmd)) = pending.first() {
                     if act_t <= t_ms + 1e-9 {
                         active_cmd = cmd;
@@ -873,43 +830,32 @@ impl HilSimulator {
             }
         }
 
-        // Final flush: the last cycle's delta (including the trailing
-        // physics-step Actuation recordings) reaches the subscribers,
-        // the flight recorder, and the tuner's open reward window
-        // before that window is committed below.
-        if let Some(delta) = events.delta.take() {
-            publish_delta(
-                delta,
-                &clock,
-                &tally,
-                &mut counter_base,
-                bus,
-                flight,
-                tuner.as_mut(),
-                tuner_sub.as_ref(),
-            );
-        }
+        // Final seal: the last cycle (including the trailing
+        // physics-step Actuation recordings) reaches every consumer,
+        // and the tuner's open reward window, before that window is
+        // committed below.
+        log.seal(tuner.as_mut());
 
         HilResult {
             qoc,
             crashed,
             crash_sector,
             time_s: vehicle.time_s(),
-            samples: tally.get(Counter::Cycles),
-            perception_failures: tally.get(Counter::PerceptionFailures),
-            reconfigurations: tally.get(Counter::KnobReconfigurations),
-            misidentifications: tally.get(Counter::Misidentifications),
-            frame_drops: tally.get(Counter::FrameDrops),
-            faulted_cycles: tally.get(Counter::FaultsInjected),
-            degraded_samples: tally.get(Counter::DegradedCycles),
-            degraded_entries: tally.get(Counter::DegradedEntries),
-            measurement_holds: tally.get(Counter::MeasurementHolds),
-            observer_coasts: tally.get(Counter::ObserverCoasts),
-            observer_reacquisitions: tally.get(Counter::ObserverReacquisitions),
-            render_errors: tally.get(Counter::RenderErrors),
-            tuner_decisions: tally.get(Counter::TunerDecisions),
-            tuner_explorations: tally.get(Counter::TunerExplorations),
-            tuner_fallbacks: tally.get(Counter::TunerFallbacks),
+            samples: log.total(Counter::Cycles),
+            perception_failures: log.total(Counter::PerceptionFailures),
+            reconfigurations: log.total(Counter::KnobReconfigurations),
+            misidentifications: log.total(Counter::Misidentifications),
+            frame_drops: log.total(Counter::FrameDrops),
+            faulted_cycles: log.total(Counter::FaultsInjected),
+            degraded_samples: log.total(Counter::DegradedCycles),
+            degraded_entries: log.total(Counter::DegradedEntries),
+            measurement_holds: log.total(Counter::MeasurementHolds),
+            observer_coasts: log.total(Counter::ObserverCoasts),
+            observer_reacquisitions: log.total(Counter::ObserverReacquisitions),
+            render_errors: log.total(Counter::RenderErrors),
+            tuner_decisions: log.total(Counter::TunerDecisions),
+            tuner_explorations: log.total(Counter::TunerExplorations),
+            tuner_fallbacks: log.total(Counter::TunerFallbacks),
             knob_store: tuner.map(|mut t| {
                 t.flush();
                 t.into_store()
@@ -942,152 +888,168 @@ pub fn knobs_for_case(case: Case, estimate: &SituationFeatures, table: &KnobTabl
     }
 }
 
-/// Run-local event emitter: every loop event is written once here and
-/// fans out to the trace sink (an instant with an optional detail,
-/// built only when a sink is attached) and to the open cycle delta (a
-/// label). Stage spans go to the sink alone.
-struct Events<'a> {
+/// What a controller design for a visited `(v, h, τ)` must do.
+const DESIGNABLE: &str = "controller design for built-in knob space";
+
+/// The run's per-cycle record. Every stage timing, counter increment,
+/// label and lane offset of the open cycle is written here once;
+/// [`CycleLog::seal`] then hands the cycle to every consumer — the
+/// registry, the stream, the flight recorder, the tuner and the run
+/// totals — so `fold(stream) == registry` holds by construction. Trace
+/// spans and instants go straight to the sink as they happen.
+struct CycleLog<'a> {
+    metrics: Option<&'a Metrics>,
     sink: Option<&'a TraceSink>,
-    cycle: u64,
-    delta: Option<CycleDelta>,
+    bus: Option<&'a TelemetryBus>,
+    flight: Option<&'a FlightRecorder>,
+    /// The open cycle; `None` before the first control sample.
+    cycle: Option<u64>,
+    /// Stage timings of the open cycle (taken only with a registry).
+    samples: Vec<(Stage, u64)>,
+    counts: [u64; Counter::ALL.len()],
+    totals: [u64; Counter::ALL.len()],
+    /// Event labels of the open cycle (kept only for a stream or
+    /// flight recorder).
+    labels: Vec<&'static str>,
+    y_l_measured: Option<f64>,
+    y_l_true: Option<f64>,
 }
 
-impl Events<'_> {
-    /// Moves on to `cycle`, opening its delta when a stream or flight
-    /// consumer wants one, and returns the previous cycle's delta.
-    fn open(&mut self, cycle: u64, wants_delta: bool) -> Option<CycleDelta> {
-        self.cycle = cycle;
-        std::mem::replace(&mut self.delta, wants_delta.then(|| CycleDelta::new(cycle)))
+impl<'a> CycleLog<'a> {
+    fn new(config: &'a HilConfig) -> Self {
+        CycleLog {
+            metrics: config.metrics.as_deref(),
+            sink: config.trace_sink.as_ref(),
+            bus: config.stream.as_deref(),
+            flight: config.flight.as_deref(),
+            cycle: None,
+            samples: Vec::new(),
+            counts: [0; Counter::ALL.len()],
+            totals: [0; Counter::ALL.len()],
+            labels: Vec::new(),
+            y_l_measured: None,
+            y_l_true: None,
+        }
+    }
+
+    fn wants_delta(&self) -> bool {
+        self.bus.is_some() || self.flight.is_some()
+    }
+
+    /// Seals the open cycle, if any, and opens `cycle`.
+    fn begin(&mut self, cycle: u64, tuner: Option<&mut KnobTuner>) {
+        if self.cycle.is_some() {
+            self.seal(tuner);
+        }
+        self.cycle = Some(cycle);
+    }
+
+    /// Runs `work`, timed against `stage` when a registry is attached.
+    fn timed<T>(&mut self, stage: Stage, work: impl FnOnce() -> T) -> T {
+        if self.metrics.is_none() {
+            return work();
+        }
+        let started = std::time::Instant::now();
+        let out = work();
+        self.samples.push((stage, u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)));
+        out
+    }
+
+    fn incr(&mut self, counter: Counter) {
+        self.counts[counter as usize] += 1;
+    }
+
+    /// Counts one design-cache lookup as a hit or a miss.
+    fn count_lookup(&mut self, hit: bool) {
+        self.incr(if hit { Counter::ControllerCacheHits } else { Counter::ControllerCacheMisses });
+    }
+
+    fn total(&self, counter: Counter) -> u64 {
+        self.totals[counter as usize]
     }
 
     fn emit(&mut self, name: &'static str) {
         self.emit_with(name, || None);
     }
 
+    /// Records an event: a trace instant (its detail built only when a
+    /// sink is attached) and a label of the open cycle.
     fn emit_with(&mut self, name: &'static str, detail: impl FnOnce() -> Option<String>) {
         if let Some(s) = self.sink {
-            s.instant(self.cycle, name, detail());
+            s.instant(self.cycle.unwrap_or(0), name, detail());
         }
-        if let Some(d) = self.delta.as_mut() {
-            d.labels.push(name.to_string());
+        if self.cycle.is_some() && self.wants_delta() {
+            self.labels.push(name);
         }
     }
 
     fn spans(&self, stages: &[Stage]) {
         if let Some(s) = self.sink {
             for &stage in stages {
-                s.span(self.cycle, stage);
+                s.span(self.cycle.unwrap_or(0), stage);
             }
         }
     }
-}
 
-/// Run-local event accounting: the single source of truth for the
-/// counters reported in [`HilResult`], mirrored into the shared
-/// telemetry registry when one is attached. (Previously `run()` kept
-/// ad-hoc local integers *and* conditionally incremented the registry,
-/// and the two bookkeeping paths could drift.)
-struct Tally<'a> {
-    local: Metrics,
-    shared: Option<&'a Metrics>,
-}
-
-impl Tally<'_> {
-    fn incr(&self, counter: Counter) {
-        self.local.incr(counter);
-        if let Some(m) = self.shared {
-            m.incr(counter);
+    /// Hands the open cycle to its consumers and clears it. Counts
+    /// taken before the first cycle (the initial controller lookup)
+    /// still reach the registry and the totals when the run takes no
+    /// cycle at all.
+    fn seal(&mut self, tuner: Option<&mut KnobTuner>) {
+        if let Some(m) = self.metrics {
+            for &(stage, ns) in &self.samples {
+                m.record_ns(stage, ns);
+            }
+            for (&counter, &n) in Counter::ALL.iter().zip(&self.counts) {
+                if n > 0 {
+                    m.add(counter, n);
+                }
+            }
         }
-    }
-
-    fn get(&self, counter: Counter) -> u64 {
-        self.local.counter(counter)
-    }
-}
-
-/// Stage timing shared between the telemetry registry and the per-cycle
-/// stream: each stage is measured once and the same nanosecond
-/// observation is written to both sides, which is what makes a folded
-/// stream byte-identical to the end-of-run registry snapshot.
-struct StageClock<'a> {
-    metrics: Option<&'a Metrics>,
-    /// Observations since the last cycle delta was sealed. Collected
-    /// only while a stream or flight consumer is attached (nothing
-    /// drains it otherwise).
-    probe: RefCell<Vec<(Stage, u64)>>,
-    probing: bool,
-}
-
-impl StageClock<'_> {
-    /// Runs `work` timed against `stage` when telemetry is attached, or
-    /// plainly otherwise.
-    fn timed<T>(&self, stage: Stage, work: impl FnOnce() -> T) -> T {
-        let Some(m) = self.metrics else { return work() };
-        let started = std::time::Instant::now();
-        let out = work();
-        let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        m.record_ns(stage, ns);
-        if self.probing {
-            self.probe.borrow_mut().push((stage, ns));
+        if let Some(cycle) = self.cycle {
+            if self.wants_delta() {
+                let delta = self.delta(cycle);
+                if let Some(b) = self.bus {
+                    b.publish(&delta);
+                }
+                if let Some(f) = self.flight {
+                    f.ingest(&delta);
+                }
+            }
+            if let Some(t) = tuner {
+                t.record(self.y_l_measured);
+            }
         }
-        out
+        for (total, count) in self.totals.iter_mut().zip(&mut self.counts) {
+            *total += std::mem::take(count);
+        }
+        self.samples.clear();
+        self.labels.clear();
+        self.y_l_measured = None;
+        self.y_l_true = None;
     }
-}
 
-/// Seals one cycle's delta — the stage observations probed since the
-/// previous seal plus the counter increments against `counter_base` —
-/// and hands it to the stream subscribers, the flight recorder, and the
-/// stream-fed tuner's reward window.
-#[allow(clippy::too_many_arguments)]
-fn publish_delta(
-    mut delta: CycleDelta,
-    clock: &StageClock<'_>,
-    tally: &Tally<'_>,
-    counter_base: &mut [u64],
-    bus: Option<&TelemetryBus>,
-    flight: Option<&FlightRecorder>,
-    tuner: Option<&mut KnobTuner>,
-    tuner_sub: Option<&Subscription>,
-) {
-    let picks = std::mem::take(&mut *clock.probe.borrow_mut());
-    for stage in Stage::ALL {
-        let list: Vec<u64> = picks.iter().filter(|(s, _)| *s == stage).map(|&(_, ns)| ns).collect();
-        if !list.is_empty() {
-            delta.samples.push((stage.name().to_string(), list));
+    /// The open cycle in its `lkas-stream-v1` wire form.
+    fn delta(&self, cycle: u64) -> CycleDelta {
+        let mut delta = CycleDelta::new(cycle);
+        for stage in Stage::ALL {
+            let ns: Vec<u64> =
+                self.samples.iter().filter(|(s, _)| *s == stage).map(|&(_, ns)| ns).collect();
+            if !ns.is_empty() {
+                delta.samples.push((stage.name().to_string(), ns));
+            }
         }
+        delta.counters = Counter::ALL
+            .iter()
+            .zip(&self.counts)
+            .filter(|(_, &n)| n > 0)
+            .map(|(counter, &n)| (counter.name().to_string(), n))
+            .collect();
+        delta.y_l_measured = self.y_l_measured;
+        delta.y_l_true = self.y_l_true;
+        delta.labels = self.labels.iter().map(|l| l.to_string()).collect();
+        delta
     }
-    for (slot, counter) in counter_base.iter_mut().zip(Counter::ALL) {
-        let now = tally.get(counter);
-        if now > *slot {
-            delta.counters.push((counter.name().to_string(), now - *slot));
-        }
-        *slot = now;
-    }
-    if let Some(b) = bus {
-        b.publish(&delta);
-    }
-    if let Some(f) = flight {
-        f.ingest(&delta);
-    }
-    if let (Some(t), Some(sub)) = (tuner, tuner_sub) {
-        for d in sub.drain() {
-            t.record_delta(&d);
-        }
-    }
-}
-
-/// Fetches a controller through the process-wide memoizing design cache
-/// (`lkas_control::design::design_controller_cached`), recording the
-/// hit/miss counters through the run tally.
-fn fetch_controller(tally: &Tally<'_>, cfg: &ControllerConfig) -> Controller {
-    let (controller, cache_hit) =
-        design_controller_cached(cfg).expect("controller design for built-in knob space");
-    tally.incr(if cache_hit {
-        Counter::ControllerCacheHits
-    } else {
-        Counter::ControllerCacheMisses
-    });
-    controller
 }
 
 #[cfg(test)]
@@ -1206,6 +1168,27 @@ mod tests {
         assert_eq!(r.observer_reacquisitions, 0);
         assert_eq!(r.render_errors, 0);
         assert!(r.error_fit.is_none(), "no moments without error_fit");
+    }
+
+    #[test]
+    fn a_run_without_cycles_still_counts_its_initial_design_lookup() {
+        use lkas_runtime::TelemetryBus;
+        let metrics = Arc::new(Metrics::new());
+        let bus = Arc::new(TelemetryBus::new(8));
+        let config = HilConfig::new(Case::Case4, SituationSource::Oracle)
+            .with_camera(test_camera())
+            .with_max_time(0.0)
+            .with_metrics(Arc::clone(&metrics))
+            .with_stream(Arc::clone(&bus))
+            .with_tuner(TunerConfig::new());
+        let r = HilSimulator::new(Track::for_situation(&TABLE3_SITUATIONS[0], 60.0), config).run();
+        assert_eq!(r.samples, 0);
+        assert_eq!(bus.published(), 0, "no cycle, no delta");
+        let snap = metrics.snapshot();
+        let lookups = snap.counter("controller_cache_hits").unwrap()
+            + snap.counter("controller_cache_misses").unwrap();
+        assert_eq!(lookups, 1, "the initial controller lookup reaches the registry");
+        assert_eq!(snap.counter("cycles"), Some(0));
     }
 
     #[test]
@@ -1553,40 +1536,6 @@ mod tests {
     }
 
     #[test]
-    fn folded_stream_matches_the_registry_snapshot() {
-        use lkas_runtime::{fold, TelemetryBus};
-        use lkas_scene::track::Sector;
-        // Straight → right turn so labels and reconfiguration counters
-        // actually flow through the stream.
-        let s1 = Sector::for_situation(&TABLE3_SITUATIONS[0], 120.0);
-        let s2 = Sector::for_situation(&TABLE3_SITUATIONS[7], 200.0);
-        let track = Track::new(vec![s1, s2]);
-        let metrics = Arc::new(Metrics::new());
-        let bus = Arc::new(TelemetryBus::new(1 << 14));
-        let sub = bus.subscribe();
-        let config = HilConfig::new(Case::Case4, SituationSource::Oracle)
-            .with_camera(test_camera())
-            .with_seed(42)
-            .with_metrics(Arc::clone(&metrics))
-            .with_stream(Arc::clone(&bus));
-        let result = HilSimulator::new(track, config).run();
-        let deltas = sub.drain();
-        assert_eq!(deltas.len() as u64, result.samples, "one delta per control sample");
-        assert_eq!(bus.dropped(), 0, "the ring must hold the whole run");
-        for d in &deltas {
-            assert_eq!(d.ts_us, d.cycle * lkas_runtime::CYCLE_TICKS, "virtual timestamps");
-        }
-        assert!(deltas.iter().all(|d| d.y_l_true.is_some()));
-        assert!(deltas.iter().any(|d| d.y_l_measured.is_some()));
-        assert!(deltas.iter().any(|d| d.labels.iter().any(|l| l == "situation_switch")));
-        // Replaying the per-cycle deltas into a fresh registry lands on
-        // the exact end-of-run snapshot: every stage observation and
-        // counter increment reached the stream, and nothing else
-        // touched the registry.
-        assert_eq!(fold(deltas.iter()).snapshot(), metrics.snapshot());
-    }
-
-    #[test]
     fn stream_is_identical_across_tile_threads_without_metrics() {
         use lkas_runtime::TelemetryBus;
         // Wall-clock stage samples only ride along when a registry is
@@ -1625,19 +1574,19 @@ mod tests {
                 .with_tuner(TunerConfig::new().with_seed(42))
         };
         let track = || Track::for_situation(&TABLE3_SITUATIONS[6], 180.0);
-        let private = HilSimulator::new(track(), base()).run();
+        let bare = HilSimulator::new(track(), base()).run();
         // A deliberately tiny ring with a subscriber that never drains:
         // the lazy subscriber overflows and loses old frames, but the
-        // tuner rides its own per-cycle subscription and the trajectory
-        // is untouched — backpressure never reaches the control loop.
+        // tuner reads each sealed cycle directly and the trajectory is
+        // untouched — backpressure never reaches the control loop.
         let bus = Arc::new(TelemetryBus::new(2));
         let lazy = bus.subscribe();
         let external = HilSimulator::new(track(), base().with_stream(Arc::clone(&bus))).run();
         assert!(lazy.dropped() > 0, "the tiny ring must overflow the lazy subscriber");
         assert_eq!(bus.dropped(), lazy.dropped());
-        assert_eq!(private.overall_mae(), external.overall_mae());
-        assert_eq!(private.tuner_decisions, external.tuner_decisions);
-        assert_eq!(private.knob_store.unwrap(), external.knob_store.unwrap());
+        assert_eq!(bare.overall_mae(), external.overall_mae());
+        assert_eq!(bare.tuner_decisions, external.tuner_decisions);
+        assert_eq!(bare.knob_store.unwrap(), external.knob_store.unwrap());
     }
 
     #[test]

@@ -400,16 +400,6 @@ impl KnobTuner {
         self.window = Some(window);
     }
 
-    /// Feeds one cycle's telemetry-stream event into the open reward
-    /// window. The stream carries the identical raw `y_L` the in-loop
-    /// path used to hand to [`KnobTuner::record`] directly, so a
-    /// stream-fed tuner is behaviorally identical to the in-loop one
-    /// (the CI `gate-stream-equivalence` stage `cmp`s the two at
-    /// `epsilon = 0`).
-    pub fn record_delta(&mut self, delta: &lkas_runtime::CycleDelta) {
-        self.record(delta.y_l_measured);
-    }
-
     /// Commits any open window. Call at end of run so the last
     /// window's evidence is not dropped on the floor.
     pub fn flush(&mut self) {

@@ -16,8 +16,10 @@
 use serde::{Deserialize, Serialize, Value};
 use std::io::BufRead;
 
-/// Schema tag every request and response carries.
-pub const PROTO_SCHEMA: &str = "lkas-fleet-v1";
+/// Schema tag every request and response carries. Bump it whenever a
+/// frame's shape changes, so a peer of another version is refused on
+/// its first request rather than mid-stream.
+pub const PROTO_SCHEMA: &str = "lkas-fleet-v2";
 
 /// Default cap on one frame's byte length (1 MiB). A line longer than
 /// the cap is drained to its newline and answered with
@@ -128,24 +130,13 @@ pub enum Event {
         /// Total work units.
         total: u64,
     },
-    /// An incremental, delta-encoded telemetry frame: only the stage
-    /// histogram buckets and counters that changed since the job's
-    /// previous `Telemetry` frame are carried (the first frame encodes
-    /// everything-from-empty). Replaying every frame in order through
-    /// [`apply_delta`](lkas_runtime::apply_delta) reconstructs the
-    /// job's registry exactly.
-    Telemetry {
-        /// The job the frame belongs to.
-        job: u64,
-        /// A serialized [`MetricsDelta`](lkas_runtime::MetricsDelta)
-        /// (`lkas-telemetry-delta-v1`).
-        delta: Value,
-    },
     /// One per-cycle telemetry event from a running job's stream
     /// (`fleetctl watch` renders these live). Forwarded with
     /// drop-oldest backpressure: a slow watcher loses old frames —
     /// accounted under the daemon's `stream_dropped` counter — but
-    /// never stalls the job.
+    /// never stalls the job. Folding a complete capture
+    /// ([`fold`](lkas_runtime::fold)) rebuilds what the job's runs
+    /// recorded.
     CycleDelta {
         /// The job the cycle belongs to.
         job: u64,
@@ -447,7 +438,6 @@ mod tests {
             Event::Accepted { job: 1, key: "k".into(), config_hash: "abc".into() },
             Event::Rejected { reason: "full".into(), queued: 4, capacity: 4 },
             Event::Progress { job: 1, completed: 3, total: 10 },
-            Event::Telemetry { job: 1, delta: Value::Object(vec![]) },
             Event::CycleDelta { job: 1, delta: Value::Object(vec![]) },
             Event::Result { job: 1, cached: true, payload: Value::Str("report".into()) },
             Event::Failed { job: 1, message: "boom".into() },
@@ -472,13 +462,16 @@ mod tests {
         let err = decode_request(r#"{"schema":"lkas-fleet-v99","op":"Status"}"#).unwrap_err();
         assert_eq!(err.kind, ErrorKind::UnsupportedSchema);
         assert!(err.message.contains("lkas-fleet-v99"));
+        let err = decode_request(r#"{"schema":"lkas-fleet-v1","op":"Status"}"#).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::UnsupportedSchema, "v1 frames have another shape");
     }
 
     #[test]
     fn missing_schema_and_bad_shape_are_typed() {
         assert_eq!(decode_request(r#"{"op":"Status"}"#).unwrap_err().kind, ErrorKind::BadRequest);
         assert_eq!(decode_request("42").unwrap_err().kind, ErrorKind::BadRequest);
-        let err = decode_request(r#"{"schema":"lkas-fleet-v1","op":"Nonsense"}"#).unwrap_err();
+        let err = decode_request(&format!(r#"{{"schema":"{PROTO_SCHEMA}","op":"Nonsense"}}"#))
+            .unwrap_err();
         assert_eq!(err.kind, ErrorKind::BadRequest);
     }
 

@@ -26,8 +26,7 @@ use crate::store::TenantStores;
 use crate::worker::WorkerPool;
 use lkas::characterize::KnobStore;
 use lkas_runtime::{
-    Counter, CycleDelta, DeltaTracker, FlightRecorder, Metrics, DEFAULT_FLIGHT_CAPACITY,
-    DEFAULT_STREAM_CAPACITY,
+    Counter, CycleDelta, FlightRecorder, Metrics, DEFAULT_FLIGHT_CAPACITY, DEFAULT_STREAM_CAPACITY,
 };
 use serde::Value;
 use std::collections::{HashMap, VecDeque};
@@ -98,7 +97,6 @@ pub struct JobContext {
     tenant: Option<String>,
     metrics: Arc<Metrics>,
     stores: Arc<TenantStores>,
-    delta: Mutex<DeltaTracker>,
     flight: Option<Arc<FlightRecorder>>,
     emit: Box<dyn Fn(Event) + Send + Sync>,
 }
@@ -150,15 +148,6 @@ impl JobContext {
     /// Streams a progress event to the job's watchers.
     pub fn emit_progress(&self, completed: u64, total: u64) {
         (self.emit)(Event::Progress { job: self.job, completed, total });
-    }
-
-    /// Streams a delta-encoded telemetry frame to the job's watchers:
-    /// only the histogram buckets and counters that changed since this
-    /// job's previous frame go on the wire (the first frame encodes
-    /// everything-from-empty).
-    pub fn emit_telemetry(&self) {
-        let delta = self.delta.lock().expect("delta tracker lock").diff(&self.metrics);
-        (self.emit)(Event::Telemetry { job: self.job, delta: serde::Serialize::to_value(&delta) });
     }
 
     /// Streams one per-cycle telemetry event to the job's watchers.
@@ -461,7 +450,6 @@ fn run_job(shared: &Arc<Shared>, job: u64) {
         tenant,
         metrics: Arc::clone(&metrics),
         stores: Arc::clone(&shared.stores),
-        delta: Mutex::new(DeltaTracker::new()),
         flight: flight.clone(),
         emit: {
             let shared = Arc::clone(shared);

@@ -55,7 +55,7 @@ fn response_from(selector: u16, id: u64, count: u64, flag: bool, label: &str) ->
             capacity: count as usize % 1000 + 1,
         },
         2 => Event::Progress { job: id, completed: count, total: count + 1 },
-        3 => Event::Telemetry { job: id, delta: Value::Str(label.to_string()) },
+        3 => Event::CycleDelta { job: id, delta: Value::Str(label.to_string()) },
         4 => Event::Result { job: id, cached: flag, payload: Value::Str(label.to_string()) },
         5 => Event::Failed { job: id, message: label.to_string() },
         6 => Event::Cancelled { job: id },

@@ -69,7 +69,6 @@ impl JobRunner for MockRunner {
         }
         let run = self.runs.fetch_add(1, Ordering::SeqCst);
         ctx.emit_progress(1, 2);
-        ctx.emit_telemetry();
         // `cycles: "<n>"` emits n per-cycle stream events; `fat: true`
         // pads each one so a stalled watcher's transport backs up fast.
         let cycles = match Self::field(spec, "cycles") {
@@ -154,7 +153,12 @@ impl Drop for Daemon {
 fn submit_streams_progress_telemetry_and_result() {
     let daemon = Daemon::start(FleetConfig::default());
     let mut client = daemon.client();
-    let accepted = client.submit(Daemon::submit("solo", 1, true)).unwrap();
+    let spec = Value::Object(vec![
+        ("name".to_string(), Value::Str("solo".to_string())),
+        ("cycles".to_string(), Value::Str("3".to_string())),
+    ]);
+    let accepted =
+        client.submit(SubmitRequest { tenant: None, priority: 1, wait: true, spec }).unwrap();
     let Event::Accepted { job, key, config_hash } = accepted else {
         panic!("expected Accepted, got {accepted:?}");
     };
@@ -162,26 +166,21 @@ fn submit_streams_progress_telemetry_and_result() {
     assert_eq!(config_hash, "default-cfg");
 
     let mut progress = Vec::new();
-    let mut telemetry = 0usize;
+    let mut cycles = Vec::new();
     let terminal = client
         .wait_terminal(|event| match event {
             Event::Progress { completed, total, .. } => progress.push((*completed, *total)),
-            Event::Telemetry { delta, .. } => {
-                // The streamed frame is a sparse telemetry-delta-v1
-                // document, not a full snapshot.
-                let Value::Object(fields) = delta else { panic!("delta must be an object") };
-                let schema = fields.iter().find(|(n, _)| n == "schema");
-                assert_eq!(
-                    schema.map(|(_, v)| v),
-                    Some(&Value::Str(lkas_runtime::TELEMETRY_DELTA_SCHEMA.to_string()))
-                );
-                telemetry += 1;
+            Event::CycleDelta { delta, .. } => {
+                // Telemetry travels as per-cycle `lkas-stream-v1` frames.
+                let delta: lkas_runtime::CycleDelta =
+                    serde::Deserialize::from_value(delta).expect("frame must be a cycle delta");
+                cycles.push(delta.cycle);
             }
             other => panic!("unexpected event {other:?}"),
         })
         .unwrap();
     assert_eq!(progress, [(1, 2), (2, 2)]);
-    assert_eq!(telemetry, 1);
+    assert_eq!(cycles, [0, 1, 2]);
     let Event::Result { job: done, cached, .. } = terminal else {
         panic!("expected Result, got {terminal:?}");
     };
@@ -465,10 +464,10 @@ fn slow_watcher_never_blocks_the_job_and_drops_are_accounted() {
     let Event::Status(info) = status_client.next_event().unwrap() else { panic!() };
     let dropped = stream_dropped(&info);
     assert!(dropped > 0, "the stalled watcher must have overflowed its ring");
-    // Conservation: the job emitted two progress frames, one telemetry
-    // frame, `cycles` cycle deltas, and one terminal event; every one
-    // of them was either delivered or accounted as dropped.
-    assert_eq!(received + 1 + dropped, cycles + 4);
+    // Conservation: the job emitted two progress frames, `cycles`
+    // cycle deltas, and one terminal event; every one of them was
+    // either delivered or accounted as dropped.
+    assert_eq!(received + 1 + dropped, cycles + 3);
     daemon.shutdown();
 }
 
@@ -557,7 +556,7 @@ mod watcher_props {
             let mut status_client = daemon.client();
             status_client.send(RequestOp::Status).unwrap();
             let Event::Status(info) = status_client.next_event().unwrap() else { panic!() };
-            prop_assert_eq!(received + 1 + stream_dropped(&info), cycles + 4);
+            prop_assert_eq!(received + 1 + stream_dropped(&info), cycles + 3);
             daemon.shutdown();
         }
     }

@@ -25,13 +25,12 @@
 //!   shard's slice of results plus a raw [`MetricsDump`];
 //!   [`merge_shard_files`] validates that a set of artifacts forms a
 //!   complete, consistent partition and folds the metrics back together
-//!   through the mergeable histograms, exactly as per-worker registries
-//!   merge inside one process.
+//!   through the mergeable histograms, exactly equal to one registry
+//!   that recorded every shard.
 //!
 //! The engine runs the pending slice through [`Executor`], inheriting
-//! its ordered results and worker-local state (per-worker telemetry
-//! registries), so `threads` never affects campaign output — only
-//! wall-clock.
+//! its ordered results, so `threads` never affects campaign output —
+//! only wall-clock.
 //!
 //! [`MetricsDump`]: crate::MetricsDump
 
@@ -175,34 +174,26 @@ pub struct CampaignRun<R> {
 ///
 /// `jobs` is the *full* canonical grid as `(content key, job)` pairs;
 /// the engine selects the owned slice, restores checkpointed keys, and
-/// evaluates the rest through [`Executor::run_with_local`] with the
-/// caller's worker-local state (`init`/`eval`/`finish` mirror the
-/// executor's signature — sweeps use it for per-worker telemetry
-/// registries). Completed evaluations are checkpointed as they finish;
-/// fresh evaluations and checkpoint restores are also counted into
-/// `metrics` ([`Counter::CampaignEvaluations`] /
-/// [`Counter::CampaignRestored`]).
+/// evaluates the rest with `eval` through [`Executor::run`]. Completed
+/// evaluations are checkpointed as they finish; fresh evaluations and
+/// checkpoint restores are also counted into `metrics`
+/// ([`Counter::CampaignEvaluations`] / [`Counter::CampaignRestored`]).
 ///
 /// # Panics
 ///
 /// Panics on duplicate grid keys (the grid would be ambiguous), on a
 /// checkpoint value that no longer deserializes as `R`, and on
 /// checkpoint I/O failure.
-pub fn run_campaign<J, R, S, I, F, D>(
+pub fn run_campaign<J, R, F>(
     spec: &CampaignSpec,
     jobs: Vec<(String, J)>,
     metrics: Option<&Metrics>,
-    init: I,
     eval: F,
-    finish: D,
 ) -> CampaignRun<R>
 where
     J: Send,
     R: Serialize + Deserialize + Clone + Send,
-    S: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&str, J, &mut S) -> R + Sync,
-    D: Fn(S) + Sync,
+    F: Fn(&str, J) -> R + Sync,
 {
     let grid_size = jobs.len();
     {
@@ -249,21 +240,16 @@ where
     }
 
     let writer = checkpoint.map(Mutex::new);
-    let evaluated: Vec<(String, R)> = Executor::new(spec.threads).run_with_local(
-        pending,
-        init,
-        |(key, job), state| {
-            let value = eval(&key, job, state);
-            if let Some(m) = metrics {
-                m.incr(Counter::CampaignEvaluations);
-            }
-            if let Some(writer) = &writer {
-                writer.lock().expect("checkpoint lock").append(&key, &serde_json::to_value(&value));
-            }
-            (key, value)
-        },
-        finish,
-    );
+    let evaluated: Vec<(String, R)> = Executor::new(spec.threads).run(pending, |(key, job)| {
+        let value = eval(&key, job);
+        if let Some(m) = metrics {
+            m.incr(Counter::CampaignEvaluations);
+        }
+        if let Some(writer) = &writer {
+            writer.lock().expect("checkpoint lock").append(&key, &serde_json::to_value(&value));
+        }
+        (key, value)
+    });
 
     // Reassemble the owned slice in canonical order.
     let mut by_key: std::collections::HashMap<String, R> =
@@ -572,13 +558,13 @@ mod tests {
         (0..n as u64).map(|i| (format!("job-{i:03}"), i)).collect()
     }
 
-    fn eval_job(_key: &str, job: u64, _state: &mut ()) -> u64 {
+    fn eval_job(_key: &str, job: u64) -> u64 {
         // A cheap, deterministic stand-in for a HiL evaluation.
         job.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xABCD
     }
 
     fn run(spec: &CampaignSpec, jobs: Vec<(String, u64)>) -> CampaignRun<u64> {
-        run_campaign(spec, jobs, None, || (), eval_job, |()| {})
+        run_campaign(spec, jobs, None, eval_job)
     }
 
     #[test]
@@ -658,7 +644,7 @@ mod tests {
 
         // A completed run checkpoints everything.
         let metrics = Metrics::new();
-        let full = run_campaign(&s, grid(10), Some(&metrics), || (), eval_job, |()| {});
+        let full = run_campaign(&s, grid(10), Some(&metrics), eval_job);
         assert_eq!(
             full.stats,
             CampaignStats { grid_size: 10, owned: 10, evaluated: 10, restored: 0 }
@@ -677,7 +663,7 @@ mod tests {
         // Resuming evaluates only the missing 6 and reproduces the run.
         s.resume = true;
         let metrics = Metrics::new();
-        let resumed = run_campaign(&s, grid(10), Some(&metrics), || (), eval_job, |()| {});
+        let resumed = run_campaign(&s, grid(10), Some(&metrics), eval_job);
         assert_eq!(
             resumed.stats,
             CampaignStats { grid_size: 10, owned: 10, evaluated: 6, restored: 4 }
@@ -687,7 +673,7 @@ mod tests {
         assert_eq!(resumed.entries, full.entries);
 
         // A second resume re-evaluates nothing at all.
-        let rerun = run_campaign(&s, grid(10), None, || (), eval_job, |()| {});
+        let rerun = run_campaign(&s, grid(10), None, eval_job);
         assert_eq!(rerun.stats.evaluated, 0);
         assert_eq!(rerun.stats.restored, 10);
         assert_eq!(rerun.entries, full.entries);
@@ -786,7 +772,7 @@ mod tests {
         let mk = |index: usize| {
             let s = spec(Shard { index, count: 2 }, 1);
             let metrics = Metrics::new();
-            let shard_run = run_campaign(&s, grid(9), Some(&metrics), || (), eval_job, |()| {});
+            let shard_run = run_campaign(&s, grid(9), Some(&metrics), eval_job);
             let dir = std::env::temp_dir().join(format!("lkas-campaign-mm-{}", std::process::id()));
             let path = dir.join(format!("m{index}.json"));
             write_shard_file(&path, &s, &shard_run, Some(&metrics));

@@ -58,49 +58,9 @@ impl Executor {
         R: Send,
         F: Fn(J) -> R + Sync,
     {
-        self.run_with_local(jobs, || (), |job, ()| worker(job), |()| {})
-    }
-
-    /// Like [`Executor::run`], but each worker thread carries a local
-    /// state: `init` builds it when the worker starts, `worker` gets
-    /// `&mut` access per job, and `finish` consumes it when the worker
-    /// runs out of jobs.
-    ///
-    /// The motivating use is telemetry: a sweep gives each worker a
-    /// local `Metrics` registry (no cross-thread cache-line contention
-    /// on the histogram buckets) and merges the per-worker histograms
-    /// into the shared registry in `finish` — mergeability guarantees
-    /// the result equals single-thread recording (see
-    /// `Metrics::merge_from`).
-    ///
-    /// On the sequential path (one thread or ≤ 1 job) a single state
-    /// serves every job, so `init`/`finish` run exactly once.
-    ///
-    /// # Panics
-    ///
-    /// Worker panics propagate as in [`Executor::run`]; `finish` does
-    /// not run for a worker whose job panicked.
-    pub fn run_with_local<J, R, S, I, F, D>(
-        &self,
-        jobs: Vec<J>,
-        init: I,
-        worker: F,
-        finish: D,
-    ) -> Vec<R>
-    where
-        J: Send,
-        R: Send,
-        S: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(J, &mut S) -> R + Sync,
-        D: Fn(S) + Sync,
-    {
         let n = jobs.len();
         if self.threads == 1 || n <= 1 {
-            let mut state = init();
-            let results = jobs.into_iter().map(|job| worker(job, &mut state)).collect();
-            finish(state);
-            return results;
+            return jobs.into_iter().map(worker).collect();
         }
 
         // One slot per job keeps completion-order writes from disturbing
@@ -112,22 +72,18 @@ impl Executor {
 
         std::thread::scope(|scope| {
             for _ in 0..self.threads.min(n) {
-                scope.spawn(|| {
-                    let mut state = init();
-                    loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        if index >= n {
-                            break;
-                        }
-                        let job = queue[index]
-                            .lock()
-                            .expect("job queue lock")
-                            .take()
-                            .expect("each job index is claimed once");
-                        let result = worker(job, &mut state);
-                        *slots[index].lock().expect("result slot lock") = Some(result);
+                scope.spawn(|| loop {
+                    let index = cursor.fetch_add(1, Ordering::Relaxed);
+                    if index >= n {
+                        break;
                     }
-                    finish(state);
+                    let job = queue[index]
+                        .lock()
+                        .expect("job queue lock")
+                        .take()
+                        .expect("each job index is claimed once");
+                    let result = worker(job);
+                    *slots[index].lock().expect("result slot lock") = Some(result);
                 });
             }
         });
@@ -189,47 +145,6 @@ mod tests {
     fn empty_job_list_is_fine() {
         let results: Vec<u32> = Executor::new(8).run(Vec::<u32>::new(), |i| i);
         assert!(results.is_empty());
-    }
-
-    #[test]
-    fn local_state_reaches_finish_exactly_once_per_worker() {
-        use std::sync::atomic::AtomicUsize;
-        let inits = AtomicUsize::new(0);
-        let finishes = AtomicUsize::new(0);
-        let total = Mutex::new(0usize);
-        let results = Executor::new(3).run_with_local(
-            (0..32usize).collect(),
-            || {
-                inits.fetch_add(1, Ordering::SeqCst);
-                0usize
-            },
-            |job, local| {
-                *local += job;
-                job
-            },
-            |local| {
-                finishes.fetch_add(1, Ordering::SeqCst);
-                *total.lock().unwrap() += local;
-            },
-        );
-        assert_eq!(results, (0..32).collect::<Vec<_>>());
-        assert_eq!(inits.load(Ordering::SeqCst), finishes.load(Ordering::SeqCst));
-        // Every job's contribution survives the per-worker merge.
-        assert_eq!(*total.lock().unwrap(), (0..32).sum::<usize>());
-    }
-
-    #[test]
-    fn sequential_path_uses_one_state() {
-        let states = Mutex::new(0usize);
-        Executor::new(1).run_with_local(
-            vec![1, 2, 3],
-            || {
-                *states.lock().unwrap() += 1;
-            },
-            |j, _| j,
-            |()| {},
-        );
-        assert_eq!(*states.lock().unwrap(), 1);
     }
 
     #[test]

@@ -71,8 +71,8 @@ impl LatencyHistogram {
     }
 
     /// Adds every observation of `other` into `self` (bucket-wise).
-    /// Merging per-worker histograms yields exactly the single-thread
-    /// histogram of the combined observation stream.
+    /// Merging histograms yields exactly the single histogram of the
+    /// combined observation stream.
     pub fn merge_from(&self, other: &LatencyHistogram) {
         for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
             let n = theirs.load(Ordering::Relaxed);

@@ -7,9 +7,9 @@
 //!   `std::thread::scope` and an atomic job cursor. Results come back in
 //!   input order regardless of completion order, and a worker panic
 //!   propagates to the caller (no silently dropped jobs).
-//! - [`Metrics`] / [`StageTimer`] — a lock-free telemetry registry
-//!   recording per-cycle stage durations (render, sensor, ISP, classifier
-//!   invocation, perception, control, actuation) into log2 latency
+//! - [`Metrics`] — a lock-free telemetry registry recording per-cycle
+//!   stage durations (render, sensor, ISP, classifier invocation,
+//!   perception, control, actuation) into log2 latency
 //!   histograms ([`LatencyHistogram`]) plus monotonic event counters
 //!   (perception failures, situation switches, per-knob
 //!   reconfigurations, fault/degradation events), exportable as a JSON
@@ -21,9 +21,10 @@
 //!   Perfetto.
 //! - [`TelemetryBus`] / [`CycleDelta`] — a bounded, non-blocking
 //!   per-cycle telemetry stream with drop-oldest backpressure
-//!   (`stream_dropped` accounting), plus the [`FlightRecorder`]
-//!   post-mortem ring and the sparse [`MetricsDelta`] encoding the
-//!   fleet daemon streams to watchers.
+//!   (`stream_dropped` accounting), the one per-cycle wire form: the
+//!   [`FlightRecorder`] post-mortem ring keeps it and the fleet daemon
+//!   forwards it to watchers, and [`fold`] rebuilds a run's registry
+//!   from it.
 //! - [`report`] — snapshot pretty-printing and the baseline-diff logic
 //!   behind the `telemetry_report` harness and the CI perf smoke gate.
 //! - [`campaign`] — sharded, resumable campaign execution: a
@@ -49,12 +50,12 @@ pub use campaign::{
 pub use executor::Executor;
 pub use hist::{bucket_index, bucket_upper_ns, HistogramSnapshot, LatencyHistogram, HIST_BUCKETS};
 pub use metrics::{
-    write_atomic, Counter, Metrics, MetricsDump, MetricsSnapshot, Stage, StageSnapshot, StageTimer,
+    write_atomic, Counter, Metrics, MetricsDump, MetricsSnapshot, Stage, StageSnapshot,
     METRICS_DUMP_SCHEMA, TELEMETRY_SCHEMA, TELEMETRY_SCHEMA_V1, TELEMETRY_SCHEMA_V2,
 };
 pub use stream::{
-    apply_delta, fold, CycleDelta, DeltaTracker, FlightDump, FlightRecorder, MetricsDelta,
-    StageDelta, Subscription, TelemetryBus, DEFAULT_FLIGHT_CAPACITY, DEFAULT_STREAM_CAPACITY,
-    FLIGHT_SCHEMA, FLIGHT_TRIGGER_LABEL, STREAM_SCHEMA, TELEMETRY_DELTA_SCHEMA,
+    fold, CycleDelta, FlightDump, FlightRecorder, Subscription, TelemetryBus,
+    DEFAULT_FLIGHT_CAPACITY, DEFAULT_STREAM_CAPACITY, FLIGHT_SCHEMA, FLIGHT_TRIGGER_LABEL,
+    STREAM_SCHEMA,
 };
 pub use trace::{TraceRecorder, TraceSink, CYCLE_TICKS, DEFAULT_TRACE_CAPACITY, STAGE_TICKS};

@@ -5,7 +5,7 @@ use crate::hist::{HistogramSnapshot, LatencyHistogram};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Identifies the telemetry JSON layout written by
 /// [`Metrics::write_json`].
@@ -261,9 +261,9 @@ impl Counter {
 /// counter cells), so one `Metrics` can be shared (via `Arc` or plain
 /// reference) across every worker of a parallel sweep and across every
 /// stage of a simulation cycle without locking. Registries are also
-/// *mergeable* ([`Metrics::merge_from`]): each worker can record into a
-/// local registry and fold it into the sweep's shared one, which is
-/// what [`crate::Executor::run_with_local`]-based sweeps do.
+/// *mergeable* ([`Metrics::merge_from`]): a job's private registry can
+/// be folded into a shared one, which is how the fleet daemon
+/// aggregates its jobs.
 #[derive(Debug)]
 pub struct Metrics {
     stages: [LatencyHistogram; Stage::ALL.len()],
@@ -287,18 +287,6 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Starts an RAII timer; the elapsed time is recorded against
-    /// `stage` when the returned guard drops.
-    pub fn start(&self, stage: Stage) -> StageTimer<'_> {
-        StageTimer { metrics: self, stage, started: Instant::now() }
-    }
-
-    /// Times `work` against `stage` and returns its result.
-    pub fn time<T>(&self, stage: Stage, work: impl FnOnce() -> T) -> T {
-        let _timer = self.start(stage);
-        work()
-    }
-
     /// Records one observation of `elapsed` for `stage`.
     pub fn record(&self, stage: Stage, elapsed: Duration) {
         let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
@@ -316,8 +304,9 @@ impl Metrics {
     }
 
     /// Adds every observation and counter of `other` into `self`.
-    /// Merging per-worker registries into a shared one is equivalent to
-    /// having recorded everything into the shared registry directly.
+    /// Merging registries (the fleet daemon folds each job's registry
+    /// into its own) is equivalent to having recorded everything into
+    /// one registry directly.
     pub fn merge_from(&self, other: &Metrics) {
         for (mine, theirs) in self.stages.iter().zip(&other.stages) {
             mine.merge_from(theirs);
@@ -328,18 +317,6 @@ impl Metrics {
                 self.add(counter, n);
             }
         }
-    }
-
-    /// A plain copy of one stage's latency histogram.
-    pub fn stage_histogram(&self, stage: Stage) -> HistogramSnapshot {
-        self.stages[stage as usize].snapshot()
-    }
-
-    /// Adds every observation of `snap` into `stage`'s histogram — the
-    /// per-stage counterpart of [`Metrics::absorb`], used when applying
-    /// sparse telemetry deltas ([`crate::apply_delta`]).
-    pub fn merge_stage_snapshot(&self, stage: Stage, snap: &HistogramSnapshot) {
-        self.stages[stage as usize].merge_snapshot(snap);
     }
 
     /// Increments `counter` by one.
@@ -487,21 +464,6 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     }
 }
 
-/// RAII guard from [`Metrics::start`]: records the elapsed time for its
-/// stage on drop.
-#[derive(Debug)]
-pub struct StageTimer<'m> {
-    metrics: &'m Metrics,
-    stage: Stage,
-    started: Instant,
-}
-
-impl Drop for StageTimer<'_> {
-    fn drop(&mut self) {
-        self.metrics.record(self.stage, self.started.elapsed());
-    }
-}
-
 /// Timing for one stage within a [`MetricsSnapshot`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StageSnapshot {
@@ -565,7 +527,7 @@ mod tests {
         let metrics = Metrics::new();
         metrics.record(Stage::Isp, Duration::from_micros(200));
         metrics.record(Stage::Isp, Duration::from_micros(100));
-        metrics.time(Stage::Control, || std::thread::sleep(Duration::from_millis(1)));
+        metrics.record(Stage::Control, Duration::from_millis(1));
         metrics.incr(Counter::Cycles);
         metrics.add(Counter::IspReconfigurations, 3);
 
@@ -715,7 +677,7 @@ mod tests {
             merged.absorb(&dump);
         }
         assert_eq!(merged.snapshot(), direct.snapshot());
-        assert_eq!(merged.stage_histogram(Stage::Isp), direct.stage_histogram(Stage::Isp));
+        assert_eq!(merged.dump(), direct.dump());
         // Unknown names from a future writer are ignored, not fatal.
         let mut alien = shard_a.dump();
         alien.counters.push(("counter_from_the_future".to_string(), 5));
@@ -737,9 +699,6 @@ mod tests {
         shared.merge_from(&a);
         shared.merge_from(&b);
         assert_eq!(shared.snapshot(), direct.snapshot());
-        assert_eq!(
-            shared.stage_histogram(Stage::Perception),
-            direct.stage_histogram(Stage::Perception)
-        );
+        assert_eq!(shared.dump(), direct.dump());
     }
 }

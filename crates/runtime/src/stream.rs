@@ -1,6 +1,5 @@
-//! Streaming per-cycle telemetry: a bounded, non-blocking bus, a
-//! sparse delta encoding for registry snapshots, and a flight
-//! recorder for post-mortem triage.
+//! Streaming per-cycle telemetry: a bounded, non-blocking bus and a
+//! flight recorder for post-mortem triage.
 //!
 //! The HiL loop publishes one [`CycleDelta`] per control cycle to a
 //! [`TelemetryBus`]. Publishing never blocks: each subscriber owns a
@@ -18,7 +17,6 @@
 //! `gate-stream-equivalence` stage `cmp`s the folded snapshot against
 //! the end-of-run artifact).
 
-use crate::hist::{HistogramSnapshot, HIST_BUCKETS};
 use crate::metrics::{write_atomic, Counter, Metrics, Stage};
 use crate::trace::CYCLE_TICKS;
 use serde::{Deserialize, Serialize};
@@ -34,9 +32,6 @@ pub const STREAM_SCHEMA: &str = "lkas-stream-v1";
 
 /// Schema tag of the flight-recorder dump artifact.
 pub const FLIGHT_SCHEMA: &str = "lkas-flight-v1";
-
-/// Schema tag of the sparse registry delta ([`MetricsDelta`]).
-pub const TELEMETRY_DELTA_SCHEMA: &str = "lkas-telemetry-delta-v1";
 
 /// Default per-subscription ring capacity of a [`TelemetryBus`].
 pub const DEFAULT_STREAM_CAPACITY: usize = 1 << 12;
@@ -405,148 +400,9 @@ impl FlightRecorder {
     }
 }
 
-/// One stage's sparse histogram increment within a [`MetricsDelta`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StageDelta {
-    /// Stage name (see [`Stage::name`]).
-    pub stage: String,
-    /// `(bucket index, count increment)` pairs for buckets that grew
-    /// since the previous delta.
-    pub buckets: Vec<(u64, u64)>,
-    /// Increment of the stage's total observed nanoseconds.
-    pub total_ns: u64,
-    /// The stage's new worst observation (absolute ns — the maximum is
-    /// monotone, so carrying the new value merges exactly).
-    pub max_ns: u64,
-}
-
-/// A sparse, incremental encoding of a [`Metrics`] registry: only the
-/// counters and histogram buckets that changed since the previous
-/// delta (schema [`TELEMETRY_DELTA_SCHEMA`]). The fleet daemon streams
-/// these instead of full telemetry-v3 snapshots; applying every delta
-/// in sequence ([`apply_delta`]) reconstructs the registry exactly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MetricsDelta {
-    /// Schema tag, always [`TELEMETRY_DELTA_SCHEMA`].
-    pub schema: String,
-    /// Emission sequence number (0 for the first delta, which encodes
-    /// everything-from-empty).
-    pub seq: u64,
-    /// Per-stage sparse histogram increments; unchanged stages are
-    /// omitted.
-    pub stages: Vec<StageDelta>,
-    /// `(name, increment)` pairs for counters that changed; unchanged
-    /// counters are omitted.
-    pub counters: Vec<(String, u64)>,
-}
-
-/// Tracks the last-emitted state of a registry and produces sparse
-/// [`MetricsDelta`]s. The first [`DeltaTracker::diff`] encodes the
-/// full registry (delta from empty); each subsequent call encodes only
-/// what changed since the previous one.
-#[derive(Debug)]
-pub struct DeltaTracker {
-    seq: u64,
-    stages: Vec<HistogramSnapshot>,
-    counters: Vec<u64>,
-}
-
-impl Default for DeltaTracker {
-    fn default() -> Self {
-        DeltaTracker::new()
-    }
-}
-
-impl DeltaTracker {
-    /// A tracker whose first diff encodes the registry from empty.
-    pub fn new() -> DeltaTracker {
-        DeltaTracker {
-            seq: 0,
-            stages: Stage::ALL
-                .iter()
-                .map(|_| HistogramSnapshot {
-                    counts: vec![0; HIST_BUCKETS],
-                    total_ns: 0,
-                    max_ns: 0,
-                })
-                .collect(),
-            counters: vec![0; Counter::ALL.len()],
-        }
-    }
-
-    /// Encodes what changed in `metrics` since the previous diff and
-    /// advances the tracked state.
-    pub fn diff(&mut self, metrics: &Metrics) -> MetricsDelta {
-        let mut stages = Vec::new();
-        for (index, &stage) in Stage::ALL.iter().enumerate() {
-            let now = metrics.stage_histogram(stage);
-            let last = &self.stages[index];
-            let buckets: Vec<(u64, u64)> = now
-                .counts
-                .iter()
-                .zip(&last.counts)
-                .enumerate()
-                .filter(|(_, (now, last))| *now > *last)
-                .map(|(bucket, (now, last))| (bucket as u64, now - last))
-                .collect();
-            if buckets.is_empty() && now.total_ns == last.total_ns && now.max_ns == last.max_ns {
-                continue;
-            }
-            stages.push(StageDelta {
-                stage: stage.name().to_string(),
-                buckets,
-                total_ns: now.total_ns - last.total_ns,
-                max_ns: now.max_ns,
-            });
-            self.stages[index] = now;
-        }
-        let mut counters = Vec::new();
-        for (index, &counter) in Counter::ALL.iter().enumerate() {
-            let now = metrics.counter(counter);
-            let last = self.counters[index];
-            if now > last {
-                counters.push((counter.name().to_string(), now - last));
-                self.counters[index] = now;
-            }
-        }
-        let seq = self.seq;
-        self.seq += 1;
-        MetricsDelta { schema: TELEMETRY_DELTA_SCHEMA.to_string(), seq, stages, counters }
-    }
-}
-
-/// Applies one [`MetricsDelta`] to `metrics`. Replaying a tracker's
-/// deltas in sequence over a fresh registry reconstructs the source
-/// registry exactly. Unknown stage or counter names are ignored.
-pub fn apply_delta(metrics: &Metrics, delta: &MetricsDelta) {
-    for stage_delta in &delta.stages {
-        let Some(stage) = Stage::from_name(&stage_delta.stage) else { continue };
-        let mut counts = vec![0u64; HIST_BUCKETS];
-        for &(bucket, increment) in &stage_delta.buckets {
-            if let Some(slot) = counts.get_mut(bucket as usize) {
-                *slot = increment;
-            }
-        }
-        let snap = HistogramSnapshot {
-            counts,
-            total_ns: stage_delta.total_ns,
-            max_ns: stage_delta.max_ns,
-        };
-        metrics.merge_stage_snapshot(stage, &snap);
-    }
-    for (name, increment) in &delta.counters {
-        if *increment > 0 {
-            if let Some(counter) = Counter::from_name(name) {
-                metrics.add(counter, *increment);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     fn delta_with(
         cycle: u64,
@@ -680,49 +536,5 @@ mod tests {
         assert_eq!(dump.reason, FLIGHT_TRIGGER_LABEL);
         assert_eq!(dump.deltas.len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn delta_tracker_round_trip_reconstructs_the_registry() {
-        let source = Metrics::new();
-        let replica = Metrics::new();
-        let mut tracker = DeltaTracker::new();
-
-        // First emission: everything-from-empty.
-        source.record(Stage::Perception, Duration::from_micros(40));
-        source.incr(Counter::Cycles);
-        let first = tracker.diff(&source);
-        assert_eq!(first.seq, 0);
-        assert_eq!(first.schema, TELEMETRY_DELTA_SCHEMA);
-        apply_delta(&replica, &first);
-        assert_eq!(replica.snapshot(), source.snapshot());
-
-        // Second emission: only what changed travels.
-        source.record(Stage::Perception, Duration::from_micros(80));
-        source.record(Stage::Control, Duration::from_micros(10));
-        source.add(Counter::Cycles, 2);
-        let second = tracker.diff(&source);
-        assert_eq!(second.seq, 1);
-        assert!(second.stages.iter().all(|s| s.stage != "render"), "unchanged stages omitted");
-        assert_eq!(second.counters, vec![("cycles".to_string(), 2)]);
-        apply_delta(&replica, &second);
-        assert_eq!(replica.snapshot(), source.snapshot());
-
-        // Quiescent registry: an empty delta.
-        let third = tracker.diff(&source);
-        assert!(third.stages.is_empty() && third.counters.is_empty());
-        apply_delta(&replica, &third);
-        assert_eq!(replica.snapshot(), source.snapshot());
-    }
-
-    #[test]
-    fn delta_json_round_trips() {
-        let source = Metrics::new();
-        source.record(Stage::Isp, Duration::from_micros(5));
-        source.incr(Counter::IspReconfigurations);
-        let delta = DeltaTracker::new().diff(&source);
-        let json = serde_json::to_string_pretty(&delta).unwrap();
-        let back: MetricsDelta = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, delta);
     }
 }

@@ -1,10 +1,7 @@
 //! Property tests over the telemetry stream: bus accounting under
-//! arbitrary publish/drain interleavings, fold equivalence, and
-//! delta-tracker reconstruction.
+//! arbitrary publish/drain interleavings and fold equivalence.
 
-use lkas_runtime::{
-    apply_delta, fold, Counter, CycleDelta, DeltaTracker, Metrics, Stage, TelemetryBus,
-};
+use lkas_runtime::{fold, Counter, CycleDelta, Metrics, Stage, TelemetryBus};
 use proptest::prelude::*;
 
 fn arbitrary_delta(cycle: u64, stage_picks: &[usize], ns: &[u64], counts: &[u64]) -> CycleDelta {
@@ -80,32 +77,5 @@ proptest! {
             stream.push(delta);
         }
         prop_assert_eq!(fold(stream.iter()).snapshot(), direct.snapshot());
-    }
-
-    /// Replaying a delta tracker's sparse emissions over a fresh
-    /// registry reconstructs the source registry exactly, whatever the
-    /// recording pattern between emissions.
-    #[test]
-    fn delta_replay_reconstructs_the_registry(
-        stage_picks in proptest::collection::vec(0usize..16, 20),
-        ns in proptest::collection::vec(1u64..1_000_000_000, 20),
-        counter_picks in proptest::collection::vec(0usize..64, 12),
-        counter_incs in proptest::collection::vec(1u64..4, 12),
-    ) {
-        let source = Metrics::new();
-        let replica = Metrics::new();
-        let mut tracker = DeltaTracker::new();
-        // Four rounds of recording, each followed by a sparse emission
-        // applied to the replica.
-        for round in 0..4 {
-            for i in round * 5..round * 5 + 5 {
-                source.record_ns(Stage::ALL[stage_picks[i] % Stage::ALL.len()], ns[i]);
-            }
-            for i in round * 3..round * 3 + 3 {
-                source.add(Counter::ALL[counter_picks[i] % Counter::ALL.len()], counter_incs[i]);
-            }
-            apply_delta(&replica, &tracker.diff(&source));
-            prop_assert_eq!(replica.snapshot(), source.snapshot());
-        }
     }
 }

@@ -82,9 +82,11 @@ gate_telemetry() {
 
 # Shard-equivalence gate: run the same quick campaign as shards 0/2 and
 # 1/2, merge the shard artifacts, and require (a) the merged report to
-# be byte-identical to the unsharded smoke report and (b) the merged
+# be byte-identical to the unsharded smoke report, (b) the merged
 # telemetry to pass the same deterministic-counter diff against the
-# smoke telemetry.
+# smoke telemetry, and (c) a shard 0/2 resumed from the first 8 of its
+# 10 checkpoint lines to evaluate only the other 2 and still merge to
+# the byte-identical report.
 gate_shard_equivalence() {
   rm -f artifacts/ci_shard0.ckpt.jsonl artifacts/ci_shard1.ckpt.jsonl &&
     ./target/release/robustness_campaign \
@@ -103,7 +105,20 @@ gate_shard_equivalence() {
     echo "sharded report is byte-identical to the unsharded smoke report" &&
     ./target/release/telemetry_report \
       diff artifacts/telemetry_smoke_quick.json artifacts/ci_sharded_telemetry.json \
-      --max-rel-mean 8 --max-rel-tail 25 --min-mean-us 2
+      --max-rel-mean 8 --max-rel-tail 25 --min-mean-us 2 &&
+    head -n 8 artifacts/ci_shard0.ckpt.jsonl > artifacts/ci_shard0_resume.ckpt.jsonl &&
+    ./target/release/robustness_campaign \
+      --quick --seed 7 --threads 1 --shard 0/2 --resume \
+      --checkpoint artifacts/ci_shard0_resume.ckpt.jsonl \
+      --shard-out artifacts/ci_shard0_resumed.json 2> artifacts/ci_shard0_resumed.err &&
+    grep -q '2 evaluated, 8 restored' artifacts/ci_shard0_resumed.err &&
+    echo "resumed shard 0/2 evaluated 2 and restored 8 checkpointed grid points" &&
+    ./target/release/robustness_campaign \
+      merge artifacts/ci_shard0_resumed.json artifacts/ci_shard1.json \
+      --out artifacts/ci_resumed_report.json \
+      --metrics-out artifacts/ci_resumed_telemetry.json > /dev/null &&
+    cmp artifacts/robustness_smoke.json artifacts/ci_resumed_report.json &&
+    echo "resumed shard merges to the byte-identical report"
 }
 
 # Certificate gate for the perception-error-profile layer:

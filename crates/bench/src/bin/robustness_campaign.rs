@@ -40,25 +40,26 @@
 //! dumps its ring if the loop enters degraded mode.
 //! `robustness_campaign drift --compare` runs both knob sources and
 //! exits non-zero unless the tuned loop strictly improves the MAE.
+//!
+//! Every subcommand rejects an unknown flag, a missing or unparsable
+//! value, and `--resume` without `--checkpoint` with exit status 2
+//! before anything runs.
 
 use lkas::hil::HilSimulator;
 use lkas_bench::robustness::{
-    assemble_report, build_job, campaign_spec, config_from_params, drift_report_for,
-    drift_report_json, report_from_merged, run_campaign_shard, run_drift, write_report,
-    CampaignConfig, CampaignJob, DriftKnobs, RobustnessReport, DRIFT_SITUATIONS,
+    assemble_report, build_job, config_from_params, drift_report_for, drift_report_json, run_drift,
+    write_report, CampaignConfig, CampaignJob, DriftKnobs, RobustnessReport, DRIFT_SITUATIONS,
 };
 use lkas_bench::{
-    arg_value, default_threads, fail, merge_shards_cli, render_table, write_metrics, Metrics,
-    ARTIFACTS_DIR,
+    default_threads, fail, merge_shards_cli, render_table, run_sharded, write_metrics, Args,
+    Metrics, ARTIFACTS_DIR,
 };
-use lkas_runtime::{
-    write_shard_file, FlightRecorder, Shard, TelemetryBus, DEFAULT_FLIGHT_CAPACITY,
-};
+use lkas_runtime::{FlightRecorder, TelemetryBus, DEFAULT_FLIGHT_CAPACITY};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-fn report_out_path() -> PathBuf {
-    arg_value("--out")
+fn report_out_path(args: &Args) -> PathBuf {
+    args.value("--out")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from(ARTIFACTS_DIR).join("robustness_report.json"))
 }
@@ -70,58 +71,38 @@ fn main() {
         return;
     }
     if args.first().map(String::as_str) == Some("drift") {
-        drift(&args);
+        drift(&args[1..]);
         return;
     }
 
-    let cfg = CampaignConfig::new(arg_value("--seed").and_then(|s| s.parse().ok()).unwrap_or(7))
-        .with_threads(
-            arg_value("--threads").and_then(|s| s.parse().ok()).unwrap_or_else(default_threads),
-        )
-        .with_quick(args.iter().any(|a| a == "--quick"));
-    let shard = match arg_value("--shard") {
-        Some(text) => Shard::parse(&text).unwrap_or_else(|e| fail(&e)),
-        None => Shard::full(),
-    };
-    let spec = campaign_spec(
-        &cfg,
-        shard,
-        arg_value("--checkpoint").map(PathBuf::from),
-        args.iter().any(|a| a == "--resume"),
-    );
-
+    let value_flags = "--seed --threads --out --metrics-out --shard --checkpoint --shard-out";
+    let args = Args::parse(&args, value_flags, "--quick --resume");
+    let cfg = CampaignConfig::new(args.parsed("--seed").unwrap_or(7))
+        .with_threads(args.parsed("--threads").unwrap_or_else(default_threads))
+        .with_quick(args.has("--quick"));
     let metrics = Arc::new(Metrics::new());
-    let run = run_campaign_shard(&cfg, &spec, Some(&metrics));
-    eprintln!(
-        "[campaign] shard {shard}: {} owned, {} evaluated, {} restored (grid {})",
-        run.stats.owned, run.stats.evaluated, run.stats.restored, run.stats.grid_size
-    );
-
-    if !shard.is_full() || arg_value("--shard-out").is_some() {
-        let out = arg_value("--shard-out").map(PathBuf::from).unwrap_or_else(|| {
-            PathBuf::from(ARTIFACTS_DIR)
-                .join(format!("robustness_shard_{}of{}.json", shard.index, shard.count))
-        });
-        write_shard_file(&out, &spec, &run, Some(&metrics));
-        eprintln!("[shard] {}", out.display());
-        return;
+    if let Some(entries) = run_sharded(&args, &cfg, "robustness", &metrics) {
+        let report = assemble_report(&cfg, entries);
+        print_report(&cfg, &report);
+        write_report(&report, &report_out_path(&args));
+        write_metrics("robustness_campaign", &metrics);
     }
-
-    let report = assemble_report(&cfg, run.entries.into_iter().map(|(_, e)| e).collect());
-    print_report(&cfg, &report);
-    write_report(&report, &report_out_path());
-    write_metrics("robustness_campaign", &metrics);
 }
 
 /// `robustness_campaign merge SHARD...`: fold shard artifacts into the
 /// full report and the merged telemetry artifact.
 fn merge(args: &[String]) {
-    let (mut merged, shards) = merge_shards_cli(args, &["--out", "--metrics-out"]);
+    let args = Args::parse(args, "--out --metrics-out", "");
+    let merged = merge_shards_cli(&args.positional);
     let cfg = config_from_params(&merged.params).unwrap_or_else(|e| fail(&e));
-    let report = report_from_merged(&cfg, &mut merged).unwrap_or_else(|e| fail(&e));
-    eprintln!("[merge] {shards} shard file(s), {} grid entries", report.entries.len());
+    let report = assemble_report(&cfg, merged.entries(&cfg).unwrap_or_else(|e| fail(&e)));
+    eprintln!(
+        "[merge] {} shard file(s), {} grid entries",
+        args.positional.len(),
+        report.entries.len()
+    );
     print_report(&cfg, &report);
-    write_report(&report, &report_out_path());
+    write_report(&report, &report_out_path(&args));
     write_metrics("robustness_campaign", &merged.metrics);
 }
 
@@ -129,23 +110,27 @@ fn merge(args: &[String]) {
 /// drifted-sensor scenario, or a static-vs-tuned comparison with
 /// `--compare`.
 fn drift(args: &[String]) {
-    let cfg = CampaignConfig::new(arg_value("--seed").and_then(|s| s.parse().ok()).unwrap_or(7))
-        .with_quick(args.iter().any(|a| a == "--quick"));
-    let epsilon = arg_value("--epsilon").map(|s| match s.parse::<f64>() {
-        Ok(e) => e,
-        Err(_) => fail(&format!("bad --epsilon `{s}`")),
-    });
-    let situation = match arg_value("--situation") {
-        Some(s) => match s.parse::<usize>() {
-            Ok(i) if i < lkas::TABLE3_SITUATIONS.len() => i,
-            _ => {
-                fail(&format!("bad --situation `{s}` (want 0..{})", lkas::TABLE3_SITUATIONS.len()))
-            }
-        },
+    let value_flags = "--seed --knobs --epsilon --situation --out --stream-out --metrics-out \
+                       --flight-out --tile-threads";
+    let args = Args::parse(args, value_flags, "--quick --compare");
+    let cfg =
+        CampaignConfig::new(args.parsed("--seed").unwrap_or(7)).with_quick(args.has("--quick"));
+    let epsilon: Option<f64> = args.parsed("--epsilon");
+    let situation = match args.parsed::<usize>("--situation") {
+        Some(i) if i < lkas::TABLE3_SITUATIONS.len() => i,
+        Some(i) => {
+            fail(&format!("bad --situation `{i}` (want 0..{})", lkas::TABLE3_SITUATIONS.len()))
+        }
         None => DRIFT_SITUATIONS[0],
     };
+    let knobs = match args.value("--knobs") {
+        None | Some("static") => DriftKnobs::Static,
+        Some("tuned") => DriftKnobs::Tuned { epsilon },
+        Some(other) => fail(&format!("bad --knobs `{other}` (want static|tuned)")),
+    };
+    let tile_threads: Option<usize> = args.parsed("--tile-threads");
 
-    if args.iter().any(|a| a == "--compare") {
+    if args.has("--compare") {
         let stat = run_drift(&cfg, DriftKnobs::Static, situation);
         let tuned = run_drift(&cfg, DriftKnobs::Tuned { epsilon }, situation);
         let fmt = |r: &lkas_bench::robustness::DriftReport| {
@@ -173,16 +158,9 @@ fn drift(args: &[String]) {
         return;
     }
 
-    let knobs = match arg_value("--knobs").as_deref() {
-        None | Some("static") => DriftKnobs::Static,
-        Some("tuned") => DriftKnobs::Tuned { epsilon },
-        Some(other) => fail(&format!("bad --knobs `{other}` (want static|tuned)")),
-    };
-    let tile_threads = arg_value("--tile-threads")
-        .map(|text| text.parse().unwrap_or_else(|_| fail(&format!("bad --tile-threads `{text}`"))));
-    let stream_out = arg_value("--stream-out").map(PathBuf::from);
-    let metrics_out = arg_value("--metrics-out").map(PathBuf::from);
-    let flight_out = arg_value("--flight-out").map(PathBuf::from);
+    let stream_out = args.value("--stream-out").map(PathBuf::from);
+    let metrics_out = args.value("--metrics-out").map(PathBuf::from);
+    let flight_out = args.value("--flight-out").map(PathBuf::from);
 
     // One ring big enough for every cycle of the run: the stream is
     // drained after the loop finishes, so any eviction would leave a
@@ -204,7 +182,7 @@ fn drift(args: &[String]) {
     let result = HilSimulator::new(track, config).run();
     let report = drift_report_for(&cfg, &result);
     println!("{}", drift_report_json(&report));
-    if let Some(out) = arg_value("--out").map(PathBuf::from) {
+    if let Some(out) = args.value("--out").map(PathBuf::from) {
         lkas_runtime::write_atomic(&out, drift_report_json(&report).as_bytes())
             .unwrap_or_else(|e| fail(&format!("write {}: {e}", out.display())));
         eprintln!("[drift] {}", out.display());

@@ -17,19 +17,22 @@
 //! `table3_characterization --quick --shard 0/2 --checkpoint ckpt0.jsonl
 //!  --resume --shard-out shard0.json`, then
 //! `table3_characterization merge shard0.json shard1.json` reassembles
-//! the byte-identical table and sweep data.
+//! the byte-identical table and sweep data. `--checkpoint` (with
+//! `--resume`) also works on the unsharded run. An unknown flag, a
+//! missing or unparsable value, or `--resume` without `--checkpoint`
+//! exits with status 2 before anything runs.
 
-use lkas::characterize::{Characterization, CharacterizeConfig, Characterizer};
+use lkas::characterize::{Characterization, CharacterizeConfig, Characterizer, Sweep};
 use lkas::knobs::KnobTable;
 use lkas::TABLE3_SITUATIONS;
 use lkas_bench::{
-    arg_value, default_threads, fail, merge_shards_cli, render_table, write_result, Metrics,
-    ARTIFACTS_DIR,
+    default_threads, fail, merge_shards_cli, render_table, run_sharded, write_result, Args,
+    Metrics, ARTIFACTS_DIR,
 };
 use lkas_control::design_controller;
 use lkas_platform::schedule::ClassifierSet;
-use lkas_runtime::{write_shard_file, Shard};
-use std::path::PathBuf;
+use std::path::Path;
+use std::sync::Arc;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -38,57 +41,33 @@ fn main() {
         return;
     }
 
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut config = CharacterizeConfig::new().with_threads(
-        arg_value("--threads").and_then(|v| v.parse().ok()).unwrap_or_else(default_threads),
-    );
-    if quick {
+    let args = Args::parse(&args, "--threads --shard --checkpoint --shard-out", "--quick --resume");
+    let mut config = CharacterizeConfig::new()
+        .with_threads(args.parsed("--threads").unwrap_or_else(default_threads));
+    if args.has("--quick") {
         config = config.with_track_length(120.0);
     }
     let characterizer = Characterizer::new(config);
-    let shard = match arg_value("--shard") {
-        Some(text) => Shard::parse(&text).unwrap_or_else(|e| fail(&e)),
-        None => Shard::full(),
-    };
     eprintln!(
-        "[characterize] 21 situations, track {} m, {} threads, shard {shard}",
+        "[characterize] 21 situations, track {} m, {} threads",
         characterizer.config().track_length_m,
         characterizer.config().threads
     );
-
-    if !shard.is_full() || arg_value("--shard-out").is_some() {
-        let spec = characterizer.spec(
-            shard,
-            arg_value("--checkpoint").map(PathBuf::from),
-            args.iter().any(|a| a == "--resume"),
-        );
-        let metrics = Metrics::new();
-        let run = characterizer.run_shard(&TABLE3_SITUATIONS, &spec, Some(&metrics));
-        eprintln!(
-            "[characterize] shard {shard}: {} owned, {} evaluated, {} restored (grid {})",
-            run.stats.owned, run.stats.evaluated, run.stats.restored, run.stats.grid_size
-        );
-        let out = arg_value("--shard-out").map(PathBuf::from).unwrap_or_else(|| {
-            PathBuf::from(ARTIFACTS_DIR)
-                .join(format!("table3_shard_{}of{}.json", shard.index, shard.count))
-        });
-        write_shard_file(&out, &spec, &run, Some(&metrics));
-        eprintln!("[shard] {}", out.display());
-        return;
+    let sweep = Sweep { characterizer: &characterizer, situations: &TABLE3_SITUATIONS };
+    if let Some(outcomes) = run_sharded(&args, &sweep, "table3", &Arc::new(Metrics::new())) {
+        print_and_cache(&sweep.assemble(outcomes), &characterizer);
     }
-
-    let out = characterizer.characterize(&TABLE3_SITUATIONS);
-    print_and_cache(&out, &characterizer);
 }
 
 /// `table3_characterization merge SHARD...`: fold shard artifacts into
 /// the full characterization.
 fn merge(args: &[String]) {
-    let (mut merged, shards) = merge_shards_cli(args, &[]);
+    let args = Args::parse(args, "", "");
+    let merged = merge_shards_cli(&args.positional);
     let characterizer = Characterizer::from_params(&merged.params).unwrap_or_else(|e| fail(&e));
-    let out =
-        characterizer.from_merged(&TABLE3_SITUATIONS, &mut merged).unwrap_or_else(|e| fail(&e));
-    eprintln!("[merge] {shards} shard file(s), {} situations", out.sweeps.len());
+    let sweep = Sweep { characterizer: &characterizer, situations: &TABLE3_SITUATIONS };
+    let out = sweep.assemble(merged.entries(&sweep).unwrap_or_else(|e| fail(&e)));
+    eprintln!("[merge] {} shard file(s), {} situations", args.positional.len(), out.sweeps.len());
     print_and_cache(&out, &characterizer);
 }
 
@@ -167,19 +146,16 @@ fn print_and_cache(out: &Characterization, characterizer: &Characterizer) {
     );
 
     // Cache for the downstream figures, plus the versioned knob store
-    // the online tuner warm-starts from.
-    std::fs::create_dir_all(ARTIFACTS_DIR).expect("create artifacts dir");
-    let json = serde_json::to_string_pretty(&out.table).expect("serialize table");
-    let path = std::path::Path::new(ARTIFACTS_DIR).join("table3.json");
-    std::fs::write(&path, json).expect("write table3");
-    eprintln!("[cached] {}", path.display());
-    let profiles = out.error_profiles(&characterizer.fingerprint());
-    let profiles_path = std::path::Path::new(ARTIFACTS_DIR).join("error_profiles.json");
-    std::fs::write(&profiles_path, profiles.to_json()).expect("write error profiles");
-    eprintln!("[cached] {}", profiles_path.display());
-    let store = out.clone().into_store(&characterizer.fingerprint());
-    let store_path = std::path::Path::new(ARTIFACTS_DIR).join("knob_store.json");
-    std::fs::write(&store_path, store.to_json()).expect("write knob store");
-    eprintln!("[cached] {}", store_path.display());
+    // the online tuner warm-starts from. Atomic writes: a run killed
+    // mid-write must not leave a torn table for `--characterized`.
+    let cache = |name: &str, json: &str| {
+        let path = Path::new(ARTIFACTS_DIR).join(name);
+        lkas_runtime::write_atomic(&path, json.as_bytes())
+            .unwrap_or_else(|e| fail(&format!("write {}: {e}", path.display())));
+        eprintln!("[cached] {}", path.display());
+    };
+    cache("table3.json", &serde_json::to_string_pretty(&out.table).expect("serialize table"));
+    cache("error_profiles.json", &out.error_profiles(&characterizer.fingerprint()).to_json());
+    cache("knob_store.json", &out.clone().into_store(&characterizer.fingerprint()).to_json());
     write_result("table3_characterization", &out.sweeps);
 }

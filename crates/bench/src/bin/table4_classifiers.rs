@@ -125,8 +125,8 @@ fn main() {
 }
 
 fn cache(bundle: &lkas::identify::ClassifierBundle) {
-    std::fs::create_dir_all(ARTIFACTS_DIR).expect("create artifacts dir");
     let path = std::path::Path::new(ARTIFACTS_DIR).join("classifiers.json");
-    std::fs::write(&path, bundle.to_json().expect("serialize bundle")).expect("write bundle");
+    let json = bundle.to_json().expect("serialize bundle");
+    lkas_runtime::write_atomic(&path, json.as_bytes()).expect("write bundle");
     eprintln!("[cached] {}", path.display());
 }

@@ -24,13 +24,13 @@
 //! identical submissions byte-for-byte without re-simulating.
 
 use crate::robustness::{
-    assemble_report, build_job, campaign_grid, config_fingerprint, drift_report_for, entry_for,
-    CampaignConfig, CampaignJob, DriftKnobs,
+    assemble_report, build_job, drift_report_for, entry_for, CampaignConfig, CampaignJob,
+    DriftKnobs,
 };
 use lkas::hil::{HilResult, HilSimulator};
 use lkas::{KnobStore, TABLE3_SITUATIONS};
 use lkas_fleet::{JobContext, JobKey, JobRunner, TenantStores};
-use lkas_runtime::{Counter, TelemetryBus, DEFAULT_STREAM_CAPACITY};
+use lkas_runtime::{Campaign, Counter, TelemetryBus, DEFAULT_STREAM_CAPACITY};
 use serde::{Serialize, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -46,7 +46,7 @@ pub enum FleetSpec {
     GridPoint {
         /// Campaign parameters (determine the grid).
         cfg: CampaignConfig,
-        /// Index into [`campaign_grid`].
+        /// Index into the canonical grid ([`Campaign::grid`]).
         index: usize,
     },
     /// The full campaign grid in one job.
@@ -107,7 +107,7 @@ impl FleetSpec {
                     .and_then(Value::as_u64)
                     .ok_or("`grid` spec needs a non-negative integer `index`")?
                     as usize;
-                let grid_len = campaign_grid(&cfg).len();
+                let grid_len = cfg.grid().len();
                 if index >= grid_len {
                     return Err(format!("`index` {index} out of range (grid has {grid_len})"));
                 }
@@ -257,12 +257,12 @@ impl JobRunner for BenchRunner {
                 // The canonical grid key already embeds seed and config
                 // hash — the same identity the campaign engine
                 // checkpoints under.
-                key: campaign_grid(&cfg)[index].0.clone(),
-                config_hash: config_fingerprint(&cfg),
+                key: cfg.grid()[index].0.clone(),
+                config_hash: cfg.fingerprint(),
             },
             FleetSpec::Campaign { cfg } => JobKey {
                 key: format!("campaign|seed={:016x}", cfg.seed),
-                config_hash: config_fingerprint(&cfg),
+                config_hash: cfg.fingerprint(),
             },
             FleetSpec::Drift { cfg, tuned, epsilon, situation } => {
                 // Tuned runs depend on the tenant's persisted store, so
@@ -284,7 +284,7 @@ impl JobRunner for BenchRunner {
                         if tuned { "tuned" } else { "static" },
                         cfg.seed
                     ),
-                    config_hash: config_fingerprint(&cfg),
+                    config_hash: cfg.fingerprint(),
                 }
             }
         })
@@ -293,7 +293,7 @@ impl JobRunner for BenchRunner {
     fn run(&self, spec: &Value, ctx: &JobContext) -> Result<Value, String> {
         match FleetSpec::parse(spec)? {
             FleetSpec::GridPoint { cfg, index } => {
-                let grid = campaign_grid(&cfg);
+                let grid = cfg.grid();
                 let (key, job) = &grid[index];
                 ctx.emit_progress(0, 1);
                 let entry = with_live_stream(ctx, |bus| {
@@ -308,7 +308,7 @@ impl JobRunner for BenchRunner {
                 ]))
             }
             FleetSpec::Campaign { cfg } => {
-                let grid = campaign_grid(&cfg);
+                let grid = cfg.grid();
                 let total = grid.len() as u64;
                 let entries = with_live_stream(ctx, |bus| {
                     let mut entries = Vec::with_capacity(grid.len());
@@ -403,11 +403,11 @@ mod tests {
         let cfg = CampaignConfig::new(7).with_quick(true);
         let stores = TenantStores::new(None);
         let runner = BenchRunner;
-        let grid = campaign_grid(&cfg);
+        let grid = cfg.grid();
         let spec = FleetSpec::GridPoint { cfg, index: 2 }.to_value();
         let identity = runner.job_key(&spec, &stores, None).unwrap();
         assert_eq!(identity.key, grid[2].0);
-        assert_eq!(identity.config_hash, config_fingerprint(&cfg));
+        assert_eq!(identity.config_hash, cfg.fingerprint());
     }
 
     #[test]

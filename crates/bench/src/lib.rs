@@ -2,9 +2,11 @@
 //!
 //! Every table and figure of the paper has a dedicated binary in
 //! `src/bin/` (see DESIGN.md §5); this library provides their common
-//! pieces: classifier-bundle caching, plain-text table rendering, and
-//! JSON result emission into `results/`. Sweeps build plain
-//! `HilConfig`s and map them through the shared [`Executor`].
+//! pieces: classifier-bundle caching, plain-text table rendering,
+//! JSON result emission into `results/`, strict argument parsing
+//! ([`Args`]) and the one sharding command line behind both campaign
+//! binaries ([`run_sharded`]). Sweeps build plain `HilConfig`s and map
+//! them through the shared [`Executor`].
 
 pub mod fleet;
 pub mod robustness;
@@ -13,9 +15,13 @@ use lkas::identify::ClassifierBundle;
 use lkas_nn::classifiers::{
     ClassifierSpec, LaneClassifier, RoadClassifier, SceneClassifier, TrainReport,
 };
-use lkas_runtime::{merge_shard_files, read_shard_file, MergedShards};
+use lkas_runtime::{
+    merge_shard_files, read_shard_file, run_campaign, write_shard_file, Campaign, CampaignSpec,
+    MergedShards, Shard,
+};
 use serde::Serialize;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::sync::Arc;
 
 pub use lkas_runtime::{Executor, Metrics, MetricsSnapshot, TraceRecorder};
@@ -114,8 +120,8 @@ pub fn load_or_train_bundle() -> Arc<ClassifierBundle> {
     for (name, r) in ["road", "lane", "scene"].iter().zip(&reports) {
         eprintln!("[trained] {name}: val accuracy {:.2}%", r.val_accuracy * 100.0);
     }
-    std::fs::create_dir_all(ARTIFACTS_DIR).expect("create artifacts dir");
-    std::fs::write(&path, bundle.to_json().expect("serialize bundle")).expect("write bundle");
+    let json = bundle.to_json().expect("serialize bundle");
+    lkas_runtime::write_atomic(&path, json.as_bytes()).expect("write bundle");
     eprintln!("[cached] {}", path.display());
     Arc::new(bundle)
 }
@@ -175,28 +181,106 @@ pub fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// The `merge SHARD...` subcommand of the sharded harnesses: collects
-/// the shard paths from `args` (skipping each flag in `value_flags`
-/// together with its value, which the caller reads with [`arg_value`]),
-/// reads every shard file and merges them. Returns the merge and the
-/// number of shard files; any error [`fail`]s.
-pub fn merge_shards_cli(args: &[String], value_flags: &[&str]) -> (MergedShards, usize) {
-    let mut paths = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if value_flags.contains(&arg.as_str()) {
-            iter.next();
-        } else if arg.starts_with("--") {
-            fail(&format!("unknown merge flag `{arg}`"));
-        } else {
-            paths.push(PathBuf::from(arg));
+/// A command line checked against the flags a harness knows: every
+/// `--flag` is one of them and every value flag carries a value. Any
+/// other argument [`fail`]s (exit 2) before the harness runs.
+pub struct Args {
+    flags: Vec<(String, Option<String>)>,
+    /// The arguments that are not flags (a `merge`'s shard files).
+    pub positional: Vec<String>,
+}
+
+impl Args {
+    /// Parses `args` against the harness's `value_flags` (`--flag
+    /// VALUE`) and `switches` (`--flag`), each a space-separated list.
+    pub fn parse(args: &[String], value_flags: &str, switches: &str) -> Args {
+        let known = |list: &str, arg: &str| list.split_whitespace().any(|flag| flag == arg);
+        let mut parsed = Args { flags: Vec::new(), positional: Vec::new() };
+        let mut iter = args.iter();
+        while let Some(arg) = iter.next() {
+            let value = if known(value_flags, arg) {
+                match iter.next() {
+                    Some(value) if !value.starts_with("--") => Some(value.clone()),
+                    _ => fail(&format!("`{arg}` needs a value")),
+                }
+            } else if known(switches, arg) {
+                None
+            } else if arg.starts_with("--") {
+                fail(&format!("unknown flag `{arg}`"))
+            } else {
+                parsed.positional.push(arg.clone());
+                continue;
+            };
+            parsed.flags.push((arg.clone(), value));
         }
+        parsed
     }
+
+    /// The value of `flag`, if given.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.flags.iter().find(|(name, _)| name == flag).and_then(|(_, value)| value.as_deref())
+    }
+
+    /// The value of `flag` parsed as `T`; a value that does not parse
+    /// [`fail`]s.
+    pub fn parsed<T: FromStr>(&self, flag: &str) -> Option<T> {
+        self.value(flag)
+            .map(|text| text.parse().unwrap_or_else(|_| fail(&format!("bad {flag} `{text}`"))))
+    }
+
+    /// `true` if the switch `flag` was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(name, _)| name == flag)
+    }
+}
+
+/// Runs `campaign` under the sharding flags of `args` — `--shard I/N`,
+/// `--checkpoint PATH`, `--resume` and `--shard-out PATH` — with
+/// `metrics` attached, and logs the run's accounting. The unsharded run
+/// without `--shard-out` returns the whole grid's entries; any other
+/// writes the shard artifact (`--shard-out`, or
+/// `artifacts/<stem>_shard_<I>of<N>.json`) and returns `None`. A bad
+/// `--shard` or a `--resume` without `--checkpoint` [`fail`]s before
+/// anything runs.
+pub fn run_sharded<C: Campaign>(
+    args: &Args,
+    campaign: &C,
+    stem: &str,
+    metrics: &Arc<Metrics>,
+) -> Option<Vec<C::Entry>> {
+    let shard = args
+        .value("--shard")
+        .map_or(Shard::full(), |text| Shard::parse(text).unwrap_or_else(|e| fail(&e)));
+    let checkpoint = args.value("--checkpoint").map(PathBuf::from);
+    if args.has("--resume") && checkpoint.is_none() {
+        fail("--resume needs --checkpoint PATH");
+    }
+    let spec = CampaignSpec { shard, checkpoint, resume: args.has("--resume") };
+    let run = run_campaign(campaign, &spec, Some(metrics));
+    eprintln!(
+        "[campaign] shard {shard}: {} owned, {} evaluated, {} restored (grid {})",
+        run.stats.owned, run.stats.evaluated, run.stats.restored, run.stats.grid_size
+    );
+    let out = match args.value("--shard-out") {
+        None if shard.is_full() => return Some(run.entries.into_iter().map(|(_, e)| e).collect()),
+        Some(path) => PathBuf::from(path),
+        None => Path::new(ARTIFACTS_DIR)
+            .join(format!("{stem}_shard_{}of{}.json", shard.index, shard.count)),
+    };
+    write_shard_file(&out, campaign, shard, &run, Some(metrics));
+    eprintln!("[shard] {}", out.display());
+    None
+}
+
+/// The `merge SHARD...` subcommand of the sharded harnesses: reads
+/// every shard file in `paths` and merges them; any error [`fail`]s.
+pub fn merge_shards_cli(paths: &[String]) -> MergedShards {
     if paths.is_empty() {
         fail("merge needs at least one shard file");
     }
-    let files = paths.iter().map(|p| read_shard_file(p).unwrap_or_else(|e| fail(&e))).collect();
-    (merge_shard_files(files).unwrap_or_else(|e| fail(&e)), paths.len())
+    let files =
+        paths.iter().map(|p| read_shard_file(Path::new(p)).unwrap_or_else(|e| fail(&e))).collect();
+    merge_shard_files(files).unwrap_or_else(|e| fail(&e))
 }
 
 /// Fetches `--arg value` style overrides from the command line.
@@ -213,6 +297,88 @@ pub fn arg_value(name: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lkas_runtime::Counter;
+    use serde::Value;
+
+    /// A synthetic campaign: squares of `0..7`.
+    struct Squares;
+
+    impl Campaign for Squares {
+        type Job = u64;
+        type Entry = u64;
+
+        fn name(&self) -> &'static str {
+            "squares"
+        }
+
+        fn params(&self) -> Value {
+            Value::Null
+        }
+
+        fn fingerprint(&self) -> String {
+            "squares-v1".to_string()
+        }
+
+        fn threads(&self) -> usize {
+            2
+        }
+
+        fn grid(&self) -> Vec<(String, u64)> {
+            (0..7).map(|i| (format!("sq-{i}"), i)).collect()
+        }
+
+        fn evaluate(&self, _key: &str, job: u64, _metrics: Option<&Arc<Metrics>>) -> u64 {
+            job * job
+        }
+    }
+
+    fn sharded(args: &[&str]) -> (Option<Vec<u64>>, Arc<Metrics>) {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        let args = Args::parse(&args, "--shard --checkpoint --shard-out", "--resume");
+        let metrics = Arc::new(Metrics::new());
+        (run_sharded(&args, &Squares, "squares", &metrics), metrics)
+    }
+
+    #[test]
+    fn checkpoint_on_the_full_shard_writes_one_line_per_grid_point() {
+        let dir = std::env::temp_dir().join(format!("lkas-bench-sharded-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let checkpoint = dir.join("squares.jsonl");
+        let checkpoint = checkpoint.to_str().unwrap();
+        let (entries, metrics) = sharded(&["--checkpoint", checkpoint]);
+        assert_eq!(entries, Some(vec![0, 1, 4, 9, 16, 25, 36]));
+        assert_eq!(metrics.counter(Counter::CampaignEvaluations), 7);
+        assert_eq!(std::fs::read_to_string(checkpoint).unwrap().lines().count(), 7);
+
+        // Resuming restores the whole grid and evaluates nothing.
+        let (resumed, metrics) = sharded(&["--checkpoint", checkpoint, "--resume"]);
+        assert_eq!(resumed, entries);
+        assert_eq!(metrics.counter(Counter::CampaignEvaluations), 0);
+        assert_eq!(metrics.counter(Counter::CampaignRestored), 7);
+
+        // A slice writes its shard artifact instead of returning entries.
+        let out = dir.join("shard.json");
+        let (slice, _) = sharded(&["--shard", "1/2", "--shard-out", out.to_str().unwrap()]);
+        assert_eq!(slice, None);
+        let file = read_shard_file(&out).unwrap();
+        assert_eq!((file.campaign.as_str(), file.shard_index, file.shard_count), ("squares", 1, 2));
+        assert_eq!(file.entries.len(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn args_split_flags_switches_and_positionals() {
+        let args: Vec<String> = ["a.json", "--out", "r.json", "--quick", "b.json"]
+            .iter()
+            .map(|a| a.to_string())
+            .collect();
+        let args = Args::parse(&args, "--out --seed", "--quick --resume");
+        assert_eq!(args.value("--out"), Some("r.json"));
+        assert_eq!(args.value("--seed"), None);
+        assert_eq!(args.parsed::<u64>("--seed"), None);
+        assert!(args.has("--quick") && !args.has("--resume"));
+        assert_eq!(args.positional, vec!["a.json".to_string(), "b.json".to_string()]);
+    }
 
     #[test]
     fn table_rendering_aligns() {

@@ -8,8 +8,11 @@
 //! come back in grid order, and nothing thread- or time-dependent
 //! enters the report. `--threads 1` and `--threads 4` therefore emit
 //! byte-identical JSON — and so does any `--shard i/N` split merged
-//! back through [`report_from_merged`] — asserted in
-//! `tests/robustness.rs`.
+//! back through [`MergedShards::entries`] and [`assemble_report`] —
+//! asserted in `tests/robustness.rs`. [`CampaignConfig`] is the
+//! [`Campaign`] the engine runs.
+//!
+//! [`MergedShards::entries`]: lkas_runtime::MergedShards::entries
 
 use crate::Metrics;
 use lkas::cases::Case;
@@ -20,15 +23,12 @@ use lkas::knobs::KnobTable;
 use lkas::tuner::TunerConfig;
 use lkas_faults::FaultPlan;
 use lkas_imaging::sensor::SensorConfig;
-use lkas_runtime::{
-    run_campaign as run_campaign_engine, CampaignRun, CampaignSpec, Fingerprint, MergedShards,
-    Shard,
-};
+use lkas_runtime::{run_campaign as run_campaign_engine, Campaign, CampaignSpec, Fingerprint};
 use lkas_scene::camera::Camera;
 use lkas_scene::situation::{SituationFeatures, TABLE3_SITUATIONS};
 use lkas_scene::track::{Sector, Track};
 use serde::{Deserialize, Serialize, Value};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 /// Schema tag of the emitted robustness report. `v4` split the single
@@ -500,94 +500,107 @@ pub fn warm_start_store(seed: u64, camera: &Camera, situation_index: usize) -> K
     store
 }
 
-/// The stable content fingerprint of a campaign configuration:
-/// everything that determines report content (`seed`, `quick` — track,
-/// camera, plans, and cases all derive from these) and nothing that
-/// does not (`threads`). Embedded in grid keys and shard artifacts so
-/// checkpoints and merges can only combine evaluations of the same
-/// configuration.
-pub fn config_fingerprint(cfg: &CampaignConfig) -> String {
-    // The leading tag carries the grid revision: v4 split the policy
-    // arm three ways, so v3-era checkpoints and shard artifacts can
-    // never be merged into a v4 run.
-    Fingerprint::new()
-        .push_str("robustness-v4")
-        .push_u64(cfg.seed)
-        .push_u64(cfg.quick as u64)
-        .finish()
+/// The `params` blob of a robustness shard artifact.
+#[derive(Serialize, Deserialize)]
+struct Params {
+    seed: u64,
+    quick: bool,
 }
 
-/// The canonical campaign grid: `(content key, job)` in report order —
-/// the fault grid followed by the drift axis (a static/tuned pair per
-/// [`DRIFT_SITUATIONS`] entry). Every shard
-/// of every run regenerates this identical list — the deterministic
-/// partitioner slices it, and the merge reassembles along it.
-pub fn campaign_grid(cfg: &CampaignConfig) -> Vec<(String, CampaignJob)> {
-    let track = campaign_track(cfg.quick);
-    // Rough cycle horizon: track length at the slow speed bound over the
-    // nominal 25 ms period — plan windows only need to land mid-drive.
-    let horizon = (track.total_length() / 8.33 / 0.025) as u64;
-    let plans: Vec<Arc<FaultPlan>> =
-        standard_plans(cfg.seed, horizon, cfg.quick).into_iter().map(Arc::new).collect();
-    let config_hash = config_fingerprint(cfg);
-    let mut grid = Vec::new();
-    for &case in &campaign_cases(cfg.quick) {
-        for plan in &plans {
-            for arm in PolicyArm::ALL {
-                let key = format!(
-                    "{}|{}|arm-{}|seed={:016x}|cfg={config_hash}",
-                    case.name(),
-                    plan.name,
-                    arm.coast_name(),
-                    cfg.seed
-                );
-                grid.push((key, CampaignJob::Fault { case, plan: Arc::clone(plan), arm }));
+impl Campaign for CampaignConfig {
+    type Job = CampaignJob;
+    type Entry = CampaignEntry;
+
+    fn name(&self) -> &'static str {
+        "robustness_campaign"
+    }
+
+    fn params(&self) -> Value {
+        serde_json::to_value(&Params { seed: self.seed, quick: self.quick })
+    }
+
+    /// The stable content fingerprint of a campaign configuration:
+    /// everything that determines report content (`seed`, `quick` —
+    /// track, camera, plans, and cases all derive from these) and
+    /// nothing that does not (`threads`). Embedded in grid keys and
+    /// shard artifacts so checkpoints and merges can only combine
+    /// evaluations of the same configuration.
+    fn fingerprint(&self) -> String {
+        // The leading tag carries the grid revision: v4 split the policy
+        // arm three ways, so v3-era checkpoints and shard artifacts can
+        // never be merged into a v4 run.
+        Fingerprint::new()
+            .push_str("robustness-v4")
+            .push_u64(self.seed)
+            .push_u64(self.quick as u64)
+            .finish()
+    }
+
+    fn threads(&self) -> usize {
+        self.threads
+    }
+
+    /// The canonical campaign grid: `(content key, job)` in report order
+    /// — the fault grid followed by the drift axis (a static/tuned pair
+    /// per [`DRIFT_SITUATIONS`] entry).
+    fn grid(&self) -> Vec<(String, CampaignJob)> {
+        let track = campaign_track(self.quick);
+        // Rough cycle horizon: track length at the slow speed bound over
+        // the nominal 25 ms period — plan windows only need to land
+        // mid-drive.
+        let horizon = (track.total_length() / 8.33 / 0.025) as u64;
+        let plans: Vec<Arc<FaultPlan>> =
+            standard_plans(self.seed, horizon, self.quick).into_iter().map(Arc::new).collect();
+        let config_hash = self.fingerprint();
+        let mut grid = Vec::new();
+        for &case in &campaign_cases(self.quick) {
+            for plan in &plans {
+                for arm in PolicyArm::ALL {
+                    let key = format!(
+                        "{}|{}|arm-{}|seed={:016x}|cfg={config_hash}",
+                        case.name(),
+                        plan.name,
+                        arm.coast_name(),
+                        self.seed
+                    );
+                    grid.push((key, CampaignJob::Fault { case, plan: Arc::clone(plan), arm }));
+                }
             }
         }
-    }
-    for arm in [PolicyArm::Hold, PolicyArm::Observer] {
-        let key = format!(
-            "{}|{BLIND_BURST_PLAN_NAME}|arm-{}|seed={:016x}|cfg={config_hash}",
-            Case::Case3.name(),
-            arm.coast_name(),
-            cfg.seed
-        );
-        grid.push((key, CampaignJob::BlindBurst { arm }));
-    }
-    for &situation in &DRIFT_SITUATIONS {
-        for knobs in [DriftKnobs::Static, DriftKnobs::Tuned { epsilon: None }] {
+        for arm in [PolicyArm::Hold, PolicyArm::Observer] {
             let key = format!(
-                "{}|{DRIFT_PLAN_NAME}|s{situation:02}|knobs-{}|seed={:016x}|cfg={config_hash}",
-                Case::Case4.name(),
-                knobs.name(),
-                cfg.seed
+                "{}|{BLIND_BURST_PLAN_NAME}|arm-{}|seed={:016x}|cfg={config_hash}",
+                Case::Case3.name(),
+                arm.coast_name(),
+                self.seed
             );
-            grid.push((key, CampaignJob::Drift { situation, knobs }));
+            grid.push((key, CampaignJob::BlindBurst { arm }));
         }
+        for &situation in &DRIFT_SITUATIONS {
+            for knobs in [DriftKnobs::Static, DriftKnobs::Tuned { epsilon: None }] {
+                let key = format!(
+                    "{}|{DRIFT_PLAN_NAME}|s{situation:02}|knobs-{}|seed={:016x}|cfg={config_hash}",
+                    Case::Case4.name(),
+                    knobs.name(),
+                    self.seed
+                );
+                grid.push((key, CampaignJob::Drift { situation, knobs }));
+            }
+        }
+        grid
     }
-    grid
-}
 
-/// Builds the [`CampaignSpec`] for a robustness run: the campaign
-/// identity and parameters that shard artifacts record and the merge
-/// driver reads back.
-pub fn campaign_spec(
-    cfg: &CampaignConfig,
-    shard: Shard,
-    checkpoint: Option<PathBuf>,
-    resume: bool,
-) -> CampaignSpec {
-    CampaignSpec {
-        name: "robustness_campaign".to_string(),
-        params: Value::Object(vec![
-            ("seed".to_string(), Value::U64(cfg.seed)),
-            ("quick".to_string(), Value::Bool(cfg.quick)),
-        ]),
-        config_hash: config_fingerprint(cfg),
-        threads: cfg.threads,
-        shard,
-        checkpoint,
-        resume,
+    /// Runs one grid point with `metrics` attached.
+    fn evaluate(
+        &self,
+        key: &str,
+        job: CampaignJob,
+        metrics: Option<&Arc<Metrics>>,
+    ) -> CampaignEntry {
+        eprintln!("[run] {key}");
+        let (track, mut config) = build_job(self, &job, None);
+        config.metrics = metrics.cloned();
+        entry_for(&job, &HilSimulator::new(track, config).run())
     }
 }
 
@@ -599,46 +612,17 @@ pub fn campaign_spec(
 ///
 /// Returns a message when a parameter is missing or mistyped.
 pub fn config_from_params(params: &Value) -> Result<CampaignConfig, String> {
-    let Value::Object(fields) = params else {
-        return Err("robustness params are not an object".to_string());
-    };
-    let field = |name: &str| {
-        fields
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("robustness params lack `{name}`"))
-    };
-    let seed = field("seed")?.as_u64().ok_or("`seed` is not an integer")?;
-    let quick = match field("quick")? {
-        Value::Bool(b) => *b,
-        _ => return Err("`quick` is not a bool".to_string()),
-    };
-    Ok(CampaignConfig::new(seed).with_quick(quick))
-}
-
-/// Runs one shard of the campaign grid: restores checkpointed entries,
-/// evaluates the rest through the executor with `metrics` attached to
-/// every run, and returns the shard's entries in canonical grid order.
-pub fn run_campaign_shard(
-    cfg: &CampaignConfig,
-    spec: &CampaignSpec,
-    metrics: Option<&Arc<Metrics>>,
-) -> CampaignRun<CampaignEntry> {
-    run_campaign_engine(spec, campaign_grid(cfg), metrics.map(|m| m.as_ref()), |key, job| {
-        eprintln!("[run] {key}");
-        let (track, mut config) = build_job(cfg, &job, None);
-        config.metrics = metrics.cloned();
-        entry_for(&job, &HilSimulator::new(track, config).run())
-    })
+    let p: Params = serde_json::from_value(params)
+        .map_err(|e| format!("robustness params do not parse: {e}"))?;
+    Ok(CampaignConfig::new(p.seed).with_quick(p.quick))
 }
 
 /// Builds one grid point's closed loop: the track it drives and its
 /// [`HilConfig`]. This is the single configuration path behind every
-/// driver — the campaign engine's shard closure, the fleet service's
+/// caller — the campaign's [`Campaign::evaluate`], the fleet service's
 /// runner and the `drift` subcommand — which is what makes a
 /// fleet-assembled report byte-identical to the single-process one.
-/// Drivers attach metrics, a stream, a flight recorder or tile threads
+/// Callers attach metrics, a stream, a flight recorder or tile threads
 /// with the ordinary `HilConfig` builders (none of them changes the
 /// entry), run the loop, and reduce the result with [`entry_for`].
 ///
@@ -708,41 +692,13 @@ pub fn assemble_report(cfg: &CampaignConfig, entries: Vec<CampaignEntry>) -> Rob
     }
 }
 
-/// Reassembles a full [`RobustnessReport`] from merged shard artifacts:
-/// walks the canonical grid, takes each entry out of the merged set,
-/// and assembles — byte-identical to the single-process report.
-///
-/// # Errors
-///
-/// Returns a message when the shards were run with a different
-/// configuration, do not cover the grid, or an entry does not
-/// deserialize.
-pub fn report_from_merged(
-    cfg: &CampaignConfig,
-    merged: &mut MergedShards,
-) -> Result<RobustnessReport, String> {
-    let expected = config_fingerprint(cfg);
-    if merged.config_hash != expected {
-        return Err(format!(
-            "merged shards fingerprint {} does not match configuration {expected}",
-            merged.config_hash
-        ));
-    }
-    let mut entries = Vec::new();
-    for (key, _) in campaign_grid(cfg) {
-        entries.push(merged.take::<CampaignEntry>(&key)?);
-    }
-    Ok(assemble_report(cfg, entries))
-}
-
 /// Runs the full campaign grid and assembles the report — the
 /// single-process path: the whole grid through the campaign engine with
 /// no checkpoint. Pass a shared telemetry registry to aggregate stage
 /// timings and fault counters across every run (timings are wall-clock
 /// and belong in the separate telemetry artifact, never in the report).
 pub fn run_campaign(cfg: &CampaignConfig, metrics: Option<&Arc<Metrics>>) -> RobustnessReport {
-    let spec = campaign_spec(cfg, Shard::full(), None, false);
-    let run = run_campaign_shard(cfg, &spec, metrics);
+    let run = run_campaign_engine(cfg, &CampaignSpec::default(), metrics);
     assemble_report(cfg, run.entries.into_iter().map(|(_, entry)| entry).collect())
 }
 
@@ -1158,9 +1114,26 @@ mod tests {
     }
 
     #[test]
+    fn campaign_params_round_trip() {
+        let cfg = CampaignConfig::new(11).with_quick(true).with_threads(3);
+        // Shard artifacts keep their bytes: the same two fields, in order.
+        assert_eq!(
+            cfg.params(),
+            Value::Object(vec![
+                ("seed".to_string(), Value::U64(11)),
+                ("quick".to_string(), Value::Bool(true)),
+            ])
+        );
+        let back = config_from_params(&cfg.params()).unwrap();
+        assert_eq!(back, CampaignConfig::new(11).with_quick(true));
+        assert_eq!(back.fingerprint(), cfg.fingerprint());
+        assert!(config_from_params(&Value::Null).is_err());
+    }
+
+    #[test]
     fn drift_axis_rides_at_the_end_of_the_grid() {
         let cfg = CampaignConfig::new(7).with_quick(true);
-        let grid = campaign_grid(&cfg);
+        let grid = cfg.grid();
         // 1 case × 4 plans × 3 degradation arms + 2 blind-burst arms +
         // 3 situations × 2 drift entries.
         assert_eq!(grid.len(), 20);

@@ -7,11 +7,12 @@
 
 use lkas_bench::fleet::{BenchRunner, FleetSpec, ENTRY_SCHEMA};
 use lkas_bench::robustness::{
-    assemble_report, campaign_grid, report_json, run_campaign, CampaignConfig, CampaignEntry,
+    assemble_report, report_json, run_campaign, CampaignConfig, CampaignEntry,
 };
 use lkas_fleet::{
     serve, Event, FleetClient, FleetConfig, JobState, RequestOp, StatusInfo, SubmitRequest,
 };
+use lkas_runtime::Campaign;
 use serde::Value;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
@@ -73,7 +74,7 @@ fn decode_entry(payload: &Value) -> (String, CampaignEntry) {
 #[test]
 fn fleet_reassembles_the_campaign_byte_identically_and_replays_from_cache() {
     let cfg = CampaignConfig::new(7).with_quick(true);
-    let grid = campaign_grid(&cfg);
+    let grid = cfg.grid();
     assert!(grid.len() >= 8, "the quick grid must give us ≥8 jobs (got {})", grid.len());
 
     let (addr, handle) = start_daemon(FleetConfig { workers: 1, ..FleetConfig::default() });

@@ -4,11 +4,12 @@
 //! merged back together.
 
 use lkas_bench::robustness::{
-    campaign_spec, report_from_merged, report_json, run_campaign, run_campaign_shard,
-    CampaignConfig, ROBUSTNESS_SCHEMA,
+    assemble_report, report_json, run_campaign, CampaignConfig, ROBUSTNESS_SCHEMA,
 };
 use lkas_bench::Metrics;
-use lkas_runtime::{merge_shard_files, read_shard_file, write_shard_file, Counter, Shard};
+use lkas_runtime::{
+    merge_shard_files, read_shard_file, write_shard_file, CampaignSpec, Counter, Shard,
+};
 use std::sync::Arc;
 
 #[test]
@@ -97,20 +98,21 @@ fn sharded_report_is_byte_identical_to_single_process() {
         let files: Vec<_> = (0..count)
             .map(|index| {
                 let shard_cfg = cfg.with_threads(threads[index]);
-                let spec = campaign_spec(&shard_cfg, Shard { index, count }, None, false);
+                let shard = Shard { index, count };
+                let spec = CampaignSpec { shard, ..CampaignSpec::default() };
                 let metrics = Arc::new(Metrics::new());
-                let run = run_campaign_shard(&shard_cfg, &spec, Some(&metrics));
+                let run = lkas_runtime::run_campaign(&shard_cfg, &spec, Some(&metrics));
                 let path = dir.join(format!("{count}-{index}.json"));
-                write_shard_file(&path, &spec, &run, Some(&metrics));
+                write_shard_file(&path, &shard_cfg, shard, &run, Some(&metrics));
                 read_shard_file(&path).unwrap()
             })
             .collect();
-        let mut merged = merge_shard_files(files).unwrap();
+        let merged = merge_shard_files(files).unwrap();
         // The shards' telemetry dumps must account for every grid point
         // exactly once (4 plans × 3 degradation arms + 2 blind-burst
         // arms + 3 situations × 2 drift arms).
         assert_eq!(merged.metrics.counter(Counter::CampaignEvaluations), 20);
-        let report = report_from_merged(&cfg, &mut merged).unwrap();
+        let report = assemble_report(&cfg, merged.entries(&cfg).unwrap());
         assert_eq!(
             report_json(&report).as_bytes(),
             reference.as_bytes(),

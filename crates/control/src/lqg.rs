@@ -12,8 +12,8 @@
 //!
 //! Designs are configured through the [`LqgDesign`] builder (the
 //! `HilConfig`/`CharacterizeConfig` idiom): construct with
-//! [`LqgDesign::new`], override the noise model / vehicle / weights
-//! with the `with_*` builders, and call [`LqgDesign::design`].
+//! [`LqgDesign::new`], override the noise model with
+//! [`LqgDesign::with_noise`], and call [`LqgDesign::design`].
 
 use crate::controller::Controller;
 use crate::design::{ControllerConfig, LqrWeights};
@@ -70,7 +70,8 @@ impl NoiseModel {
 /// explicit noise model.
 ///
 /// The struct is `#[non_exhaustive]`; construct with [`LqgDesign::new`]
-/// and the `with_*` builders (fields stay readable).
+/// and [`LqgDesign::with_noise`] (fields stay readable). The design
+/// plant is the default vehicle under the default LQR weights.
 ///
 /// # Example
 ///
@@ -89,47 +90,17 @@ pub struct LqgDesign {
     pub config: ControllerConfig,
     /// Process / measurement noise covariances for the Kalman observer.
     pub noise: NoiseModel,
-    /// Vehicle parameters of the design plant.
-    pub vehicle: VehicleParams,
-    /// LQR stage-cost weights.
-    pub weights: LqrWeights,
 }
 
 impl LqgDesign {
-    /// A design for a `(v, h, τ)` point with the default noise model,
-    /// vehicle, and weights.
+    /// A design for a `(v, h, τ)` point with the default noise model.
     pub fn new(config: ControllerConfig) -> Self {
-        LqgDesign {
-            config,
-            noise: NoiseModel::default(),
-            vehicle: VehicleParams::default(),
-            weights: LqrWeights::default(),
-        }
+        LqgDesign { config, noise: NoiseModel::default() }
     }
 
     /// Replaces the noise model (builder style).
     pub fn with_noise(mut self, noise: NoiseModel) -> Self {
         self.noise = noise;
-        self
-    }
-
-    /// Derives the noise model from a fitted perception error profile
-    /// (builder style) — shorthand for
-    /// `with_noise(NoiseModel::from_profile(profile))`.
-    pub fn with_profile(mut self, profile: &PerceptionErrorProfile) -> Self {
-        self.noise = NoiseModel::from_profile(profile);
-        self
-    }
-
-    /// Replaces the vehicle parameters (builder style).
-    pub fn with_vehicle(mut self, vehicle: VehicleParams) -> Self {
-        self.vehicle = vehicle;
-        self
-    }
-
-    /// Replaces the LQR weights (builder style).
-    pub fn with_weights(mut self, weights: LqrWeights) -> Self {
-        self.weights = weights;
         self
     }
 
@@ -148,8 +119,9 @@ impl LqgDesign {
         if !(tau > 0.0 && tau <= h) {
             return Err(LinalgError::InvalidInput("τ must lie in (0, h]"));
         }
+        let (vehicle, weights) = (VehicleParams::default(), LqrWeights::default());
         let vx = kmph_to_mps(config.speed_kmph);
-        let a = self.vehicle.a_matrix_with_actuator(vx, crate::ACTUATOR_TIME_CONSTANT_S);
+        let a = vehicle.a_matrix_with_actuator(vx, crate::ACTUATOR_TIME_CONSTANT_S);
         let b = VehicleParams::b_matrix_with_actuator(crate::ACTUATOR_TIME_CONSTANT_S);
         let (ad, b_prev, b_curr) = zoh_discretize_with_delay(&a, &b, h, tau)?;
 
@@ -162,12 +134,12 @@ impl LqgDesign {
         b_aug.set_block(0, 0, &b_curr);
         b_aug[(n, 0)] = 1.0;
         let c = VehicleParams::c_look_ahead_act();
-        let mut q = c.transpose().matmul(&c)?.scale(self.weights.q_yl);
-        q[(1, 1)] += self.weights.q_r;
+        let mut q = c.transpose().matmul(&c)?.scale(weights.q_yl);
+        q[(1, 1)] += weights.q_r;
         let mut q_aug = Mat::zeros(n + 1, n + 1);
         q_aug.set_block(0, 0, &q);
         q_aug[(n, n)] = 1e-6;
-        let r = Mat::from_rows(&[&[self.weights.r_steer]]);
+        let r = Mat::from_rows(&[&[weights.r_steer]]);
         let (k_aug, _) = riccati::lqr(&a_aug, &b_aug, &q_aug, &r)?;
 
         // Kalman observer from the explicit noise model. Process noise
@@ -175,7 +147,7 @@ impl LqgDesign {
         // direction of the 4-state chassis (the actuator state is
         // driven by our own commands and carries no disturbance).
         let c_meas = VehicleParams::c_measurements_act();
-        let b4 = self.vehicle.b_matrix();
+        let b4 = vehicle.b_matrix();
         let mut g = Mat::zeros(n, 1);
         for i in 0..4 {
             g[(i, 0)] = b4[(i, 0)] * self.noise.sigma_process * h;

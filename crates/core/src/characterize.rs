@@ -4,12 +4,12 @@
 //! A [`Characterizer`] evaluates, for each situation, every candidate
 //! knob tuning (ISP configuration × layout-compatible ROI × speed) in a
 //! closed-loop HiL simulation and records the tuning with the best QoC
-//! (lowest MAE). Candidates that crash are disqualified. The sweep runs
-//! through the [`lkas_runtime::campaign`] engine: the candidate grid is
-//! canonical (same order on every run), so it can be split into
-//! `--shard i/N` slices, checkpointed and resumed, and merged back into
-//! a [`Characterization`] byte-identical to the single-process sweep at
-//! any shard and thread count.
+//! (lowest MAE). Candidates that crash are disqualified. The sweep is a
+//! [`Campaign`] ([`Sweep`]) run by the [`lkas_runtime::campaign`]
+//! engine: the candidate grid is canonical (same order on every run),
+//! so it can be split into `--shard i/N` slices, checkpointed and
+//! resumed, and merged back into a [`Characterization`] byte-identical
+//! to the single-process sweep at any shard and thread count.
 //!
 //! The characterization's durable output is a [`KnobStore`]: a
 //! versioned, serializable wrapper of the regenerated [`KnobTable`]
@@ -23,14 +23,12 @@ use crate::errprofile::{ErrorProfileStore, ProfileFitter};
 use crate::hil::{HilConfig, HilResult, HilSimulator, SituationSource};
 use crate::knobs::{candidate_tunings, KnobTable, KnobTuning};
 use lkas_imaging::sensor::SensorConfig;
-use lkas_runtime::{
-    run_campaign, CampaignRun, CampaignSpec, Executor, Fingerprint, MergedShards, Metrics, Shard,
-};
+use lkas_runtime::{run_campaign, Campaign, CampaignSpec, Executor, Fingerprint, Metrics};
 use lkas_scene::camera::Camera;
 use lkas_scene::situation::SituationFeatures;
 use lkas_scene::track::Track;
 use serde::{Deserialize, Serialize, Value};
-use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Configuration of a characterization sweep.
 ///
@@ -341,8 +339,8 @@ impl KnobStore {
 }
 
 /// The design-time characterization engine: one coherent surface over
-/// candidate evaluation, grid generation, campaign sharding, and
-/// result assembly (previously a sprawl of free functions).
+/// candidate evaluation, grid generation and result assembly; a
+/// [`Sweep`] runs it through the campaign engine.
 #[derive(Debug, Clone, Default)]
 pub struct Characterizer {
     config: CharacterizeConfig,
@@ -362,21 +360,10 @@ impl Characterizer {
     ///
     /// Returns a message when a parameter is missing or mistyped.
     pub fn from_params(params: &Value) -> Result<Self, String> {
-        let Value::Object(fields) = params else {
-            return Err("characterization params are not an object".to_string());
-        };
-        let field = |name: &str| {
-            fields
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("characterization params lack `{name}`"))
-        };
-        let track_length_m =
-            field("track_length_m")?.as_f64().ok_or("`track_length_m` is not a number")?;
-        let seed = field("seed")?.as_u64().ok_or("`seed` is not an integer")?;
+        let p: SweepParams = serde_json::from_value(params)
+            .map_err(|e| format!("characterization params do not parse: {e}"))?;
         Ok(Characterizer::new(
-            CharacterizeConfig::new().with_track_length(track_length_m).with_seed(seed),
+            CharacterizeConfig::new().with_track_length(p.track_length_m).with_seed(p.seed),
         ))
     }
 
@@ -496,46 +483,6 @@ impl Characterizer {
         grid
     }
 
-    /// Builds the [`CampaignSpec`] for a characterization run: the
-    /// campaign identity and parameters that shard artifacts record and
-    /// the merge driver reads back.
-    pub fn spec(&self, shard: Shard, checkpoint: Option<PathBuf>, resume: bool) -> CampaignSpec {
-        CampaignSpec {
-            name: "table3_characterization".to_string(),
-            params: Value::Object(vec![
-                ("track_length_m".to_string(), Value::F64(self.config.track_length_m)),
-                ("seed".to_string(), Value::U64(self.config.seed)),
-            ]),
-            config_hash: self.fingerprint(),
-            threads: self.config.threads,
-            shard,
-            checkpoint,
-            resume,
-        }
-    }
-
-    /// Runs one shard of the characterization campaign: restores
-    /// checkpointed candidates, evaluates the rest, and returns the
-    /// shard's outcomes in canonical grid order.
-    pub fn run_shard(
-        &self,
-        situations: &[SituationFeatures],
-        spec: &CampaignSpec,
-        metrics: Option<&Metrics>,
-    ) -> CampaignRun<CandidateOutcome> {
-        let grid = self.grid(situations);
-        run_campaign(spec, grid, metrics, |_key, (si, tuning)| {
-            let seed = self.candidate_seed(si, &tuning);
-            let result = self.evaluate(&situations[si], tuning, seed);
-            CandidateOutcome {
-                tuning,
-                mae: if result.crashed { None } else { result.overall_mae() },
-                perception_failures: result.perception_failures,
-                moments: result.error_fit.unwrap_or_default(),
-            }
-        })
-    }
-
     /// Collates full-grid outcomes (in canonical grid order) into the
     /// regenerated Table III. Outcome order is deterministic, so the
     /// sweeps — and the winner on MAE ties — are identical for any
@@ -563,53 +510,92 @@ impl Characterizer {
         Characterization { table, sweeps }
     }
 
-    /// Reassembles a full [`Characterization`] from merged shard
-    /// artifacts: walks the canonical grid, takes each entry out of the
-    /// merged set, and collates — byte-identical to the single-process
-    /// sweep.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the shards were run with a different
-    /// configuration, do not cover the grid, or an entry does not
-    /// deserialize.
-    pub fn from_merged(
-        &self,
-        situations: &[SituationFeatures],
-        merged: &mut MergedShards,
-    ) -> Result<Characterization, String> {
-        let expected = self.fingerprint();
-        if merged.config_hash != expected {
-            return Err(format!(
-                "merged shards fingerprint {} does not match configuration {expected}",
-                merged.config_hash
-            ));
-        }
-        let mut outcomes = Vec::new();
-        for (key, (si, _)) in self.grid(situations) {
-            outcomes.push((si, merged.take::<CandidateOutcome>(&key)?));
-        }
-        Ok(self.assemble(situations, outcomes))
-    }
-
     /// Characterizes the given situations, returning the regenerated
     /// Table III and the full sweep data — the single-process path: the
     /// full grid through the campaign engine with no checkpoint.
     pub fn characterize(&self, situations: &[SituationFeatures]) -> Characterization {
-        let spec = self.spec(Shard::full(), None, false);
-        let run = self.run_shard(situations, &spec, None);
-        let indices: Vec<usize> =
-            self.grid(situations).into_iter().map(|(_, (si, _))| si).collect();
-        self.assemble(
-            situations,
-            indices.into_iter().zip(run.entries.into_iter().map(|(_, outcome)| outcome)),
-        )
+        let sweep = Sweep { characterizer: self, situations };
+        let run = run_campaign(&sweep, &CampaignSpec::default(), None);
+        sweep.assemble(run.entries.into_iter().map(|(_, outcome)| outcome).collect())
     }
 
     /// Characterizes and packages the result as a versioned
     /// [`KnobStore`] stamped with this configuration's fingerprint.
     pub fn characterize_store(&self, situations: &[SituationFeatures]) -> KnobStore {
         self.characterize(situations).into_store(&self.fingerprint())
+    }
+}
+
+/// The characterization sweep of `situations` as a [`Campaign`]: the
+/// candidate grid of [`Characterizer::grid`], each point evaluated by
+/// [`Characterizer::evaluate`] under its derived seed.
+#[derive(Debug, Clone, Copy)]
+pub struct Sweep<'a> {
+    /// The sweep configuration's characterizer.
+    pub characterizer: &'a Characterizer,
+    /// The situations swept.
+    pub situations: &'a [SituationFeatures],
+}
+
+/// The `params` blob of a characterization shard artifact.
+#[derive(Serialize, Deserialize)]
+struct SweepParams {
+    track_length_m: f64,
+    seed: u64,
+}
+
+impl Sweep<'_> {
+    /// Collates the full grid's outcomes, in canonical grid order, into
+    /// the regenerated Table III.
+    pub fn assemble(&self, outcomes: Vec<CandidateOutcome>) -> Characterization {
+        let indices = self.grid().into_iter().map(|(_, (si, _))| si);
+        self.characterizer.assemble(self.situations, indices.zip(outcomes))
+    }
+}
+
+impl Campaign for Sweep<'_> {
+    type Job = (usize, KnobTuning);
+    type Entry = CandidateOutcome;
+
+    fn name(&self) -> &'static str {
+        "table3_characterization"
+    }
+
+    fn params(&self) -> Value {
+        let config = self.characterizer.config();
+        serde_json::to_value(&SweepParams {
+            track_length_m: config.track_length_m,
+            seed: config.seed,
+        })
+    }
+
+    fn fingerprint(&self) -> String {
+        self.characterizer.fingerprint()
+    }
+
+    fn threads(&self) -> usize {
+        self.characterizer.config().threads
+    }
+
+    fn grid(&self) -> Vec<(String, Self::Job)> {
+        self.characterizer.grid(self.situations)
+    }
+
+    fn evaluate(
+        &self,
+        _key: &str,
+        (si, tuning): Self::Job,
+        _metrics: Option<&Arc<Metrics>>,
+    ) -> CandidateOutcome {
+        let characterizer = self.characterizer;
+        let seed = characterizer.candidate_seed(si, &tuning);
+        let result = characterizer.evaluate(&self.situations[si], tuning, seed);
+        CandidateOutcome {
+            tuning,
+            mae: if result.crashed { None } else { result.overall_mae() },
+            perception_failures: result.perception_failures,
+            moments: result.error_fit.unwrap_or_default(),
+        }
     }
 }
 
@@ -695,77 +681,22 @@ mod tests {
     }
 
     #[test]
-    fn sharded_sweep_merges_byte_identically_with_the_single_process_run() {
-        use lkas_runtime::{merge_shard_files, read_shard_file, write_shard_file};
-        let characterizer = tiny();
-        let situations = &TABLE3_SITUATIONS[0..1];
-        let reference = characterizer.characterize(situations);
-        let dir = std::env::temp_dir().join(format!("lkas-char-shards-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        // Two shards at different thread counts — neither may matter.
-        let files: Vec<_> = (0..2)
-            .map(|index| {
-                let sharded =
-                    Characterizer::new(characterizer.config().clone().with_threads(1 + index));
-                let spec = sharded.spec(Shard { index, count: 2 }, None, false);
-                let run = sharded.run_shard(situations, &spec, None);
-                let path = dir.join(format!("shard{index}.json"));
-                write_shard_file(&path, &spec, &run, None);
-                read_shard_file(&path).unwrap()
-            })
-            .collect();
-        let mut merged = merge_shard_files(files).unwrap();
-        let assembled = characterizer.from_merged(situations, &mut merged).unwrap();
-        assert_eq!(
-            serde_json::to_string_pretty(&serde_json::to_value(&assembled)),
-            serde_json::to_string_pretty(&serde_json::to_value(&reference)),
-            "merged shards must reproduce the single-process sweep byte-for-byte"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn interrupted_sweep_resumes_from_checkpoint() {
-        use lkas_runtime::{Counter, Metrics};
-        let characterizer = Characterizer::new(tiny().config().clone().with_threads(2));
-        let situations = &TABLE3_SITUATIONS[0..1];
-        let dir = std::env::temp_dir().join(format!("lkas-char-resume-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let checkpoint = dir.join("checkpoint.jsonl");
-
-        // A full run checkpoints all 9 candidates.
-        let spec = characterizer.spec(Shard::full(), Some(checkpoint.clone()), false);
-        let full = characterizer.run_shard(situations, &spec, None);
-        assert_eq!(full.stats.evaluated, 9);
-        let text = std::fs::read_to_string(&checkpoint).unwrap();
-        assert_eq!(text.lines().count(), 9);
-
-        // Kill after 4 evaluations (any interrupted run leaves a
-        // prefix-complete checkpoint), then resume: telemetry must show
-        // exactly 5 fresh evaluations and 4 restores, and the outcomes
-        // must be identical.
-        let partial: String = text.lines().take(4).map(|l| format!("{l}\n")).collect();
-        std::fs::write(&checkpoint, partial).unwrap();
-        let spec = characterizer.spec(Shard::full(), Some(checkpoint), true);
-        let metrics = Metrics::new();
-        let resumed = characterizer.run_shard(situations, &spec, Some(&metrics));
-        assert_eq!(resumed.stats.evaluated, 5);
-        assert_eq!(resumed.stats.restored, 4);
-        assert_eq!(metrics.counter(Counter::CampaignEvaluations), 5);
-        assert_eq!(metrics.counter(Counter::CampaignRestored), 4);
-        assert_eq!(resumed.entries, full.entries);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn campaign_params_round_trip() {
         let characterizer = tiny();
-        let spec = characterizer.spec(Shard::full(), None, false);
-        let back = Characterizer::from_params(&spec.params).unwrap();
+        let sweep = Sweep { characterizer: &characterizer, situations: &TABLE3_SITUATIONS };
+        let back = Characterizer::from_params(&sweep.params()).unwrap();
         assert_eq!(back.config().track_length_m, characterizer.config().track_length_m);
         assert_eq!(back.config().seed, characterizer.config().seed);
-        assert_eq!(back.fingerprint(), spec.config_hash);
+        assert_eq!(back.fingerprint(), sweep.fingerprint());
         assert!(Characterizer::from_params(&Value::Null).is_err());
+        // Shard artifacts keep their bytes: the same two fields, in order.
+        assert_eq!(
+            sweep.params(),
+            Value::Object(vec![
+                ("track_length_m".to_string(), Value::F64(90.0)),
+                ("seed".to_string(), Value::U64(7)),
+            ])
+        );
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //!
 //! 1. **Hold-and-extrapolate** — when perception misses a cycle, the
 //!    last good `y_L` is extrapolated with its (smoothed, slew-clamped)
-//!    trend for
-//!    up to [`DegradationConfig::miss_budget`] consecutive cycles, so
+//!    trend for up to `MISS_BUDGET` consecutive cycles, so
 //!    the controller keeps a measurement instead of coasting its
 //!    observer open-loop. Beyond the budget the hold is released (a
 //!    stale extrapolation is worse than an honest miss).
@@ -18,15 +17,15 @@
 //!    stays measurement-corrected in `(v_y, r)` while heading and
 //!    offset integrate open-loop on the model. Returning measurements
 //!    are *innovation-gated*: one that disagrees with the coasted
-//!    estimate by more than [`DegradationConfig::reacquire_gate_m`] is
-//!    rejected as a glitch, so a single wild frame cannot yank the loop
-//!    sideways at the end of an outage.
-//! 3. **Safe mode** — after [`DegradationConfig::safe_mode_after`]
-//!    consecutive misses the loop falls back to a pre-characterized
-//!    safe tuning: exact ISP (S0), the layout-appropriate coarse ROI,
-//!    and reduced speed. It re-enters nominal operation only after
-//!    [`DegradationConfig::recovery_hits`] consecutive good cycles —
-//!    the hysteresis prevents mode chatter on a flaky sensor. Safe mode
+//!    estimate by more than `REACQUIRE_GATE_M` is rejected as a
+//!    glitch, so a single wild frame cannot yank the loop sideways at
+//!    the end of an outage.
+//! 3. **Safe mode** — after `SAFE_MODE_AFTER` consecutive misses the
+//!    loop falls back to a pre-characterized safe tuning: exact ISP
+//!    (S0), the layout-appropriate coarse ROI, and reduced speed. It
+//!    re-enters nominal operation only after `RECOVERY_HITS`
+//!    consecutive good cycles — the hysteresis prevents mode chatter
+//!    on a flaky sensor. Safe mode
 //!    swaps the classifier set down to the road classifier alone, which
 //!    shortens the sampling period and so shrinks the wall-clock length
 //!    of any fixed-cycle outage.
@@ -71,61 +70,47 @@ pub enum CoastPolicy {
 /// controller's own innovation gate).
 const MAX_REACQUIRE_REJECTS: u32 = 8;
 
-/// Tuning of the degradation state machine.
+/// Maximum consecutive misses bridged by hold-and-extrapolate.
+const MISS_BUDGET: u32 = 4;
+/// Consecutive misses after which safe mode engages.
+const SAFE_MODE_AFTER: u32 = 8;
+/// Consecutive good measurements required to leave safe mode.
+const RECOVERY_HITS: u32 = 12;
+/// Speed commanded in safe mode (km/h).
+const SAFE_SPEED_KMPH: f64 = 30.0;
+/// Per-cycle slew bound on the extrapolated `y_L` trend (m).
+const MAX_HOLD_SLEW_M: f64 = 0.05;
+/// Smoothing factor of the trend estimate (exponential moving average
+/// over per-cycle deltas, in (0, 1]). `y_L` measurement noise is of the
+/// same order as a real per-cycle slope, so holds extrapolating the
+/// *last* delta would feed the controller a noise-steered ramp —
+/// smoothing keeps the hold honest.
+const TREND_ALPHA: f64 = 0.25;
+/// Geometric decay of the trend across consecutive held cycles, in
+/// [0, 1). Bounds the total extrapolation of a budget-length hold to
+/// `trend / (1 - TREND_DECAY)` even if the budget is raised.
+const TREND_DECAY: f64 = 0.8;
+/// Innovation gate on re-acquisition after an observer coast (m): a
+/// returning measurement farther than this from the coasted estimate
+/// is rejected as a perception glitch.
+const REACQUIRE_GATE_M: f64 = 0.5;
+
+/// Configuration of the degradation state machine: the one choice a
+/// run makes is how outages beyond the hold budget are bridged. The
+/// state machine's thresholds are the module constants above, and the
+/// coasting observer is designed against
+/// [`PerceptionErrorProfile::nominal`] (which sets how much a
+/// re-acquired vision channel is trusted).
 ///
 /// Construct with [`DegradationConfig::new`] (the [`Default`] baseline)
-/// plus the `with_*` builders; the struct is `#[non_exhaustive]`, so
-/// downstream crates go through the builder surface (individual fields
-/// stay readable).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// plus [`DegradationConfig::with_coast`]; the struct is
+/// `#[non_exhaustive]`, so downstream crates go through the builder
+/// surface (the field stays readable).
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 #[non_exhaustive]
 pub struct DegradationConfig {
-    /// Maximum consecutive misses bridged by hold-and-extrapolate.
-    pub miss_budget: u32,
-    /// Consecutive misses after which safe mode engages.
-    pub safe_mode_after: u32,
-    /// Consecutive good measurements required to leave safe mode.
-    pub recovery_hits: u32,
-    /// Speed commanded in safe mode (km/h).
-    pub safe_speed_kmph: f64,
-    /// Per-cycle slew bound on the extrapolated `y_L` trend (m).
-    pub max_hold_slew_m: f64,
-    /// Smoothing factor of the trend estimate (exponential moving
-    /// average over per-cycle deltas, in (0, 1]). `y_L` measurement
-    /// noise is of the same order as a real per-cycle slope, so holds
-    /// extrapolating the *last* delta would feed the controller a
-    /// noise-steered ramp — smoothing keeps the hold honest.
-    pub trend_alpha: f64,
-    /// Geometric decay of the trend across consecutive held cycles, in
-    /// [0, 1). Bounds the total extrapolation of a budget-length hold
-    /// to `trend / (1 - trend_decay)` even if the budget is raised.
-    pub trend_decay: f64,
     /// Outage-bridging strategy beyond the hold budget.
     pub coast: CoastPolicy,
-    /// Innovation gate on re-acquisition after an observer coast (m):
-    /// a returning measurement farther than this from the coasted
-    /// estimate is rejected as a perception glitch.
-    pub reacquire_gate_m: f64,
-    /// Perception error profile the coasting observer is designed
-    /// against (sets how much a re-acquired vision channel is trusted).
-    pub profile: PerceptionErrorProfile,
-}
-
-impl Default for DegradationConfig {
-    fn default() -> Self {
-        DegradationConfig {
-            miss_budget: 4,
-            safe_mode_after: 8,
-            recovery_hits: 12,
-            safe_speed_kmph: 30.0,
-            max_hold_slew_m: 0.05,
-            trend_alpha: 0.25,
-            trend_decay: 0.8,
-            coast: CoastPolicy::default(),
-            reacquire_gate_m: 0.5,
-            profile: PerceptionErrorProfile::nominal(),
-        }
-    }
 }
 
 impl DegradationConfig {
@@ -134,64 +119,9 @@ impl DegradationConfig {
         DegradationConfig::default()
     }
 
-    /// Replaces the hold budget (builder style).
-    pub fn with_miss_budget(mut self, miss_budget: u32) -> Self {
-        self.miss_budget = miss_budget;
-        self
-    }
-
-    /// Replaces the safe-mode entry threshold (builder style).
-    pub fn with_safe_mode_after(mut self, safe_mode_after: u32) -> Self {
-        self.safe_mode_after = safe_mode_after;
-        self
-    }
-
-    /// Replaces the recovery hysteresis (builder style).
-    pub fn with_recovery_hits(mut self, recovery_hits: u32) -> Self {
-        self.recovery_hits = recovery_hits;
-        self
-    }
-
-    /// Replaces the safe-mode speed (builder style).
-    pub fn with_safe_speed(mut self, safe_speed_kmph: f64) -> Self {
-        self.safe_speed_kmph = safe_speed_kmph;
-        self
-    }
-
-    /// Replaces the hold slew bound (builder style).
-    pub fn with_max_hold_slew(mut self, max_hold_slew_m: f64) -> Self {
-        self.max_hold_slew_m = max_hold_slew_m;
-        self
-    }
-
-    /// Replaces the trend smoothing factor (builder style).
-    pub fn with_trend_alpha(mut self, trend_alpha: f64) -> Self {
-        self.trend_alpha = trend_alpha;
-        self
-    }
-
-    /// Replaces the trend decay (builder style).
-    pub fn with_trend_decay(mut self, trend_decay: f64) -> Self {
-        self.trend_decay = trend_decay;
-        self
-    }
-
     /// Replaces the coasting policy (builder style).
     pub fn with_coast(mut self, coast: CoastPolicy) -> Self {
         self.coast = coast;
-        self
-    }
-
-    /// Replaces the re-acquisition innovation gate (builder style).
-    pub fn with_reacquire_gate(mut self, reacquire_gate_m: f64) -> Self {
-        self.reacquire_gate_m = reacquire_gate_m;
-        self
-    }
-
-    /// Replaces the perception error profile the coasting observer is
-    /// designed against (builder style).
-    pub fn with_profile(mut self, profile: PerceptionErrorProfile) -> Self {
-        self.profile = profile;
         self
     }
 }
@@ -310,7 +240,7 @@ impl DegradationPolicy {
     /// The safe fallback tuning for the current layout estimate: exact
     /// ISP, the widest layout-appropriate coarse ROI, reduced speed.
     pub fn safe_tuning(&self, layout: RoadLayout) -> KnobTuning {
-        KnobTuning::new(IspConfig::S0, coarse_roi_for(layout), self.config.safe_speed_kmph)
+        KnobTuning::new(IspConfig::S0, coarse_roi_for(layout), SAFE_SPEED_KMPH)
     }
 
     /// Feeds one perception outcome through the state machine and
@@ -346,10 +276,10 @@ impl DegradationPolicy {
                 let entered = self.mark_miss();
                 // The hold only bridges short glitches: past the budget
                 // an honest miss beats an ever-staler extrapolation.
-                if self.consecutive_misses <= self.config.miss_budget {
+                if self.consecutive_misses <= MISS_BUDGET {
                     if let Some(prev) = self.last_y {
                         let held = prev + self.trend;
-                        self.trend *= self.config.trend_decay;
+                        self.trend *= TREND_DECAY;
                         self.last_y = Some(held);
                         return Observation::pass(Some(held), true, false, entered, false);
                     }
@@ -371,7 +301,7 @@ impl DegradationPolicy {
         let obs = match measured {
             Some(y) => {
                 let gated = self.coasting
-                    && observer.innovation(y).abs() > self.config.reacquire_gate_m
+                    && observer.innovation(y).abs() > REACQUIRE_GATE_M
                     && self.rejects < MAX_REACQUIRE_REJECTS;
                 if gated {
                     // A returning frame that disagrees wildly with the
@@ -418,7 +348,7 @@ impl DegradationPolicy {
                 observer.step(input.steering, None, input.yaw_rate);
                 let entered = self.mark_miss();
                 let estimate = observer.y_l_estimate();
-                let within_budget = self.consecutive_misses <= self.config.miss_budget;
+                let within_budget = self.consecutive_misses <= MISS_BUDGET;
                 if !within_budget {
                     self.coasting = true;
                 }
@@ -454,31 +384,32 @@ impl DegradationPolicy {
         };
         if stale {
             let previous = self.observer.take();
-            self.observer =
-                LaneObserver::design(input.speed_kmph, input.h_ms, &self.config.profile).ok().map(
-                    |mut observer| {
-                        // Carry the estimate across the redesign; at a
-                        // knob switch the plant state does not jump.
-                        if let Some(previous) = previous {
-                            observer.rebase(previous.y_l_estimate(), input.yaw_rate);
-                        } else if let Some(y) = self.last_y {
-                            observer.rebase(y, input.yaw_rate);
-                        }
-                        observer
-                    },
-                );
+            self.observer = LaneObserver::design(
+                input.speed_kmph,
+                input.h_ms,
+                &PerceptionErrorProfile::nominal(),
+            )
+            .ok()
+            .map(|mut observer| {
+                // Carry the estimate across the redesign; at a
+                // knob switch the plant state does not jump.
+                if let Some(previous) = previous {
+                    observer.rebase(previous.y_l_estimate(), input.yaw_rate);
+                } else if let Some(y) = self.last_y {
+                    observer.rebase(y, input.yaw_rate);
+                }
+                observer
+            });
         }
     }
 
     /// Shared hit bookkeeping: trend update and history.
     fn absorb_hit(&mut self, y: f64) {
         let delta = match self.last_y {
-            Some(prev) => {
-                (y - prev).clamp(-self.config.max_hold_slew_m, self.config.max_hold_slew_m)
-            }
+            Some(prev) => (y - prev).clamp(-MAX_HOLD_SLEW_M, MAX_HOLD_SLEW_M),
             None => 0.0,
         };
-        self.trend += self.config.trend_alpha * (delta - self.trend);
+        self.trend += TREND_ALPHA * (delta - self.trend);
         self.last_y = Some(y);
     }
 
@@ -486,9 +417,7 @@ impl DegradationPolicy {
     fn mark_hit(&mut self) -> bool {
         self.consecutive_misses = 0;
         self.consecutive_hits += 1;
-        if self.mode == DegradationMode::Degraded
-            && self.consecutive_hits >= self.config.recovery_hits
-        {
+        if self.mode == DegradationMode::Degraded && self.consecutive_hits >= RECOVERY_HITS {
             self.mode = DegradationMode::Nominal;
             return true;
         }
@@ -499,9 +428,7 @@ impl DegradationPolicy {
     fn mark_miss(&mut self) -> bool {
         self.consecutive_misses += 1;
         self.consecutive_hits = 0;
-        if self.mode == DegradationMode::Nominal
-            && self.consecutive_misses >= self.config.safe_mode_after
-        {
+        if self.mode == DegradationMode::Nominal && self.consecutive_misses >= SAFE_MODE_AFTER {
             self.mode = DegradationMode::Degraded;
             return true;
         }
@@ -538,16 +465,15 @@ mod tests {
 
     #[test]
     fn holds_extrapolate_within_budget_then_release() {
-        let cfg = DegradationConfig::default();
         let mut p = policy();
         p.observe(Some(0.10));
         p.observe(Some(0.12)); // delta = +0.02, trend = alpha * 0.02
-        let mut trend = cfg.trend_alpha * 0.02;
+        let mut trend = TREND_ALPHA * 0.02;
         let mut expected = 0.12;
-        for k in 0..cfg.miss_budget {
+        for k in 0..MISS_BUDGET {
             let obs = p.observe(None);
             expected += trend;
-            trend *= cfg.trend_decay;
+            trend *= TREND_DECAY;
             assert!(obs.held, "miss {k} within budget is held");
             assert!((obs.y_l.unwrap() - expected).abs() < 1e-12);
         }
@@ -560,7 +486,6 @@ mod tests {
 
     #[test]
     fn hold_trend_is_slew_clamped_and_smoothed() {
-        let cfg = DegradationConfig::default();
         let mut p = policy();
         p.observe(Some(0.0));
         p.observe(Some(1.0)); // raw jump 1.0 m ≫ slew bound
@@ -568,22 +493,21 @@ mod tests {
         // The per-cycle delta clamps to the slew bound, and the trend
         // only absorbs the smoothing fraction of it — a single noisy
         // jump cannot steer the hold by the full bound.
-        let trend = cfg.trend_alpha * cfg.max_hold_slew_m;
+        let trend = TREND_ALPHA * MAX_HOLD_SLEW_M;
         assert!((obs.y_l.unwrap() - (1.0 + trend)).abs() < 1e-12, "expected trend {trend}");
     }
 
     #[test]
     fn safe_mode_entry_after_k_misses() {
-        let cfg = DegradationConfig::default();
         let mut p = policy();
         p.observe(Some(0.0));
-        for k in 1..cfg.safe_mode_after {
+        for k in 1..SAFE_MODE_AFTER {
             let obs = p.observe(None);
             assert!(!obs.entered, "miss {k} must not yet trip safe mode");
             assert_eq!(p.mode(), DegradationMode::Nominal);
         }
         let obs = p.observe(None);
-        assert!(obs.entered, "miss {} trips safe mode", cfg.safe_mode_after);
+        assert!(obs.entered, "miss {} trips safe mode", SAFE_MODE_AFTER);
         assert!(p.is_degraded());
         // Entry fires once, not every subsequent miss.
         assert!(!p.observe(None).entered);
@@ -591,9 +515,8 @@ mod tests {
 
     #[test]
     fn recovery_requires_hysteresis() {
-        let cfg = DegradationConfig::default();
         let mut p = policy();
-        for _ in 0..cfg.safe_mode_after {
+        for _ in 0..SAFE_MODE_AFTER {
             p.observe(None);
         }
         assert!(p.is_degraded());
@@ -601,9 +524,9 @@ mod tests {
         p.observe(Some(0.0));
         p.observe(None);
         assert!(p.is_degraded(), "one hit is not recovery");
-        // A full run of recovery_hits consecutive hits exits exactly once.
+        // A full run of RECOVERY_HITS consecutive hits exits exactly once.
         let mut exits = 0;
-        for _ in 0..cfg.recovery_hits {
+        for _ in 0..RECOVERY_HITS {
             if p.observe(Some(0.0)).exited {
                 exits += 1;
             }
@@ -633,7 +556,6 @@ mod tests {
 
     #[test]
     fn long_outages_go_blind_even_in_safe_mode() {
-        let cfg = DegradationConfig::default();
         let mut p = policy();
         p.observe(Some(0.10));
         p.observe(Some(0.12));
@@ -641,16 +563,16 @@ mod tests {
         // entry: a fabricated constant `y_L` fed alongside the real
         // gyro destabilizes the observer, so the policy never pins one.
         let mut entered_at = None;
-        for k in 1..=cfg.safe_mode_after {
+        for k in 1..=SAFE_MODE_AFTER {
             let obs = p.observe(None);
             if obs.entered {
                 entered_at = Some(k);
             }
-            if k > cfg.miss_budget {
+            if k > MISS_BUDGET {
                 assert!(obs.blind && obs.y_l.is_none(), "miss {k} past budget is blind");
             }
         }
-        assert_eq!(entered_at, Some(cfg.safe_mode_after));
+        assert_eq!(entered_at, Some(SAFE_MODE_AFTER));
         for k in 0..100 {
             let obs = p.observe(None);
             assert!(obs.blind && !obs.held, "safe-mode miss {k} stays blind");
@@ -668,34 +590,9 @@ mod tests {
     }
 
     #[test]
-    fn config_builders_compose() {
-        let cfg = DegradationConfig::new()
-            .with_miss_budget(6)
-            .with_safe_mode_after(10)
-            .with_recovery_hits(20)
-            .with_safe_speed(25.0)
-            .with_max_hold_slew(0.1)
-            .with_trend_alpha(0.5)
-            .with_trend_decay(0.9)
-            .with_coast(CoastPolicy::ObserverCoast)
-            .with_reacquire_gate(0.3)
-            .with_profile(PerceptionErrorProfile::noisy_vision());
-        assert_eq!(cfg.miss_budget, 6);
-        assert_eq!(cfg.safe_mode_after, 10);
-        assert_eq!(cfg.recovery_hits, 20);
-        assert_eq!(cfg.safe_speed_kmph, 25.0);
-        assert_eq!(cfg.max_hold_slew_m, 0.1);
-        assert_eq!(cfg.trend_alpha, 0.5);
-        assert_eq!(cfg.trend_decay, 0.9);
-        assert_eq!(cfg.coast, CoastPolicy::ObserverCoast);
-        assert_eq!(cfg.reacquire_gate_m, 0.3);
-        assert_eq!(cfg.profile, PerceptionErrorProfile::noisy_vision());
+    fn observe_with_is_identical_to_observe_under_the_legacy_arm() {
         // The baseline keeps the legacy arm.
         assert_eq!(DegradationConfig::new().coast, CoastPolicy::HoldAndExtrapolate);
-    }
-
-    #[test]
-    fn observe_with_is_identical_to_observe_under_the_legacy_arm() {
         let mut legacy = policy();
         let mut with_input = policy();
         let stream = [Some(0.1), Some(0.12), None, None, None, None, None, Some(0.2), None];
@@ -706,13 +603,12 @@ mod tests {
 
     #[test]
     fn observer_coast_bridges_past_the_hold_budget() {
-        let cfg = DegradationConfig::new().with_coast(CoastPolicy::ObserverCoast);
         let mut p = coast_policy();
         // Converge the observer on a steady offset.
         for _ in 0..50 {
             p.observe_with(Some(0.2), &input());
         }
-        for k in 1..=cfg.miss_budget {
+        for k in 1..=MISS_BUDGET {
             let obs = p.observe_with(None, &input());
             assert!(obs.held && !obs.coasted && !obs.blind, "miss {k} within budget is held");
             assert!(obs.y_l.is_some());

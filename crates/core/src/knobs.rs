@@ -7,7 +7,6 @@ use lkas_perception::roi::Roi;
 use lkas_platform::schedule::{ClassifierSet, LkasSchedule};
 use lkas_scene::situation::{LaneForm, RoadLayout, SituationFeatures, TABLE3_SITUATIONS};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One knob tuning: the three groups of Table II.
 ///
@@ -230,11 +229,6 @@ pub fn candidate_tunings(situation: &SituationFeatures) -> Vec<KnobTuning> {
     }
     out
 }
-
-/// Summary of the per-situation measured QoC for every candidate —
-/// returned by the characterization so harnesses can print the whole
-/// trade-off, not just the winner.
-pub type CandidateResults = HashMap<SituationFeatures, Vec<(KnobTuning, Option<f64>)>>;
 
 #[cfg(test)]
 mod tests {

@@ -36,6 +36,22 @@ use crate::characterize::{splitmix64, KnobStore};
 use crate::knobs::{KnobTable, KnobTuning};
 use lkas_scene::situation::SituationFeatures;
 
+/// Cost charged per missed perception sample (m) — a miss is worse than
+/// any plausible lateral error, but bounded so one unlucky window does
+/// not permanently bury an arm.
+const MISS_PENALTY_M: f64 = 0.25;
+
+/// Relative hysteresis of the greedy pick: the incumbent arm is kept
+/// unless a challenger's estimated cost beats it by more than this
+/// margin. Every knob switch costs a reconfiguration transient (ISP
+/// staging, controller handover), so near-ties must not cause thrash.
+const SWITCH_MARGIN: f64 = 0.1;
+
+/// Early-abort threshold: a window whose running cost exceeds this
+/// multiple of the best known arm cost is cut short, limiting how long
+/// the loop drives on an arm that is measurably failing.
+const ABORT_FACTOR: f64 = 2.5;
+
 /// Configuration of the online knob tuner.
 ///
 /// Construct with [`TunerConfig::new`] plus the `with_*` builders; the
@@ -53,20 +69,6 @@ pub struct TunerConfig {
     /// Cycles of reward accumulation per decision window. Each window
     /// commits one reward sample to one arm.
     pub window_cycles: u32,
-    /// Cost charged per missed perception sample (m) — a miss is worse
-    /// than any plausible lateral error, but bounded so one unlucky
-    /// window does not permanently bury an arm.
-    pub miss_penalty_m: f64,
-    /// Relative hysteresis of the greedy pick: the incumbent arm is
-    /// kept unless a challenger's estimated cost beats it by more than
-    /// this margin. Every knob switch costs a reconfiguration
-    /// transient (ISP staging, controller handover), so near-ties must
-    /// not cause thrash.
-    pub switch_margin: f64,
-    /// Early-abort threshold: a window whose running cost exceeds this
-    /// multiple of the best known arm cost is cut short, limiting how
-    /// long the loop drives on an arm that is measurably failing.
-    pub abort_factor: f64,
     /// The warm-start prior. `None` wraps the loop's own `KnobTable`
     /// as a bare (sweep-less) store.
     pub store: Option<KnobStore>,
@@ -74,15 +76,7 @@ pub struct TunerConfig {
 
 impl Default for TunerConfig {
     fn default() -> Self {
-        TunerConfig {
-            epsilon: 0.1,
-            seed: 7,
-            window_cycles: 20,
-            miss_penalty_m: 0.25,
-            switch_margin: 0.1,
-            abort_factor: 2.5,
-            store: None,
-        }
+        TunerConfig { epsilon: 0.1, seed: 7, window_cycles: 20, store: None }
     }
 }
 
@@ -109,25 +103,6 @@ impl TunerConfig {
     /// at least 1 cycle.
     pub fn with_window_cycles(mut self, window_cycles: u32) -> Self {
         self.window_cycles = window_cycles.max(1);
-        self
-    }
-
-    /// Replaces the per-miss penalty (builder style).
-    pub fn with_miss_penalty(mut self, miss_penalty_m: f64) -> Self {
-        self.miss_penalty_m = miss_penalty_m;
-        self
-    }
-
-    /// Replaces the greedy switch hysteresis (builder style).
-    pub fn with_switch_margin(mut self, switch_margin: f64) -> Self {
-        self.switch_margin = switch_margin.max(0.0);
-        self
-    }
-
-    /// Replaces the early-abort factor (builder style). Clamped to at
-    /// least 1.
-    pub fn with_abort_factor(mut self, abort_factor: f64) -> Self {
-        self.abort_factor = abort_factor.max(1.0);
         self
     }
 
@@ -182,7 +157,7 @@ struct Arm {
 struct SituationState {
     arms: Vec<Arm>,
     /// The arm the greedy policy is committed to. Challengers must
-    /// beat it by [`TunerConfig::switch_margin`] to take over.
+    /// beat it by `SWITCH_MARGIN` to take over.
     incumbent: Option<usize>,
 }
 
@@ -220,8 +195,8 @@ impl Window {
         self.samples + self.misses
     }
 
-    fn cost(&self, miss_penalty_m: f64) -> f64 {
-        (self.sum_abs_m + miss_penalty_m * self.misses as f64) / self.observations() as f64
+    fn cost(&self) -> f64 {
+        (self.sum_abs_m + MISS_PENALTY_M * self.misses as f64) / self.observations() as f64
     }
 }
 
@@ -342,8 +317,7 @@ impl KnobTuner {
                         Some(incumbent)
                             if state.arms[incumbent].pulls > 0
                                 && state.arms[incumbent].mean_cost
-                                    <= state.arms[challenger].mean_cost
-                                        * (1.0 + self.config.switch_margin) =>
+                                    <= state.arms[challenger].mean_cost * (1.0 + SWITCH_MARGIN) =>
                         {
                             incumbent
                         }
@@ -392,7 +366,7 @@ impl KnobTuner {
         if !window.aborted && window.observations() >= ABORT_MIN_OBSERVATIONS {
             let si = self.situation_index(&window.situation);
             if let Some(best) = self.situations[si].1.best_known_cost() {
-                if window.cost(self.config.miss_penalty_m) > self.config.abort_factor * best {
+                if window.cost() > ABORT_FACTOR * best {
                     window.aborted = true;
                 }
             }
@@ -413,7 +387,7 @@ impl KnobTuner {
         if window.observations() == 0 {
             return;
         }
-        let cost = window.cost(self.config.miss_penalty_m);
+        let cost = window.cost();
         let si = self.situation_index(&window.situation);
         let arm = &mut self.situations[si].1.arms[window.arm];
         arm.mean_cost = (arm.mean_cost * arm.pulls as f64 + cost) / (arm.pulls as f64 + 1.0);

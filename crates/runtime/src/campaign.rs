@@ -3,15 +3,17 @@
 //! A *campaign* is any embarrassingly-parallel sweep over a canonical
 //! grid of candidates — the design-time characterization of Table III
 //! and the robustness fault campaign are the two in-tree instances.
-//! This module turns a monolithic sweep into a cluster-shaped job:
+//! Each implements the [`Campaign`] trait: its identity (name, params,
+//! fingerprint), its canonical grid and how one grid point is
+//! evaluated. Everything else lives here, once, and turns a monolithic
+//! sweep into a cluster-shaped job:
 //!
 //! - **Deterministic partitioning** — [`Shard::owns`] assigns grid
 //!   index `i` to shard `i % count` (round-robin, so long and short
-//!   candidates balance across shards). The grid itself is a
-//!   caller-supplied list of `(key, job)` pairs in *canonical order*;
-//!   every shard of every run regenerates the identical list, which is
-//!   what makes the merged output byte-identical to a single-process
-//!   run.
+//!   candidates balance across shards). The grid is the campaign's
+//!   list of `(key, job)` pairs in *canonical order*; every shard of
+//!   every run regenerates the identical list, which is what makes the
+//!   merged output byte-identical to a single-process run.
 //! - **Content-keyed checkpointing** — each completed evaluation is
 //!   appended to a JSONL checkpoint (`{"key":…,"value":…}` per line)
 //!   rewritten through the same atomic temp+rename as every other
@@ -26,7 +28,8 @@
 //!   [`merge_shard_files`] validates that a set of artifacts forms a
 //!   complete, consistent partition and folds the metrics back together
 //!   through the mergeable histograms, exactly equal to one registry
-//!   that recorded every shard.
+//!   that recorded every shard; [`MergedShards::entries`] walks the
+//!   campaign's grid to return every entry in canonical order.
 //!
 //! The engine runs the pending slice through [`Executor`], inheriting
 //! its ordered results, so `threads` never affects campaign output —
@@ -38,7 +41,7 @@ use crate::executor::Executor;
 use crate::metrics::{write_atomic, Counter, Metrics, MetricsDump};
 use serde::{Deserialize, Serialize, Value};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Schema tag of the shard artifact files written by
 /// [`write_shard_file`].
@@ -93,29 +96,58 @@ impl Shard {
     }
 }
 
+impl Default for Shard {
+    fn default() -> Self {
+        Shard::full()
+    }
+}
+
 impl std::fmt::Display for Shard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}/{}", self.index, self.count)
     }
 }
 
-/// How one campaign run executes: which slice of the grid, on how many
-/// threads, and where (if anywhere) completed evaluations checkpoint.
-#[derive(Debug, Clone)]
-pub struct CampaignSpec {
+/// A sweep the engine can shard, checkpoint and merge: its identity,
+/// its canonical grid and how one grid point is evaluated.
+pub trait Campaign: Sync {
+    /// One grid point's work item.
+    type Job: Send;
+    /// One grid point's result, as checkpoints and shard artifacts
+    /// carry it.
+    type Entry: Serialize + Deserialize + Clone + Send;
+
     /// Campaign name, recorded in shard artifacts so a merge cannot mix
     /// campaigns.
-    pub name: String,
+    fn name(&self) -> &'static str;
+
     /// Campaign parameters (seed, grid flags, …) as a JSON blob; a
-    /// merge driver reads these back to regenerate the canonical grid.
-    pub params: Value,
+    /// merge reads these back to rebuild the campaign.
+    fn params(&self) -> Value;
+
     /// Fingerprint of everything that determines evaluation content
     /// (see [`Fingerprint`]); shards of different configurations refuse
     /// to merge.
-    pub config_hash: String,
+    fn fingerprint(&self) -> String;
+
     /// Worker threads for the pending slice (wall-clock only — never
     /// output).
-    pub threads: usize,
+    fn threads(&self) -> usize;
+
+    /// The full canonical grid as `(content key, job)` pairs. Every
+    /// call must return the identical list.
+    fn grid(&self) -> Vec<(String, Self::Job)>;
+
+    /// Evaluates one grid point; `metrics` is the run's shared
+    /// registry, for campaigns whose evaluations record telemetry.
+    fn evaluate(&self, key: &str, job: Self::Job, metrics: Option<&Arc<Metrics>>) -> Self::Entry;
+}
+
+/// What one campaign run chooses: which slice of the grid, and where
+/// (if anywhere) completed evaluations checkpoint. The default is the
+/// single-process run: the whole grid, no checkpoint.
+#[derive(Debug, Clone, Default)]
+pub struct CampaignSpec {
     /// The grid slice this run owns.
     pub shard: Shard,
     /// JSONL checkpoint path; `None` disables checkpointing.
@@ -123,26 +155,6 @@ pub struct CampaignSpec {
     /// Reload the checkpoint (if it exists) and skip completed keys
     /// instead of starting fresh.
     pub resume: bool,
-}
-
-impl CampaignSpec {
-    /// A full-grid, non-checkpointed spec — the single-process path.
-    pub fn full(
-        name: impl Into<String>,
-        params: Value,
-        config_hash: String,
-        threads: usize,
-    ) -> Self {
-        CampaignSpec {
-            name: name.into(),
-            params,
-            config_hash,
-            threads,
-            shard: Shard::full(),
-            checkpoint: None,
-            resume: false,
-        }
-    }
 }
 
 /// What one campaign run did, for logging and resume tests.
@@ -169,12 +181,12 @@ pub struct CampaignRun<R> {
     pub stats: CampaignStats,
 }
 
-/// Runs the shard of `jobs` selected by `spec` and returns its entries
-/// in canonical grid order.
+/// Runs the shard of `campaign`'s grid selected by `spec` and returns
+/// its entries in canonical grid order.
 ///
-/// `jobs` is the *full* canonical grid as `(content key, job)` pairs;
-/// the engine selects the owned slice, restores checkpointed keys, and
-/// evaluates the rest with `eval` through [`Executor::run`]. Completed
+/// The engine selects the owned slice of [`Campaign::grid`], restores
+/// checkpointed keys, and evaluates the rest with
+/// [`Campaign::evaluate`] through [`Executor::run`]. Completed
 /// evaluations are checkpointed as they finish; fresh evaluations and
 /// checkpoint restores are also counted into `metrics`
 /// ([`Counter::CampaignEvaluations`] / [`Counter::CampaignRestored`]).
@@ -182,19 +194,14 @@ pub struct CampaignRun<R> {
 /// # Panics
 ///
 /// Panics on duplicate grid keys (the grid would be ambiguous), on a
-/// checkpoint value that no longer deserializes as `R`, and on
+/// checkpoint value that no longer deserializes as an entry, and on
 /// checkpoint I/O failure.
-pub fn run_campaign<J, R, F>(
+pub fn run_campaign<C: Campaign>(
+    campaign: &C,
     spec: &CampaignSpec,
-    jobs: Vec<(String, J)>,
-    metrics: Option<&Metrics>,
-    eval: F,
-) -> CampaignRun<R>
-where
-    J: Send,
-    R: Serialize + Deserialize + Clone + Send,
-    F: Fn(&str, J) -> R + Sync,
-{
+    metrics: Option<&Arc<Metrics>>,
+) -> CampaignRun<C::Entry> {
+    let jobs = campaign.grid();
     let grid_size = jobs.len();
     {
         let mut seen = std::collections::HashSet::new();
@@ -213,8 +220,8 @@ where
     // Split the owned slice into restored keys and pending work, in
     // canonical grid order.
     let mut order: Vec<String> = Vec::new();
-    let mut restored: Vec<(String, R)> = Vec::new();
-    let mut pending: Vec<(String, J)> = Vec::new();
+    let mut restored: Vec<(String, C::Entry)> = Vec::new();
+    let mut pending: Vec<(String, C::Job)> = Vec::new();
     for (index, (key, job)) in jobs.into_iter().enumerate() {
         if !spec.shard.owns(index) {
             continue;
@@ -240,19 +247,20 @@ where
     }
 
     let writer = checkpoint.map(Mutex::new);
-    let evaluated: Vec<(String, R)> = Executor::new(spec.threads).run(pending, |(key, job)| {
-        let value = eval(&key, job);
-        if let Some(m) = metrics {
-            m.incr(Counter::CampaignEvaluations);
-        }
-        if let Some(writer) = &writer {
-            writer.lock().expect("checkpoint lock").append(&key, &serde_json::to_value(&value));
-        }
-        (key, value)
-    });
+    let evaluated: Vec<(String, C::Entry)> =
+        Executor::new(campaign.threads()).run(pending, |(key, job)| {
+            let value = campaign.evaluate(&key, job, metrics);
+            if let Some(m) = metrics {
+                m.incr(Counter::CampaignEvaluations);
+            }
+            if let Some(writer) = &writer {
+                writer.lock().expect("checkpoint lock").append(&key, &serde_json::to_value(&value));
+            }
+            (key, value)
+        });
 
     // Reassemble the owned slice in canonical order.
-    let mut by_key: std::collections::HashMap<String, R> =
+    let mut by_key: std::collections::HashMap<String, C::Entry> =
         restored.into_iter().chain(evaluated).collect();
     let entries = order
         .into_iter()
@@ -391,25 +399,27 @@ pub struct ShardFile {
     pub metrics: Option<MetricsDump>,
 }
 
-/// Writes a shard artifact for `run` under `path` (atomic temp+rename).
+/// Writes `campaign`'s shard artifact for `run` (shard `shard`) under
+/// `path` (atomic temp+rename).
 ///
 /// # Panics
 ///
 /// Panics on I/O failure (harness binaries want loud failures).
-pub fn write_shard_file<R: Serialize>(
+pub fn write_shard_file<C: Campaign>(
     path: &Path,
-    spec: &CampaignSpec,
-    run: &CampaignRun<R>,
+    campaign: &C,
+    shard: Shard,
+    run: &CampaignRun<C::Entry>,
     metrics: Option<&Metrics>,
 ) {
     let file = ShardFile {
         schema: SHARD_SCHEMA.to_string(),
-        campaign: spec.name.clone(),
-        config_hash: spec.config_hash.clone(),
-        shard_index: spec.shard.index,
-        shard_count: spec.shard.count,
+        campaign: campaign.name().to_string(),
+        config_hash: campaign.fingerprint(),
+        shard_index: shard.index,
+        shard_count: shard.count,
         grid_size: run.stats.grid_size,
-        params: spec.params.clone(),
+        params: campaign.params(),
         entries: run
             .entries
             .iter()
@@ -457,18 +467,41 @@ pub struct MergedShards {
 }
 
 impl MergedShards {
-    /// Removes and deserializes the entry for `key`.
+    /// Every entry of `campaign`'s grid, in canonical grid order —
+    /// byte-identical to the single-process run's entries.
     ///
     /// # Errors
     ///
-    /// Returns a message when the key is absent (the shard set does not
-    /// cover the requested grid) or its value does not deserialize.
-    pub fn take<R: Deserialize>(&mut self, key: &str) -> Result<R, String> {
-        let value = self
-            .entries
-            .remove(key)
-            .ok_or_else(|| format!("merged shards have no entry for grid key `{key}`"))?;
-        serde_json::from_value(&value).map_err(|e| format!("entry `{key}` does not parse: {e}"))
+    /// Returns a message when the shards carry another campaign's name
+    /// or fingerprint, do not cover the campaign's grid, or an entry
+    /// does not deserialize.
+    pub fn entries<C: Campaign>(&self, campaign: &C) -> Result<Vec<C::Entry>, String> {
+        if self.campaign != campaign.name() {
+            return Err(format!(
+                "merged shards belong to campaign `{}`, not `{}`",
+                self.campaign,
+                campaign.name()
+            ));
+        }
+        let expected = campaign.fingerprint();
+        if self.config_hash != expected {
+            return Err(format!(
+                "merged shards fingerprint {} does not match configuration {expected}",
+                self.config_hash
+            ));
+        }
+        campaign
+            .grid()
+            .into_iter()
+            .map(|(key, _)| {
+                let value = self
+                    .entries
+                    .get(&key)
+                    .ok_or_else(|| format!("merged shards have no entry for grid key `{key}`"))?;
+                serde_json::from_value(value)
+                    .map_err(|e| format!("entry `{key}` does not parse: {e}"))
+            })
+            .collect()
     }
 }
 
@@ -542,29 +575,57 @@ pub fn merge_shard_files(files: Vec<ShardFile>) -> Result<MergedShards, String> 
 mod tests {
     use super::*;
 
-    fn spec(shard: Shard, threads: usize) -> CampaignSpec {
-        CampaignSpec {
-            name: "test".to_string(),
-            params: Value::Null,
-            config_hash: Fingerprint::new().push_str("test").finish(),
-            threads,
-            shard,
-            checkpoint: None,
-            resume: false,
+    /// A synthetic campaign: a cheap, deterministic stand-in for a HiL
+    /// evaluation over an explicit job list.
+    struct Synthetic {
+        jobs: Vec<(String, u64)>,
+        threads: usize,
+        hash: String,
+    }
+
+    impl Campaign for Synthetic {
+        type Job = u64;
+        type Entry = u64;
+
+        fn name(&self) -> &'static str {
+            "test"
         }
+
+        fn params(&self) -> Value {
+            Value::Null
+        }
+
+        fn fingerprint(&self) -> String {
+            self.hash.clone()
+        }
+
+        fn threads(&self) -> usize {
+            self.threads
+        }
+
+        fn grid(&self) -> Vec<(String, u64)> {
+            self.jobs.clone()
+        }
+
+        fn evaluate(&self, _key: &str, job: u64, _metrics: Option<&Arc<Metrics>>) -> u64 {
+            job.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xABCD
+        }
+    }
+
+    fn campaign(jobs: Vec<(String, u64)>, threads: usize) -> Synthetic {
+        Synthetic { jobs, threads, hash: Fingerprint::new().push_str("test").finish() }
     }
 
     fn grid(n: usize) -> Vec<(String, u64)> {
         (0..n as u64).map(|i| (format!("job-{i:03}"), i)).collect()
     }
 
-    fn eval_job(_key: &str, job: u64) -> u64 {
-        // A cheap, deterministic stand-in for a HiL evaluation.
-        job.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xABCD
+    fn spec(shard: Shard) -> CampaignSpec {
+        CampaignSpec { shard, ..CampaignSpec::default() }
     }
 
-    fn run(spec: &CampaignSpec, jobs: Vec<(String, u64)>) -> CampaignRun<u64> {
-        run_campaign(spec, jobs, None, eval_job)
+    fn run(c: &Synthetic, spec: &CampaignSpec) -> CampaignRun<u64> {
+        run_campaign(c, spec, None)
     }
 
     #[test]
@@ -594,7 +655,7 @@ mod tests {
         // The tentpole property: for shard counts {1, 2, 4} and thread
         // counts {1, 4}, merging the shard artifacts reproduces the
         // single-process entry list byte-for-byte.
-        let reference = run(&spec(Shard::full(), 1), grid(23));
+        let reference = run(&campaign(grid(23), 1), &CampaignSpec::default());
         let reference_json = serde_json::to_string_pretty(
             &reference.entries.iter().map(|(k, v)| (k.clone(), *v)).collect::<Vec<_>>(),
         )
@@ -603,27 +664,24 @@ mod tests {
             for threads in [1usize, 4] {
                 let files: Vec<ShardFile> = (0..count)
                     .map(|index| {
-                        let s = spec(Shard { index, count }, threads);
-                        let shard_run = run(&s, grid(23));
+                        let shard = Shard { index, count };
+                        let c = campaign(grid(23), threads);
+                        let shard_run = run(&c, &spec(shard));
                         let dir = std::env::temp_dir().join(format!(
                             "lkas-campaign-{}-{count}-{threads}",
                             std::process::id()
                         ));
                         let path = dir.join(format!("shard{index}.json"));
-                        write_shard_file(&path, &s, &shard_run, None);
+                        write_shard_file(&path, &c, shard, &shard_run, None);
                         let file = read_shard_file(&path).unwrap();
                         let _ = std::fs::remove_dir_all(&dir);
                         file
                     })
                     .collect();
-                let mut merged = merge_shard_files(files).unwrap();
-                let entries: Vec<(String, u64)> = grid(23)
-                    .into_iter()
-                    .map(|(key, _)| {
-                        let value = merged.take(&key).unwrap();
-                        (key, value)
-                    })
-                    .collect();
+                let merged = merge_shard_files(files).unwrap();
+                let values = merged.entries(&campaign(grid(23), 1)).unwrap();
+                let entries: Vec<(String, u64)> =
+                    grid(23).into_iter().map(|(key, _)| key).zip(values).collect();
                 let merged_json = serde_json::to_string_pretty(&entries).unwrap();
                 assert_eq!(
                     merged_json.as_bytes(),
@@ -639,12 +697,13 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("lkas-campaign-resume-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let checkpoint = dir.join("checkpoint.jsonl");
-        let mut s = spec(Shard::full(), 2);
-        s.checkpoint = Some(checkpoint.clone());
+        let c = campaign(grid(10), 2);
+        let mut s =
+            CampaignSpec { checkpoint: Some(checkpoint.clone()), ..CampaignSpec::default() };
 
         // A completed run checkpoints everything.
-        let metrics = Metrics::new();
-        let full = run_campaign(&s, grid(10), Some(&metrics), eval_job);
+        let metrics = Arc::new(Metrics::new());
+        let full = run_campaign(&c, &s, Some(&metrics));
         assert_eq!(
             full.stats,
             CampaignStats { grid_size: 10, owned: 10, evaluated: 10, restored: 0 }
@@ -662,8 +721,8 @@ mod tests {
 
         // Resuming evaluates only the missing 6 and reproduces the run.
         s.resume = true;
-        let metrics = Metrics::new();
-        let resumed = run_campaign(&s, grid(10), Some(&metrics), eval_job);
+        let metrics = Arc::new(Metrics::new());
+        let resumed = run_campaign(&c, &s, Some(&metrics));
         assert_eq!(
             resumed.stats,
             CampaignStats { grid_size: 10, owned: 10, evaluated: 6, restored: 4 }
@@ -673,7 +732,7 @@ mod tests {
         assert_eq!(resumed.entries, full.entries);
 
         // A second resume re-evaluates nothing at all.
-        let rerun = run_campaign(&s, grid(10), None, eval_job);
+        let rerun = run(&c, &s);
         assert_eq!(rerun.stats.evaluated, 0);
         assert_eq!(rerun.stats.restored, 10);
         assert_eq!(rerun.entries, full.entries);
@@ -684,17 +743,19 @@ mod tests {
     fn content_keyed_cache_reuses_overlapping_grids() {
         let dir = std::env::temp_dir().join(format!("lkas-campaign-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut s = spec(Shard::full(), 1);
-        s.checkpoint = Some(dir.join("cache.jsonl"));
-        s.resume = true;
-        run(&s, grid(6));
+        let s = CampaignSpec {
+            checkpoint: Some(dir.join("cache.jsonl")),
+            resume: true,
+            ..spec(Shard::full())
+        };
+        run(&campaign(grid(6), 1), &s);
         // A larger grid sharing 6 keys only evaluates the 4 new ones.
-        let wider = run(&s, grid(10));
+        let wider = run(&campaign(grid(10), 1), &s);
         assert_eq!(wider.stats.evaluated, 4);
         assert_eq!(wider.stats.restored, 6);
         // A disjoint grid (different keys) shares nothing.
         let disjoint: Vec<(String, u64)> = (0..4u64).map(|i| (format!("other-{i}"), i)).collect();
-        let other = run(&s, disjoint);
+        let other = run(&campaign(disjoint, 1), &s);
         assert_eq!(other.stats.evaluated, 4);
         assert_eq!(other.stats.restored, 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -704,10 +765,12 @@ mod tests {
     fn resume_without_checkpoint_file_starts_fresh() {
         let dir = std::env::temp_dir().join(format!("lkas-campaign-fresh-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut s = spec(Shard::full(), 1);
-        s.checkpoint = Some(dir.join("never-written.jsonl"));
-        s.resume = true;
-        let out = run(&s, grid(3));
+        let s = CampaignSpec {
+            checkpoint: Some(dir.join("never-written.jsonl")),
+            resume: true,
+            ..CampaignSpec::default()
+        };
+        let out = run(&campaign(grid(3), 1), &s);
         assert_eq!(out.stats.evaluated, 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -723,10 +786,9 @@ mod tests {
             "{\"key\":\"job-000\",\"value\":43981}\nnot json at all\n{\"value\":1}\n",
         )
         .unwrap();
-        let mut s = spec(Shard::full(), 1);
-        s.checkpoint = Some(checkpoint);
-        s.resume = true;
-        let out = run(&s, grid(2));
+        let s =
+            CampaignSpec { checkpoint: Some(checkpoint), resume: true, ..CampaignSpec::default() };
+        let out = run(&campaign(grid(2), 1), &s);
         assert_eq!(out.stats.restored, 1, "only the well-formed line restores");
         assert_eq!(out.stats.evaluated, 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -736,23 +798,27 @@ mod tests {
     #[should_panic(expected = "duplicate campaign grid key")]
     fn duplicate_keys_panic() {
         let jobs = vec![("same".to_string(), 1u64), ("same".to_string(), 2u64)];
-        run(&spec(Shard::full(), 1), jobs);
+        run(&campaign(jobs, 1), &CampaignSpec::default());
     }
 
     #[test]
     fn merge_rejects_inconsistent_partitions() {
+        let hashed = |hash: &str| Synthetic { hash: hash.to_string(), ..campaign(grid(8), 1) };
         let mk = |index: usize, count: usize, hash: &str| {
-            let mut s = spec(Shard { index, count }, 1);
-            s.config_hash = hash.to_string();
-            let shard_run = run(&s, grid(8));
+            let shard = Shard { index, count };
+            let c = hashed(hash);
+            let shard_run = run(&c, &spec(shard));
             let dir =
                 std::env::temp_dir().join(format!("lkas-campaign-merge-{}", std::process::id()));
             let path = dir.join(format!("s{index}of{count}-{hash}.json"));
-            write_shard_file(&path, &s, &shard_run, None);
+            write_shard_file(&path, &c, shard, &shard_run, None);
             read_shard_file(&path).unwrap()
         };
-        // Complete partitions merge.
-        assert!(merge_shard_files(vec![mk(0, 2, "a"), mk(1, 2, "a")]).is_ok());
+        // Complete partitions merge, and only the same configuration
+        // reads their entries back.
+        let merged = merge_shard_files(vec![mk(0, 2, "a"), mk(1, 2, "a")]).unwrap();
+        assert_eq!(merged.entries(&hashed("a")).unwrap().len(), 8);
+        assert!(merged.entries(&hashed("b")).unwrap_err().contains("does not match"));
         // Missing, duplicated, mixed-config, and wrong-count sets fail.
         let missing = merge_shard_files(vec![mk(0, 2, "a")]);
         assert!(missing.unwrap_err().contains("expected 2 shard file(s)"));
@@ -770,12 +836,13 @@ mod tests {
     #[test]
     fn merged_metrics_sum_shard_dumps() {
         let mk = |index: usize| {
-            let s = spec(Shard { index, count: 2 }, 1);
-            let metrics = Metrics::new();
-            let shard_run = run_campaign(&s, grid(9), Some(&metrics), eval_job);
+            let shard = Shard { index, count: 2 };
+            let c = campaign(grid(9), 1);
+            let metrics = Arc::new(Metrics::new());
+            let shard_run = run_campaign(&c, &spec(shard), Some(&metrics));
             let dir = std::env::temp_dir().join(format!("lkas-campaign-mm-{}", std::process::id()));
             let path = dir.join(format!("m{index}.json"));
-            write_shard_file(&path, &s, &shard_run, Some(&metrics));
+            write_shard_file(&path, &c, shard, &shard_run, Some(&metrics));
             read_shard_file(&path).unwrap()
         };
         let merged = merge_shard_files(vec![mk(0), mk(1)]).unwrap();

@@ -35,11 +35,6 @@ impl Executor {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     }
 
-    /// An executor sized by [`Executor::default_threads`].
-    pub fn with_default_threads() -> Self {
-        Executor::new(Executor::default_threads())
-    }
-
     /// The configured worker-thread count.
     pub fn threads(&self) -> usize {
         self.threads
@@ -132,7 +127,10 @@ mod tests {
     #[test]
     fn default_threads_is_positive() {
         assert!(Executor::default_threads() >= 1);
-        assert_eq!(Executor::with_default_threads().threads(), Executor::default_threads());
+        assert_eq!(
+            Executor::new(Executor::default_threads()).threads(),
+            Executor::default_threads()
+        );
     }
 
     #[test]

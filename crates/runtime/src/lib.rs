@@ -27,9 +27,11 @@
 //!   from it.
 //! - [`report`] — snapshot pretty-printing and the baseline-diff logic
 //!   behind the `telemetry_report` harness and the CI perf smoke gate.
-//! - [`campaign`] — sharded, resumable campaign execution: a
-//!   deterministic `--shard i/N` work-partitioner over any canonical
-//!   candidate grid, a content-keyed JSONL checkpoint that lets an
+//! - [`campaign`] — sharded, resumable campaign execution behind one
+//!   [`Campaign`] trait (a sweep states its name, params, fingerprint,
+//!   canonical grid and per-job evaluation; Table III and the
+//!   robustness grid implement it): a deterministic `--shard i/N`
+//!   work-partitioner, a content-keyed JSONL checkpoint that lets an
 //!   interrupted shard resume without re-evaluating completed
 //!   candidates, and a shard-artifact merge whose output is
 //!   byte-identical to the single-process sweep at any shard and
@@ -44,8 +46,8 @@ mod stream;
 mod trace;
 
 pub use campaign::{
-    merge_shard_files, read_shard_file, run_campaign, write_shard_file, CampaignRun, CampaignSpec,
-    CampaignStats, Fingerprint, MergedShards, Shard, ShardFile, SHARD_SCHEMA,
+    merge_shard_files, read_shard_file, run_campaign, write_shard_file, Campaign, CampaignRun,
+    CampaignSpec, CampaignStats, Fingerprint, MergedShards, Shard, ShardFile, SHARD_SCHEMA,
 };
 pub use executor::Executor;
 pub use hist::{bucket_index, bucket_upper_ns, HistogramSnapshot, LatencyHistogram, HIST_BUCKETS};

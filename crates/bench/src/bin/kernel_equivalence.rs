@@ -1,8 +1,8 @@
 //! Kernel-equivalence gate: Scalar vs Lanes, end to end.
 //!
 //! The CI stage `gate-kernel-equivalence` runs this binary; it exits
-//! non-zero on the first class of mismatch. Three claims are checked
-//! (DESIGN.md §17):
+//! non-zero on the first class of mismatch. Five claims are checked
+//! (DESIGN.md §10 and §17):
 //!
 //! 1. **ISP lanes are bit-identical.** For every ISP configuration
 //!    S0–S8 the `lanes` backend's full `process_into` output equals the
@@ -10,7 +10,17 @@
 //! 2. **Perception lanes are bit-identical.** Rectify + binarize under
 //!    the lane backend reproduce the scalar BEV scores, mask bits, and
 //!    threshold exactly, for every ROI.
-//! 3. **Batched classifier inference ≡ sequential.** On a fixed-seed
+//! 3. **The windowed frame path ≡ the full one.** On the 512×256 and
+//!    the 256×128 camera, for S0–S8 × ROI 1–5 × frames, with no fault
+//!    and with each Bayer fault kind, at 1 and 4 tile threads: render,
+//!    capture, fault and ISP on the ROI's tap window grown by the
+//!    stencil halo — into buffers poisoned with NaN outside it — give
+//!    byte-identical ISP pixels on the tap window and the identical
+//!    perception output.
+//! 4. **Keyed sensor noise ≡ the sequential stream.** Captures equal a
+//!    sequential `StdRng` Box–Muller reference frame after frame, for
+//!    several seeds including ones whose counter wraps past `u64::MAX`.
+//! 5. **Batched classifier inference ≡ sequential.** On a fixed-seed
 //!    window set, stacking the three classifiers into one grouped GEMM
 //!    per layer yields the same logits-level decisions as three
 //!    independent forward passes.
@@ -19,9 +29,10 @@
 
 use lkas::identify::{BundleBatch, ClassifierBundle, SituationEstimate};
 use lkas_bench::{arg_value, load_or_train_bundle};
-use lkas_imaging::image::RgbImage;
-use lkas_imaging::isp::{IspConfig, IspPipeline};
-use lkas_imaging::sensor::{Sensor, SensorConfig};
+use lkas_faults::{apply_bayer_fault, BayerFaultKind};
+use lkas_imaging::image::{BayerChannel, PixelWindow, RawImage, RgbImage};
+use lkas_imaging::isp::{IspConfig, IspPipeline, STENCIL_HALO};
+use lkas_imaging::sensor::{Sensor, SensorConfig, CROSSTALK};
 use lkas_imaging::{KernelBackend, Scratch};
 use lkas_perception::pipeline::{Perception, PerceptionConfig, PerceptionScratch};
 use lkas_perception::roi::Roi;
@@ -30,9 +41,189 @@ use lkas_scene::camera::Camera;
 use lkas_scene::render::SceneRenderer;
 use lkas_scene::situation::TABLE3_SITUATIONS;
 use lkas_scene::track::Track;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn max_abs_diff(a: &RgbImage, b: &RgbImage) -> f32 {
     a.as_slice().iter().zip(b.as_slice()).map(|(x, y)| (x - y).abs()).fold(0.0f32, f32::max)
+}
+
+/// Bit-compares two frames on one window.
+fn same_on(a: &RgbImage, b: &RgbImage, window: PixelWindow) -> bool {
+    window.rows().all(|y| {
+        window.columns().all(|x| {
+            let (p, q) = (a.get(x, y), b.get(x, y));
+            (0..3).all(|c| p[c].to_bits() == q[c].to_bits())
+        })
+    })
+}
+
+/// A RAW frame of NaN: whatever a windowed producer leaves untouched
+/// stays NaN, and any NaN read into the checked window shows.
+fn poisoned_raw(w: usize, h: usize) -> RawImage {
+    let mut raw = RawImage::new(w, h);
+    raw.as_mut_slice().fill(f32::NAN);
+    raw
+}
+
+/// The Bayer faults the loop injects, plus the fault-free case.
+const FAULTS: [Option<BayerFaultKind>; 4] = [
+    None,
+    Some(BayerFaultKind::HotPixels { density: 0.03 }),
+    Some(BayerFaultKind::RowBanding { period: 3, gain: 0.4 }),
+    Some(BayerFaultKind::ExposureGlitch { gain: 2.2 }),
+];
+
+/// Windowed render → capture → fault → ISP against the full path, per
+/// camera, frame pose, fault, ROI, ISP configuration and tile-thread
+/// count. Returns the number of mismatching cells.
+fn check_windows(frames: usize) -> usize {
+    let cameras =
+        [Camera::default_automotive(), Camera::new(256, 128, 150.0, 1.3, 6.0_f64.to_radians())];
+    let mut failures = 0;
+    let mut cells = 0;
+    for cam in &cameras {
+        let (w, h) = (cam.width(), cam.height());
+        let renderer = SceneRenderer::new(cam.clone());
+        let perceptions: Vec<Perception> = Roi::ALL
+            .iter()
+            .map(|&roi| Perception::new(PerceptionConfig::new(roi), cam.clone()))
+            .collect();
+        let taps: Vec<PixelWindow> = perceptions.iter().map(|p| p.pixel_window(w, h)).collect();
+        let windows: Vec<PixelWindow> = taps.iter().map(|t| t.grow(STENCIL_HALO, w, h)).collect();
+        for f in 0..frames {
+            let sit = &TABLE3_SITUATIONS[(3 * f + 1) % TABLE3_SITUATIONS.len()];
+            let track = Track::for_situation(sit, 500.0);
+            let pose = (25.0 + 35.0 * f as f64, 0.1 - 0.08 * f as f64, 0.01 * f as f64);
+            let seed = 500 + f as u64;
+            let full_scene = renderer.render(&track, pose.0, pose.1, pose.2);
+            let win_scenes: Vec<RgbImage> = windows
+                .iter()
+                .map(|&window| {
+                    let mut scene = RgbImage::filled(w, h, [f32::NAN; 3]);
+                    renderer
+                        .render_window_into(&track, pose.0, pose.1, pose.2, window, &mut scene)
+                        .expect("valid camera");
+                    scene
+                })
+                .collect();
+            for fault in FAULTS {
+                let with_fault = |raw: &mut RawImage| {
+                    if let Some(kind) = fault {
+                        apply_bayer_fault(kind, raw, 77, f as u64);
+                    }
+                };
+                let mut full_raw =
+                    Sensor::new(SensorConfig::default(), seed).capture(&full_scene, 1.0);
+                with_fault(&mut full_raw);
+                let win_raws: Vec<RawImage> = windows
+                    .iter()
+                    .zip(&win_scenes)
+                    .map(|(&window, scene)| {
+                        let mut raw = poisoned_raw(w, h);
+                        Sensor::new(SensorConfig::default(), seed)
+                            .capture_window_into(scene, 1.0, window, &mut raw);
+                        with_fault(&mut raw);
+                        raw
+                    })
+                    .collect();
+                for cfg in IspConfig::ALL {
+                    let full_rgb = IspPipeline::new(cfg).process(&full_raw);
+                    for (r, roi) in Roi::ALL.iter().enumerate() {
+                        let expect = perceptions[r].process(&full_rgb);
+                        for threads in [1, 4] {
+                            let mut rgb = RgbImage::filled(w, h, [f32::NAN; 3]);
+                            IspPipeline::new(cfg).process_window_into(
+                                &win_raws[r],
+                                windows[r],
+                                &mut Scratch::with_threads(threads),
+                                &mut rgb,
+                            );
+                            let pixels_ok = same_on(&full_rgb, &rgb, taps[r]);
+                            let output = perceptions[r].process(&rgb);
+                            if !pixels_ok || output != expect {
+                                eprintln!(
+                                    "FAIL: {w}x{h} frame {f} {fault:?} {} {} at {threads} \
+                                     threads: tap pixels equal {pixels_ok}, perception \
+                                     {output:?} vs full {expect:?}",
+                                    cfg.name(),
+                                    roi.name()
+                                );
+                                failures += 1;
+                            }
+                            cells += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    eprintln!(
+        "[3/5] windows: {cells} cells (2 cameras × {frames} frames × {} faults × S0–S8 × {} ROIs \
+         × 1/4 threads) checked",
+        FAULTS.len(),
+        Roi::ALL.len()
+    );
+    failures
+}
+
+/// The sequential reference the keyed sensor noise must reproduce: one
+/// `StdRng` stream seeded like the sensor, a Box–Muller pair per
+/// photosite in row-major order, frame after frame.
+fn sequential_captures(seed: u64, frames: &[RgbImage]) -> Vec<RawImage> {
+    let config = SensorConfig::default();
+    let mut stream = StdRng::seed_from_u64(seed);
+    let mut gaussian = || {
+        let u1: f32 = stream.gen_range(f32::EPSILON..1.0);
+        let u2: f32 = stream.gen_range(0.0..1.0);
+        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
+    };
+    frames
+        .iter()
+        .map(|scene| {
+            let mut raw = RawImage::new(scene.width(), scene.height());
+            for y in 0..scene.height() {
+                for x in 0..scene.width() {
+                    let px = scene.get(x, y);
+                    let row = match raw.channel_at(x, y) {
+                        BayerChannel::Red => CROSSTALK[0],
+                        BayerChannel::GreenR | BayerChannel::GreenB => CROSSTALK[1],
+                        BayerChannel::Blue => CROSSTALK[2],
+                    };
+                    let signal = (row[0] * px[0] + row[1] * px[1] + row[2] * px[2]) * config.gain;
+                    let var =
+                        config.read_noise.powi(2) + config.shot_noise.powi(2) * signal.max(0.0);
+                    raw.set(x, y, (signal + gaussian() * var.sqrt()).clamp(0.0, 1.0));
+                }
+            }
+            raw
+        })
+        .collect()
+}
+
+/// Keyed capture against [`sequential_captures`]; returns the number of
+/// mismatching frames.
+fn check_keyed_noise() -> usize {
+    let cam = Camera::new(64, 32, 40.0, 1.3, 0.1);
+    let frames: Vec<RgbImage> = (0..4)
+        .map(|f| {
+            let track = Track::for_situation(&TABLE3_SITUATIONS[f * 5], 300.0);
+            SceneRenderer::new(cam.clone()).render(&track, 10.0 + 20.0 * f as f64, 0.0, 0.0)
+        })
+        .collect();
+    let seeds = [0, 9, 1 << 40, u64::MAX - 4096, u64::MAX];
+    let mut failures = 0;
+    for seed in seeds {
+        let mut sensor = Sensor::new(SensorConfig::default(), seed);
+        for (f, reference) in sequential_captures(seed, &frames).iter().enumerate() {
+            if &sensor.capture(&frames[f], 1.0) != reference {
+                eprintln!("FAIL: seed {seed} frame {f}: keyed capture differs from the stream");
+                failures += 1;
+            }
+        }
+    }
+    eprintln!("[4/5] keyed noise: {} seeds × {} frames checked", seeds.len(), frames.len());
+    failures
 }
 
 fn main() {
@@ -68,7 +259,7 @@ fn main() {
             }
         }
     }
-    eprintln!("[1/3] ISP: {} configs × {frames} frames checked", IspConfig::ALL.len());
+    eprintln!("[1/5] ISP: {} configs × {frames} frames checked", IspConfig::ALL.len());
 
     // --- 2: perception backends, every ROI -----------------------------
     let track = Track::for_situation(&TABLE3_SITUATIONS[0], 500.0);
@@ -92,9 +283,13 @@ fn main() {
             }
         }
     }
-    eprintln!("[2/3] perception: {} ROIs × 2 passes checked", Roi::ALL.len());
+    eprintln!("[2/5] perception: {} ROIs × 2 passes checked", Roi::ALL.len());
 
-    // --- 3: batched vs sequential classifiers --------------------------
+    // --- 3–4: windowed frame path, keyed noise -------------------------
+    failures += check_windows(frames);
+    failures += check_keyed_noise();
+
+    // --- 5: batched vs sequential classifiers --------------------------
     let bundle: &ClassifierBundle = &load_or_train_bundle();
     let mut batch = BundleBatch::new(bundle);
     let isp = IspPipeline::new(IspConfig::S0);
@@ -126,7 +321,7 @@ fn main() {
             windows += 1;
         }
     }
-    eprintln!("[3/3] classifiers: {windows} full windows checked");
+    eprintln!("[5/5] classifiers: {windows} full windows checked");
 
     if failures > 0 {
         eprintln!("kernel_equivalence: {failures} FAILURE(S)");

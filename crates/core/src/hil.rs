@@ -10,6 +10,13 @@
 //! `y_L`, the situation-specific LQR computes the steering command, and
 //! the command takes effect `τ` after the sampling instant. Physics
 //! advances at the 5 ms Webots step throughout.
+//!
+//! With the oracle situation source only perception reads the frame, so
+//! render, capture and the ISP compute just the active ROI's bilinear
+//! taps plus the ISP's stencil halo, and a ROI switch re-produces the
+//! frame on the new window before perception runs. Every pixel
+//! perception reads is bit-identical to its full-frame value (DESIGN.md
+//! §10).
 
 use crate::cases::Case;
 use crate::degrade::{CoastInput, DegradationConfig, DegradationPolicy};
@@ -22,8 +29,8 @@ use lkas_control::controller::Measurement;
 use lkas_control::design::{design_controller_cached, ControllerConfig};
 use lkas_control::errprofile::PerceptionErrorProfile;
 use lkas_faults::{apply_bayer_fault, derive_cycle_seed, FaultPlan, Misprediction};
-use lkas_imaging::image::{RawImage, RgbImage};
-use lkas_imaging::isp::{IspConfig, IspPipeline};
+use lkas_imaging::image::{PixelWindow, RawImage, RgbImage};
+use lkas_imaging::isp::{IspConfig, IspPipeline, STENCIL_HALO};
 use lkas_imaging::kernel::KernelBackend;
 use lkas_imaging::sensor::{Sensor, SensorConfig};
 use lkas_imaging::Scratch;
@@ -465,6 +472,21 @@ impl HilSimulator {
         let mut scene_rgb = RgbImage::new(1, 1);
         let mut raw = RawImage::new(2, 2);
         let mut rgb = RgbImage::new(1, 1);
+        // The frame's pixel window. With the oracle source nothing but
+        // perception reads the ISP output, and perception reads only its
+        // ROI's bilinear taps, so a cycle computes those plus the ISP
+        // stencils' halo. The trained classifiers read the whole frame.
+        // An invalid camera renders nothing, so it has no taps to ask.
+        let (frame_w, frame_h) = (config.camera.width(), config.camera.height());
+        let windowed =
+            matches!(config.source, SituationSource::Oracle) && config.camera.validate().is_ok();
+        let frame_window = |perception: &Perception| {
+            if windowed {
+                perception.pixel_window(frame_w, frame_h).grow(STENCIL_HALO, frame_w, frame_h)
+            } else {
+                PixelWindow::full(frame_w, frame_h)
+            }
+        };
 
         let mut qoc = QocAccumulator::new(n_sectors);
         let mut frame_index = 0u64;
@@ -515,26 +537,44 @@ impl HilSimulator {
                 }
                 // Camera pipeline — skipped entirely on a dropped frame,
                 // and abandoned for the cycle on a render rejection. The
-                // stages write into the run's reusable buffers.
+                // stages write the window's pixels into the run's
+                // reusable buffers; the Bayer fault runs over the whole
+                // RAW buffer, whose pixels outside the window are never
+                // read.
+                let pose = vehicle.camera_pose();
+                let window = frame_window(&perception);
                 let have_frame = if faults.drop_frame {
                     log.incr(Counter::FrameDrops);
                     false
                 } else {
-                    let (s, d, psi) = vehicle.camera_pose();
+                    let (s, d, psi) = pose;
                     let rendered = log.timed(Stage::Render, || {
-                        renderer.render_into(vehicle.track(), s, d, psi, &mut scene_rgb)
+                        renderer.render_window_into(
+                            vehicle.track(),
+                            s,
+                            d,
+                            psi,
+                            window,
+                            &mut scene_rgb,
+                        )
                     });
                     match rendered {
                         Ok(()) => {
                             log.timed(Stage::Sensor, || {
-                                sensor.capture_into(&scene_rgb, 1.0, &mut raw)
+                                sensor.capture_window_into(&scene_rgb, 1.0, window, &mut raw)
                             });
                             if let Some(kind) = faults.bayer {
                                 apply_bayer_fault(kind, &mut raw, plan_seed, frame_index);
                             }
                             log.timed(Stage::Isp, || {
-                                isp.process_into(&raw, &mut imaging_scratch, &mut rgb)
+                                isp.process_window_into(
+                                    &raw,
+                                    window,
+                                    &mut imaging_scratch,
+                                    &mut rgb,
+                                )
                             });
+                            log.add(Counter::FramePixels, window.area() as u64);
                             true
                         }
                         Err(e) => {
@@ -700,6 +740,38 @@ impl HilSimulator {
                     controller_cfg = new_cfg;
                     log.incr(Counter::ControlReconfigurations);
                     log.emit("reconfig:control");
+                }
+
+                // A ROI switch this cycle can need pixels the frame's
+                // window left out. Produce the frame again on the new
+                // window, from the same pose and sensor noise, before
+                // perception reads it; the fresh RAW pixels take the
+                // cycle's Bayer fault exactly once. Its time joins the
+                // cycle's one render, sensor and ISP sample.
+                let needed = frame_window(&perception);
+                if have_frame && !window.contains(&needed) {
+                    let (s, d, psi) = pose;
+                    log.timed_more(Stage::Render, || {
+                        renderer.render_window_into(
+                            vehicle.track(),
+                            s,
+                            d,
+                            psi,
+                            needed,
+                            &mut scene_rgb,
+                        )
+                    })
+                    .expect("the camera rendered this cycle's frame");
+                    log.timed_more(Stage::Sensor, || {
+                        sensor.recapture_window_into(&scene_rgb, 1.0, needed, &mut raw)
+                    });
+                    if let Some(kind) = faults.bayer {
+                        apply_bayer_fault(kind, &mut raw, plan_seed, frame_index);
+                    }
+                    log.timed_more(Stage::Isp, || {
+                        isp.process_window_into(&raw, needed, &mut imaging_scratch, &mut rgb)
+                    });
+                    log.add(Counter::FramePixels, needed.area() as u64);
                 }
 
                 // Perception, then the degradation policy's substitution.
@@ -955,8 +1027,26 @@ impl<'a> CycleLog<'a> {
         out
     }
 
+    /// Runs `work` and adds its time to the open cycle's sample of
+    /// `stage`, which already ran this cycle: one stage, one sample.
+    fn timed_more<T>(&mut self, stage: Stage, work: impl FnOnce() -> T) -> T {
+        let out = self.timed(stage, work);
+        if self.metrics.is_some() {
+            let (_, ns) = self.samples.pop().expect("timed just took a sample");
+            match self.samples.iter_mut().rfind(|(s, _)| *s == stage) {
+                Some((_, earlier)) => *earlier = earlier.saturating_add(ns),
+                None => self.samples.push((stage, ns)),
+            }
+        }
+        out
+    }
+
     fn incr(&mut self, counter: Counter) {
-        self.counts[counter as usize] += 1;
+        self.add(counter, 1);
+    }
+
+    fn add(&mut self, counter: Counter, n: u64) {
+        self.counts[counter as usize] += n;
     }
 
     /// Counts one design-cache lookup as a hit or a miss.
@@ -1193,27 +1283,94 @@ mod tests {
 
     #[test]
     fn invalid_camera_is_counted_not_fatal() {
-        // A camera that only a deserialized config could produce (the
-        // constructor panics on it): the negative focal length still
-        // rectifies (mirrored homography), but every cycle's render is
+        // Cameras that only a deserialized config could produce (the
+        // constructor panics on them): the negative focal length still
+        // rectifies (mirrored homography), and the odd width cannot tile
+        // the sensor's Bayer quads, but every cycle's render is
         // rejected, so the loop coasts frameless instead of aborting and
         // the rejections are reported.
-        let camera: Camera = serde_json::from_str(
+        for json in [
             r#"{"width":256,"height":128,"focal":-150.0,"cu":128.0,"cv":64.0,
                 "height_m":1.3,"pitch":0.1}"#,
-        )
-        .unwrap();
-        let track = Track::for_situation(&TABLE3_SITUATIONS[0], 60.0);
-        let metrics = Arc::new(Metrics::new());
+            r#"{"width":255,"height":128,"focal":150.0,"cu":127.5,"cv":64.0,
+                "height_m":1.3,"pitch":0.1}"#,
+        ] {
+            let camera: Camera = serde_json::from_str(json).unwrap();
+            let track = Track::for_situation(&TABLE3_SITUATIONS[0], 60.0);
+            let metrics = Arc::new(Metrics::new());
+            let config = HilConfig::new(Case::Case1, SituationSource::Oracle)
+                .with_camera(camera)
+                .with_max_time(20.0)
+                .with_metrics(Arc::clone(&metrics));
+            let r = HilSimulator::new(track, config).run();
+            assert!(r.samples > 0);
+            assert_eq!(r.render_errors, r.samples, "every cycle's render must be rejected");
+            assert_eq!(r.perception_failures, 0, "perception never ran on a frameless cycle");
+            assert_eq!(metrics.snapshot().counter("render_errors"), Some(r.samples));
+            assert_eq!(metrics.snapshot().counter("frame_pixels"), Some(0), "no frame, no pixels");
+        }
+    }
+
+    #[test]
+    fn frame_pixels_count_each_framed_cycles_window_and_every_widen() {
+        use crate::identify::SituationEstimate;
+        use lkas_perception::roi::Roi;
+        use lkas_scene::track::Sector;
+        let camera = test_camera();
+        let (w, h) = (camera.width(), camera.height());
+        let window = |roi: Roi| {
+            Perception::new(PerceptionConfig::new(roi), camera.clone()).pixel_window(w, h).grow(
+                STENCIL_HALO,
+                w,
+                h,
+            )
+        };
+        let run = |config: HilConfig, track: Track| {
+            let metrics = Arc::new(Metrics::new());
+            let r = HilSimulator::new(track, config.with_metrics(Arc::clone(&metrics))).run();
+            let pixels = metrics.snapshot().counter("frame_pixels").unwrap();
+            (r, pixels)
+        };
+
+        // Case 1 keeps ROI 1: every framed cycle computes ROI 1's grown
+        // tap window, and a dropped frame computes nothing.
+        let plan = Arc::new(FaultPlan::named("drops", 3).drop_burst(20, 5));
         let config = HilConfig::new(Case::Case1, SituationSource::Oracle)
-            .with_camera(camera)
-            .with_max_time(20.0)
-            .with_metrics(Arc::clone(&metrics));
-        let r = HilSimulator::new(track, config).run();
-        assert!(r.samples > 0);
-        assert_eq!(r.render_errors, r.samples, "every cycle's render must be rejected");
-        assert_eq!(r.perception_failures, 0, "perception never ran on a frameless cycle");
-        assert_eq!(metrics.snapshot().counter("render_errors"), Some(r.samples));
+            .with_camera(camera.clone())
+            .with_seed(42)
+            .with_fault_plan(plan);
+        let (r, pixels) = run(config, Track::for_situation(&TABLE3_SITUATIONS[0], 100.0));
+        assert_eq!(r.frame_drops, 5);
+        let framed = r.samples - r.frame_drops;
+        assert_eq!(pixels, framed * window(Roi::Roi1).area() as u64);
+        assert!(4 * pixels < framed * (w * h) as u64, "the window must stay under a quarter");
+
+        // Case 4 through a ROI switch: each cycle counts the window of
+        // the ROI it started with, plus the new ROI's window when a
+        // switch needs pixels the first one left out.
+        let track = Track::new(vec![
+            Sector::for_situation(&TABLE3_SITUATIONS[0], 100.0),
+            Sector::for_situation(&TABLE3_SITUATIONS[7], 100.0),
+        ]);
+        let config = HilConfig::new(Case::Case4, SituationSource::Oracle)
+            .with_camera(camera.clone())
+            .with_seed(42)
+            .with_trace(true);
+        let (r, pixels) = run(config, track);
+        let table = KnobTable::paper_table3();
+        let mut roi = knobs_for_case(Case::Case4, &SituationEstimate::new().current(), &table).roi;
+        let (mut expected, mut widens) = (0, 0);
+        for sample in &r.trace {
+            let produced = window(roi);
+            expected += produced.area() as u64;
+            if !produced.contains(&window(sample.roi)) {
+                expected += window(sample.roi).area() as u64;
+                widens += 1;
+            }
+            roi = sample.roi;
+        }
+        assert!(widens > 0, "the run must switch to a ROI its frame window does not hold");
+        assert_eq!(pixels, expected);
     }
 
     #[test]

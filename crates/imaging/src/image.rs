@@ -1,6 +1,83 @@
-//! Image containers: Bayer RAW mosaics, RGB and grayscale frames.
+//! Image containers: Bayer RAW mosaics, RGB and grayscale frames, and the
+//! pixel window the frame-path producers compute.
 
 use serde::{Deserialize, Serialize};
+
+/// A half-open rectangle of pixels `[x0, x1) × [y0, y1)` inside a frame.
+///
+/// Render, capture and the ISP compute exactly the pixels of the window
+/// they are given and leave every other pixel of their output as it
+/// was; each computed pixel keeps the value it has in a full-frame run.
+/// The full window is the ordinary whole-frame path.
+///
+/// # Example
+///
+/// ```
+/// use lkas_imaging::image::PixelWindow;
+///
+/// let taps = PixelWindow { x0: 10, y0: 0, x1: 20, y1: 5 };
+/// let grown = taps.grow(2, 64, 32);
+/// assert_eq!(grown, PixelWindow { x0: 8, y0: 0, x1: 22, y1: 7 });
+/// assert!(grown.contains(&taps) && PixelWindow::full(64, 32).contains(&grown));
+/// assert_eq!(taps.area(), 50);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PixelWindow {
+    /// First column.
+    pub x0: usize,
+    /// First row.
+    pub y0: usize,
+    /// One past the last column.
+    pub x1: usize,
+    /// One past the last row.
+    pub y1: usize,
+}
+
+impl PixelWindow {
+    /// The whole `w`×`h` frame.
+    pub fn full(w: usize, h: usize) -> Self {
+        PixelWindow { x0: 0, y0: 0, x1: w, y1: h }
+    }
+
+    /// This window grown by `halo` pixels on every side, clamped to the
+    /// `w`×`h` frame.
+    pub fn grow(self, halo: usize, w: usize, h: usize) -> Self {
+        PixelWindow {
+            x0: self.x0.saturating_sub(halo),
+            y0: self.y0.saturating_sub(halo),
+            x1: (self.x1 + halo).min(w),
+            y1: (self.y1 + halo).min(h),
+        }
+    }
+
+    /// `true` if every pixel of `other` lies inside this window.
+    pub fn contains(&self, other: &PixelWindow) -> bool {
+        self.x0 <= other.x0 && self.y0 <= other.y0 && other.x1 <= self.x1 && other.y1 <= self.y1
+    }
+
+    /// Number of pixels in the window.
+    pub fn area(&self) -> usize {
+        self.x1.saturating_sub(self.x0) * self.y1.saturating_sub(self.y0)
+    }
+
+    /// The column range `x0..x1`.
+    pub fn columns(&self) -> std::ops::Range<usize> {
+        self.x0..self.x1
+    }
+
+    /// The row range `y0..y1`.
+    pub fn rows(&self) -> std::ops::Range<usize> {
+        self.y0..self.y1
+    }
+
+    /// Panics unless the window lies inside a `w`×`h` frame.
+    pub fn assert_within(&self, w: usize, h: usize) {
+        assert!(
+            self.x0 <= self.x1 && self.y0 <= self.y1 && self.x1 <= w && self.y1 <= h,
+            "pixel window {self:?} must lie inside the {w}x{h} frame"
+        );
+    }
+}
 
 /// Color filter position within the RGGB Bayer pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -103,7 +180,7 @@ impl RawImage {
     /// Resizes the frame in place, keeping the existing allocation when
     /// its capacity suffices (the [`crate::pool::FramePool`] reuse path).
     /// The photosite contents are unspecified afterwards; every `*_into`
-    /// producer overwrites the whole frame.
+    /// producer overwrites the whole frame, or its window of it.
     ///
     /// # Panics
     ///
@@ -193,7 +270,7 @@ impl RgbImage {
     /// Resizes the frame in place, keeping the existing allocation when
     /// its capacity suffices (the [`crate::pool::FramePool`] reuse path).
     /// The pixel contents are unspecified afterwards; every `*_into`
-    /// producer overwrites the whole frame.
+    /// producer overwrites the whole frame, or its window of it.
     ///
     /// # Panics
     ///
@@ -203,6 +280,23 @@ impl RgbImage {
         self.data.resize(width * height * 3, 0.0);
         self.width = width;
         self.height = height;
+    }
+
+    /// The window's part of every window row (interleaved RGB), top to
+    /// bottom.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window does not lie inside the frame.
+    pub(crate) fn window_rows_mut(
+        &mut self,
+        window: PixelWindow,
+    ) -> impl Iterator<Item = &mut [f32]> {
+        window.assert_within(self.width, self.height);
+        let stride = self.width * 3;
+        self.data[window.y0 * stride..window.y1 * stride]
+            .chunks_exact_mut(stride)
+            .map(move |row| &mut row[window.x0 * 3..window.x1 * 3])
     }
 
     /// Converts to grayscale with Rec.601 luma weights.
@@ -225,10 +319,22 @@ impl RgbImage {
     ///
     /// Panics if `levels < 2`.
     pub fn quantize(&mut self, levels: u32) {
+        self.quantize_window(levels, PixelWindow::full(self.width, self.height));
+    }
+
+    /// [`RgbImage::quantize`] restricted to the pixels of `window`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `levels < 2` or the window does not lie inside the
+    /// frame.
+    pub(crate) fn quantize_window(&mut self, levels: u32, window: PixelWindow) {
         assert!(levels >= 2, "need at least two quantization levels");
         let q = (levels - 1) as f32;
-        for v in &mut self.data {
-            *v = (v.clamp(0.0, 1.0) * q).round() / q;
+        for row in self.window_rows_mut(window) {
+            for v in row {
+                *v = (v.clamp(0.0, 1.0) * q).round() / q;
+            }
         }
     }
 

@@ -19,6 +19,20 @@
 //! identical per-pixel arithmetic on disjoint rows, so the output is
 //! byte-identical for any thread count.
 //!
+//! # Pixel windows
+//!
+//! Every kernel runs on a [`PixelWindow`]: the row kernels take the
+//! window's column range, the tiling bands the window's rows, and the
+//! elementwise stages and quantizers walk the window's part of each row.
+//! [`IspPipeline::process_into`] is [`IspPipeline::process_window_into`]
+//! on the full frame — there is no second implementation. Border
+//! handling stays keyed to the image edges, never to the window's, so a
+//! windowed pixel is computed by exactly the expression the full frame
+//! uses. The 3×3 demosaic and the separable 3-tap denoise each read one
+//! pixel beyond their input, which makes the output exact on the window
+//! shrunk by two pixels (on every side that is not an image edge) when
+//! the RAW frame is valid on the window.
+//!
 //! # Kernel backends
 //!
 //! Each hot interior exists in the per-pixel scalar reference form and
@@ -42,10 +56,12 @@
 //!   scenes) is written back with the vectorized identity path, and
 //!   only knee-crossing chunks fall back to the scalar expression.
 
-use crate::image::{BayerChannel, RawImage, RgbImage};
+use crate::image::{BayerChannel, PixelWindow, RawImage, RgbImage};
 use crate::kernel::KernelBackend;
 use crate::pool::Scratch;
+use lkas_runtime::Executor;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// One ISP stage, in the paper's notation.
@@ -93,20 +109,35 @@ impl IspStage {
     /// backends produce bit-identical output (demosaic is not an
     /// RGB-domain stage and dispatches in [`demosaic_into_with`]).
     pub fn apply_with(&self, backend: KernelBackend, scratch: &mut Scratch, img: &mut RgbImage) {
+        let window = PixelWindow::full(img.width(), img.height());
+        self.apply_window(backend, scratch, img, window);
+    }
+
+    /// Applies this stage to the pixels of `window` only. Every stage
+    /// but denoise is pointwise; denoise reads one pixel beyond the
+    /// window, so its output is exact one pixel inside the window's
+    /// edges that are not image edges.
+    fn apply_window(
+        &self,
+        backend: KernelBackend,
+        scratch: &mut Scratch,
+        img: &mut RgbImage,
+        window: PixelWindow,
+    ) {
         match backend {
             KernelBackend::Scalar => match self {
                 IspStage::Demosaic => {}
-                IspStage::Denoise => denoise_in_place(img, scratch, false),
-                IspStage::ColorMap => color_map_in_place(img),
-                IspStage::GamutMap => gamut_map_in_place(img),
-                IspStage::ToneMap => tone_map_in_place(img),
+                IspStage::Denoise => denoise_in_place(img, window, scratch, false),
+                IspStage::ColorMap => color_map_in_place(img, window),
+                IspStage::GamutMap => gamut_map_in_place(img, window),
+                IspStage::ToneMap => tone_map_in_place(img, window),
             },
             KernelBackend::Lanes => match self {
                 IspStage::Demosaic => {}
-                IspStage::Denoise => denoise_in_place(img, scratch, true),
-                IspStage::ColorMap => color_map_in_place(img),
-                IspStage::GamutMap => gamut_map_lanes(img),
-                IspStage::ToneMap => tone_map_in_place(img),
+                IspStage::Denoise => denoise_in_place(img, window, scratch, true),
+                IspStage::ColorMap => color_map_in_place(img, window),
+                IspStage::GamutMap => gamut_map_lanes(img, window),
+                IspStage::ToneMap => tone_map_in_place(img, window),
             },
         }
     }
@@ -202,6 +233,13 @@ impl std::fmt::Display for IspConfig {
 /// real pipeline and consumed by TensorRT in the paper's setup).
 pub const OUTPUT_LEVELS: u32 = 256;
 
+/// Reach of the ISP's stencils, in pixels: the 3×3 demosaic and the
+/// separable 3-tap denoise each read one pixel beyond their input. A
+/// [`PixelWindow`] grown by this halo and processed by
+/// [`IspPipeline::process_window_into`] yields exact output on the
+/// ungrown window.
+pub const STENCIL_HALO: usize = 2;
+
 /// A configurable ISP pipeline.
 ///
 /// # Example
@@ -270,21 +308,47 @@ impl IspPipeline {
     /// performs no heap allocations (when `scratch` is single-threaded)
     /// and the output is byte-identical to [`IspPipeline::process`] at
     /// any scratch thread count. Both backends are additionally
-    /// byte-identical to each other.
+    /// byte-identical to each other. It is
+    /// [`IspPipeline::process_window_into`] on the full frame.
     pub fn process_into(&self, raw: &RawImage, scratch: &mut Scratch, out: &mut RgbImage) {
-        demosaic_into_with(raw, scratch, out, self.backend);
+        let window = PixelWindow::full(raw.width(), raw.height());
+        self.process_window_into(raw, window, scratch, out);
+    }
+
+    /// Runs the configured stages on the pixels of `window` only; every
+    /// other pixel of `out` keeps its previous contents.
+    ///
+    /// The 3×3 demosaic and the separable 3-tap denoise read one pixel
+    /// beyond their input each, so with `raw` valid on `window` the
+    /// output equals the full-frame output on the window shrunk by two
+    /// pixels on every side that is not an image edge (border handling
+    /// stays keyed to the image edges). Pixels outside `window` are
+    /// never written, and `raw` is read only inside `window` grown by
+    /// one pixel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window does not lie inside the frame.
+    pub fn process_window_into(
+        &self,
+        raw: &RawImage,
+        window: PixelWindow,
+        scratch: &mut Scratch,
+        out: &mut RgbImage,
+    ) {
+        demosaic_window_into(raw, window, scratch, out, self.backend);
         match self.backend {
             KernelBackend::Scalar => {
                 for stage in self.config.stages() {
-                    stage.apply(scratch, out);
+                    stage.apply_window(self.backend, scratch, out, window);
                 }
-                out.quantize(OUTPUT_LEVELS);
+                out.quantize_window(OUTPUT_LEVELS, window);
             }
             KernelBackend::Lanes => {
                 let (last, rest) =
                     self.config.stages().split_last().expect("every config demosaics");
                 for stage in rest {
-                    stage.apply_with(self.backend, scratch, out);
+                    stage.apply_window(self.backend, scratch, out, window);
                 }
                 // A trailing tone map fuses with the quantizer: one
                 // table walk replaces the per-pixel `powf` plus the
@@ -294,10 +358,12 @@ impl IspPipeline {
                 // win; a trailing gamut map is a near-free `max` for
                 // below-knee pixels and runs faster un-fused.
                 match last {
-                    IspStage::ToneMap => fused_quantize_in_place(out, tm_quant_thresholds()),
+                    IspStage::ToneMap => {
+                        fused_quantize_in_place(out, window, tm_quant_thresholds())
+                    }
                     stage => {
-                        stage.apply_with(self.backend, scratch, out);
-                        out.quantize(OUTPUT_LEVELS);
+                        stage.apply_window(self.backend, scratch, out, window);
+                        out.quantize_window(OUTPUT_LEVELS, window);
                     }
                 }
             }
@@ -393,28 +459,38 @@ fn dm_odd_odd(above: &[f32], cur: &[f32], below: &[f32], x: usize, px: &mut [f32
     px[2] = cur[x];
 }
 
-/// Demosaics the rows starting at absolute row `y0` into `band`
-/// (interleaved RGB, `band.len() / (3 * raw.width())` rows) with the
-/// scalar reference interior (per-x parity branch).
-fn demosaic_rows(raw: &RawImage, band: &mut [f32], y0: usize) {
+/// The interior part (away from the image's left and right edges) of
+/// the column range `cols` of a `w`-wide row.
+fn interior(cols: &Range<usize>, w: usize) -> Range<usize> {
+    cols.start.max(1)..cols.end.min(w.saturating_sub(1))
+}
+
+/// Demosaics the columns `cols` of the rows starting at absolute row
+/// `y0` into `band` (interleaved RGB, `band.len() / (3 * raw.width())`
+/// full rows) with the scalar reference interior (per-x parity branch).
+fn demosaic_rows(raw: &RawImage, band: &mut [f32], y0: usize, cols: Range<usize>) {
     let (w, h) = (raw.width(), raw.height());
     let data = raw.as_slice();
     for (ry, out_row) in band.chunks_exact_mut(w * 3).enumerate() {
         let y = y0 + ry;
         if y == 0 || y + 1 >= h {
-            for x in 0..w {
+            for x in cols.clone() {
                 dm_border_pixel(raw, &mut out_row[x * 3..x * 3 + 3], x, y);
             }
             continue;
         }
-        dm_border_pixel(raw, &mut out_row[0..3], 0, y);
-        dm_border_pixel(raw, &mut out_row[(w - 1) * 3..w * 3], w - 1, y);
+        if cols.contains(&0) {
+            dm_border_pixel(raw, &mut out_row[0..3], 0, y);
+        }
+        if cols.contains(&(w - 1)) {
+            dm_border_pixel(raw, &mut out_row[(w - 1) * 3..w * 3], w - 1, y);
+        }
         let above = &data[(y - 1) * w..y * w];
         let cur = &data[y * w..(y + 1) * w];
         let below = &data[(y + 1) * w..(y + 2) * w];
         if y & 1 == 0 {
             // Even row: Red (even x) / GreenR (odd x) photosites.
-            for x in 1..w - 1 {
+            for x in interior(&cols, w) {
                 let px = &mut out_row[x * 3..x * 3 + 3];
                 if x & 1 == 0 {
                     dm_even_even(above, cur, below, x, px);
@@ -424,7 +500,7 @@ fn demosaic_rows(raw: &RawImage, band: &mut [f32], y0: usize) {
             }
         } else {
             // Odd row: GreenB (even x) / Blue (odd x) photosites.
-            for x in 1..w - 1 {
+            for x in interior(&cols, w) {
                 let px = &mut out_row[x * 3..x * 3 + 3];
                 if x & 1 == 0 {
                     dm_odd_even(above, cur, below, x, px);
@@ -441,48 +517,64 @@ fn demosaic_rows(raw: &RawImage, band: &mut [f32], y0: usize) {
 /// iteration, six contiguous output lanes) so the parity test leaves
 /// the hot loop and the neighbor loads are shared between the two
 /// phases. Same phase kernels, same expressions — bit-identical.
-fn demosaic_rows_lanes(raw: &RawImage, band: &mut [f32], y0: usize) {
+fn demosaic_rows_lanes(raw: &RawImage, band: &mut [f32], y0: usize, cols: Range<usize>) {
     let (w, h) = (raw.width(), raw.height());
-    if w < 4 {
-        return demosaic_rows(raw, band, y0);
-    }
     let data = raw.as_slice();
     for (ry, out_row) in band.chunks_exact_mut(w * 3).enumerate() {
         let y = y0 + ry;
         if y == 0 || y + 1 >= h {
-            for x in 0..w {
+            for x in cols.clone() {
                 dm_border_pixel(raw, &mut out_row[x * 3..x * 3 + 3], x, y);
             }
             continue;
         }
-        dm_border_pixel(raw, &mut out_row[0..3], 0, y);
-        dm_border_pixel(raw, &mut out_row[(w - 1) * 3..w * 3], w - 1, y);
+        if cols.contains(&0) {
+            dm_border_pixel(raw, &mut out_row[0..3], 0, y);
+        }
+        if cols.contains(&(w - 1)) {
+            dm_border_pixel(raw, &mut out_row[(w - 1) * 3..w * 3], w - 1, y);
+        }
         let above = &data[(y - 1) * w..y * w];
         let cur = &data[y * w..(y + 1) * w];
         let below = &data[(y + 1) * w..(y + 2) * w];
-        // Interior x ∈ [1, w−2]: a lone odd column, then (even, odd)
-        // pairs, then the lone even column w−2 (w is even for Bayer).
+        let inner = interior(&cols, w);
         if y & 1 == 0 {
-            dm_even_odd(above, cur, below, 1, &mut out_row[3..6]);
-            let mut x = 2;
-            while x + 1 < w - 1 {
-                let px = &mut out_row[x * 3..x * 3 + 6];
-                dm_even_even(above, cur, below, x, &mut px[0..3]);
-                dm_even_odd(above, cur, below, x + 1, &mut px[3..6]);
-                x += 2;
-            }
-            dm_even_even(above, cur, below, w - 2, &mut out_row[(w - 2) * 3..(w - 1) * 3]);
+            dm_pair_walk(above, cur, below, out_row, inner, dm_even_even, dm_even_odd);
         } else {
-            dm_odd_odd(above, cur, below, 1, &mut out_row[3..6]);
-            let mut x = 2;
-            while x + 1 < w - 1 {
-                let px = &mut out_row[x * 3..x * 3 + 6];
-                dm_odd_even(above, cur, below, x, &mut px[0..3]);
-                dm_odd_odd(above, cur, below, x + 1, &mut px[3..6]);
-                x += 2;
-            }
-            dm_odd_even(above, cur, below, w - 2, &mut out_row[(w - 2) * 3..(w - 1) * 3]);
+            dm_pair_walk(above, cur, below, out_row, inner, dm_odd_even, dm_odd_odd);
         }
+    }
+}
+
+/// One phase kernel of the demosaic interior.
+type DmKernel = fn(&[f32], &[f32], &[f32], usize, &mut [f32]);
+
+/// The lane demosaic's interior walk over `cols` of one row: a lone odd
+/// column when the range starts odd, then (even, odd) pairs, then the
+/// lone even column left over, if any.
+#[inline(always)]
+fn dm_pair_walk(
+    above: &[f32],
+    cur: &[f32],
+    below: &[f32],
+    out_row: &mut [f32],
+    cols: Range<usize>,
+    even: DmKernel,
+    odd: DmKernel,
+) {
+    let mut x = cols.start;
+    if x < cols.end && x & 1 == 1 {
+        odd(above, cur, below, x, &mut out_row[x * 3..x * 3 + 3]);
+        x += 1;
+    }
+    while x + 1 < cols.end {
+        let px = &mut out_row[x * 3..x * 3 + 6];
+        even(above, cur, below, x, &mut px[0..3]);
+        odd(above, cur, below, x + 1, &mut px[3..6]);
+        x += 2;
+    }
+    if x < cols.end {
+        even(above, cur, below, x, &mut out_row[x * 3..x * 3 + 3]);
     }
 }
 
@@ -509,26 +601,58 @@ pub fn demosaic_into_with(
     out: &mut RgbImage,
     backend: KernelBackend,
 ) {
+    let window = PixelWindow::full(raw.width(), raw.height());
+    demosaic_window_into(raw, window, scratch, out, backend);
+}
+
+/// Demosaics the pixels of `window` only, reading `raw` inside the
+/// window grown by one pixel.
+fn demosaic_window_into(
+    raw: &RawImage,
+    window: PixelWindow,
+    scratch: &mut Scratch,
+    out: &mut RgbImage,
+    backend: KernelBackend,
+) {
     let (w, h) = (raw.width(), raw.height());
     out.reshape(w, h);
-    let rows: fn(&RawImage, &mut [f32], usize) = match backend {
+    window.assert_within(w, h);
+    let rows: fn(&RawImage, &mut [f32], usize, Range<usize>) = match backend {
         KernelBackend::Scalar => demosaic_rows,
         KernelBackend::Lanes => demosaic_rows_lanes,
     };
-    let exec = scratch.executor;
-    if exec.threads() == 1 {
+    tile_window_rows(scratch.executor, out.as_mut_slice(), w, window, |band, y0| {
+        rows(raw, band, y0, window.columns())
+    });
+}
+
+/// Runs `rows(band, first_row)` over the rows of `window` in `buf` (an
+/// interleaved-RGB frame `w` pixels wide): on the calling thread with a
+/// single-threaded executor, else split into one band of consecutive
+/// rows per worker. Every row's arithmetic is independent of the band
+/// split, so the output is byte-identical for any thread count.
+fn tile_window_rows(
+    exec: Executor,
+    buf: &mut [f32],
+    w: usize,
+    window: PixelWindow,
+    rows: impl Fn(&mut [f32], usize) + Sync,
+) {
+    let stride = w * 3;
+    let span = &mut buf[window.y0 * stride..window.y1 * stride];
+    let n = window.y1 - window.y0;
+    if exec.threads() == 1 || n == 0 {
         // Sequential fast path: no job vectors, no allocations.
-        rows(raw, out.as_mut_slice(), 0);
+        rows(span, window.y0);
         return;
     }
-    let band_rows = (h + exec.threads() - 1) / exec.threads();
-    let jobs: Vec<(usize, &mut [f32])> = out
-        .as_mut_slice()
-        .chunks_mut(band_rows * w * 3)
+    let band_rows = (n + exec.threads() - 1) / exec.threads();
+    let jobs: Vec<(usize, &mut [f32])> = span
+        .chunks_mut(band_rows * stride)
         .enumerate()
-        .map(|(i, band)| (i * band_rows, band))
+        .map(|(i, band)| (window.y0 + i * band_rows, band))
         .collect();
-    exec.run(jobs, |(y0, band)| rows(raw, band, y0));
+    exec.run(jobs, |(y0, band)| rows(band, y0));
 }
 
 // ---------------------------------------------------------------------
@@ -550,55 +674,58 @@ fn dn_tap3(a: f32, b: f32, c: f32) -> f32 {
 }
 
 /// Horizontal pass of the separable denoise: reads `src`, writes the
-/// rows starting at `y0` into `band`.
+/// columns `cols` of the rows starting at `y0` into `band`.
 ///
 /// Interior columns skip the tap clamping (the accumulation order is
 /// unchanged, so the result stays bit-exact with the clamped walk);
-/// only the two border columns pay for it.
-fn denoise_horizontal_rows(src: &RgbImage, band: &mut [f32], y0: usize) {
+/// only the two image-border columns pay for it.
+fn denoise_horizontal_rows(src: &RgbImage, band: &mut [f32], y0: usize, cols: Range<usize>) {
     let w = src.width();
     let data = src.as_slice();
     for (ry, out_row) in band.chunks_exact_mut(w * 3).enumerate() {
         let y = y0 + ry;
         let row = &data[y * w * 3..(y + 1) * w * 3];
-        if w < 2 {
-            for x in 0..w {
-                dn_clamped_h(row, w, x, &mut out_row[x * 3..x * 3 + 3]);
-            }
-            continue;
+        if cols.contains(&0) {
+            dn_clamped_h(row, w, 0, &mut out_row[0..3]);
         }
-        dn_clamped_h(row, w, 0, &mut out_row[0..3]);
-        for x in 1..w - 1 {
+        for x in interior(&cols, w) {
             let i = x * 3;
             for c in 0..3 {
                 out_row[i + c] = dn_tap3(row[i - 3 + c], row[i + c], row[i + 3 + c]);
             }
         }
-        dn_clamped_h(row, w, w - 1, &mut out_row[(w - 1) * 3..w * 3]);
+        if w > 1 && cols.contains(&(w - 1)) {
+            dn_clamped_h(row, w, w - 1, &mut out_row[(w - 1) * 3..w * 3]);
+        }
     }
 }
 
 /// Lane variant of [`denoise_horizontal_rows`]: the interior flattens
 /// to one elementwise 3-tap loop over three shifted subslices — a pure
-/// map the compiler vectorizes across the full row. Same taps, same
+/// map the compiler vectorizes across the row. Same taps, same
 /// accumulation order — bit-identical to the scalar pass.
-fn denoise_horizontal_rows_lanes(src: &RgbImage, band: &mut [f32], y0: usize) {
+fn denoise_horizontal_rows_lanes(src: &RgbImage, band: &mut [f32], y0: usize, cols: Range<usize>) {
     let w = src.width();
-    if w < 2 {
-        return denoise_horizontal_rows(src, band, y0);
+    let inner = interior(&cols, w);
+    if inner.is_empty() {
+        return denoise_horizontal_rows(src, band, y0, cols);
     }
     let data = src.as_slice();
-    let n = (w - 2) * 3;
+    let (a, n) = (inner.start * 3, inner.len() * 3);
     for (ry, out_row) in band.chunks_exact_mut(w * 3).enumerate() {
         let y = y0 + ry;
         let row = &data[y * w * 3..(y + 1) * w * 3];
-        dn_clamped_h(row, w, 0, &mut out_row[0..3]);
-        let (left, mid, right) = (&row[..n], &row[3..3 + n], &row[6..6 + n]);
-        let dst = &mut out_row[3..3 + n];
+        if cols.contains(&0) {
+            dn_clamped_h(row, w, 0, &mut out_row[0..3]);
+        }
+        let (left, mid, right) = (&row[a - 3..a - 3 + n], &row[a..a + n], &row[a + 3..a + 3 + n]);
+        let dst = &mut out_row[a..a + n];
         for i in 0..n {
             dst[i] = dn_tap3(left[i], mid[i], right[i]);
         }
-        dn_clamped_h(row, w, w - 1, &mut out_row[(w - 1) * 3..w * 3]);
+        if cols.contains(&(w - 1)) {
+            dn_clamped_h(row, w, w - 1, &mut out_row[(w - 1) * 3..w * 3]);
+        }
     }
 }
 
@@ -615,18 +742,19 @@ fn dn_clamped_h(row: &[f32], w: usize, x: usize, out: &mut [f32]) {
 }
 
 /// Vertical pass of the separable denoise: reads `tmp` (the horizontal
-/// pass output), writes the rows starting at `y0` into `band`.
+/// pass output), writes the columns `cols` of the rows starting at `y0`
+/// into `band`.
 ///
-/// Interior rows read three full row slices in one elementwise 3-tap
-/// loop (already the lane form — both backends share it); the first and
-/// last image rows use the generic clamped walk.
-fn denoise_vertical_rows(tmp: &RgbImage, band: &mut [f32], y0: usize) {
+/// Interior rows read three row slices in one elementwise 3-tap loop
+/// (already the lane form — both backends share it); the first and last
+/// image rows use the generic clamped walk.
+fn denoise_vertical_rows(tmp: &RgbImage, band: &mut [f32], y0: usize, cols: Range<usize>) {
     let (w, h) = (tmp.width(), tmp.height());
     let data = tmp.as_slice();
     for (ry, out_row) in band.chunks_exact_mut(w * 3).enumerate() {
         let y = y0 + ry;
         if y == 0 || y + 1 >= h {
-            for x in 0..w {
+            for x in cols.clone() {
                 let mut acc = [0.0f32; 3];
                 for (t, &k) in DN_K.iter().enumerate() {
                     let yi = (y as i64 + t as i64 - 1).clamp(0, h as i64 - 1) as usize;
@@ -638,50 +766,39 @@ fn denoise_vertical_rows(tmp: &RgbImage, band: &mut [f32], y0: usize) {
             }
             continue;
         }
-        let above = &data[(y - 1) * w * 3..y * w * 3];
-        let cur = &data[y * w * 3..(y + 1) * w * 3];
-        let below = &data[(y + 1) * w * 3..(y + 2) * w * 3];
-        for i in 0..w * 3 {
-            out_row[i] = dn_tap3(above[i], cur[i], below[i]);
+        let (a, b) = (cols.start * 3, cols.end * 3);
+        let above = &data[(y - 1) * w * 3 + a..(y - 1) * w * 3 + b];
+        let cur = &data[y * w * 3 + a..y * w * 3 + b];
+        let below = &data[(y + 1) * w * 3 + a..(y + 1) * w * 3 + b];
+        for (((dst, &up), &mid), &down) in out_row[a..b].iter_mut().zip(above).zip(cur).zip(below) {
+            *dst = dn_tap3(up, mid, down);
         }
     }
 }
 
 /// 3×3 Gaussian blur (σ ≈ 0.85, separable binomial kernel) applied per
-/// channel in place, ping-ponging through a pooled buffer. Both passes
-/// tile row-band parallel; the vertical pass starts only after the full
-/// horizontal pass finished (the executor joins its workers), so
-/// cross-band reads see complete data and the result is byte-identical
-/// for any thread count. `lanes` selects the flattened horizontal
-/// interior (bit-identical either way).
-fn denoise_in_place(img: &mut RgbImage, scratch: &mut Scratch, lanes: bool) {
+/// channel in place on the pixels of `window`, ping-ponging through a
+/// pooled buffer. Both passes tile the window's rows in bands; the
+/// vertical pass starts only after the full horizontal pass finished
+/// (the executor joins its workers), so cross-band reads see complete
+/// data and the result is byte-identical for any thread count. `lanes`
+/// selects the flattened horizontal interior (bit-identical either
+/// way).
+fn denoise_in_place(img: &mut RgbImage, window: PixelWindow, scratch: &mut Scratch, lanes: bool) {
     let (w, h) = (img.width(), img.height());
-    let horizontal: fn(&RgbImage, &mut [f32], usize) =
+    window.assert_within(w, h);
+    let horizontal: fn(&RgbImage, &mut [f32], usize, Range<usize>) =
         if lanes { denoise_horizontal_rows_lanes } else { denoise_horizontal_rows };
     let mut tmp = scratch.pool.take_rgb(w, h);
     let exec = scratch.executor;
-    if exec.threads() == 1 {
-        horizontal(img, tmp.as_mut_slice(), 0);
-        denoise_vertical_rows(&tmp, img.as_mut_slice(), 0);
-    } else {
-        let band_rows = (h + exec.threads() - 1) / exec.threads();
-        let src: &RgbImage = img;
-        let jobs: Vec<(usize, &mut [f32])> = tmp
-            .as_mut_slice()
-            .chunks_mut(band_rows * w * 3)
-            .enumerate()
-            .map(|(i, band)| (i * band_rows, band))
-            .collect();
-        exec.run(jobs, |(y0, band)| horizontal(src, band, y0));
-        let jobs: Vec<(usize, &mut [f32])> = img
-            .as_mut_slice()
-            .chunks_mut(band_rows * w * 3)
-            .enumerate()
-            .map(|(i, band)| (i * band_rows, band))
-            .collect();
-        let tmp_ref = &tmp;
-        exec.run(jobs, |(y0, band)| denoise_vertical_rows(tmp_ref, band, y0));
-    }
+    let src: &RgbImage = img;
+    tile_window_rows(exec, tmp.as_mut_slice(), w, window, |band, y0| {
+        horizontal(src, band, y0, window.columns())
+    });
+    let tmp_ref = &tmp;
+    tile_window_rows(exec, img.as_mut_slice(), w, window, |band, y0| {
+        denoise_vertical_rows(tmp_ref, band, y0, window.columns())
+    });
     scratch.pool.put_rgb(tmp);
 }
 
@@ -689,13 +806,16 @@ fn denoise_in_place(img: &mut RgbImage, scratch: &mut Scratch, lanes: bool) {
 // Elementwise stages (color map, gamut map, tone map, fused quantize)
 // ---------------------------------------------------------------------
 
-/// Color-correction matrix (inverse sensor crosstalk) applied in place.
-fn color_map_in_place(img: &mut RgbImage) {
+/// Color-correction matrix (inverse sensor crosstalk) applied in place
+/// to the pixels of `window`.
+fn color_map_in_place(img: &mut RgbImage, window: PixelWindow) {
     let ccm = ccm();
-    for px in img.as_mut_slice().chunks_exact_mut(3) {
-        let v = [px[0], px[1], px[2]];
-        for (c, row) in ccm.iter().enumerate() {
-            px[c] = row[0] * v[0] + row[1] * v[1] + row[2] * v[2];
+    for pixels in img.window_rows_mut(window) {
+        for px in pixels.chunks_exact_mut(3) {
+            let v = [px[0], px[1], px[2]];
+            for (c, row) in ccm.iter().enumerate() {
+                px[c] = row[0] * v[0] + row[1] * v[1] + row[2] * v[2];
+            }
         }
     }
 }
@@ -715,10 +835,13 @@ fn gamut_map_one(v: f32) -> f32 {
     }
 }
 
-/// Soft-knee gamut compression applied in place (scalar reference).
-fn gamut_map_in_place(img: &mut RgbImage) {
-    for v in img.as_mut_slice() {
-        *v = gamut_map_one(*v);
+/// Soft-knee gamut compression applied in place to the pixels of
+/// `window` (scalar reference).
+fn gamut_map_in_place(img: &mut RgbImage, window: PixelWindow) {
+    for row in img.window_rows_mut(window) {
+        for v in row {
+            *v = gamut_map_one(*v);
+        }
     }
 }
 
@@ -727,30 +850,32 @@ fn gamut_map_in_place(img: &mut RgbImage) {
 /// scenes) takes the vectorized identity path `x.max(0.0)`; only
 /// knee-crossing chunks fall back to the scalar expression per lane.
 /// In-gamut values are written as `v.max(0.0)` on both paths, so the
-/// output is bit-identical to [`gamut_map_in_place`].
-fn gamut_map_lanes(img: &mut RgbImage) {
+/// output is bit-identical to [`gamut_map_in_place`] whatever the
+/// chunking; each window row is chunked on its own.
+fn gamut_map_lanes(img: &mut RgbImage, window: PixelWindow) {
     const LANE: usize = 16;
-    let data = img.as_mut_slice();
-    let mut chunks = data.chunks_exact_mut(LANE);
-    for chunk in &mut chunks {
-        let mut m = [0.0f32; LANE];
-        for (d, &s) in m.iter_mut().zip(chunk.iter()) {
-            *d = s.max(0.0);
-        }
-        let mut hi = 0.0f32;
-        for &v in &m {
-            hi = hi.max(v);
-        }
-        if hi <= GM_KNEE {
-            chunk.copy_from_slice(&m);
-        } else {
-            for v in chunk.iter_mut() {
-                *v = gamut_map_one(*v);
+    for row in img.window_rows_mut(window) {
+        let mut chunks = row.chunks_exact_mut(LANE);
+        for chunk in &mut chunks {
+            let mut m = [0.0f32; LANE];
+            for (d, &s) in m.iter_mut().zip(chunk.iter()) {
+                *d = s.max(0.0);
+            }
+            let mut hi = 0.0f32;
+            for &v in &m {
+                hi = hi.max(v);
+            }
+            if hi <= GM_KNEE {
+                chunk.copy_from_slice(&m);
+            } else {
+                for v in chunk.iter_mut() {
+                    *v = gamut_map_one(*v);
+                }
             }
         }
-    }
-    for v in chunks.into_remainder() {
-        *v = gamut_map_one(*v);
+        for v in chunks.into_remainder() {
+            *v = gamut_map_one(*v);
+        }
     }
 }
 
@@ -761,10 +886,13 @@ fn tone_map_one(v: f32) -> f32 {
     v.max(0.0).powf(1.0 / 2.2)
 }
 
-/// sRGB-like gamma encoding (γ = 1/2.2) applied in place.
-fn tone_map_in_place(img: &mut RgbImage) {
-    for v in img.as_mut_slice() {
-        *v = tone_map_one(*v);
+/// sRGB-like gamma encoding (γ = 1/2.2) applied in place to the pixels
+/// of `window`.
+fn tone_map_in_place(img: &mut RgbImage, window: PixelWindow) {
+    for row in img.window_rows_mut(window) {
+        for v in row {
+            *v = tone_map_one(*v);
+        }
     }
 }
 
@@ -882,17 +1010,20 @@ fn gm_quant_thresholds() -> &'static QuantTable {
 /// one quantize pass. `v.max(0.0)` mirrors the stage functions' own
 /// clamp (it also normalizes NaN to 0 exactly like the scalar path);
 /// the sign-bit mask maps −0.0 onto +0.0's bit pattern so the integer
-/// compare stays order-preserving.
-fn fused_quantize_in_place(img: &mut RgbImage, qt: &QuantTable) {
+/// compare stays order-preserving. Only the pixels of `window` are
+/// mapped.
+fn fused_quantize_in_place(img: &mut RgbImage, window: PixelWindow, qt: &QuantTable) {
     let t = &qt.thresholds;
-    for v in img.as_mut_slice() {
-        let mb = v.max(0.0).to_bits() & 0x7FFF_FFFF;
-        let mut c = qt.prefix_lo[(mb >> QUANT_PREFIX_SHIFT) as usize] as usize;
-        c += ((t[c + 7] <= mb) as usize) << 3;
-        c += ((t[c + 3] <= mb) as usize) << 2;
-        c += ((t[c + 1] <= mb) as usize) << 1;
-        c += (t[c] <= mb) as usize;
-        *v = qt.values[c];
+    for row in img.window_rows_mut(window) {
+        for v in row {
+            let mb = v.max(0.0).to_bits() & 0x7FFF_FFFF;
+            let mut c = qt.prefix_lo[(mb >> QUANT_PREFIX_SHIFT) as usize] as usize;
+            c += ((t[c + 7] <= mb) as usize) << 3;
+            c += ((t[c + 3] <= mb) as usize) << 2;
+            c += ((t[c + 1] <= mb) as usize) << 1;
+            c += (t[c] <= mb) as usize;
+            *v = qt.values[c];
+        }
     }
 }
 
@@ -1050,7 +1181,7 @@ mod tests {
             }
             reference.quantize(OUTPUT_LEVELS);
             let mut fused = img.clone();
-            fused_quantize_in_place(&mut fused, table);
+            fused_quantize_in_place(&mut fused, PixelWindow::full(w, 2), table);
             assert_eq!(reference, fused);
         }
     }
@@ -1063,8 +1194,8 @@ mod tests {
             *v = (i as f32 * 0.037) % 1.4 - 0.1;
         }
         let mut scalar = img.clone();
-        gamut_map_in_place(&mut scalar);
-        gamut_map_lanes(&mut img);
+        gamut_map_in_place(&mut scalar, PixelWindow::full(20, 3));
+        gamut_map_lanes(&mut img, PixelWindow::full(20, 3));
         assert_eq!(scalar, img);
     }
 
@@ -1079,6 +1210,77 @@ mod tests {
             let mut out = RgbImage::new(1, 1);
             IspPipeline::new(IspConfig::S0).process_into(&raw, &mut scratch, &mut out);
             assert_eq!(out, reference, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn window_output_matches_full_frame_inside_the_halo() {
+        // RAW valid only on the window (stale elsewhere), output exact on
+        // the window shrunk by two pixels — except along image edges,
+        // where the border handling makes it exact up to the edge.
+        let mut s = Sensor::new(SensorConfig::default(), 31);
+        let mut scene = RgbImage::new(40, 24);
+        for y in 0..24 {
+            for x in 0..40 {
+                let t = ((x * 7 + y * 13) % 29) as f32 / 29.0;
+                scene.set(x, y, [t, 0.8 - 0.5 * t, 0.3 + 0.6 * t]);
+            }
+        }
+        let raw = s.capture(&scene, 1.0);
+        let windows = [
+            PixelWindow { x0: 5, y0: 4, x1: 30, y1: 17 },
+            PixelWindow { x0: 6, y0: 3, x1: 31, y1: 18 },
+            PixelWindow { x0: 0, y0: 0, x1: 11, y1: 9 },
+            PixelWindow { x0: 27, y0: 13, x1: 40, y1: 24 },
+            PixelWindow::full(40, 24),
+        ];
+        for cfg in IspConfig::ALL {
+            let full = IspPipeline::new(cfg).process(&raw);
+            for backend in KernelBackend::ALL {
+                for threads in [1, 3] {
+                    for window in windows {
+                        let mut partial = raw.clone();
+                        for y in 0..24 {
+                            for x in 0..40 {
+                                if !(window.rows().contains(&y) && window.columns().contains(&x)) {
+                                    partial.set(x, y, 0.77);
+                                }
+                            }
+                        }
+                        let mut out = RgbImage::filled(40, 24, [-5.0; 3]);
+                        IspPipeline::new(cfg).with_backend(backend).process_window_into(
+                            &partial,
+                            window,
+                            &mut Scratch::with_threads(threads),
+                            &mut out,
+                        );
+                        let shrink = |lo: usize, hi: usize, n: usize| {
+                            (if lo == 0 { 0 } else { lo + 2 }, if hi == n { n } else { hi - 2 })
+                        };
+                        let (x0, x1) = shrink(window.x0, window.x1, 40);
+                        let (y0, y1) = shrink(window.y0, window.y1, 24);
+                        for y in 0..24 {
+                            for x in 0..40 {
+                                let inside =
+                                    window.rows().contains(&y) && window.columns().contains(&x);
+                                if !inside {
+                                    assert_eq!(
+                                        out.get(x, y),
+                                        [-5.0; 3],
+                                        "{cfg} untouched ({x}, {y})"
+                                    );
+                                } else if (x0..x1).contains(&x) && (y0..y1).contains(&y) {
+                                    assert_eq!(
+                                        out.get(x, y),
+                                        full.get(x, y),
+                                        "{cfg} {backend} {threads}t {window:?} ({x}, {y})"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

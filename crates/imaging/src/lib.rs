@@ -11,7 +11,8 @@
 //!
 //! * [`image`] — the [`RawImage`](image::RawImage) (Bayer RGGB mosaic),
 //!   [`RgbImage`](image::RgbImage) and [`GrayImage`](image::GrayImage)
-//!   containers,
+//!   containers and the [`PixelWindow`](image::PixelWindow) that
+//!   capture and the ISP compute,
 //! * [`sensor`] — the camera sensor model (spectral crosstalk,
 //!   illumination-scaled shot/read noise, Bayer sampling) used by the
 //!   scene renderer,
@@ -49,7 +50,7 @@ pub mod metrics;
 pub mod pool;
 pub mod sensor;
 
-pub use image::{GrayImage, RawImage, RgbImage};
+pub use image::{GrayImage, PixelWindow, RawImage, RgbImage};
 pub use isp::{IspConfig, IspPipeline, IspStage};
 pub use kernel::KernelBackend;
 pub use pool::{FramePool, PoolStats, Scratch};

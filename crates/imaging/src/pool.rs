@@ -10,7 +10,9 @@
 //! [`Executor`] and is what every `*_into` ISP entry point takes.
 //!
 //! Buffer contents on checkout are unspecified: every `*_into` producer
-//! overwrites the whole frame, so the pool never pays for zeroing.
+//! overwrites the pixels it produces (the whole frame, or its
+//! [`PixelWindow`](crate::image::PixelWindow)) before anything reads
+//! them, so the pool never pays for zeroing.
 
 use crate::image::{GrayImage, RawImage, RgbImage};
 use lkas_runtime::Executor;

@@ -11,8 +11,22 @@
 //! 3. add photon shot noise (variance ∝ signal) and read noise
 //!    (constant variance),
 //! 4. sample the RGGB mosaic.
+//!
+//! # Keyed noise
+//!
+//! The noise is the seeded splitmix64 stream of the workspace's `StdRng`,
+//! addressed by counter instead of drawn in sequence: the k-th draw of a
+//! stream seeded with `s` is the splitmix64 output of counter
+//! `s + k·γ`. Each frame starts at a counter; pixel `i = y·w + x`
+//! draws its Box–Muller pair at `start + (2i+1)·γ` and `start + (2i+2)·γ`,
+//! and every capture advances the counter by `2·w·h` draws. A pixel's
+//! noise therefore depends only on (frame, pixel), never on which other
+//! pixels were captured, so [`Sensor::capture_window_into`] computes any
+//! [`PixelWindow`] of a frame bit-identically to the full capture, and
+//! [`Sensor::recapture_window_into`] exposes the same frame again on
+//! another window.
 
-use crate::image::{BayerChannel, RawImage, RgbImage};
+use crate::image::{BayerChannel, PixelWindow, RawImage, RgbImage};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -47,29 +61,69 @@ impl Default for SensorConfig {
     }
 }
 
+/// Counter increment of one splitmix64 draw (the golden-ratio gamma).
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The splitmix64 output at counter `state` — the draw `StdRng` returns
+/// once its state has advanced to `state`.
+#[inline(always)]
+fn splitmix64(state: u64) -> u64 {
+    let mut z = state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// `gen_range(lo..hi)` over f32 applied to the 64 bits `z`: the top 24
+/// bits scaled into `[0, 1)`, then mapped onto the range.
+#[inline(always)]
+fn uniform(lo: f32, hi: f32, z: u64) -> f32 {
+    let unit = (z >> 40) as f32 * (1.0 / (1u32 << 24) as f32);
+    lo + unit * (hi - lo)
+}
+
+/// Standard normal noise of pixel `i` of the frame whose noise starts at
+/// counter `start` (Box–Muller over the pixel's two keyed draws).
+#[inline(always)]
+fn pixel_gaussian(start: u64, i: usize) -> f32 {
+    let first = start.wrapping_add((2 * i as u64 + 1).wrapping_mul(GAMMA));
+    let u1 = uniform(f32::EPSILON, 1.0, splitmix64(first));
+    let u2 = uniform(0.0, 1.0, splitmix64(first.wrapping_add(GAMMA)));
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
+}
+
 /// A deterministic (seeded) camera sensor.
 ///
 /// # Example
 ///
 /// ```
-/// use lkas_imaging::image::RgbImage;
+/// use lkas_imaging::image::{PixelWindow, RawImage, RgbImage};
 /// use lkas_imaging::sensor::{Sensor, SensorConfig};
 ///
 /// let scene = RgbImage::filled(8, 8, [0.5, 0.5, 0.5]);
 /// let mut sensor = Sensor::new(SensorConfig::default(), 7);
 /// let raw = sensor.capture(&scene, 1.0);
 /// assert_eq!((raw.width(), raw.height()), (8, 8));
+///
+/// // A window of the same frame carries the same noise.
+/// let mut part = RawImage::new(8, 8);
+/// let window = PixelWindow { x0: 2, y0: 1, x1: 6, y1: 5 };
+/// sensor.recapture_window_into(&scene, 1.0, window, &mut part);
+/// assert_eq!(part.get(3, 2), raw.get(3, 2));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Sensor {
     config: SensorConfig,
-    rng: StdRng,
+    /// Noise counter at which the next captured frame starts.
+    next_frame: u64,
+    /// Noise counter at which the most recent capture started.
+    last_frame: u64,
 }
 
 impl Sensor {
     /// Creates a sensor with the given configuration and RNG seed.
     pub fn new(config: SensorConfig, seed: u64) -> Self {
-        Sensor { config, rng: StdRng::seed_from_u64(seed) }
+        Sensor { config, next_frame: seed, last_frame: seed }
     }
 
     /// Borrow the sensor configuration.
@@ -95,19 +149,61 @@ impl Sensor {
 
     /// Captures a scene-referred linear RGB frame into a caller-owned RAW
     /// Bayer frame (resized as needed) — the allocation-free capture
-    /// path. This is the single capture implementation; RNG consumption
-    /// is identical to [`Sensor::capture`].
+    /// path: [`Sensor::capture_window_into`] on the full frame.
     ///
     /// # Panics
     ///
     /// Panics if the scene dimensions are odd (Bayer frames need even
     /// dimensions).
     pub fn capture_into(&mut self, scene: &RgbImage, illumination: f32, raw: &mut RawImage) {
+        let window = PixelWindow::full(scene.width(), scene.height());
+        self.capture_window_into(scene, illumination, window, raw);
+    }
+
+    /// Captures the next frame on `window` only: the window's photosites
+    /// get exactly the values a full capture of this frame gives them,
+    /// and every other photosite of `raw` keeps its previous contents.
+    /// The noise counter advances by the whole frame, whatever the
+    /// window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scene dimensions are odd or the window does not lie
+    /// inside the frame.
+    pub fn capture_window_into(
+        &mut self,
+        scene: &RgbImage,
+        illumination: f32,
+        window: PixelWindow,
+        raw: &mut RawImage,
+    ) {
+        let draws = 2 * (scene.width() * scene.height()) as u64;
+        self.last_frame = self.next_frame;
+        self.next_frame = self.next_frame.wrapping_add(draws.wrapping_mul(GAMMA));
+        self.recapture_window_into(scene, illumination, window, raw);
+    }
+
+    /// Exposes the most recently captured frame again on `window`, with
+    /// the same noise: the window's photosites get the values the last
+    /// capture gave (or would have given) them. The noise counter does
+    /// not move. Before the first capture this exposes the first frame.
+    ///
+    /// # Panics
+    ///
+    /// As [`Sensor::capture_window_into`].
+    pub fn recapture_window_into(
+        &self,
+        scene: &RgbImage,
+        illumination: f32,
+        window: PixelWindow,
+        raw: &mut RawImage,
+    ) {
         let (w, h) = (scene.width(), scene.height());
         raw.reshape(w, h);
+        window.assert_within(w, h);
         let g = self.config.gain;
-        for y in 0..h {
-            for x in 0..w {
+        for y in window.rows() {
+            for x in window.columns() {
                 let px = scene.get(x, y);
                 // Illumination scaling happens in the scene-referred
                 // domain (light level), then sensor crosstalk.
@@ -120,18 +216,10 @@ impl Sensor {
                 let signal = (row[0] * lit[0] + row[1] * lit[1] + row[2] * lit[2]) * g;
                 let var = self.config.read_noise.powi(2)
                     + self.config.shot_noise.powi(2) * signal.max(0.0);
-                let noise = self.sample_gaussian() * var.sqrt();
+                let noise = pixel_gaussian(self.last_frame, y * w + x) * var.sqrt();
                 raw.set(x, y, (signal + noise).clamp(0.0, 1.0));
             }
         }
-    }
-
-    /// Standard normal sample via Box–Muller (keeps the crate free of a
-    /// distributions dependency).
-    fn sample_gaussian(&mut self) -> f32 {
-        let u1: f32 = self.rng.gen_range(f32::EPSILON..1.0);
-        let u2: f32 = self.rng.gen_range(0.0..1.0);
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
     }
 }
 
@@ -189,6 +277,91 @@ mod tests {
 
     fn flat_scene(v: f32) -> RgbImage {
         RgbImage::filled(64, 64, [v, v, v])
+    }
+
+    /// A scene with per-pixel structure, so window mix-ups show.
+    fn gradient_scene(w: usize, h: usize) -> RgbImage {
+        let mut scene = RgbImage::new(w, h);
+        for y in 0..h {
+            for x in 0..w {
+                let t = (x + 3 * y) as f32 / (w + 3 * h) as f32;
+                scene.set(x, y, [t, 1.0 - t, 0.5 * t]);
+            }
+        }
+        scene
+    }
+
+    /// The sequential reference capture: one `StdRng` stream seeded like
+    /// the sensor, two draws per photosite in row-major order, frame
+    /// after frame.
+    fn reference_captures(config: &SensorConfig, seed: u64, frames: &[RgbImage]) -> Vec<RawImage> {
+        let mut stream = StdRng::seed_from_u64(seed);
+        let mut gaussian = || {
+            let u1: f32 = stream.gen_range(f32::EPSILON..1.0);
+            let u2: f32 = stream.gen_range(0.0..1.0);
+            (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
+        };
+        frames
+            .iter()
+            .map(|scene| {
+                let (w, h) = (scene.width(), scene.height());
+                let mut raw = RawImage::new(w, h);
+                for y in 0..h {
+                    for x in 0..w {
+                        let px = scene.get(x, y);
+                        let row = match raw.channel_at(x, y) {
+                            BayerChannel::Red => CROSSTALK[0],
+                            BayerChannel::GreenR | BayerChannel::GreenB => CROSSTALK[1],
+                            BayerChannel::Blue => CROSSTALK[2],
+                        };
+                        let signal =
+                            (row[0] * px[0] + row[1] * px[1] + row[2] * px[2]) * config.gain;
+                        let var =
+                            config.read_noise.powi(2) + config.shot_noise.powi(2) * signal.max(0.0);
+                        let noise = gaussian() * var.sqrt();
+                        raw.set(x, y, (signal + noise).clamp(0.0, 1.0));
+                    }
+                }
+                raw
+            })
+            .collect()
+    }
+
+    #[test]
+    fn keyed_capture_equals_the_sequential_stream() {
+        // Including a seed whose counter wraps past u64::MAX mid-frame.
+        let frames = [gradient_scene(16, 8), flat_scene(0.3), gradient_scene(16, 8)];
+        for seed in [0, 1, 42, 0xDEAD_BEEF, u64::MAX - 100, u64::MAX] {
+            let config = SensorConfig::default();
+            let mut sensor = Sensor::new(config.clone(), seed);
+            for (f, reference) in reference_captures(&config, seed, &frames).iter().enumerate() {
+                assert_eq!(&sensor.capture(&frames[f], 1.0), reference, "seed {seed} frame {f}");
+            }
+        }
+    }
+
+    #[test]
+    fn window_capture_matches_full_capture_and_advances_a_whole_frame() {
+        let scene = gradient_scene(24, 16);
+        let window = PixelWindow { x0: 5, y0: 3, x1: 18, y1: 11 };
+        let mut full = Sensor::new(SensorConfig::default(), 9);
+        let mut windowed = Sensor::new(SensorConfig::default(), 9);
+        for frame in 0..3 {
+            let reference = full.capture(&scene, 1.0);
+            let mut raw = RawImage::new(24, 16);
+            raw.as_mut_slice().fill(-1.0);
+            windowed.capture_window_into(&scene, 1.0, window, &mut raw);
+            for y in 0..16 {
+                for x in 0..24 {
+                    let inside = window.rows().contains(&y) && window.columns().contains(&x);
+                    let expect = if inside { reference.get(x, y) } else { -1.0 };
+                    assert_eq!(raw.get(x, y), expect, "frame {frame} ({x}, {y})");
+                }
+            }
+            // The same frame again on the whole window: identical noise.
+            windowed.recapture_window_into(&scene, 1.0, PixelWindow::full(24, 16), &mut raw);
+            assert_eq!(raw, reference, "frame {frame} recaptured");
+        }
     }
 
     #[test]

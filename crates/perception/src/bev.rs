@@ -8,7 +8,7 @@
 //! `warpPerspective` step of the classical pipelines the paper builds on.
 
 use crate::roi::Roi;
-use lkas_imaging::image::RgbImage;
+use lkas_imaging::image::{PixelWindow, RgbImage};
 use lkas_imaging::kernel::KernelBackend;
 use lkas_linalg::Homography;
 use lkas_scene::camera::Camera;
@@ -143,6 +143,10 @@ pub struct BirdsEye {
     /// same expressions as the on-the-fly path, keeping outputs
     /// bit-identical.
     samples: Vec<(f64, f64)>,
+    /// Image positions `(u, v)` of the ROI's four ground corners. The
+    /// homography maps the ROI rectangle onto the convex quadrilateral
+    /// they span, so they bound every sample point.
+    corners: [(f64, f64); 4],
 }
 
 impl BirdsEye {
@@ -178,12 +182,40 @@ impl BirdsEye {
                 samples.push(ground_to_image.apply(x, y));
             }
         }
-        Ok(BirdsEye { roi, ground_to_image, samples })
+        Ok(BirdsEye { roi, ground_to_image, samples, corners: corners_px })
     }
 
     /// The ROI being rectified.
     pub fn roi(&self) -> Roi {
         self.roi
+    }
+
+    /// A window of a `w`×`h` frame holding every pixel the bilinear taps
+    /// of this rectifier read. Computed in O(1) from the projected ROI
+    /// corners, which bound every sample point: the columns run from the
+    /// tap of the leftmost possible sample to one past the right
+    /// neighbor of the rightmost one, `[⌊clamp(u_min − ½)⌋,
+    /// ⌊clamp(u_max − ½)⌋ + 2) ∩ [0, w)`, and the rows likewise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` or `h` is zero.
+    pub fn pixel_window(&self, w: usize, h: usize) -> PixelWindow {
+        assert!(w > 0 && h > 0, "frame dimensions must be nonzero");
+        let (mut u_min, mut u_max) = (f64::INFINITY, f64::NEG_INFINITY);
+        let (mut v_min, mut v_max) = (f64::INFINITY, f64::NEG_INFINITY);
+        for &(u, v) in &self.corners {
+            (u_min, u_max) = (u_min.min(u), u_max.max(u));
+            (v_min, v_max) = (v_min.min(v), v_max.max(v));
+        }
+        // The same clamp-and-floor as `bilin_tap`, at the extremes.
+        let span = |lo: f64, hi: f64, n: usize| {
+            let tap = |c: f64| (c - 0.5).clamp(0.0, (n - 1) as f64).floor() as usize;
+            (tap(lo), (tap(hi) + 2).min(n))
+        };
+        let (x0, x1) = span(u_min, u_max, w);
+        let (y0, y1) = span(v_min, v_max, h);
+        PixelWindow { x0, y0, x1, y1 }
     }
 
     /// Rectifies a camera frame into the ROI's bird's-eye grid, computing
@@ -541,6 +573,34 @@ mod tests {
         let a = be.rectify(&frame);
         let b = be.rectify_sized(&frame, BEV_WIDTH, BEV_HEIGHT);
         assert_eq!(a.as_slice(), b.as_slice());
+    }
+
+    #[test]
+    fn pixel_window_holds_every_bilinear_tap() {
+        let cameras =
+            [Camera::default_automotive(), Camera::new(256, 128, 150.0, 1.3, 6.0_f64.to_radians())];
+        for cam in cameras {
+            let (w, h) = (cam.width(), cam.height());
+            for roi in Roi::ALL {
+                let be = BirdsEye::new(cam.clone(), roi).unwrap();
+                let window = be.pixel_window(w, h);
+                assert!(PixelWindow::full(w, h).contains(&window), "{roi} {window:?}");
+                let mut taps = PixelWindow { x0: w, y0: h, x1: 0, y1: 0 };
+                for &(u, v) in &be.samples {
+                    let t = bilin_tap(w, h, u, v);
+                    for base in [t.base00, t.base10, t.base01, t.base11] {
+                        let (x, y) = ((base as usize / 3) % w, (base as usize / 3) / w);
+                        taps.x0 = taps.x0.min(x);
+                        taps.y0 = taps.y0.min(y);
+                        taps.x1 = taps.x1.max(x + 1);
+                        taps.y1 = taps.y1.max(y + 1);
+                    }
+                }
+                assert!(window.contains(&taps), "{roi} on {w}x{h}: {window:?} misses {taps:?}");
+                // A bound, not a blanket: within a few rows and columns.
+                assert!(window.area() < taps.area() + (w + h) * 4, "{roi} on {w}x{h}");
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::roi::Roi;
 use crate::sliding::{sliding_window_search_with, SlidingScratch, SlidingWindowResult};
 use crate::threshold::{binarize_into_with, BinaryMask};
 use crate::LOOK_AHEAD;
-use lkas_imaging::image::RgbImage;
+use lkas_imaging::image::{PixelWindow, RgbImage};
 use lkas_imaging::kernel::KernelBackend;
 use lkas_scene::camera::Camera;
 use lkas_scene::track::LANE_WIDTH;
@@ -134,6 +134,18 @@ impl Perception {
     /// The active configuration.
     pub fn config(&self) -> PerceptionConfig {
         self.config
+    }
+
+    /// The pixels of a `w`×`h` ISP frame this pipeline reads: a window
+    /// holding every bilinear tap of the active ROI's rectifier (see
+    /// [`BirdsEye::pixel_window`]). Perception's output depends on no
+    /// pixel outside it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` or `h` is zero.
+    pub fn pixel_window(&self, w: usize, h: usize) -> PixelWindow {
+        self.birds_eye.pixel_window(w, h)
     }
 
     /// Processes one ISP output frame.

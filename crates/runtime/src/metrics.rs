@@ -170,11 +170,15 @@ pub enum Counter {
     StreamDropped,
     /// Flight-recorder rings dumped as post-mortem artifacts.
     FlightDumps,
+    /// Pixels the HiL frame path rendered, captured and ISP-processed:
+    /// each framed cycle's pixel window, plus the widened window on a
+    /// cycle whose ROI switch needed more of the frame.
+    FramePixels,
 }
 
 impl Counter {
     /// Every counter, in reporting order.
-    pub const ALL: [Counter; 33] = [
+    pub const ALL: [Counter; 34] = [
         Counter::Cycles,
         Counter::PerceptionFailures,
         Counter::SituationSwitches,
@@ -208,6 +212,7 @@ impl Counter {
         Counter::FleetCacheMisses,
         Counter::StreamDropped,
         Counter::FlightDumps,
+        Counter::FramePixels,
     ];
 
     /// The counter's snake_case name as written to JSON.
@@ -246,6 +251,7 @@ impl Counter {
             Counter::FleetCacheMisses => "fleet_cache_misses",
             Counter::StreamDropped => "stream_dropped",
             Counter::FlightDumps => "flight_dumps",
+            Counter::FramePixels => "frame_pixels",
         }
     }
 

@@ -78,8 +78,9 @@ impl Camera {
     }
 
     /// Creates a camera with explicit parameters, rejecting invalid ones:
-    /// dimensions must be nonzero, focal length and mounting height
-    /// positive and finite, pitch inside `(-90°, 90°)`.
+    /// dimensions must be nonzero and even (the sensor samples 2×2 Bayer
+    /// quads), focal length and mounting height positive and finite,
+    /// pitch inside `(-90°, 90°)`.
     pub fn try_new(
         width: usize,
         height: usize,
@@ -108,6 +109,9 @@ impl Camera {
     pub fn validate(&self) -> Result<(), RenderError> {
         if self.width == 0 || self.height == 0 {
             return Err(RenderError::InvalidCamera("frame dimensions must be nonzero"));
+        }
+        if self.width % 2 != 0 || self.height % 2 != 0 {
+            return Err(RenderError::InvalidCamera("frame dimensions must be even (Bayer quads)"));
         }
         if !self.focal.is_finite() || self.focal <= 0.0 {
             return Err(RenderError::InvalidCamera("focal length must be positive and finite"));
@@ -268,6 +272,10 @@ mod tests {
         assert!(Camera::try_new(64, 64, f64::NAN, 1.3, 0.1).is_err());
         assert!(Camera::try_new(64, 64, 300.0, -1.0, 0.1).is_err());
         assert!(Camera::try_new(64, 64, 300.0, 1.3, std::f64::consts::FRAC_PI_2).is_err());
+        // Odd dimensions cannot tile the sensor's 2×2 Bayer quads.
+        assert!(Camera::try_new(255, 128, 150.0, 1.3, 0.1).is_err());
+        assert!(Camera::try_new(256, 127, 150.0, 1.3, 0.1).is_err());
+        assert!(Camera::try_new(1, 1, 150.0, 1.3, 0.1).is_err());
         let cam = Camera::try_new(64, 64, 300.0, 1.3, 0.1).unwrap();
         assert!(cam.validate().is_ok());
     }

@@ -8,12 +8,17 @@
 //! ambient level, tint and head-light falloff per pixel, since those vary
 //! across the frame.
 //!
+//! [`SceneRenderer::render_window_into`] renders only a
+//! [`PixelWindow`] of the frame; every pixel is a pure function of the
+//! pose and its own coordinates, so a windowed render is the full render
+//! restricted to the window, bit for bit.
+//!
 //! [`lkas_imaging::Sensor::capture`]: lkas_imaging::sensor::Sensor::capture
 
 use crate::camera::Camera;
 use crate::situation::SceneKind;
 use crate::track::{Track, DOUBLE_GAP, LANE_WIDTH, MARKING_WIDTH};
-use lkas_imaging::image::RgbImage;
+use lkas_imaging::image::{PixelWindow, RgbImage};
 
 /// Linear-RGB albedos of the rendered materials.
 pub mod albedo {
@@ -40,9 +45,10 @@ pub mod albedo {
 /// it through its result counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RenderError {
-    /// The camera model cannot produce a frame: zero-sized, non-positive
-    /// or non-finite focal length / mounting height, or pitch at or past
-    /// ±90°.
+    /// The camera model cannot produce a frame: zero-sized or odd
+    /// dimensions (the sensor's Bayer quads must tile the frame),
+    /// non-positive or non-finite focal length / mounting height, or
+    /// pitch at or past ±90°.
     InvalidCamera(&'static str),
 }
 
@@ -115,8 +121,9 @@ impl SceneRenderer {
 
     /// Renders the frame into a caller-owned buffer (resized as needed) —
     /// the allocation-free render path, and the fallible one: an invalid
-    /// camera (e.g. deserialized with zero dimensions) returns a
-    /// [`RenderError`] instead of aborting the worker.
+    /// camera (e.g. deserialized with zero or odd dimensions) returns a
+    /// [`RenderError`] instead of aborting the worker. This is
+    /// [`SceneRenderer::render_window_into`] on the full frame.
     pub fn render_into(
         &self,
         track: &Track,
@@ -125,15 +132,36 @@ impl SceneRenderer {
         psi: f64,
         img: &mut RgbImage,
     ) -> Result<(), RenderError> {
+        let window = PixelWindow::full(self.camera.width(), self.camera.height());
+        self.render_window_into(track, s, d, psi, window, img)
+    }
+
+    /// Renders only the pixels of `window`: each gets exactly its
+    /// full-frame value, and every other pixel of `img` keeps its
+    /// previous contents. Errors as [`SceneRenderer::render_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window does not lie inside the camera frame.
+    pub fn render_window_into(
+        &self,
+        track: &Track,
+        s: f64,
+        d: f64,
+        psi: f64,
+        window: PixelWindow,
+        img: &mut RgbImage,
+    ) -> Result<(), RenderError> {
         self.camera.validate()?;
         let w = self.camera.width();
         let h = self.camera.height();
+        window.assert_within(w, h);
         img.reshape(w, h);
         let (sin_psi, cos_psi) = psi.sin_cos();
         let scene = track.sector_at(s).scene;
 
-        for v in 0..h {
-            for u in 0..w {
+        for v in window.rows() {
+            for u in window.columns() {
                 let color = match self.camera.ground_from_pixel(u as f64 + 0.5, v as f64 + 0.5) {
                     None => self.sky_color(scene),
                     Some((xf, yl)) => {

@@ -5,10 +5,12 @@
 //! executor thread count, `process_into` writing into reused pooled
 //! buffers must produce bit-identical pixels (and identical perception
 //! measurements) to the one-shot allocating path — on the default lane
-//! kernels and on the scalar reference kernels alike.
+//! kernels and on the scalar reference kernels alike. So must the
+//! windowed frame path, which renders, captures and processes only the
+//! active ROI's tap window plus the ISP's stencil halo.
 
-use lkas_imaging::image::RgbImage;
-use lkas_imaging::isp::{IspConfig, IspPipeline};
+use lkas_imaging::image::{RawImage, RgbImage};
+use lkas_imaging::isp::{IspConfig, IspPipeline, STENCIL_HALO};
 use lkas_imaging::sensor::{Sensor, SensorConfig};
 use lkas_imaging::{KernelBackend, Scratch};
 use lkas_perception::pipeline::{Perception, PerceptionConfig, PerceptionScratch};
@@ -24,6 +26,20 @@ fn reference_raw(seed: u64, s: f64) -> lkas_imaging::image::RawImage {
     let track = Track::for_situation(&TABLE3_SITUATIONS[7], 500.0);
     let frame = SceneRenderer::new(cam).render(&track, s, 0.15, 0.01);
     Sensor::new(SensorConfig::default(), seed).capture(&frame, 1.0)
+}
+
+/// [`reference_raw`] produced on one pixel window only, into buffers
+/// poisoned with NaN outside it.
+fn windowed_raw(seed: u64, s: f64, window: lkas_imaging::PixelWindow) -> RawImage {
+    let cam = Camera::default_automotive();
+    let (w, h) = (cam.width(), cam.height());
+    let track = Track::for_situation(&TABLE3_SITUATIONS[7], 500.0);
+    let mut frame = RgbImage::filled(w, h, [f32::NAN; 3]);
+    SceneRenderer::new(cam).render_window_into(&track, s, 0.15, 0.01, window, &mut frame).unwrap();
+    let mut raw = RawImage::new(w, h);
+    raw.as_mut_slice().fill(f32::NAN);
+    Sensor::new(SensorConfig::default(), seed).capture_window_into(&frame, 1.0, window, &mut raw);
+    raw
 }
 
 fn assert_bit_identical(a: &RgbImage, b: &RgbImage, what: &str) {
@@ -77,6 +93,20 @@ fn perception_matches_for_every_roi_with_pooled_frames() {
         let fresh = pr.process(&reference_frame);
         let pooled = pr.process_into(&frame, &mut pscratch);
         assert_eq!(fresh, pooled, "perception output for {roi:?}");
+
+        // The windowed frame: only the ROI's taps plus the halo exist.
+        let (w, h) = (cam.width(), cam.height());
+        let window = pr.pixel_window(w, h).grow(STENCIL_HALO, w, h);
+        let mut windowed = RgbImage::filled(w, h, [f32::NAN; 3]);
+        isp.process_window_into(
+            &windowed_raw(23, 40.0, window),
+            window,
+            &mut scratch,
+            &mut windowed,
+        );
+        assert!(windowed.as_slice().iter().any(|v| v.is_nan()), "pixels outside stay unmade");
+        let windowed = pr.process_into(&windowed, &mut pscratch);
+        assert_eq!(fresh, windowed, "windowed perception output for {roi:?}");
     }
 }
 
@@ -96,4 +126,76 @@ fn thread_counts_agree_with_each_other_per_config() {
         isp.process_into(&raw, &mut tiled, &mut out_tiled);
         assert_bit_identical(&out_serial, &out_tiled, &format!("{cfg:?} 1 vs 4 threads"));
     }
+}
+
+/// The loop-level golden: a Case 4 oracle run through a ROI switch, a
+/// frame-drop burst and a storm of every Bayer fault kind. Every field
+/// of every `TraceSample` and every counter of the `HilResult` is folded
+/// into one fingerprint, and the constant below was recorded with the
+/// full-frame loop, before the frame path computed pixel windows. The
+/// windowed loop must reproduce it bit for bit, widen steps included.
+#[test]
+fn windowed_loop_reproduces_the_full_frame_golden() {
+    use lkas::cases::Case;
+    use lkas::hil::{HilConfig, HilSimulator, SituationSource};
+    use lkas_faults::FaultPlan;
+    use lkas_runtime::Fingerprint;
+    use lkas_scene::track::Sector;
+    use std::sync::Arc;
+
+    let plan = FaultPlan::named("window-golden", 5)
+        .drop_burst(60, 8)
+        .hot_pixels(90, 20, 0.03)
+        .row_banding(124, 10, 3, 0.4)
+        .exposure_glitch(134, 12, 1.8);
+    let track = Track::new(vec![
+        Sector::for_situation(&TABLE3_SITUATIONS[0], 60.0),
+        Sector::for_situation(&TABLE3_SITUATIONS[7], 60.0),
+    ]);
+    let config = HilConfig::new(Case::Case4, SituationSource::Oracle)
+        .with_camera(Camera::new(256, 128, 150.0, 1.3, 6.0_f64.to_radians()))
+        .with_seed(11)
+        .with_fault_plan(Arc::new(plan))
+        .with_trace(true);
+    let r = HilSimulator::new(track, config).run();
+    assert!(r.trace.windows(2).any(|p| p[0].roi != p[1].roi), "the ROI knob must switch");
+    assert_eq!(r.frame_drops, 8, "the drop burst must land inside the run");
+    assert_eq!(r.faulted_cycles, 50, "every fault window must land inside the run");
+
+    let mut fp = Fingerprint::new();
+    for s in &r.trace {
+        fp = fp
+            .push_f64(s.t_ms)
+            .push_u64(s.y_l_measured.map_or(0, |_| 1))
+            .push_f64(s.y_l_measured.unwrap_or(0.0))
+            .push_f64(s.y_l_true)
+            .push_f64(s.steering)
+            .push_str(s.isp.name())
+            .push_str(s.roi.name())
+            .push_f64(s.vx)
+            .push_u64(s.sector as u64);
+    }
+    for n in [
+        u64::from(r.crashed),
+        r.crash_sector.map_or(u64::MAX, |s| s as u64),
+        r.samples,
+        r.perception_failures,
+        r.reconfigurations,
+        r.misidentifications,
+        r.frame_drops,
+        r.faulted_cycles,
+        r.degraded_samples,
+        r.degraded_entries,
+        r.measurement_holds,
+        r.observer_coasts,
+        r.observer_reacquisitions,
+        r.render_errors,
+        r.tuner_decisions,
+        r.tuner_explorations,
+        r.tuner_fallbacks,
+    ] {
+        fp = fp.push_u64(n);
+    }
+    fp = fp.push_f64(r.time_s).push_f64(r.overall_mae().unwrap_or(f64::NAN));
+    assert_eq!(fp.finish(), "a9d741c218db923a", "trajectory of {} samples", r.samples);
 }

@@ -11,8 +11,8 @@
 //! frame pool stops allocating, and outputs stay bit-identical to the
 //! single-threaded path.
 
-use lkas_imaging::image::{RawImage, RgbImage};
-use lkas_imaging::isp::{IspConfig, IspPipeline};
+use lkas_imaging::image::{PixelWindow, RawImage, RgbImage};
+use lkas_imaging::isp::{IspConfig, IspPipeline, STENCIL_HALO};
 use lkas_imaging::sensor::{Sensor, SensorConfig};
 use lkas_imaging::Scratch;
 use lkas_perception::pipeline::{Perception, PerceptionConfig, PerceptionScratch};
@@ -147,6 +147,90 @@ fn steady_state_cycle_allocates_nothing_single_threaded() {
         after - before
     );
     assert_eq!(scratch.pool().stats().allocations, 1, "one warm-up denoise intermediate");
+}
+
+/// The HiL loop's oracle-source frame path: render, capture and ISP on
+/// `window`, then — on a cycle whose ROI switch needs `widen` — the same
+/// frame again on the wider window before perception reads it.
+#[allow(clippy::too_many_arguments)]
+fn windowed_cycle(
+    renderer: &SceneRenderer,
+    sensor: &mut Sensor,
+    isp: &IspPipeline,
+    perception: &Perception,
+    track: &Track,
+    s: f64,
+    window: PixelWindow,
+    widen: Option<PixelWindow>,
+    scene_rgb: &mut RgbImage,
+    raw: &mut RawImage,
+    rgb: &mut RgbImage,
+    scratch: &mut Scratch,
+    pscratch: &mut PerceptionScratch,
+) -> Option<f64> {
+    renderer.render_window_into(track, s, 0.1, 0.0, window, scene_rgb).expect("valid camera");
+    sensor.capture_window_into(scene_rgb, 1.0, window, raw);
+    isp.process_window_into(raw, window, scratch, rgb);
+    if let Some(wider) = widen {
+        renderer.render_window_into(track, s, 0.1, 0.0, wider, scene_rgb).expect("valid camera");
+        sensor.recapture_window_into(scene_rgb, 1.0, wider, raw);
+        isp.process_window_into(raw, wider, scratch, rgb);
+    }
+    perception.process_into(rgb, pscratch).ok().map(|out| out.y_l)
+}
+
+#[test]
+fn windowed_and_widen_cycles_allocate_nothing_single_threaded() {
+    let cam = Camera::default_automotive();
+    let (w, h) = (cam.width(), cam.height());
+    let track = Track::for_situation(&TABLE3_SITUATIONS[0], 500.0);
+    let renderer = SceneRenderer::new(cam.clone());
+    let mut sensor = Sensor::new(SensorConfig::default(), 5);
+    let isp = IspPipeline::new(IspConfig::S0);
+    let narrow = Perception::new(PerceptionConfig::new(Roi::Roi1), cam.clone());
+    let wide = Perception::new(PerceptionConfig::new(Roi::Roi3), cam);
+    let window_of = |p: &Perception| p.pixel_window(w, h).grow(STENCIL_HALO, w, h);
+    let (small, large) = (window_of(&narrow), window_of(&wide));
+    assert!(!small.contains(&large), "ROI 3's window must need a widen from ROI 1's");
+    let mut scratch = Scratch::new();
+    let mut pscratch = PerceptionScratch::new();
+    let mut scene_rgb = RgbImage::new(1, 1);
+    let mut raw = RawImage::new(2, 2);
+    let mut rgb = RgbImage::new(1, 1);
+
+    // Cycle i is a plain windowed ROI 1 cycle when even, and a ROI 1 →
+    // ROI 3 switch cycle with its widen step when odd.
+    let mut cycle = |i: usize| {
+        let (perception, widen) = if i % 2 == 0 { (&narrow, None) } else { (&wide, Some(large)) };
+        windowed_cycle(
+            &renderer,
+            &mut sensor,
+            &isp,
+            perception,
+            &track,
+            10.0 + i as f64,
+            small,
+            widen,
+            &mut scene_rgb,
+            &mut raw,
+            &mut rgb,
+            &mut scratch,
+            &mut pscratch,
+        )
+    };
+    for i in 0..4 {
+        cycle(i);
+    }
+    let before = allocations_on_this_thread();
+    let measured = (4..30).filter(|&i| cycle(i).is_some()).count();
+    let after = allocations_on_this_thread();
+    assert!(measured > 20, "the audited cycles must actually measure lanes");
+    assert_eq!(
+        after - before,
+        0,
+        "windowed and widen cycles must not touch the heap ({} allocations)",
+        after - before
+    );
 }
 
 #[test]

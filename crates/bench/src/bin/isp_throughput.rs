@@ -5,7 +5,10 @@
 //! pooled in-place `process_into`, row-tiled `process_into` on worker
 //! threads) and the kernel backend (`scalar` reference, bit-exact
 //! `lanes`) — plus the perception pipeline
-//! (rectify + binarize) per backend. This is the harness behind the
+//! (rectify + binarize) per backend, and the renderer and feature
+//! extractor against their per-pixel references
+//! (`lkas_bench::reference`), interleaved round by round in this one
+//! process on the 256×128 camera. This is the harness behind the
 //! README "Steady-state frame path" table and DESIGN.md §10/§17.
 //!
 //! Flags: `--iters N` (timed iterations per cell, default 40),
@@ -16,13 +19,17 @@
 //! pooled perception mean exceeds `X` times its baseline value
 //! (default 4.0 — a deliberately generous bound in the gate-telemetry
 //! philosophy: the gate exists to catch order-of-magnitude perf
-//! regressions, not scheduler noise on a busy CI box).
+//! regressions, not scheduler noise on a busy CI box). It also fails
+//! when the render or the feature-extraction speedup over its reference
+//! falls below 0.75× the baseline's: a ratio measured in one process
+//! cancels the host's speed, so that bound can be tight.
 
-use lkas_bench::{arg_value, render_table, write_result};
-use lkas_imaging::image::RgbImage;
+use lkas_bench::{arg_value, reference, render_table, write_result};
+use lkas_imaging::image::{PixelWindow, RgbImage};
 use lkas_imaging::isp::{IspConfig, IspPipeline};
 use lkas_imaging::sensor::{Sensor, SensorConfig};
 use lkas_imaging::{KernelBackend, Scratch};
+use lkas_nn::features::{extract_into, FeatureScratch};
 use lkas_perception::pipeline::{Perception, PerceptionConfig, PerceptionScratch};
 use lkas_perception::roi::Roi;
 use lkas_scene::camera::Camera;
@@ -48,6 +55,19 @@ struct PerceptionRow {
     pooled_us: f64,
 }
 
+/// A library stage timed against its per-pixel reference.
+#[derive(Serialize, Deserialize)]
+struct FastPathRow {
+    /// `render` or `extract`.
+    stage: String,
+    /// Median µs per call of the reference.
+    reference_us: f64,
+    /// Median µs per call of the library.
+    library_us: f64,
+    /// `reference_us / library_us`.
+    speedup: f64,
+}
+
 #[derive(Serialize, Deserialize)]
 struct Report {
     schema: String,
@@ -55,7 +75,11 @@ struct Report {
     tile_threads: usize,
     isp: Vec<ConfigRow>,
     perception: Vec<PerceptionRow>,
+    fast_paths: Vec<FastPathRow>,
 }
+
+/// The fraction of its baseline speedup a fast path must keep.
+const MIN_SPEEDUP_KEPT: f64 = 0.75;
 
 /// Mean microseconds per call of `f` over `iters` timed iterations
 /// (after 3 warm-up calls that also size any pooled buffers).
@@ -68,6 +92,94 @@ fn time_us(iters: usize, mut f: impl FnMut()) -> f64 {
         f();
     }
     start.elapsed().as_secs_f64() * 1e6 / iters as f64
+}
+
+/// Median µs per call of `reference` and of `library`, timed in
+/// alternating rounds of `calls` calls each after 3 warm-up rounds.
+fn time_pair(
+    iters: usize,
+    calls: usize,
+    mut reference: impl FnMut(usize),
+    mut library: impl FnMut(usize),
+) -> (f64, f64) {
+    let round = |f: &mut dyn FnMut(usize)| {
+        let start = Instant::now();
+        for i in 0..calls {
+            f(i);
+        }
+        start.elapsed().as_secs_f64() * 1e6 / calls as f64
+    };
+    for _ in 0..3 {
+        round(&mut reference);
+        round(&mut library);
+    }
+    let (mut slow, mut fast) = (Vec::with_capacity(iters), Vec::with_capacity(iters));
+    for _ in 0..iters {
+        slow.push(round(&mut reference));
+        fast.push(round(&mut library));
+    }
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    (median(&mut slow), median(&mut fast))
+}
+
+/// Render and feature extraction against their per-pixel references on
+/// the 256×128 camera, over poses in each sector of the Fig. 7 track.
+fn measure_fast_paths(iters: usize) -> Vec<FastPathRow> {
+    let cam = Camera::new(256, 128, 150.0, 1.3, 6.0_f64.to_radians());
+    let track = Track::fig7_track();
+    let poses: Vec<(f64, f64, f64)> =
+        (0..track.sectors().len()).map(|k| (track.sector_start(k) + 40.0, 0.1, 0.01)).collect();
+    let renderer = SceneRenderer::new(cam.clone());
+    let full = PixelWindow::full(cam.width(), cam.height());
+    let (mut ref_frame, mut frame) = (RgbImage::new(2, 2), RgbImage::new(2, 2));
+    let (ref_render, lib_render) = time_pair(
+        iters,
+        poses.len(),
+        |i| {
+            let (s, d, psi) = poses[i];
+            reference::render_window(&cam, &track, s, d, psi, full, &mut ref_frame);
+            std::hint::black_box(&ref_frame);
+        },
+        |i| {
+            let (s, d, psi) = poses[i];
+            renderer.render_into(&track, s, d, psi, &mut frame).expect("valid camera");
+            std::hint::black_box(&frame);
+        },
+    );
+    let isp = IspPipeline::new(IspConfig::S0);
+    let frames: Vec<RgbImage> = poses
+        .iter()
+        .enumerate()
+        .map(|(i, &(s, d, psi))| {
+            let scene = renderer.render(&track, s, d, psi);
+            isp.process(&Sensor::new(SensorConfig::default(), 60 + i as u64).capture(&scene, 1.0))
+        })
+        .collect();
+    let mut scratch = FeatureScratch::new();
+    let mut features = Vec::new();
+    let (ref_extract, lib_extract) = time_pair(
+        iters,
+        frames.len(),
+        |i| {
+            std::hint::black_box(reference::extract(&frames[i], &cam));
+        },
+        |i| {
+            extract_into(&frames[i], &cam, &mut scratch, &mut features);
+            std::hint::black_box(&features);
+        },
+    );
+    [("render", ref_render, lib_render), ("extract", ref_extract, lib_extract)]
+        .into_iter()
+        .map(|(stage, reference_us, library_us)| FastPathRow {
+            stage: stage.to_string(),
+            reference_us,
+            library_us,
+            speedup: reference_us / library_us,
+        })
+        .collect()
 }
 
 fn measure(iters: usize, tile_threads: usize) -> Report {
@@ -138,6 +250,13 @@ fn measure(iters: usize, tile_threads: usize) -> Report {
     for p in &perception {
         println!("perception[{}]: pooled {:.0} µs", p.backend, p.pooled_us);
     }
+    let fast_paths = measure_fast_paths(iters);
+    for f in &fast_paths {
+        println!(
+            "{}[256x128]: reference {:.0} µs, library {:.0} µs, {:.2}x",
+            f.stage, f.reference_us, f.library_us, f.speedup
+        );
+    }
 
     Report {
         schema: "lkas-isp-throughput-v2".to_string(),
@@ -145,6 +264,7 @@ fn measure(iters: usize, tile_threads: usize) -> Report {
         tile_threads,
         isp: rows,
         perception,
+        fast_paths,
     }
 }
 
@@ -193,11 +313,31 @@ fn check(report: &Report, baseline_path: &str, max_rel: f64) -> i32 {
             );
         }
     }
+    for base in &baseline.fast_paths {
+        let Some(cur) = report.fast_paths.iter().find(|r| r.stage == base.stage) else {
+            eprintln!("[check] FAIL: fast path {} missing", base.stage);
+            failures += 1;
+            continue;
+        };
+        let floor = base.speedup * MIN_SPEEDUP_KEPT;
+        if cur.speedup < floor {
+            eprintln!(
+                "[check] FAIL: {} speedup {:.2}x < {:.2}x ({MIN_SPEEDUP_KEPT}× baseline {:.2}x)",
+                base.stage, cur.speedup, floor, base.speedup
+            );
+            failures += 1;
+        } else {
+            eprintln!("[check] ok: {} speedup {:.2}x ≥ {:.2}x", base.stage, cur.speedup, floor);
+        }
+    }
     if failures > 0 {
         eprintln!("[check] {failures} bound violation(s) against {baseline_path}");
         1
     } else {
-        eprintln!("[check] all means within {max_rel}× of {baseline_path}");
+        eprintln!(
+            "[check] all means within {max_rel}× and all speedups above {MIN_SPEEDUP_KEPT}× of \
+             {baseline_path}"
+        );
         0
     }
 }

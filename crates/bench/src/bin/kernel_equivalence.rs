@@ -1,7 +1,7 @@
 //! Kernel-equivalence gate: Scalar vs Lanes, end to end.
 //!
 //! The CI stage `gate-kernel-equivalence` runs this binary; it exits
-//! non-zero on the first class of mismatch. Five claims are checked
+//! non-zero on the first class of mismatch. Six claims are checked
 //! (DESIGN.md §10 and §17):
 //!
 //! 1. **ISP lanes are bit-identical.** For every ISP configuration
@@ -14,7 +14,8 @@
 //!    the 256×128 camera, for S0–S8 × ROI 1–5 × frames, with no fault
 //!    and with each Bayer fault kind, at 1 and 4 tile threads: render,
 //!    capture, fault and ISP on the ROI's tap window grown by the
-//!    stencil halo — into buffers poisoned with NaN outside it — give
+//!    stencil halo, the fault applied to the window only — into buffers
+//!    poisoned with NaN outside it — give
 //!    byte-identical ISP pixels on the tap window and the identical
 //!    perception output.
 //! 4. **Keyed sensor noise ≡ the sequential stream.** Captures equal a
@@ -24,16 +25,24 @@
 //!    window set, stacking the three classifiers into one grouped GEMM
 //!    per layer yields the same logits-level decisions as three
 //!    independent forward passes.
+//! 6. **Render and features ≡ their per-pixel references.** On both
+//!    cameras, `--frames` poses in each sector of the Fig. 7 track (plus
+//!    negative `s` and `s` past its end) and on each Table III
+//!    situation: full renders and the five ROI windows (into NaN
+//!    buffers) equal `lkas_bench::reference::render_window` bit for bit,
+//!    and `extract` equals `lkas_bench::reference::extract` on each
+//!    frame's ISP output, the configuration cycling through S0–S8.
 //!
 //! Flags: `--frames N` (frames per cell, default 3).
 
 use lkas::identify::{BundleBatch, ClassifierBundle, SituationEstimate};
-use lkas_bench::{arg_value, load_or_train_bundle};
-use lkas_faults::{apply_bayer_fault, BayerFaultKind};
+use lkas_bench::{arg_value, load_or_train_bundle, reference};
+use lkas_faults::{apply_bayer_fault, apply_bayer_fault_window, BayerFaultKind};
 use lkas_imaging::image::{BayerChannel, PixelWindow, RawImage, RgbImage};
 use lkas_imaging::isp::{IspConfig, IspPipeline, STENCIL_HALO};
 use lkas_imaging::sensor::{Sensor, SensorConfig, CROSSTALK};
 use lkas_imaging::{KernelBackend, Scratch};
+use lkas_nn::features::extract;
 use lkas_perception::pipeline::{Perception, PerceptionConfig, PerceptionScratch};
 use lkas_perception::roi::Roi;
 use lkas_platform::schedule::ClassifierSet;
@@ -108,14 +117,11 @@ fn check_windows(frames: usize) -> usize {
                 })
                 .collect();
             for fault in FAULTS {
-                let with_fault = |raw: &mut RawImage| {
-                    if let Some(kind) = fault {
-                        apply_bayer_fault(kind, raw, 77, f as u64);
-                    }
-                };
                 let mut full_raw =
                     Sensor::new(SensorConfig::default(), seed).capture(&full_scene, 1.0);
-                with_fault(&mut full_raw);
+                if let Some(kind) = fault {
+                    apply_bayer_fault(kind, &mut full_raw, 77, f as u64);
+                }
                 let win_raws: Vec<RawImage> = windows
                     .iter()
                     .zip(&win_scenes)
@@ -123,7 +129,9 @@ fn check_windows(frames: usize) -> usize {
                         let mut raw = poisoned_raw(w, h);
                         Sensor::new(SensorConfig::default(), seed)
                             .capture_window_into(scene, 1.0, window, &mut raw);
-                        with_fault(&mut raw);
+                        if let Some(kind) = fault {
+                            apply_bayer_fault_window(kind, &mut raw, window, 77, f as u64);
+                        }
                         raw
                     })
                     .collect();
@@ -159,7 +167,7 @@ fn check_windows(frames: usize) -> usize {
         }
     }
     eprintln!(
-        "[3/5] windows: {cells} cells (2 cameras × {frames} frames × {} faults × S0–S8 × {} ROIs \
+        "[3/6] windows: {cells} cells (2 cameras × {frames} frames × {} faults × S0–S8 × {} ROIs \
          × 1/4 threads) checked",
         FAULTS.len(),
         Roi::ALL.len()
@@ -222,7 +230,90 @@ fn check_keyed_noise() -> usize {
             }
         }
     }
-    eprintln!("[4/5] keyed noise: {} seeds × {} frames checked", seeds.len(), frames.len());
+    eprintln!("[4/6] keyed noise: {} seeds × {} frames checked", seeds.len(), frames.len());
+    failures
+}
+
+/// Poses `(s, d, psi)` on `track`: `frames` spread over each sector, a
+/// negative `s` and an `s` past the end.
+fn reference_poses(track: &Track, frames: usize) -> Vec<(f64, f64, f64)> {
+    let mut poses = Vec::new();
+    for (k, sector) in track.sectors().iter().enumerate() {
+        for f in 0..frames {
+            let s = track.sector_start(k) + sector.length * (f as f64 + 0.37) / frames as f64;
+            poses.push((s, 0.3 - 0.2 * f as f64, 0.04 * (f as f64 - 1.0)));
+        }
+    }
+    poses.push((-12.0, 0.1, 0.0));
+    poses.push((track.total_length() + 20.0, -0.1, 0.1));
+    poses
+}
+
+/// Renders and features against `lkas_bench::reference`, per camera,
+/// track, pose and ROI window. Returns the number of mismatches.
+fn check_references(frames: usize) -> usize {
+    let cameras =
+        [Camera::default_automotive(), Camera::new(256, 128, 150.0, 1.3, 6.0_f64.to_radians())];
+    let mut tracks = vec![Track::fig7_track()];
+    tracks.extend(TABLE3_SITUATIONS.iter().map(|sit| Track::for_situation(sit, 300.0)));
+    let mut failures = 0;
+    let (mut renders, mut extracts) = (0usize, 0usize);
+    for cam in &cameras {
+        let (w, h) = (cam.width(), cam.height());
+        let renderer = SceneRenderer::new(cam.clone());
+        let windows: Vec<PixelWindow> = Roi::ALL
+            .iter()
+            .map(|&roi| {
+                let p = Perception::new(PerceptionConfig::new(roi), cam.clone());
+                p.pixel_window(w, h).grow(STENCIL_HALO, w, h)
+            })
+            .chain([PixelWindow::full(w, h)])
+            .collect();
+        for (t, track) in tracks.iter().enumerate() {
+            for (p, &(s, d, psi)) in reference_poses(track, frames).iter().enumerate() {
+                for &window in &windows {
+                    let mut fast = RgbImage::filled(w, h, [f32::NAN; 3]);
+                    let mut slow = fast.clone();
+                    renderer
+                        .render_window_into(track, s, d, psi, window, &mut fast)
+                        .expect("valid camera");
+                    reference::render_window(cam, track, s, d, psi, window, &mut slow);
+                    let same = fast
+                        .as_slice()
+                        .iter()
+                        .zip(slow.as_slice())
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    if !same {
+                        eprintln!(
+                            "FAIL: {w}x{h} track {t} pose {p} (s {s}, d {d}, psi {psi}) \
+                             window {window:?}: render differs from the reference"
+                        );
+                        failures += 1;
+                    }
+                    renders += 1;
+                }
+                let frame = renderer.render(track, s, d, psi);
+                let seed = 7000 + 100 * t as u64 + p as u64;
+                let raw = Sensor::new(SensorConfig::default(), seed).capture(&frame, 1.0);
+                let cfg = IspConfig::ALL[(t + p) % IspConfig::ALL.len()];
+                let rgb = IspPipeline::new(cfg).process(&raw);
+                let (fast, slow) = (extract(&rgb, cam), reference::extract(&rgb, cam));
+                if fast.iter().map(|v| v.to_bits()).ne(slow.iter().map(|v| v.to_bits())) {
+                    eprintln!(
+                        "FAIL: {w}x{h} track {t} pose {p} {}: features differ from the reference",
+                        cfg.name()
+                    );
+                    failures += 1;
+                }
+                extracts += 1;
+            }
+        }
+    }
+    eprintln!(
+        "[6/6] references: {renders} renders (full and 5 ROI windows) and {extracts} feature \
+         vectors (S0–S8) checked on 2 cameras × the Fig. 7 track and {} Table III tracks",
+        TABLE3_SITUATIONS.len()
+    );
     failures
 }
 
@@ -259,7 +350,7 @@ fn main() {
             }
         }
     }
-    eprintln!("[1/5] ISP: {} configs × {frames} frames checked", IspConfig::ALL.len());
+    eprintln!("[1/6] ISP: {} configs × {frames} frames checked", IspConfig::ALL.len());
 
     // --- 2: perception backends, every ROI -----------------------------
     let track = Track::for_situation(&TABLE3_SITUATIONS[0], 500.0);
@@ -283,7 +374,7 @@ fn main() {
             }
         }
     }
-    eprintln!("[2/5] perception: {} ROIs × 2 passes checked", Roi::ALL.len());
+    eprintln!("[2/6] perception: {} ROIs × 2 passes checked", Roi::ALL.len());
 
     // --- 3–4: windowed frame path, keyed noise -------------------------
     failures += check_windows(frames);
@@ -321,7 +412,10 @@ fn main() {
             windows += 1;
         }
     }
-    eprintln!("[5/5] classifiers: {windows} full windows checked");
+    eprintln!("[5/6] classifiers: {windows} full windows checked");
+
+    // --- 6: render and features against the per-pixel references -------
+    failures += check_references(frames);
 
     if failures > 0 {
         eprintln!("kernel_equivalence: {failures} FAILURE(S)");

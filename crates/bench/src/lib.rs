@@ -9,6 +9,7 @@
 //! them through the shared [`Executor`].
 
 pub mod fleet;
+pub mod reference;
 pub mod robustness;
 
 use lkas::identify::ClassifierBundle;

@@ -28,7 +28,7 @@ use crate::tuner::{KnobTuner, TunerConfig, TunerEvent};
 use lkas_control::controller::Measurement;
 use lkas_control::design::{design_controller_cached, ControllerConfig};
 use lkas_control::errprofile::PerceptionErrorProfile;
-use lkas_faults::{apply_bayer_fault, derive_cycle_seed, FaultPlan, Misprediction};
+use lkas_faults::{apply_bayer_fault_window, derive_cycle_seed, FaultPlan, Misprediction};
 use lkas_imaging::image::{PixelWindow, RawImage, RgbImage};
 use lkas_imaging::isp::{IspConfig, IspPipeline, STENCIL_HALO};
 use lkas_imaging::kernel::KernelBackend;
@@ -537,10 +537,9 @@ impl HilSimulator {
                 }
                 // Camera pipeline — skipped entirely on a dropped frame,
                 // and abandoned for the cycle on a render rejection. The
-                // stages write the window's pixels into the run's
-                // reusable buffers; the Bayer fault runs over the whole
-                // RAW buffer, whose pixels outside the window are never
-                // read.
+                // stages, the cycle's Bayer fault included, write the
+                // window's pixels into the run's reusable buffers; pixels
+                // outside the window are never read.
                 let pose = vehicle.camera_pose();
                 let window = frame_window(&perception);
                 let have_frame = if faults.drop_frame {
@@ -564,7 +563,13 @@ impl HilSimulator {
                                 sensor.capture_window_into(&scene_rgb, 1.0, window, &mut raw)
                             });
                             if let Some(kind) = faults.bayer {
-                                apply_bayer_fault(kind, &mut raw, plan_seed, frame_index);
+                                apply_bayer_fault_window(
+                                    kind,
+                                    &mut raw,
+                                    window,
+                                    plan_seed,
+                                    frame_index,
+                                );
                             }
                             log.timed(Stage::Isp, || {
                                 isp.process_window_into(
@@ -766,7 +771,7 @@ impl HilSimulator {
                         sensor.recapture_window_into(&scene_rgb, 1.0, needed, &mut raw)
                     });
                     if let Some(kind) = faults.bayer {
-                        apply_bayer_fault(kind, &mut raw, plan_seed, frame_index);
+                        apply_bayer_fault_window(kind, &mut raw, needed, plan_seed, frame_index);
                     }
                     log.timed_more(Stage::Isp, || {
                         isp.process_window_into(&raw, needed, &mut imaging_scratch, &mut rgb)

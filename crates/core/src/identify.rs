@@ -8,7 +8,7 @@
 
 use lkas_imaging::image::RgbImage;
 use lkas_nn::classifiers::{LaneClassifier, RoadClassifier, SceneClassifier};
-use lkas_nn::features::extract;
+use lkas_nn::features::{extract, extract_into, FeatureScratch};
 use lkas_nn::mlp::{BatchedMlps, MlpScratch};
 use lkas_platform::schedule::ClassifierSet;
 use lkas_scene::camera::Camera;
@@ -49,8 +49,9 @@ impl ClassifierBundle {
 
 /// Batched-inference state for a [`ClassifierBundle`]: the three MLPs
 /// stacked road→lane→scene into one [`BatchedMlps`] plus the reusable
-/// input/scratch buffers, so a full re-identification window runs as
-/// one grouped GEMM per layer instead of three strided matmuls.
+/// feature, input and scratch buffers, so a full re-identification
+/// window extracts features and runs one grouped GEMM per layer without
+/// touching the heap.
 ///
 /// Predictions are bit-identical to the per-classifier path (the
 /// grouped GEMM accumulates in the same order as `Dense::forward` and
@@ -60,6 +61,8 @@ impl ClassifierBundle {
 #[derive(Debug, Clone)]
 pub struct BundleBatch {
     mlps: BatchedMlps,
+    features: Vec<f32>,
+    feature_scratch: FeatureScratch,
     xs: Vec<f32>,
     scratch: MlpScratch,
     preds: Vec<usize>,
@@ -72,6 +75,8 @@ impl BundleBatch {
     pub fn new(bundle: &ClassifierBundle) -> Self {
         BundleBatch {
             mlps: BatchedMlps::new(&[bundle.road.mlp(), bundle.lane.mlp(), bundle.scene.mlp()]),
+            features: Vec::new(),
+            feature_scratch: FeatureScratch::new(),
             xs: Vec::new(),
             scratch: MlpScratch::new(),
             preds: Vec::new(),
@@ -141,8 +146,10 @@ impl SituationEstimate {
     /// re-identification window — the case where classifier latency
     /// actually stacks), their normalized features are stacked and a
     /// single grouped GEMM per layer produces all three predictions.
-    /// Partial invocations keep the per-classifier path, which skipping
-    /// classifiers already makes cheap.
+    /// The full window reuses the batch's buffers, so after its first
+    /// call it allocates nothing. Partial invocations keep the
+    /// per-classifier path, which skipping classifiers already makes
+    /// cheap, and which allocates its feature vector.
     pub fn update_from_frame_with(
         &mut self,
         bundle: &ClassifierBundle,
@@ -155,11 +162,11 @@ impl SituationEstimate {
             self.update_from_frame(bundle, frame, camera, invoked);
             return;
         }
-        let features = extract(frame, camera);
+        extract_into(frame, camera, &mut batch.feature_scratch, &mut batch.features);
         batch.xs.clear();
-        bundle.road.normalizer().apply_into(&features, &mut batch.xs);
-        bundle.lane.normalizer().apply_into(&features, &mut batch.xs);
-        bundle.scene.normalizer().apply_into(&features, &mut batch.xs);
+        bundle.road.normalizer().apply_into(&batch.features, &mut batch.xs);
+        bundle.lane.normalizer().apply_into(&batch.features, &mut batch.xs);
+        bundle.scene.normalizer().apply_into(&batch.features, &mut batch.xs);
         batch.mlps.predict_into(&batch.xs, &mut batch.scratch, &mut batch.preds);
         self.current.layout = RoadClassifier::class_of_index(batch.preds[0]);
         let (color, form) = LaneClassifier::class_of_index(batch.preds[1]);

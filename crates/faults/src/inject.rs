@@ -1,7 +1,7 @@
 //! RAW-frame fault application: the bridge between a [`crate::FaultPlan`]
 //! and the Bayer-domain corruption primitives of [`lkas_imaging::sensor`].
 
-use lkas_imaging::image::RawImage;
+use lkas_imaging::image::{PixelWindow, RawImage};
 use lkas_imaging::sensor::{inject_exposure_glitch, inject_hot_pixels, inject_row_banding};
 use serde::{Deserialize, Serialize};
 
@@ -42,17 +42,38 @@ pub fn derive_cycle_seed(plan_seed: u64, cycle: u64) -> u64 {
 /// pattern varies per cycle (a real defect map would be static, but a
 /// per-cycle pattern is the harsher test: perception cannot learn to
 /// mask it), while banding phase walks with the cycle index the way
-/// readout interference drifts.
+/// readout interference drifts. This is [`apply_bayer_fault_window`] on
+/// the full frame.
 pub fn apply_bayer_fault(kind: BayerFaultKind, raw: &mut RawImage, plan_seed: u64, cycle: u64) {
+    let window = PixelWindow::full(raw.width(), raw.height());
+    apply_bayer_fault_window(kind, raw, window, plan_seed, cycle);
+}
+
+/// Applies a Bayer corruption to the photosites of `window` only: each
+/// gets exactly the value [`apply_bayer_fault`] gives it, and every
+/// other photosite keeps its contents. Apply it once to freshly
+/// captured photosites — banding and exposure glitches are not
+/// idempotent.
+///
+/// # Panics
+///
+/// Panics if the window does not lie inside the frame.
+pub fn apply_bayer_fault_window(
+    kind: BayerFaultKind,
+    raw: &mut RawImage,
+    window: PixelWindow,
+    plan_seed: u64,
+    cycle: u64,
+) {
     match kind {
         BayerFaultKind::HotPixels { density } => {
-            inject_hot_pixels(raw, density, derive_cycle_seed(plan_seed, cycle));
+            inject_hot_pixels(raw, window, density, derive_cycle_seed(plan_seed, cycle));
         }
         BayerFaultKind::RowBanding { period, gain } => {
             let phase = if period == 0 { 0 } else { (cycle as usize) % period };
-            inject_row_banding(raw, period, gain, phase);
+            inject_row_banding(raw, window, period, gain, phase);
         }
-        BayerFaultKind::ExposureGlitch { gain } => inject_exposure_glitch(raw, gain),
+        BayerFaultKind::ExposureGlitch { gain } => inject_exposure_glitch(raw, window, gain),
     }
 }
 
@@ -89,6 +110,34 @@ mod tests {
             assert_eq!(a, b, "{kind:?} must replay identically");
             let clean = noisy_raw(1);
             assert_ne!(a, clean, "{kind:?} must actually corrupt the frame");
+        }
+    }
+
+    #[test]
+    fn windowed_fault_is_the_full_fault_restricted_to_the_window() {
+        let window = PixelWindow { x0: 3, y0: 5, x1: 14, y1: 11 };
+        for kind in [
+            BayerFaultKind::HotPixels { density: 0.3 },
+            BayerFaultKind::RowBanding { period: 3, gain: 0.4 },
+            BayerFaultKind::ExposureGlitch { gain: 2.0 },
+        ] {
+            let clean = noisy_raw(2);
+            let mut full = clean.clone();
+            apply_bayer_fault(kind, &mut full, 42, 7);
+            let mut part = clean.clone();
+            apply_bayer_fault_window(kind, &mut part, window, 42, 7);
+            for y in 0..16 {
+                for x in 0..16 {
+                    let inside = window.rows().contains(&y) && window.columns().contains(&x);
+                    let expect = if inside { full.get(x, y) } else { clean.get(x, y) };
+                    assert_eq!(
+                        part.get(x, y).to_bits(),
+                        expect.to_bits(),
+                        "{kind:?} at ({x}, {y})"
+                    );
+                }
+            }
+            assert_ne!(part, clean, "{kind:?} must corrupt the window");
         }
     }
 

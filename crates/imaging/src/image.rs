@@ -288,10 +288,7 @@ impl RgbImage {
     /// # Panics
     ///
     /// Panics if the window does not lie inside the frame.
-    pub(crate) fn window_rows_mut(
-        &mut self,
-        window: PixelWindow,
-    ) -> impl Iterator<Item = &mut [f32]> {
+    pub fn window_rows_mut(&mut self, window: PixelWindow) -> impl Iterator<Item = &mut [f32]> {
         window.assert_within(self.width, self.height);
         let stride = self.width * 3;
         self.data[window.y0 * stride..window.y1 * stride]

@@ -24,11 +24,11 @@
 //! pixels were captured, so [`Sensor::capture_window_into`] computes any
 //! [`PixelWindow`] of a frame bit-identically to the full capture, and
 //! [`Sensor::recapture_window_into`] exposes the same frame again on
-//! another window.
+//! another window. The hot-pixel fault primitive is keyed the same way
+//! (photosite `i` draws at `seed + (i+1)·γ`), and all three fault
+//! primitives take a window.
 
 use crate::image::{BayerChannel, PixelWindow, RawImage, RgbImage};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// Spectral crosstalk matrix of the modeled sensor (rows: sensor R/G/B
@@ -233,28 +233,53 @@ impl Sensor {
 // mirroring the real corruption point in the imaging chain.
 // ---------------------------------------------------------------------
 
-/// Saturates a deterministic pseudo-random subset of photosites to
-/// full-well ("hot" pixels). `density` is the expected fraction of
-/// affected photosites; the affected set is a pure function of `seed`.
-pub fn inject_hot_pixels(raw: &mut RawImage, density: f32, seed: u64) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    for v in raw.as_mut_slice() {
-        if rng.gen_range(0.0f32..1.0) < density {
-            *v = 1.0;
+/// Saturates a deterministic pseudo-random subset of the photosites of
+/// `window` to full well ("hot" pixels). `density` is the expected
+/// fraction of affected photosites. Photosite `i = y·w + x` is hot when
+/// its own draw falls below `density`: the splitmix64 output at counter
+/// `seed + (i+1)·γ`, which is draw `i` (counting from zero) of a
+/// `StdRng` seeded with `seed`. The affected set is a pure function of `seed`, and a window
+/// gets exactly the full frame's pattern on its photosites.
+///
+/// # Panics
+///
+/// Panics if the window does not lie inside the frame.
+pub fn inject_hot_pixels(raw: &mut RawImage, window: PixelWindow, density: f32, seed: u64) {
+    let w = raw.width();
+    window.assert_within(w, raw.height());
+    let data = raw.as_mut_slice();
+    for y in window.rows() {
+        let row = y * w + window.x0..y * w + window.x1;
+        for (i, v) in row.clone().zip(&mut data[row]) {
+            let draw = splitmix64(seed.wrapping_add((i as u64 + 1).wrapping_mul(GAMMA)));
+            if uniform(0.0, 1.0, draw) < density {
+                *v = 1.0;
+            }
         }
     }
 }
 
-/// Scales every `period`-th row (offset by `phase`) by `gain` — the
-/// horizontal banding of readout interference. `period == 0` is a no-op.
-pub fn inject_row_banding(raw: &mut RawImage, period: usize, gain: f32, phase: usize) {
+/// Scales every `period`-th row (offset by `phase`) of `window` by
+/// `gain` — the horizontal banding of readout interference.
+/// `period == 0` is a no-op.
+///
+/// # Panics
+///
+/// Panics if the window does not lie inside the frame.
+pub fn inject_row_banding(
+    raw: &mut RawImage,
+    window: PixelWindow,
+    period: usize,
+    gain: f32,
+    phase: usize,
+) {
+    window.assert_within(raw.width(), raw.height());
     if period == 0 {
         return;
     }
-    let (w, h) = (raw.width(), raw.height());
-    for y in 0..h {
-        if (y + phase) % period == 0 {
-            for x in 0..w {
+    for y in window.rows() {
+        if (y + phase).is_multiple_of(period) {
+            for x in window.columns() {
                 let v = raw.get(x, y);
                 raw.set(x, y, (v * gain).clamp(0.0, 1.0));
             }
@@ -262,18 +287,27 @@ pub fn inject_row_banding(raw: &mut RawImage, period: usize, gain: f32, phase: u
     }
 }
 
-/// Scales the whole frame by `gain`, clamping into the sensor's unit
-/// range — an auto-exposure glitch. Gains above 1 clip highlights,
-/// gains below 1 crush the frame toward the noise floor.
-pub fn inject_exposure_glitch(raw: &mut RawImage, gain: f32) {
-    for v in raw.as_mut_slice() {
-        *v = (*v * gain).clamp(0.0, 1.0);
+/// Scales the photosites of `window` by `gain`, clamping into the
+/// sensor's unit range — an auto-exposure glitch. Gains above 1 clip
+/// highlights, gains below 1 crush the frame toward the noise floor.
+///
+/// # Panics
+///
+/// Panics if the window does not lie inside the frame.
+pub fn inject_exposure_glitch(raw: &mut RawImage, window: PixelWindow, gain: f32) {
+    window.assert_within(raw.width(), raw.height());
+    for y in window.rows() {
+        for x in window.columns() {
+            raw.set(x, y, (raw.get(x, y) * gain).clamp(0.0, 1.0));
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn flat_scene(v: f32) -> RgbImage {
         RgbImage::filled(64, 64, [v, v, v])
@@ -458,8 +492,9 @@ mod tests {
         let mut s = Sensor::new(SensorConfig { read_noise: 0.0, shot_noise: 0.0, gain: 1.0 }, 0);
         let mut a = s.capture(&flat_scene(0.2), 1.0);
         let mut b = a.clone();
-        inject_hot_pixels(&mut a, 0.05, 77);
-        inject_hot_pixels(&mut b, 0.05, 77);
+        let full = PixelWindow::full(64, 64);
+        inject_hot_pixels(&mut a, full, 0.05, 77);
+        inject_hot_pixels(&mut b, full, 0.05, 77);
         assert_eq!(a, b, "same seed ⇒ same hot-pixel set");
         let hot = a.as_slice().iter().filter(|&&v| v == 1.0).count();
         let n = a.as_slice().len();
@@ -469,8 +504,33 @@ mod tests {
             "hot count {hot} should be near {expected}"
         );
         let mut c = s.capture(&flat_scene(0.2), 1.0);
-        inject_hot_pixels(&mut c, 0.05, 78);
+        inject_hot_pixels(&mut c, full, 0.05, 78);
         assert_ne!(a, c, "different seeds pick different photosites");
+    }
+
+    #[test]
+    fn keyed_hot_pixels_equal_the_sequential_stream() {
+        // The sequential form: one `StdRng` draw per photosite of the
+        // whole buffer, in row-major order.
+        let sequential = |raw: &mut RawImage, density: f32, seed: u64| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for v in raw.as_mut_slice() {
+                if rng.gen_range(0.0f32..1.0) < density {
+                    *v = 1.0;
+                }
+            }
+        };
+        let mut s = Sensor::new(SensorConfig::default(), 4);
+        let clean = s.capture(&gradient_scene(24, 16), 1.0);
+        for seed in [0, 77, 1 << 40, u64::MAX - 4096, u64::MAX] {
+            for density in [0.03, 0.5] {
+                let mut keyed = clean.clone();
+                let mut reference = clean.clone();
+                inject_hot_pixels(&mut keyed, PixelWindow::full(24, 16), density, seed);
+                sequential(&mut reference, density, seed);
+                assert_eq!(keyed, reference, "seed {seed}, density {density}");
+            }
+        }
     }
 
     #[test]
@@ -478,7 +538,8 @@ mod tests {
         let mut s = Sensor::new(SensorConfig { read_noise: 0.0, shot_noise: 0.0, gain: 1.0 }, 0);
         let clean = s.capture(&flat_scene(0.4), 1.0);
         let mut banded = clean.clone();
-        inject_row_banding(&mut banded, 4, 0.2, 1);
+        let full = PixelWindow::full(64, 64);
+        inject_row_banding(&mut banded, full, 4, 0.2, 1);
         for y in 0..banded.height() {
             for x in 0..banded.width() {
                 if (y + 1) % 4 == 0 {
@@ -490,7 +551,7 @@ mod tests {
         }
         // Degenerate period is a no-op rather than a divide-by-zero.
         let mut untouched = clean.clone();
-        inject_row_banding(&mut untouched, 0, 0.2, 0);
+        inject_row_banding(&mut untouched, full, 0, 0.2, 0);
         assert_eq!(untouched, clean);
     }
 
@@ -500,11 +561,12 @@ mod tests {
         let mut s = Sensor::new(SensorConfig { read_noise: 0.0, shot_noise: 0.0, gain: 1.0 }, 0);
         let clean = s.capture(&flat_scene(0.4), 1.0);
         let mut over = clean.clone();
-        inject_exposure_glitch(&mut over, 4.0);
+        let full = PixelWindow::full(64, 64);
+        inject_exposure_glitch(&mut over, full, 4.0);
         assert!(over.as_slice().iter().all(|&v| v <= 1.0), "over-exposure clips at full well");
         assert!(mean(&over) > mean(&clean));
         let mut under = clean.clone();
-        inject_exposure_glitch(&mut under, 0.25);
+        inject_exposure_glitch(&mut under, full, 0.25);
         let ratio = mean(&under) / mean(&clean);
         assert!((ratio - 0.25).abs() < 1e-3, "under-exposure scales linearly (ratio {ratio})");
     }

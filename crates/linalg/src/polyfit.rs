@@ -26,6 +26,16 @@ impl PolyfitScratch {
     pub fn new() -> Self {
         PolyfitScratch::default()
     }
+
+    /// Creates a workspace already sized for fits of up to `samples`
+    /// points and `coeffs` coefficients, so that no such fit allocates.
+    pub fn with_capacity(samples: usize, coeffs: usize) -> Self {
+        PolyfitScratch {
+            v: Vec::with_capacity(samples * coeffs),
+            y: Vec::with_capacity(samples),
+            w: Vec::with_capacity(samples),
+        }
+    }
 }
 
 /// Fits a polynomial of the given `degree` through `(x, y)` samples in the

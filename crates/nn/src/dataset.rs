@@ -6,9 +6,11 @@
 //! classifiers must be robust to the very approximations the method
 //! switches between), and reduced to a feature vector.
 
-use crate::features::{extract, FEATURE_DIM};
+use crate::features::{extract_into, FeatureScratch, FEATURE_DIM};
+use lkas_imaging::image::{RawImage, RgbImage};
 use lkas_imaging::isp::{IspConfig, IspPipeline};
 use lkas_imaging::sensor::{Sensor, SensorConfig};
+use lkas_imaging::Scratch;
 use lkas_scene::camera::Camera;
 use lkas_scene::render::SceneRenderer;
 use lkas_scene::situation::SituationFeatures;
@@ -47,11 +49,19 @@ impl Dataset {
 }
 
 /// Generates frames and features for labeled situations.
+///
+/// One generator renders, captures, processes and extracts every sample
+/// through the same reused buffers.
 #[derive(Debug)]
 pub struct DatasetGenerator {
     camera: Camera,
     renderer: SceneRenderer,
     rng: StdRng,
+    scene: RgbImage,
+    raw: RawImage,
+    rgb: RgbImage,
+    imaging: Scratch,
+    features: FeatureScratch,
 }
 
 impl DatasetGenerator {
@@ -61,6 +71,11 @@ impl DatasetGenerator {
             renderer: SceneRenderer::new(camera.clone()),
             camera,
             rng: StdRng::seed_from_u64(seed),
+            scene: RgbImage::new(1, 1),
+            raw: RawImage::new(2, 2),
+            rgb: RgbImage::new(1, 1),
+            imaging: Scratch::new(),
+            features: FeatureScratch::new(),
         }
     }
 
@@ -71,13 +86,15 @@ impl DatasetGenerator {
         let s = self.rng.gen_range(50.0..1500.0);
         let d = self.rng.gen_range(-0.5..0.5);
         let psi = self.rng.gen_range(-0.04..0.04);
-        let frame = self.renderer.render(&track, s, d, psi);
+        if let Err(e) = self.renderer.render_into(&track, s, d, psi, &mut self.scene) {
+            panic!("{e}");
+        }
         let seed = self.rng.gen();
-        let raw = Sensor::new(SensorConfig::default(), seed).capture(&frame, 1.0);
+        Sensor::new(SensorConfig::default(), seed).capture_into(&self.scene, 1.0, &mut self.raw);
         let isp = IspConfig::ALL[self.rng.gen_range(0..IspConfig::ALL.len())];
-        let rgb = IspPipeline::new(isp).process(&raw);
-        let f = extract(&rgb, &self.camera);
-        debug_assert_eq!(f.len(), FEATURE_DIM);
+        IspPipeline::new(isp).process_into(&self.raw, &mut self.imaging, &mut self.rgb);
+        let mut f = Vec::with_capacity(FEATURE_DIM);
+        extract_into(&self.rgb, &self.camera, &mut self.features, &mut f);
         f
     }
 

@@ -17,9 +17,21 @@
 //!   the vehicle's lateral pose; per-side masses, spreads and
 //!   band-to-band mass variation expose the lane form (dotted vs
 //!   continuous vs double).
+//!
+//! The three photometric statistics come from one row-major pass: luma
+//! is computed once per pixel, the grid cell follows from per-row and
+//! per-column cell bounds, and the histogram counts in `u32`. Every
+//! accumulator still takes its terms in the order a separate pass over
+//! its region would give it, so each f32 sum is bit-identical to the
+//! three-pass formulation. The ground pass uses the camera's split
+//! back-projection ([`Camera::ground_row`], [`Camera::ground_column`]):
+//! a row's forward distance decides its band, so rows outside the
+//! analyzed 4–28 m are skipped whole. [`extract_into`] with a reused
+//! [`FeatureScratch`] allocates nothing once the buffers have grown to
+//! the frame's size; [`extract`] allocates both.
 
 use lkas_imaging::image::RgbImage;
-use lkas_linalg::polyfit::polyfit;
+use lkas_linalg::polyfit::{polyfit_into, PolyfitScratch};
 use lkas_scene::camera::Camera;
 
 /// Number of luma-grid cells (8 × 4).
@@ -41,10 +53,50 @@ const GEOM_FEATURES: usize = 11;
 /// Total feature dimensionality produced by [`extract`].
 pub const FEATURE_DIM: usize = GRID_W * GRID_H + 6 + HIST_BINS + GEOM_FEATURES;
 
+/// Reusable buffers of [`extract_into`]: the back-projection's column
+/// terms, the ground samples, the gated samples, the per-band lateral
+/// histograms and the lane-track fit. The first extraction sizes them
+/// for the frame dimensions; from then on, extraction at those
+/// dimensions allocates nothing, whatever the frame shows. The contents
+/// carry no state between calls.
+#[derive(Debug, Clone)]
+pub struct FeatureScratch {
+    /// `Camera::ground_column(u)` per integer column `u`.
+    columns: Vec<f64>,
+    /// Ground samples of the analyzed region: (band, y, score).
+    samples: Vec<(usize, f64, f64)>,
+    /// Samples that pass the z-score gate: (band, y, z).
+    gated: Vec<(usize, f64, f64)>,
+    /// Per-band lateral histograms, band after band.
+    hists: Vec<f64>,
+    polyfit: PolyfitScratch,
+}
+
+impl FeatureScratch {
+    /// Creates empty buffers; the lane-track fit's are sized for its
+    /// largest fit up front.
+    pub fn new() -> Self {
+        FeatureScratch {
+            columns: Vec::new(),
+            samples: Vec::new(),
+            gated: Vec::new(),
+            hists: Vec::new(),
+            polyfit: PolyfitScratch::with_capacity(BANDS, 3),
+        }
+    }
+}
+
+impl Default for FeatureScratch {
+    fn default() -> Self {
+        FeatureScratch::new()
+    }
+}
+
 /// Extracts the feature vector of a frame.
 ///
 /// The camera supplies the ground-plane back-projection; it must be the
-/// camera the frame was captured with.
+/// camera the frame was captured with. Allocates the vector and a
+/// fresh [`FeatureScratch`]; [`extract_into`] reuses both.
 ///
 /// # Panics
 ///
@@ -63,47 +115,74 @@ pub const FEATURE_DIM: usize = GRID_W * GRID_H + 6 + HIST_BINS + GEOM_FEATURES;
 /// assert_eq!(f.len(), FEATURE_DIM);
 /// ```
 pub fn extract(frame: &RgbImage, camera: &Camera) -> Vec<f32> {
+    let mut features = Vec::with_capacity(FEATURE_DIM);
+    extract_into(frame, camera, &mut FeatureScratch::new(), &mut features);
+    features
+}
+
+/// [`extract`] into a caller-owned vector (cleared first) with
+/// caller-owned buffers: the allocation-free extraction path, bit for
+/// bit the same features.
+///
+/// # Panics
+///
+/// Panics if the frame is smaller than 8×4 pixels.
+pub fn extract_into(
+    frame: &RgbImage,
+    camera: &Camera,
+    scratch: &mut FeatureScratch,
+    features: &mut Vec<f32>,
+) {
     let w = frame.width();
     let h = frame.height();
     assert!(w >= GRID_W && h >= GRID_H, "frame too small for feature grid");
-    let mut features = Vec::with_capacity(FEATURE_DIM);
+    features.clear();
     let horizon = camera.horizon_row();
+
+    // --- One photometric pass ---------------------------------------------
+    // Row-major, so each accumulator below takes its terms in the order
+    // of a separate pass over its own region: every cell's pixels row by
+    // row, the road region and the whole frame in raster order.
+    let x_cells: [usize; GRID_W + 1] = std::array::from_fn(|gx| gx * w / GRID_W);
+    let y_cells: [usize; GRID_H + 1] = std::array::from_fn(|gy| gy * h / GRID_H);
+    let road_start = (horizon.max(0.0) as usize).min(h - 1);
+    let mut cell_sums = [0.0f32; GRID_W * GRID_H];
+    let mut means = [0.0f32; 3];
+    let mut yellow = 0.0f32;
+    let mut hist = [0u32; HIST_BINS];
+    let mut gy = 0;
+    for (y, row) in frame.as_slice().chunks_exact(3 * w).enumerate() {
+        while y >= y_cells[gy + 1] {
+            gy += 1;
+        }
+        let road = y >= road_start;
+        for gx in 0..GRID_W {
+            let sum = &mut cell_sums[gy * GRID_W + gx];
+            for p in row[3 * x_cells[gx]..3 * x_cells[gx + 1]].chunks_exact(3) {
+                let luma = 0.299 * p[0] + 0.587 * p[1] + 0.114 * p[2];
+                *sum += luma;
+                hist[(luma.clamp(0.0, 0.999) * HIST_BINS as f32) as usize] += 1;
+                if road {
+                    for c in 0..3 {
+                        means[c] += p[c];
+                    }
+                    yellow += ((p[0] + p[1]) / 2.0 - p[2]).max(0.0);
+                }
+            }
+        }
+    }
 
     // --- Luma grid -------------------------------------------------------
     for gy in 0..GRID_H {
         for gx in 0..GRID_W {
-            let x0 = gx * w / GRID_W;
-            let x1 = (gx + 1) * w / GRID_W;
-            let y0 = gy * h / GRID_H;
-            let y1 = (gy + 1) * h / GRID_H;
-            let mut sum = 0.0f32;
-            let mut n = 0u32;
-            for y in y0..y1 {
-                for x in x0..x1 {
-                    let p = frame.get(x, y);
-                    sum += 0.299 * p[0] + 0.587 * p[1] + 0.114 * p[2];
-                    n += 1;
-                }
-            }
+            let n = ((x_cells[gx + 1] - x_cells[gx]) * (y_cells[gy + 1] - y_cells[gy])) as u32;
+            let sum = cell_sums[gy * GRID_W + gx];
             features.push(if n > 0 { sum / n as f32 } else { 0.0 });
         }
     }
 
     // --- Color statistics (road region only) ------------------------------
-    let road_start = (horizon.max(0.0) as usize).min(h - 1);
-    let mut means = [0.0f32; 3];
-    let mut yellow = 0.0f32;
-    let mut n = 0u32;
-    for y in road_start..h {
-        for x in 0..w {
-            let p = frame.get(x, y);
-            for c in 0..3 {
-                means[c] += p[c];
-            }
-            yellow += ((p[0] + p[1]) / 2.0 - p[2]).max(0.0);
-            n += 1;
-        }
-    }
+    let n = ((h - road_start) * w) as u32;
     let nf = (n.max(1)) as f32;
     let (mr, mg, mb) = (means[0] / nf, means[1] / nf, means[2] / nf);
     let luma_mean = (0.299 * mr + 0.587 * mg + 0.114 * mb).max(1e-4);
@@ -114,31 +193,41 @@ pub fn extract(frame: &RgbImage, camera: &Camera) -> Vec<f32> {
     features.push((yellow / nf) / luma_mean);
 
     // --- Brightness histogram (whole frame) -------------------------------
-    let mut hist = [0.0f32; HIST_BINS];
-    for y in 0..h {
-        for x in 0..w {
-            let p = frame.get(x, y);
-            let l = (0.299 * p[0] + 0.587 * p[1] + 0.114 * p[2]).clamp(0.0, 0.999);
-            hist[(l * HIST_BINS as f32) as usize] += 1.0;
-        }
-    }
+    // An f32 count of ones is exact up to 2^24 and stays there.
     let total = (w * h) as f32;
-    features.extend(hist.iter().map(|v| v / total));
+    features.extend(hist.iter().map(|&count| count.min(1 << 24) as f32 / total));
 
     // --- Ground-plane lane geometry ---------------------------------------
-    features.extend_from_slice(&geometry_features(frame, camera));
+    features.extend_from_slice(&geometry_features(frame, camera, scratch));
 
     debug_assert_eq!(features.len(), FEATURE_DIM);
-    features
 }
 
 /// A marking cluster found in one band: gated-evidence mass (normalized
 /// per band pixel), lateral centroid and spread.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Cluster {
     mass: f64,
     centroid: f64,
     spread: f64,
+}
+
+/// The up to two marking clusters of one band.
+#[derive(Debug, Clone, Copy, Default)]
+struct BandClusters {
+    found: [Cluster; 2],
+    len: usize,
+}
+
+impl BandClusters {
+    fn push(&mut self, cluster: Cluster) {
+        self.found[self.len] = cluster;
+        self.len += 1;
+    }
+
+    fn get(&self) -> &[Cluster] {
+        &self.found[..self.len]
+    }
 }
 
 /// Lateral histogram resolution for cluster extraction (m).
@@ -148,31 +237,74 @@ const MIN_CLUSTER_SEP: f64 = 2.0;
 /// Half-window around a histogram peak used to refine the cluster (m).
 const CLUSTER_WIN: f64 = 0.6;
 
+/// The lane-center track `c(x) = c0 + c1·x + c2·x²` through the band
+/// centers `(xs, cs)`: quadratic with four or more bands spanning 12 m,
+/// linear with two or more, zero otherwise (or when the fit fails).
+fn fit_track(xs: &[f64], cs: &[f64], scratch: &mut PolyfitScratch) -> (f64, f64, f64) {
+    let span = if xs.is_empty() {
+        0.0
+    } else {
+        xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
+            - xs.iter().cloned().fold(f64::INFINITY, f64::min)
+    };
+    // A quadratic needs longitudinal leverage; with a short span the
+    // curvature term just amplifies noise.
+    let mut c = [0.0; 3];
+    if xs.len() >= 4 && span >= 12.0 {
+        match polyfit_into(xs, cs, &mut c, scratch) {
+            Ok(()) => (c[0], c[1], c[2]),
+            Err(_) => (0.0, 0.0, 0.0),
+        }
+    } else if xs.len() >= 2 {
+        match polyfit_into(xs, cs, &mut c[..2], scratch) {
+            Ok(()) => (c[0], c[1], 0.0),
+            Err(_) => (0.0, 0.0, 0.0),
+        }
+    } else {
+        (0.0, 0.0, 0.0)
+    }
+}
+
 /// The 11 ground-plane geometry features:
 /// `[c0, c1·10, c2·200, massL, massR, mass_ratio, spreadL·5, spreadR·5,
 /// cvL, cvR, density·20]`, where `c(x) = c0 + c1·x + c2·x²` is the lane
 /// center track fitted over the longitudinal bands.
-fn geometry_features(frame: &RgbImage, camera: &Camera) -> [f32; GEOM_FEATURES] {
+fn geometry_features(
+    frame: &RgbImage,
+    camera: &Camera,
+    scratch: &mut FeatureScratch,
+) -> [f32; GEOM_FEATURES] {
     let w = frame.width();
     let h = frame.height();
     let horizon = camera.horizon_row().max(0.0) as usize;
 
     // Pass 1: back-project road pixels, collect per-band score stats and
-    // the ground samples for gating.
-    let mut samples: Vec<(usize, f64, f64)> = Vec::new(); // band, y, score
+    // the ground samples for gating. The back-projection is split: a
+    // row's forward distance decides its band (rows outside the analyzed
+    // region are skipped whole), a column's term scales into the lateral
+    // offset.
+    scratch.columns.clear();
+    scratch.columns.extend((0..w).map(|u| camera.ground_column(u as f64)));
+    let samples = &mut scratch.samples;
+    samples.clear();
     let mut band_sum = [0.0f64; BANDS];
     let mut band_sum2 = [0.0f64; BANDS];
     let mut band_cnt = [0u32; BANDS];
     for v in horizon..h {
-        for u in 0..w {
-            let Some((gx, gy)) = camera.ground_from_pixel(u as f64, v as f64) else {
-                continue;
-            };
-            if gx < X_NEAR || gx >= X_NEAR + BANDS as f64 * BAND_LEN || gy.abs() > Y_HALF {
+        let Some((gx, t)) = camera.ground_row(v as f64) else {
+            continue;
+        };
+        if gx < X_NEAR || gx >= X_NEAR + BANDS as f64 * BAND_LEN {
+            continue;
+        }
+        let band = ((gx - X_NEAR) / BAND_LEN) as usize;
+        let row = &frame.as_slice()[3 * w * v..3 * w * (v + 1)];
+        for (ry, p) in scratch.columns.iter().zip(row.chunks_exact(3)) {
+            let gy = t * ry;
+            if gy.abs() > Y_HALF {
                 continue;
             }
-            let band = ((gx - X_NEAR) / BAND_LEN) as usize;
-            let s = score_of(frame.get(u, v)) as f64;
+            let s = score_of([p[0], p[1], p[2]]) as f64;
             band_sum[band] += s;
             band_sum2[band] += s * s;
             band_cnt[band] += 1;
@@ -182,10 +314,15 @@ fn geometry_features(frame: &RgbImage, camera: &Camera) -> [f32; GEOM_FEATURES] 
 
     // Pass 2: gate by per-band z-score into per-band lateral histograms.
     let n_bins = (2.0 * Y_HALF / Y_BIN) as usize;
-    let mut hists = vec![vec![0.0f64; n_bins]; BANDS];
-    let mut gated_samples: Vec<(usize, f64, f64)> = Vec::new(); // band, y, z
+    let hists = &mut scratch.hists;
+    hists.clear();
+    hists.resize(BANDS * n_bins, 0.0);
+    // Room for every sample to pass, so no frame outgrows the buffers.
+    let gated_samples = &mut scratch.gated;
+    gated_samples.clear();
+    gated_samples.reserve(samples.len());
     let mut gated = 0u32;
-    for &(band, gy, s) in &samples {
+    for &(band, gy, s) in samples.iter() {
         let cnt = band_cnt[band].max(1) as f64;
         let mean = band_sum[band] / cnt;
         let std = ((band_sum2[band] / cnt - mean * mean).max(0.0)).sqrt().max(1e-5);
@@ -193,7 +330,7 @@ fn geometry_features(frame: &RgbImage, camera: &Camera) -> [f32; GEOM_FEATURES] 
         if z > 2.0 {
             gated += 1;
             let bin = (((gy + Y_HALF) / Y_BIN) as usize).min(n_bins - 1);
-            hists[band][bin] += z;
+            hists[band * n_bins + bin] += z;
             gated_samples.push((band, gy, z));
         }
     }
@@ -204,7 +341,7 @@ fn geometry_features(frame: &RgbImage, camera: &Camera) -> [f32; GEOM_FEATURES] 
         let mut mass = 0.0;
         let mut my = 0.0;
         let mut my2 = 0.0;
-        for &(b, y, z) in &gated_samples {
+        for &(b, y, z) in gated_samples.iter() {
             if b == band && (y - peak_y).abs() <= CLUSTER_WIN {
                 mass += z;
                 my += z * y;
@@ -216,10 +353,9 @@ fn geometry_features(frame: &RgbImage, camera: &Camera) -> [f32; GEOM_FEATURES] 
             if mass > 1e-9 { (my2 / mass - centroid * centroid).max(0.0).sqrt() } else { 0.0 };
         Cluster { mass: mass / band_cnt[band].max(1) as f64, centroid, spread }
     };
-    let mut clusters: Vec<Vec<Cluster>> = Vec::with_capacity(BANDS);
-    for band in 0..BANDS {
-        let hist = &hists[band];
-        let mut found = Vec::new();
+    let mut clusters = [BandClusters::default(); BANDS];
+    for (band, found) in clusters.iter_mut().enumerate() {
+        let hist = &hists[band * n_bins..(band + 1) * n_bins];
         let peak1 = hist
             .iter()
             .enumerate()
@@ -245,17 +381,16 @@ fn geometry_features(frame: &RgbImage, camera: &Camera) -> [f32; GEOM_FEATURES] 
                 }
             }
         }
-        clusters.push(found);
     }
 
     // Validate two-cluster bands: the pair must be about one lane width
     // apart, otherwise one "cluster" is noise — keep only the stronger.
     for cl in &mut clusters {
-        if cl.len() == 2 {
-            let sep = (cl[0].centroid - cl[1].centroid).abs();
+        if let [a, b] = *cl.get() {
+            let sep = (a.centroid - b.centroid).abs();
             if (sep - lkas_scene::track::LANE_WIDTH).abs() > 1.2 {
-                let keep = if cl[0].mass >= cl[1].mass { cl[0] } else { cl[1] };
-                cl.clear();
+                let keep = if a.mass >= b.mass { a } else { b };
+                *cl = BandClusters::default();
                 cl.push(keep);
             }
         }
@@ -263,48 +398,33 @@ fn geometry_features(frame: &RgbImage, camera: &Camera) -> [f32; GEOM_FEATURES] 
 
     // Lane-center track from validated two-cluster bands.
     let band_x = |band: usize| X_NEAR + (band as f64 + 0.5) * BAND_LEN;
-    let mut xs: Vec<f64> = Vec::new();
-    let mut cs: Vec<f64> = Vec::new();
+    let mut xs = [0.0f64; BANDS];
+    let mut cs = [0.0f64; BANDS];
+    let mut n_track = 0;
     for (band, cl) in clusters.iter().enumerate() {
-        if cl.len() == 2 {
-            xs.push(band_x(band));
-            cs.push((cl[0].centroid + cl[1].centroid) / 2.0);
+        if let [a, b] = cl.get() {
+            xs[n_track] = band_x(band);
+            cs[n_track] = (a.centroid + b.centroid) / 2.0;
+            n_track += 1;
         }
     }
-    let fit_track = |xs: &[f64], cs: &[f64]| -> (f64, f64, f64) {
-        let span = if xs.is_empty() {
-            0.0
-        } else {
-            xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-                - xs.iter().cloned().fold(f64::INFINITY, f64::min)
-        };
-        // A quadratic needs longitudinal leverage; with a short span the
-        // curvature term just amplifies noise.
-        if xs.len() >= 4 && span >= 12.0 {
-            match polyfit(xs, cs, 2) {
-                Ok(c) => (c[0], c[1], c[2]),
-                Err(_) => (0.0, 0.0, 0.0),
-            }
-        } else if xs.len() >= 2 {
-            match polyfit(xs, cs, 1) {
-                Ok(c) => (c[0], c[1], 0.0),
-                Err(_) => (0.0, 0.0, 0.0),
-            }
-        } else {
-            (0.0, 0.0, 0.0)
-        }
-    };
-    let (mut c0, mut c1, mut c2) = fit_track(&xs, &cs);
+    let (xs, cs) = (&xs[..n_track], &cs[..n_track]);
+    let (mut c0, mut c1, mut c2) = fit_track(xs, cs, &mut scratch.polyfit);
     // Robust refit: drop bands whose center deviates > 0.5 m from the
     // first fit (dash-phase and noise outliers).
     if xs.len() >= 4 {
-        let keep: Vec<usize> = (0..xs.len())
-            .filter(|&i| (cs[i] - (c0 + c1 * xs[i] + c2 * xs[i] * xs[i])).abs() < 0.5)
-            .collect();
-        if keep.len() >= 3 && keep.len() < xs.len() {
-            let xs2: Vec<f64> = keep.iter().map(|&i| xs[i]).collect();
-            let cs2: Vec<f64> = keep.iter().map(|&i| cs[i]).collect();
-            let refit = fit_track(&xs2, &cs2);
+        let mut xs2 = [0.0f64; BANDS];
+        let mut cs2 = [0.0f64; BANDS];
+        let mut kept = 0;
+        for i in 0..xs.len() {
+            if (cs[i] - (c0 + c1 * xs[i] + c2 * xs[i] * xs[i])).abs() < 0.5 {
+                xs2[kept] = xs[i];
+                cs2[kept] = cs[i];
+                kept += 1;
+            }
+        }
+        if kept >= 3 && kept < xs.len() {
+            let refit = fit_track(&xs2[..kept], &cs2[..kept], &mut scratch.polyfit);
             c0 = refit.0;
             c1 = refit.1;
             c2 = refit.2;
@@ -314,14 +434,13 @@ fn geometry_features(frame: &RgbImage, camera: &Camera) -> [f32; GEOM_FEATURES] 
     let have_center = xs.len() >= 2;
 
     // Assign clusters to the left/right marking per band.
-    let mut mass_l = vec![0.0f64; BANDS];
-    let mut mass_r = vec![0.0f64; BANDS];
+    let mut mass_l = [0.0f64; BANDS];
+    let mut mass_r = [0.0f64; BANDS];
     let mut spread_l = (0.0f64, 0.0f64); // (weighted sum, mass)
     let mut spread_r = (0.0f64, 0.0f64);
     for (band, cl) in clusters.iter().enumerate() {
-        match cl.len() {
-            2 => {
-                let (a, b) = (&cl[0], &cl[1]);
+        match cl.get() {
+            [a, b] => {
                 let (l, r) = if a.centroid >= b.centroid { (a, b) } else { (b, a) };
                 mass_l[band] = l.mass;
                 mass_r[band] = r.mass;
@@ -330,8 +449,7 @@ fn geometry_features(frame: &RgbImage, camera: &Camera) -> [f32; GEOM_FEATURES] 
                 spread_r.0 += r.spread * r.mass;
                 spread_r.1 += r.mass;
             }
-            1 if have_center => {
-                let c = &cl[0];
+            [c] if have_center => {
                 if c.centroid >= center_at(band_x(band)) {
                     mass_l[band] = c.mass;
                     spread_l.0 += c.spread * c.mass;

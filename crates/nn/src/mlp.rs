@@ -259,10 +259,20 @@ impl Mlp {
 
 /// Numerically stable softmax.
 fn softmax(logits: &[f32]) -> Vec<f32> {
+    let mut probs = Vec::with_capacity(logits.len());
+    softmax_into(logits, &mut probs);
+    probs
+}
+
+/// [`softmax`] into a caller-owned buffer (cleared first).
+fn softmax_into(logits: &[f32], probs: &mut Vec<f32>) {
     let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = logits.iter().map(|v| (v - max).exp()).collect();
-    let sum: f32 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
+    probs.clear();
+    probs.extend(logits.iter().map(|v| (v - max).exp()));
+    let sum: f32 = probs.iter().sum();
+    for p in probs.iter_mut() {
+        *p /= sum;
+    }
 }
 
 /// Index of the largest probability — the single argmax of the crate.
@@ -277,13 +287,15 @@ fn argmax(p: &[f32]) -> usize {
         .unwrap_or(0)
 }
 
-/// Reusable ping-pong buffers of the batched forward passes: holding
-/// one `MlpScratch` across windows makes [`BatchedMlps::forward`]
-/// allocation-free in the steady state.
+/// Reusable ping-pong buffers of the batched forward passes, and the
+/// class probabilities of one member: holding one `MlpScratch` across
+/// windows makes [`BatchedMlps::forward`] and
+/// [`BatchedMlps::predict_into`] allocation-free in the steady state.
 #[derive(Debug, Clone, Default)]
 pub struct MlpScratch {
     a: Vec<f32>,
     b: Vec<f32>,
+    probs: Vec<f32>,
 }
 
 impl MlpScratch {
@@ -423,7 +435,8 @@ impl BatchedMlps {
         preds.clear();
         let mut off = 0usize;
         for &classes in &self.class_counts {
-            preds.push(argmax(&softmax(&scratch.a[off..off + classes])));
+            softmax_into(&scratch.a[off..off + classes], &mut scratch.probs);
+            preds.push(argmax(&scratch.probs));
             off += classes;
         }
     }

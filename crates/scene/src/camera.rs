@@ -11,6 +11,18 @@
 //!   the ground below the camera;
 //! * **image frame**: `u` right (px), `v` down (px), origin at the
 //!   top-left corner.
+//!
+//! # Split back-projection
+//!
+//! On flat ground a pixel's ray depends on its row for everything but
+//! its left component: [`Camera::ground_row`] maps a row `v` to the
+//! forward distance `xf` and the ray length `t` (or `None` above the
+//! horizon), [`Camera::ground_column`] maps a column `u` to the ray's
+//! left component `ry`, and the lateral offset is `t · ry`.
+//! [`Camera::ground_from_pixel`] is exactly that composition, so a
+//! caller holding one entry per row and one per column — O(W + H), as
+//! the renderer does — gets every pixel's ground point bit for bit
+//! without a `sin_cos` or a division per pixel.
 
 use crate::render::RenderError;
 use serde::{Deserialize, Serialize};
@@ -159,8 +171,22 @@ impl Camera {
     /// Back-projects the pixel `(u, v)` onto the ground plane, returning
     /// the `(x_forward, y_left)` ground point in meters, or `None` if the
     /// pixel is at or above the horizon.
+    ///
+    /// This is [`Camera::ground_row`] composed with
+    /// [`Camera::ground_column`]: `(xf, t)` of row `v`, then
+    /// `y_left = t · ry(u)`.
     pub fn ground_from_pixel(&self, u: f64, v: f64) -> Option<(f64, f64)> {
-        let un = (u - self.cu) / self.focal; // right
+        let ry = self.ground_column(u);
+        let (xf, t) = self.ground_row(v)?;
+        Some((xf, t * ry))
+    }
+
+    /// The row part of [`Camera::ground_from_pixel`]: for image row `v`,
+    /// `None` at or above the horizon, else `(xf, t)` — the forward
+    /// distance every pixel of the row back-projects to, and the ray
+    /// length `t = h / −rz` that scales a column's [`Camera::ground_column`]
+    /// term into its lateral offset.
+    pub fn ground_row(&self, v: f64) -> Option<(f64, f64)> {
         let vn = (v - self.cv) / self.focal; // down
         let (sp, cp) = self.pitch.sin_cos();
         // Ray in vehicle frame: optical axis pitched down by `pitch`.
@@ -168,13 +194,24 @@ impl Camera {
         //   down vector: a = (cp, 0, −sp), down = (−sp, 0, −cp),
         //   right = (0, −1, 0).
         let rx = cp - vn * sp;
-        let ry = -un;
         let rz = -sp - vn * cp;
         if rz >= -1e-9 {
             return None; // at or above the horizon
         }
         let t = self.height_m / -rz;
-        Some((t * rx, t * ry))
+        Some((t * rx, t))
+    }
+
+    /// The column part of [`Camera::ground_from_pixel`]: the ray's left
+    /// component `ry = −(u − cu) / focal` for image column `u`.
+    pub fn ground_column(&self, u: f64) -> f64 {
+        let un = (u - self.cu) / self.focal; // right
+        -un
+    }
+
+    /// Principal point `(cu, cv)` in pixels.
+    pub fn principal_point(&self) -> (f64, f64) {
+        (self.cu, self.cv)
     }
 
     /// Projects the ground point `(x_forward, y_left)` into the image,

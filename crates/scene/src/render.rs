@@ -13,11 +13,29 @@
 //! pose and its own coordinates, so a windowed render is the full render
 //! restricted to the window, bit for bit.
 //!
+//! # Per-pixel cost
+//!
+//! Work that does not depend on the pixel is done once: the camera's
+//! back-projection is split into a row part and a column part
+//! ([`Camera::ground_row`], [`Camera::ground_column`]) tabulated at
+//! pixel centres when the renderer is built; the scene's sky colour,
+//! the bumper's road colour, ambient level and tint are fixed per frame
+//! (and with no head-lights, so is the light level); a sector's marking
+//! lines are rebuilt only when the pixel's sector changes. Per pixel
+//! remain a rotation by ψ, one sector lookup through a `SectorCursor`
+//! that remembers the last sector's span, one dash phase shared by
+//! every dotted line (`Track::dash_phase`, exact against `rem_euclid`)
+//! and the coverage of the lines within reach.
+//! Every operation that produces a pixel value is the one the plain
+//! per-pixel formulation performs, in the same order, so the frame is
+//! bit-identical to it (`lkas-bench`'s reference renderer, checked by
+//! `kernel_equivalence` and pinned by the tier-1 golden).
+//!
 //! [`lkas_imaging::Sensor::capture`]: lkas_imaging::sensor::Sensor::capture
 
 use crate::camera::Camera;
-use crate::situation::SceneKind;
-use crate::track::{Track, DOUBLE_GAP, LANE_WIDTH, MARKING_WIDTH};
+use crate::situation::{LaneColor, LaneForm, SceneKind};
+use crate::track::{LaneSpec, Sector, SectorCursor, Track, DOUBLE_GAP, LANE_WIDTH, MARKING_WIDTH};
 use lkas_imaging::image::{PixelWindow, RgbImage};
 
 /// Linear-RGB albedos of the rendered materials.
@@ -63,12 +81,17 @@ impl std::fmt::Display for RenderError {
 impl std::error::Error for RenderError {}
 
 /// Paved shoulder beyond the markings, in meters.
-const SHOULDER: f64 = 0.6;
+pub const SHOULDER: f64 = 0.6;
 
 /// Head-light beam length scale (meters of e-folding).
-const HEADLIGHT_FALLOFF: f64 = 15.0;
+pub const HEADLIGHT_FALLOFF: f64 = 15.0;
 
 /// Renders camera frames of a track.
+///
+/// The renderer holds the camera's split back-projection at pixel
+/// centres: [`Camera::ground_row`] for each row and
+/// [`Camera::ground_column`] for each column, O(W + H) entries built in
+/// [`SceneRenderer::new`].
 ///
 /// # Example
 ///
@@ -86,12 +109,26 @@ const HEADLIGHT_FALLOFF: f64 = 15.0;
 #[derive(Debug, Clone)]
 pub struct SceneRenderer {
     camera: Camera,
+    /// `Camera::ground_row(v + 0.5)` per row `v`.
+    rows: Vec<Option<(f64, f64)>>,
+    /// `Camera::ground_column(u + 0.5)` per column `u`.
+    columns: Vec<f64>,
 }
 
 impl SceneRenderer {
-    /// Creates a renderer for the given camera.
+    /// Creates a renderer for the given camera. An invalid camera gets
+    /// no tables: every render validates it first and returns a
+    /// [`RenderError`].
     pub fn new(camera: Camera) -> Self {
-        SceneRenderer { camera }
+        let (rows, columns) = if camera.validate().is_ok() {
+            (
+                (0..camera.height()).map(|v| camera.ground_row(v as f64 + 0.5)).collect(),
+                (0..camera.width()).map(|u| camera.ground_column(u as f64 + 0.5)).collect(),
+            )
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        SceneRenderer { camera, rows, columns }
     }
 
     /// Borrow the camera model.
@@ -158,33 +195,46 @@ impl SceneRenderer {
         window.assert_within(w, h);
         img.reshape(w, h);
         let (sin_psi, cos_psi) = psi.sin_cos();
-        let scene = track.sector_at(s).scene;
+        let light = Lighting::of(track.sector_at(s).scene);
+        let sky = light.sky();
+        // Directly under the bumper the ground is treated as road.
+        let bumper = light.lit(albedo::ROAD, 0.0);
+        let mut cursor = SectorCursor::new();
+        let mut lines = MarkingLines::of(&track.sectors()[0]);
+        let mut lines_of = 0;
+        let columns = &self.columns[window.columns()];
 
-        for v in window.rows() {
-            for u in window.columns() {
-                let color = match self.camera.ground_from_pixel(u as f64 + 0.5, v as f64 + 0.5) {
-                    None => self.sky_color(scene),
-                    Some((xf, yl)) => {
-                        // Rotate the vehicle-frame ground point into the
-                        // lane-aligned frame.
-                        let xa = xf * cos_psi - yl * sin_psi;
-                        let ya = xf * sin_psi + yl * cos_psi;
-                        if xa <= 0.1 {
-                            // Directly under the bumper; treat as road.
-                            self.lit(albedo::ROAD, scene, 0.0)
-                        } else {
-                            let sp = s + xa;
-                            // Offset from the (curving) lane center:
-                            // the centerline bends by ~κ·xa²/2 over the
-                            // preview distance.
-                            let kappa = track.curvature_at(sp);
-                            let lateral = d + ya - kappa * xa * xa / 2.0;
-                            let albedo = self.surface_albedo(track, sp, lateral, xa);
-                            self.lit(albedo, scene, xa)
-                        }
+        for (row, pixels) in self.rows[window.rows()].iter().zip(img.window_rows_mut(window)) {
+            let Some((xf, t)) = *row else {
+                for px in pixels.chunks_exact_mut(3) {
+                    px.copy_from_slice(&sky);
+                }
+                continue;
+            };
+            for (ry, px) in columns.iter().zip(pixels.chunks_exact_mut(3)) {
+                let yl = t * ry;
+                // Rotate the vehicle-frame ground point into the
+                // lane-aligned frame.
+                let xa = xf * cos_psi - yl * sin_psi;
+                let ya = xf * sin_psi + yl * cos_psi;
+                let color = if xa <= 0.1 {
+                    bumper
+                } else {
+                    let sp = s + xa;
+                    let i = track.sector_index_with(sp, &mut cursor);
+                    if i != lines_of {
+                        lines = MarkingLines::of(&track.sectors()[i]);
+                        lines_of = i;
                     }
+                    // Offset from the (curving) lane center: the
+                    // centerline bends by ~κ·xa²/2 over the preview
+                    // distance.
+                    let kappa = track.sectors()[i].curvature;
+                    let lateral = d + ya - kappa * xa * xa / 2.0;
+                    let albedo = self.surface_albedo(&lines, sp, lateral, xa);
+                    light.lit(albedo, xa)
                 };
-                img.set(u, v, color);
+                px.copy_from_slice(&color);
             }
         }
         Ok(())
@@ -192,53 +242,33 @@ impl SceneRenderer {
 
     /// Albedo of the ground at arc position `sp`, lateral offset
     /// `lateral` from the lane center, seen from forward distance `xa`
-    /// (for anti-aliasing footprint).
-    fn surface_albedo(&self, track: &Track, sp: f64, lateral: f64, xa: f64) -> [f32; 3] {
-        let sector = track.sector_at(sp);
+    /// (for anti-aliasing footprint), on a sector with marking `lines`.
+    fn surface_albedo(&self, lines: &MarkingLines, sp: f64, lateral: f64, xa: f64) -> [f32; 3] {
         let footprint = self.camera.ground_meters_per_pixel(xa);
-        let half_marking = MARKING_WIDTH / 2.0;
-
-        // Candidate marking line centers (lateral offsets from the lane
-        // center) and their specs.
-        let mut lines: [(f64, crate::track::LaneSpec); 4] = [
-            (LANE_WIDTH / 2.0, sector.left_lane),
-            (f64::NAN, sector.left_lane),
-            (-LANE_WIDTH / 2.0, sector.right_lane),
-            (f64::NAN, sector.right_lane),
-        ];
-        if sector.left_lane.form == crate::situation::LaneForm::DoubleContinuous {
-            let off = (MARKING_WIDTH + DOUBLE_GAP) / 2.0;
-            lines[0].0 = LANE_WIDTH / 2.0 - off;
-            lines[1].0 = LANE_WIDTH / 2.0 + off;
-        }
-        if sector.right_lane.form == crate::situation::LaneForm::DoubleContinuous {
-            let off = (MARKING_WIDTH + DOUBLE_GAP) / 2.0;
-            lines[2].0 = -LANE_WIDTH / 2.0 + off;
-            lines[3].0 = -LANE_WIDTH / 2.0 - off;
-        }
+        let reach = MARKING_WIDTH / 2.0 + footprint / 2.0;
+        let phase = Track::dash_phase(sp);
 
         // Base surface.
         let road_half = LANE_WIDTH / 2.0 + SHOULDER;
         let base = if lateral.abs() <= road_half { albedo::ROAD } else { albedo::GRASS };
 
-        // Blend in the nearest marking line by its pixel coverage.
+        // Blend in the nearest marking line by its pixel coverage. A
+        // line farther than `reach` covers nothing, and no coverage
+        // below zero can beat `best_cover`.
         let mut best_cover = 0.0f64;
         let mut best_color = base;
-        for (center, spec) in lines {
-            if center.is_nan() {
+        for line in &lines.lines[..lines.count] {
+            if !Track::painted_at_phase(line.form, phase) {
                 continue;
             }
-            if !Track::marking_painted_at(spec.form, sp) {
+            let gap = reach - (lateral - line.center).abs();
+            if gap <= 0.0 {
                 continue;
             }
-            let dist = (lateral - center).abs();
-            let cover = ((half_marking + footprint / 2.0 - dist) / footprint).clamp(0.0, 1.0);
+            let cover = (gap / footprint).clamp(0.0, 1.0);
             if cover > best_cover {
                 best_cover = cover;
-                best_color = match spec.color {
-                    crate::situation::LaneColor::White => albedo::WHITE_MARKING,
-                    crate::situation::LaneColor::Yellow => albedo::YELLOW_MARKING,
-                };
+                best_color = line.color;
             }
         }
         if best_cover <= 0.0 {
@@ -251,21 +281,94 @@ impl SceneRenderer {
             base[2] * (1.0 - c) + best_color[2] * c,
         ]
     }
+}
 
-    /// Applies scene illumination (ambient + head-lights) and tint to an
-    /// albedo at forward distance `xf`.
-    fn lit(&self, albedo: [f32; 3], scene: SceneKind, xf: f64) -> [f32; 3] {
-        let ambient = scene.ambient_illumination();
-        let head = scene.headlight_gain() * (-xf / HEADLIGHT_FALLOFF).exp() as f32;
-        let level = (ambient + head).min(1.2);
-        let tint = scene.tint();
+/// One painted marking line: its center's lateral offset from the lane
+/// center, its form and its albedo.
+#[derive(Debug, Clone, Copy)]
+struct MarkingLine {
+    center: f64,
+    form: LaneForm,
+    color: [f32; 3],
+}
+
+/// A sector's marking lines, left before right and inner before outer
+/// — the order in which ties in coverage resolve.
+#[derive(Debug, Clone, Copy)]
+struct MarkingLines {
+    lines: [MarkingLine; 4],
+    count: usize,
+}
+
+impl MarkingLines {
+    fn of(sector: &Sector) -> Self {
+        let mut centers: [(f64, LaneSpec); 4] = [
+            (LANE_WIDTH / 2.0, sector.left_lane),
+            (f64::NAN, sector.left_lane),
+            (-LANE_WIDTH / 2.0, sector.right_lane),
+            (f64::NAN, sector.right_lane),
+        ];
+        let off = (MARKING_WIDTH + DOUBLE_GAP) / 2.0;
+        if sector.left_lane.form == LaneForm::DoubleContinuous {
+            centers[0].0 = LANE_WIDTH / 2.0 - off;
+            centers[1].0 = LANE_WIDTH / 2.0 + off;
+        }
+        if sector.right_lane.form == LaneForm::DoubleContinuous {
+            centers[2].0 = -LANE_WIDTH / 2.0 + off;
+            centers[3].0 = -LANE_WIDTH / 2.0 - off;
+        }
+        let unused = MarkingLine { center: f64::NAN, form: LaneForm::Continuous, color: [0.0; 3] };
+        let mut lines = MarkingLines { lines: [unused; 4], count: 0 };
+        for (center, spec) in centers.into_iter().filter(|(center, _)| !center.is_nan()) {
+            let color = match spec.color {
+                LaneColor::White => albedo::WHITE_MARKING,
+                LaneColor::Yellow => albedo::YELLOW_MARKING,
+            };
+            lines.lines[lines.count] = MarkingLine { center, form: spec.form, color };
+            lines.count += 1;
+        }
+        lines
+    }
+}
+
+/// A scene's illumination, fixed for a frame: ambient level, head-light
+/// gain and tint.
+#[derive(Debug, Clone, Copy)]
+struct Lighting {
+    ambient: f32,
+    headlight: f32,
+    tint: [f32; 3],
+}
+
+impl Lighting {
+    fn of(scene: SceneKind) -> Self {
+        Lighting {
+            ambient: scene.ambient_illumination(),
+            headlight: scene.headlight_gain(),
+            tint: scene.tint(),
+        }
+    }
+
+    /// Applies the illumination (ambient + head-lights) and tint to an
+    /// albedo at forward distance `xf`. Without head-lights the level is
+    /// the ambient one: the head-light term would be `0 · e^(−xf/15)`,
+    /// which is `+0.0` for every `xf ≥ 0`.
+    #[inline]
+    fn lit(&self, albedo: [f32; 3], xf: f64) -> [f32; 3] {
+        let level = if self.headlight == 0.0 {
+            self.ambient.min(1.2)
+        } else {
+            let head = self.headlight * (-xf / HEADLIGHT_FALLOFF).exp() as f32;
+            (self.ambient + head).min(1.2)
+        };
+        let tint = self.tint;
         [albedo[0] * level * tint[0], albedo[1] * level * tint[1], albedo[2] * level * tint[2]]
     }
 
-    /// Sky irradiance for a scene.
-    fn sky_color(&self, scene: SceneKind) -> [f32; 3] {
-        let level = scene.ambient_illumination() * 0.9;
-        let tint = scene.tint();
+    /// Sky irradiance.
+    fn sky(&self) -> [f32; 3] {
+        let level = self.ambient * 0.9;
+        let tint = self.tint;
         [
             albedo::SKY[0] * level * tint[0],
             albedo::SKY[1] * level * tint[1],

@@ -258,11 +258,40 @@ impl Track {
     /// Index of the sector containing arc position `s` (clamped to the
     /// track).
     pub fn sector_index_at(&self, s: f64) -> usize {
-        let s = s.clamp(0.0, self.total - 1e-9);
+        let s = self.clamp_to_track(s);
         match self.starts.binary_search_by(|v| v.partial_cmp(&s).unwrap()) {
             Ok(i) => i,
             Err(i) => i.saturating_sub(1),
         }
+    }
+
+    /// The arc position every sector lookup actually searches for.
+    fn clamp_to_track(&self, s: f64) -> f64 {
+        s.clamp(0.0, self.total - 1e-9)
+    }
+
+    /// [`Track::sector_index_at`] through a cursor that remembers the
+    /// last sector found: a position whose clamped value lies in that
+    /// sector's `[start, next start)` costs a clamp and two comparisons,
+    /// any other falls back to the search and moves the cursor. The
+    /// result equals `sector_index_at(s)` for every `s`. A cursor belongs
+    /// to one track.
+    pub(crate) fn sector_index_with(&self, s: f64, cursor: &mut SectorCursor) -> usize {
+        let c = self.clamp_to_track(s);
+        if c >= cursor.start && c < cursor.end {
+            return cursor.index;
+        }
+        let i = self.sector_index_at(s);
+        let start = self.starts[i];
+        let end = self.starts.get(i + 1).copied().unwrap_or(f64::INFINITY);
+        // Starts never decrease, so the search maps every clamped value
+        // in [start, end) to `i` — unless a neighbour starts at the same
+        // value (a length lost to rounding), where the search may pick
+        // either; such a sector is never cached.
+        let distinct = start < end && (i == 0 || self.starts[i - 1] < start);
+        *cursor =
+            if distinct { SectorCursor { index: i, start, end } } else { SectorCursor::new() };
+        i
     }
 
     /// The sector containing arc position `s`.
@@ -292,13 +321,58 @@ impl Track {
     /// `true` if a marking is painted at longitudinal position `s` for
     /// the given lane form (handles the dash pattern of dotted lanes).
     pub fn marking_painted_at(form: LaneForm, s: f64) -> bool {
+        Track::painted_at_phase(form, Track::dash_phase(s))
+    }
+
+    /// [`Track::marking_painted_at`] for a position whose
+    /// [`Track::dash_phase`] is `phase` — one phase serves every marking
+    /// line at that position.
+    #[inline]
+    pub(crate) fn painted_at_phase(form: LaneForm, phase: f64) -> bool {
         match form {
             LaneForm::Continuous | LaneForm::DoubleContinuous => true,
-            LaneForm::Dotted => {
-                let period = DASH_LENGTH + DASH_GAP;
-                s.rem_euclid(period) < DASH_LENGTH
+            LaneForm::Dotted => phase < DASH_LENGTH,
+        }
+    }
+
+    /// Position of `s` inside the dash period, `s.rem_euclid(DASH_LENGTH
+    /// + DASH_GAP)`, bit for bit.
+    ///
+    /// `rem_euclid` costs an `fmod`. For `7.5 ≤ s < 2⁴⁸` this takes
+    /// `q = ⌊s / 7.5⌋` instead: `q · 7.5` is exact (it needs at most 52
+    /// significant bits), and `s − q·7.5` is exact because `s` lies
+    /// within a factor of two of `q·7.5` (Sterbenz). An exact remainder
+    /// in `[0, 7.5)` is the one `fmod` returns; a rounded quotient that
+    /// is off by one lands outside that range and falls back, as does
+    /// every other `s`.
+    #[inline]
+    pub(crate) fn dash_phase(s: f64) -> f64 {
+        const PERIOD: f64 = DASH_LENGTH + DASH_GAP;
+        const FAST_LIMIT: f64 = (1u64 << 48) as f64;
+        if (PERIOD..FAST_LIMIT).contains(&s) {
+            let r = s - (s / PERIOD).floor() * PERIOD;
+            if (0.0..PERIOD).contains(&r) {
+                return r;
             }
         }
+        s.rem_euclid(PERIOD)
+    }
+}
+
+/// The sector a [`Track::sector_index_with`] lookup found last, with the
+/// clamped arc positions `[start, end)` that map to it. A new cursor
+/// holds no sector.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SectorCursor {
+    index: usize,
+    start: f64,
+    end: f64,
+}
+
+impl SectorCursor {
+    /// A cursor that matches no position yet.
+    pub(crate) fn new() -> Self {
+        SectorCursor { index: 0, start: f64::NAN, end: f64::NAN }
     }
 }
 
@@ -344,6 +418,46 @@ mod tests {
         for features in &TABLE3_SITUATIONS {
             let t = Track::for_situation(features, 100.0);
             assert_eq!(t.situation_at(50.0), *features);
+        }
+    }
+
+    #[test]
+    fn dash_phase_equals_rem_euclid_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let period = DASH_LENGTH + DASH_GAP;
+        let mut values = vec![0.0, -0.0, -1e-300, f64::NAN, f64::INFINITY, f64::MAX];
+        for k in 0..4000 {
+            let edge = k as f64 * period;
+            for s in [edge, edge + DASH_LENGTH] {
+                values.extend([s, s.next_up(), s.next_down(), s + 1e-9, s - 1e-9]);
+            }
+        }
+        let big = (1u64 << 48) as f64;
+        values.extend([big, big.next_down(), big.next_up(), 1e17, -7.5, -1310.0]);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        values.extend((0..200_000).map(|_| rng.gen_range(-100.0..20_000.0)));
+        for s in values {
+            let (fast, slow) = (Track::dash_phase(s), s.rem_euclid(period));
+            assert_eq!(fast.to_bits(), slow.to_bits(), "s = {s:e}");
+        }
+    }
+
+    #[test]
+    fn sector_cursor_agrees_with_the_search() {
+        use rand::{Rng, SeedableRng};
+        let t = Track::fig7_track();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut cursor = SectorCursor::new();
+        let mut probes = vec![-1.0, 0.0, t.total_length(), t.total_length() + 9.0];
+        for i in 0..t.sectors().len() {
+            let start = t.sector_start(i);
+            probes.extend([start, start.next_up(), start.next_down()]);
+        }
+        probes.extend((0..50_000).map(|_| rng.gen_range(-50.0..1400.0)));
+        // Nearby positions in a row, as a frame's pixels arrive.
+        probes.extend((0..5_000).map(|i| 140.0 + i as f64 * 0.004));
+        for s in probes {
+            assert_eq!(t.sector_index_with(s, &mut cursor), t.sector_index_at(s), "s = {s}");
         }
     }
 

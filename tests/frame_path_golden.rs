@@ -199,3 +199,73 @@ fn windowed_loop_reproduces_the_full_frame_golden() {
     fp = fp.push_f64(r.time_s).push_f64(r.overall_mae().unwrap_or(f64::NAN));
     assert_eq!(fp.finish(), "a9d741c218db923a", "trajectory of {} samples", r.samples);
 }
+
+/// The poses of the render/feature golden on the Fig. 7 track: every
+/// sector start ± 1e-6 (sector 1's minus side is negative `s`), dash
+/// edges where `s mod 7.5` sits at 0 and 3 on dotted sectors, negative
+/// `s`, `s` past the track end, ψ = ±0.2, and the night and dark
+/// head-light sectors.
+fn golden_poses(track: &Track) -> Vec<(f64, f64, f64)> {
+    let mut poses = Vec::new();
+    for i in 0..track.sectors().len() {
+        let start = track.sector_start(i);
+        let d = 0.1 * (i % 3) as f64 - 0.1;
+        poses.push((start - 1e-6, d, 0.01));
+        poses.push((start + 1e-6, -d, -0.01));
+    }
+    for edge in [97.5, 100.5, 600.0, 603.0, 757.5, 760.5] {
+        poses.push((edge - 1e-9, 0.05, 0.0));
+        poses.push((edge + 1e-9, 0.05, 0.0));
+    }
+    let end = track.total_length();
+    for (s, d, psi) in [
+        (-25.0, 0.0, 0.0),
+        (end + 30.0, 0.2, 0.0),
+        (end + 90.0, -0.2, 0.05),
+        (300.0, 0.3, 0.2),
+        (800.0, -0.3, -0.2),
+        (1050.0, 0.0, 0.02),
+        (1200.0, 0.4, -0.03),
+    ] {
+        poses.push((s, d, psi));
+    }
+    poses
+}
+
+/// Bit-level golden of the renderer and the feature extractor. Both
+/// cameras render the Fig. 7 track at [`golden_poses`]; each frame goes
+/// through the sensor and S0, and `extract` reads the result. The render
+/// bits and the feature bits fold into one fingerprint each. The two
+/// constants were recorded with the per-pixel renderer (a full
+/// back-projection, two sector searches and one `rem_euclid` per dotted
+/// line at every pixel) and the three-pass feature extractor, before
+/// the pose-independent work was hoisted out of their loops.
+#[test]
+fn render_and_features_reproduce_the_per_pixel_golden() {
+    use lkas_nn::features::extract;
+    use lkas_runtime::Fingerprint;
+
+    let track = Track::fig7_track();
+    let cameras =
+        [Camera::default_automotive(), Camera::new(256, 128, 150.0, 1.3, 6.0_f64.to_radians())];
+    let isp = IspPipeline::new(IspConfig::S0);
+    let mut frames = Fingerprint::new();
+    let mut features = Fingerprint::new();
+    let mut n = 0u64;
+    for cam in &cameras {
+        let renderer = SceneRenderer::new(cam.clone());
+        for (s, d, psi) in golden_poses(&track) {
+            let frame = renderer.render(&track, s, d, psi);
+            for v in frame.as_slice() {
+                frames = frames.push_bytes(&v.to_bits().to_le_bytes());
+            }
+            let raw = Sensor::new(SensorConfig::default(), 900 + n).capture(&frame, 1.0);
+            for v in extract(&isp.process(&raw), cam) {
+                features = features.push_bytes(&v.to_bits().to_le_bytes());
+            }
+            n += 1;
+        }
+    }
+    assert_eq!(frames.finish(), "e346adbea83eac49", "render bits over {n} frames");
+    assert_eq!(features.finish(), "b6f4546a099df948", "feature bits over {n} frames");
+}

@@ -5,6 +5,8 @@
 //! claim: after the warm-up cycles size every pooled buffer, one full
 //! camera-to-measurement cycle — render, capture, ISP, perception —
 //! performs **zero heap allocations** on the single-threaded executor.
+//! So does a trained-source cycle's full re-identification window:
+//! feature extraction and the three classifiers' batched inference.
 //!
 //! With worker threads the executor spawns per call by design, so the
 //! multi-threaded assertion is the next-strongest observable pair: the
@@ -285,5 +287,64 @@ fn steady_state_pool_is_quiescent_and_identical_at_four_threads() {
     assert_eq!(
         total_allocs, warmup_allocs,
         "the frame pool must not allocate after the first cycle"
+    );
+}
+
+#[test]
+fn trained_source_cycle_allocates_nothing_single_threaded() {
+    use lkas::identify::{BundleBatch, ClassifierBundle, SituationEstimate};
+    use lkas_nn::classifiers::{ClassifierSpec, LaneClassifier, RoadClassifier, SceneClassifier};
+    use lkas_platform::schedule::ClassifierSet;
+
+    // A bundle trained in well under a second: what it has learned does
+    // not matter here, only that its whole inference path runs.
+    let cam = Camera::new(128, 64, 75.0, 1.3, 6.0_f64.to_radians());
+    let spec = ClassifierSpec {
+        train_per_class: 3,
+        val_per_class: 0,
+        epochs: 1,
+        hidden: 8,
+        camera: cam.clone(),
+    };
+    let bundle = ClassifierBundle {
+        road: RoadClassifier::train(&spec, 1).0,
+        lane: LaneClassifier::train(&spec, 2).0,
+        scene: SceneClassifier::train(&spec, 3).0,
+    };
+    let mut batch = BundleBatch::new(&bundle);
+    let track = Track::fig7_track();
+    let renderer = SceneRenderer::new(cam.clone());
+    let mut sensor = Sensor::new(SensorConfig::default(), 5);
+    let isp = IspPipeline::new(IspConfig::S0);
+    let mut scratch = Scratch::new();
+    let mut estimate = SituationEstimate::new();
+    let mut scene_rgb = RgbImage::new(1, 1);
+    let mut raw = RawImage::new(2, 2);
+    let mut rgb = RgbImage::new(1, 1);
+
+    // Render → capture → ISP on the full frame, then every classifier:
+    // the cycle of a trained-source run on a full re-identification
+    // window, along the whole Fig. 7 track.
+    let mut cycle = |i: usize| {
+        let s = 20.0 + 47.0 * i as f64;
+        renderer.render_into(&track, s, 0.1, 0.0, &mut scene_rgb).expect("valid camera");
+        sensor.capture_into(&scene_rgb, 1.0, &mut raw);
+        isp.process_into(&raw, &mut scratch, &mut rgb);
+        estimate.update_from_frame_with(&bundle, &mut batch, &rgb, &cam, ClassifierSet::all());
+        estimate.current()
+    };
+    for i in 0..3 {
+        cycle(i);
+    }
+    let before = allocations_on_this_thread();
+    for i in 3..28 {
+        cycle(i);
+    }
+    let after = allocations_on_this_thread();
+    assert_eq!(
+        after - before,
+        0,
+        "trained-source cycles must not touch the heap ({} allocations over 25 cycles)",
+        after - before
     );
 }

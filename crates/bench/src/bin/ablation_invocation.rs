@@ -18,7 +18,7 @@
 use lkas::cases::Case;
 use lkas::hil::{HilConfig, HilSimulator, SituationSource};
 use lkas::invocation::InvocationScheme;
-use lkas_bench::{default_threads, render_table, write_result, Executor};
+use lkas_bench::{default_threads, render_table, write_result, Args, Executor};
 use lkas_platform::profiles::ClassifierKind;
 use lkas_platform::schedule::ClassifierSet;
 use lkas_scene::camera::Camera;
@@ -35,7 +35,9 @@ struct SchemeRow {
 }
 
 fn main() {
-    let camera = if std::env::args().any(|a| a == "--half-res") {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(&argv, "", "--half-res", false);
+    let camera = if args.has("--half-res") {
         Camera::new(256, 128, 150.0, 1.3, 6.0_f64.to_radians())
     } else {
         Camera::default_automotive()

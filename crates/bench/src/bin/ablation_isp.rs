@@ -13,7 +13,7 @@
 use lkas::characterize::{CharacterizeConfig, Characterizer};
 use lkas::knobs::KnobTuning;
 use lkas::TABLE3_SITUATIONS;
-use lkas_bench::{default_threads, render_table, write_result, Executor};
+use lkas_bench::{default_threads, render_table, write_result, Args, Executor};
 use lkas_imaging::isp::IspConfig;
 use lkas_perception::roi::Roi;
 use lkas_platform::schedule::ClassifierSet;
@@ -31,8 +31,10 @@ struct AblationRow {
 }
 
 fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(&argv, "", "--half-res", false);
     let mut config = CharacterizeConfig::new().with_track_length(180.0);
-    if !std::env::args().any(|a| a == "--half-res") {
+    if !args.has("--half-res") {
         config = config.with_camera(Camera::default_automotive());
     }
     let characterizer = Characterizer::new(config);

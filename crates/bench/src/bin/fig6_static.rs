@@ -18,8 +18,8 @@ use lkas::hil::{HilConfig, HilSimulator, SituationSource};
 use lkas::knobs::KnobTable;
 use lkas::TABLE3_SITUATIONS;
 use lkas_bench::{
-    arg_value, default_threads, load_or_train_bundle, oracle_flag, render_table, write_metrics,
-    write_result, Executor, Metrics, ARTIFACTS_DIR,
+    default_threads, load_or_train_bundle, render_table, write_metrics, write_result, Args,
+    Executor, Metrics, ARTIFACTS_DIR,
 };
 use lkas_scene::camera::Camera;
 use lkas_scene::track::Track;
@@ -38,22 +38,28 @@ struct SituationRow {
 }
 
 fn main() {
-    let source = if oracle_flag() {
-        SituationSource::Oracle
-    } else {
-        SituationSource::Trained(load_or_train_bundle())
-    };
-    let knob_table = load_knob_table();
-    let threads =
-        arg_value("--threads").and_then(|v| v.parse().ok()).unwrap_or_else(default_threads);
-    let track_length: f64 = arg_value("--length").and_then(|v| v.parse().ok()).unwrap_or(250.0);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(
+        &argv,
+        "--threads --length --metrics-out",
+        "--oracle --half-res --characterized",
+        false,
+    );
+    let threads = args.parsed("--threads").unwrap_or_else(default_threads);
+    let track_length: f64 = args.parsed("--length").unwrap_or(250.0);
     // On single-core machines `--half-res` quarters the per-frame cost;
     // the case orderings are unchanged (see EXPERIMENTS.md).
-    let camera = if std::env::args().any(|a| a == "--half-res") {
+    let camera = if args.has("--half-res") {
         Camera::new(256, 128, 150.0, 1.3, 6.0_f64.to_radians())
     } else {
         Camera::default_automotive()
     };
+    let source = if args.has("--oracle") {
+        SituationSource::Oracle
+    } else {
+        SituationSource::Trained(load_or_train_bundle())
+    };
+    let knob_table = load_knob_table(args.has("--characterized"));
 
     let metrics = Arc::new(Metrics::new());
     let mut jobs = Vec::new();
@@ -136,11 +142,11 @@ fn main() {
     let comparable = json_rows.iter().filter(|r| r.mae[3].is_some() && r.mae[2].is_some()).count();
     println!("case 4 beats case 3 in {better}/{comparable} comparable situations (paper: all but situation 15)");
     write_result("fig6_static", &json_rows);
-    write_metrics("fig6_static", &metrics);
+    write_metrics(&args, "fig6_static", &metrics);
 }
 
-fn load_knob_table() -> KnobTable {
-    if std::env::args().any(|a| a == "--characterized") {
+fn load_knob_table(characterized: bool) -> KnobTable {
+    if characterized {
         let path = std::path::Path::new(ARTIFACTS_DIR).join("table3.json");
         let json = std::fs::read_to_string(&path)
             .expect("run table3_characterization first to produce artifacts/table3.json");

@@ -21,8 +21,8 @@ use lkas::hil::{HilConfig, HilSimulator, SituationSource};
 use lkas::knobs::KnobTable;
 use lkas::stability::{certify_switching, minimum_dwell_intervals};
 use lkas_bench::{
-    arg_value, default_threads, load_or_train_bundle, oracle_flag, render_table, trace_out_path,
-    write_metrics, write_result, write_trace, Executor, Metrics, TraceRecorder, ARTIFACTS_DIR,
+    default_threads, load_or_train_bundle, render_table, trace_out_path, write_metrics,
+    write_result, write_trace, Args, Executor, Metrics, TraceRecorder, ARTIFACTS_DIR,
 };
 use lkas_platform::schedule::ClassifierSet;
 use lkas_scene::track::Track;
@@ -41,18 +41,24 @@ struct CaseResult {
 }
 
 fn main() {
-    let source = if oracle_flag() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(
+        &argv,
+        "--threads --seeds --metrics-out --trace-out",
+        "--oracle --characterized",
+        false,
+    );
+    let threads = args.parsed("--threads").unwrap_or_else(default_threads);
+    let seeds: u64 = args.parsed("--seeds").unwrap_or(1);
+    let source = if args.has("--oracle") {
         SituationSource::Oracle
     } else {
         SituationSource::Trained(load_or_train_bundle())
     };
-    let knob_table = load_knob_table();
-    let threads =
-        arg_value("--threads").and_then(|v| v.parse().ok()).unwrap_or_else(default_threads);
-    let seeds: u64 = arg_value("--seeds").and_then(|v| v.parse().ok()).unwrap_or(1);
+    let knob_table = load_knob_table(args.has("--characterized"));
 
     let metrics = Arc::new(Metrics::new());
-    let trace_out = trace_out_path();
+    let trace_out = trace_out_path(&args);
     let recorder = trace_out.as_ref().map(|_| TraceRecorder::new());
     let mut jobs = Vec::new();
     for seed in 0..seeds {
@@ -183,11 +189,11 @@ fn main() {
     }
 
     write_result("fig8_dynamic", &case_results);
-    write_metrics("fig8_dynamic", &metrics);
+    write_metrics(&args, "fig8_dynamic", &metrics);
 }
 
-fn load_knob_table() -> KnobTable {
-    if std::env::args().any(|a| a == "--characterized") {
+fn load_knob_table(characterized: bool) -> KnobTable {
+    if characterized {
         let path = std::path::Path::new(ARTIFACTS_DIR).join("table3.json");
         let json = std::fs::read_to_string(&path)
             .expect("run table3_characterization first to produce artifacts/table3.json");

@@ -24,7 +24,7 @@
 //! `6` connection to the daemon lost mid-stream, `2` usage or other
 //! transport errors.
 
-use lkas_bench::{arg_value, fail, render_table};
+use lkas_bench::{fail, render_table, Args};
 use lkas_fleet::{ClientError, Event, FleetClient, RequestOp, SubmitRequest};
 use serde::Value;
 use std::path::PathBuf;
@@ -33,27 +33,34 @@ use std::path::PathBuf;
 /// the job-failed code so scripts can retry connection losses).
 const EXIT_CONNECTION_LOST: i32 = 6;
 
-fn connect() -> FleetClient {
-    let addr = arg_value("--addr").unwrap_or_else(|| fail("missing --addr HOST:PORT"));
-    FleetClient::connect(&addr).unwrap_or_else(|e| fail(&format!("connect {addr}: {e}")))
+fn connect(args: &Args) -> FleetClient {
+    let addr = args.value("--addr").unwrap_or_else(|| fail("missing --addr HOST:PORT"));
+    FleetClient::connect(addr).unwrap_or_else(|e| fail(&format!("connect {addr}: {e}")))
 }
 
-fn job_flag() -> u64 {
-    let text = arg_value("--job").unwrap_or_else(|| fail("missing --job N"));
-    text.parse().unwrap_or_else(|_| fail(&format!("bad --job `{text}`")))
+fn job_flag(args: &Args) -> u64 {
+    args.parsed("--job").unwrap_or_else(|| fail("missing --job N"))
 }
 
 fn main() {
-    let command = std::env::args().nth(1).unwrap_or_default();
-    match command.as_str() {
-        "submit" => submit(),
-        "status" => status(),
-        "watch" => watch(),
-        "cancel" => cancel(),
-        "shutdown" => shutdown(),
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let command = argv.first().map_or("", String::as_str);
+    let (value_flags, switches) = match command {
+        "submit" => ("--addr --spec --spec-file --tenant --priority --out", "--no-wait"),
+        "watch" => ("--addr --job --out", "--follow --json --human"),
+        "cancel" => ("--addr --job", ""),
+        "status" | "shutdown" => ("--addr", ""),
         other => {
             fail(&format!("unknown command `{other}` (want submit|status|watch|cancel|shutdown)"))
         }
+    };
+    let args = Args::parse(&argv[1..], value_flags, switches, false);
+    match command {
+        "submit" => submit(&args),
+        "status" => status(&args),
+        "watch" => watch(&args),
+        "cancel" => cancel(&args),
+        _ => shutdown(&args),
     }
 }
 
@@ -72,12 +79,12 @@ impl WatchMode {
         WatchMode { follow: false, json: false }
     }
 
-    fn from_args() -> WatchMode {
-        let json = std::env::args().any(|a| a == "--json");
-        if json && std::env::args().any(|a| a == "--human") {
+    fn from_args(args: &Args) -> WatchMode {
+        let json = args.has("--json");
+        if json && args.has("--human") {
             fail("--json and --human are mutually exclusive");
         }
-        WatchMode { follow: std::env::args().any(|a| a == "--follow"), json }
+        WatchMode { follow: args.has("--follow"), json }
     }
 }
 
@@ -180,26 +187,24 @@ fn stream_to_terminal(client: &mut FleetClient, out: Option<&PathBuf>, mode: Wat
     }
 }
 
-fn submit() {
-    let spec_text = match (arg_value("--spec"), arg_value("--spec-file")) {
-        (Some(text), None) => text,
+fn submit(args: &Args) {
+    let priority = args.parsed("--priority").unwrap_or(0);
+    let spec_text = match (args.value("--spec"), args.value("--spec-file")) {
+        (Some(text), None) => text.to_string(),
         (None, Some(path)) => {
-            std::fs::read_to_string(&path).unwrap_or_else(|e| fail(&format!("read {path}: {e}")))
+            std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("read {path}: {e}")))
         }
         _ => fail("need exactly one of --spec JSON or --spec-file PATH"),
     };
     let spec: Value =
         serde_json::from_str(&spec_text).unwrap_or_else(|e| fail(&format!("bad spec: {e}")));
-    let priority = match arg_value("--priority") {
-        None => 0,
-        Some(text) => text.parse().unwrap_or_else(|_| fail(&format!("bad --priority `{text}`"))),
-    };
-    let wait = !std::env::args().any(|a| a == "--no-wait");
-    let out = arg_value("--out").map(PathBuf::from);
+    let wait = !args.has("--no-wait");
+    let out = args.value("--out").map(PathBuf::from);
 
-    let mut client = connect();
+    let mut client = connect(args);
+    let tenant = args.value("--tenant").map(str::to_string);
     let first = client
-        .submit(SubmitRequest { tenant: arg_value("--tenant"), priority, wait, spec })
+        .submit(SubmitRequest { tenant, priority, wait, spec })
         .unwrap_or_else(|e| fail(&format!("submit: {e}")));
     let code = match first {
         Event::Accepted { job, key, .. } => {
@@ -224,8 +229,8 @@ fn submit() {
     std::process::exit(code);
 }
 
-fn status() {
-    let mut client = connect();
+fn status(args: &Args) {
+    let mut client = connect(args);
     client.send(RequestOp::Status).unwrap_or_else(|e| fail(&format!("status: {e}")));
     match client.next_event() {
         Ok(Event::Status(info)) => {
@@ -267,17 +272,18 @@ fn status() {
     }
 }
 
-fn watch() {
-    let job = job_flag();
-    let out = arg_value("--out").map(PathBuf::from);
-    let mut client = connect();
+fn watch(args: &Args) {
+    let job = job_flag(args);
+    let mode = WatchMode::from_args(args);
+    let out = args.value("--out").map(PathBuf::from);
+    let mut client = connect(args);
     client.send(RequestOp::Watch { job }).unwrap_or_else(|e| fail(&format!("watch: {e}")));
-    std::process::exit(stream_to_terminal(&mut client, out.as_ref(), WatchMode::from_args()));
+    std::process::exit(stream_to_terminal(&mut client, out.as_ref(), mode));
 }
 
-fn cancel() {
-    let job = job_flag();
-    let mut client = connect();
+fn cancel(args: &Args) {
+    let job = job_flag(args);
+    let mut client = connect(args);
     client.send(RequestOp::Cancel { job }).unwrap_or_else(|e| fail(&format!("cancel: {e}")));
     match client.next_event() {
         Ok(Event::Cancelled { job }) => println!("job {job} cancelled"),
@@ -287,8 +293,8 @@ fn cancel() {
     }
 }
 
-fn shutdown() {
-    let mut client = connect();
+fn shutdown(args: &Args) {
+    let mut client = connect(args);
     client.send(RequestOp::Shutdown).unwrap_or_else(|e| fail(&format!("shutdown: {e}")));
     match client.next_event() {
         Ok(Event::ShuttingDown) => println!("daemon shutting down"),

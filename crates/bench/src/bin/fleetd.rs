@@ -25,35 +25,27 @@
 //! sends a `shutdown` request.
 
 use lkas_bench::fleet::BenchRunner;
-use lkas_bench::{arg_value, fail};
+use lkas_bench::{fail, Args};
 use lkas_fleet::{serve, FleetConfig};
 use std::io::Write;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-fn numeric_flag(name: &str, default: usize) -> usize {
-    match arg_value(name) {
-        None => default,
-        Some(text) => text.parse().unwrap_or_else(|_| fail(&format!("bad {name} `{text}`"))),
-    }
-}
-
 fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let value_flags = "--addr --workers --queue-capacity --max-line-bytes --cache-capacity \
+                       --store-dir --watch-capacity --flight-dir";
+    let args = Args::parse(&argv, value_flags, "", false);
     let defaults = FleetConfig::default();
     let config = FleetConfig {
-        workers: numeric_flag("--workers", defaults.workers),
-        queue_capacity: match arg_value("--queue-capacity") {
-            None => defaults.queue_capacity,
-            Some(text) => {
-                text.parse().unwrap_or_else(|_| fail(&format!("bad --queue-capacity `{text}`")))
-            }
-        },
-        max_line_bytes: numeric_flag("--max-line-bytes", defaults.max_line_bytes),
-        cache_capacity: numeric_flag("--cache-capacity", defaults.cache_capacity),
-        store_dir: arg_value("--store-dir").map(PathBuf::from),
-        watch_capacity: numeric_flag("--watch-capacity", defaults.watch_capacity),
-        flight_dir: arg_value("--flight-dir").map(PathBuf::from),
+        workers: args.parsed("--workers").unwrap_or(defaults.workers),
+        queue_capacity: args.parsed("--queue-capacity").unwrap_or(defaults.queue_capacity),
+        max_line_bytes: args.parsed("--max-line-bytes").unwrap_or(defaults.max_line_bytes),
+        cache_capacity: args.parsed("--cache-capacity").unwrap_or(defaults.cache_capacity),
+        store_dir: args.value("--store-dir").map(PathBuf::from),
+        watch_capacity: args.parsed("--watch-capacity").unwrap_or(defaults.watch_capacity),
+        flight_dir: args.value("--flight-dir").map(PathBuf::from),
     };
     if let Some(dir) = &config.store_dir {
         std::fs::create_dir_all(dir)
@@ -64,8 +56,8 @@ fn main() {
             .unwrap_or_else(|e| fail(&format!("create flight dir {}: {e}", dir.display())));
     }
 
-    let addr = arg_value("--addr").unwrap_or_else(|| "127.0.0.1:0".to_string());
-    let listener = TcpListener::bind(&addr).unwrap_or_else(|e| fail(&format!("bind {addr}: {e}")));
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:0");
+    let listener = TcpListener::bind(addr).unwrap_or_else(|e| fail(&format!("bind {addr}: {e}")));
     let bound = listener.local_addr().unwrap_or_else(|e| fail(&format!("local addr: {e}")));
     println!("fleetd listening on {bound}");
     std::io::stdout().flush().expect("flush stdout");

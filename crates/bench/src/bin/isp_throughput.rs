@@ -15,16 +15,16 @@
 //! `--threads N` (tiled-path worker count, default 4).
 //!
 //! Subcommand: `isp_throughput check --baseline PATH [--max-rel X]`
-//! re-measures and fails (exit 1) if any pooled-lanes ISP mean or the
-//! pooled perception mean exceeds `X` times its baseline value
-//! (default 4.0 — a deliberately generous bound in the gate-telemetry
-//! philosophy: the gate exists to catch order-of-magnitude perf
-//! regressions, not scheduler noise on a busy CI box). It also fails
-//! when the render or the feature-extraction speedup over its reference
-//! falls below 0.75× the baseline's: a ratio measured in one process
-//! cancels the host's speed, so that bound can be tight.
+//! re-measures and fails (exit 1) when a speedup measured in this one
+//! process falls below 0.75× its baseline value: each config's
+//! lanes-over-scalar ISP speedup, perception's lanes-over-scalar
+//! speedup, and the render and feature-extraction speedups over their
+//! references. A ratio cancels the host's speed, so that bound can be
+//! tight. As a backstop it also fails if any pooled-lanes ISP mean or
+//! pooled perception mean exceeds `X` times its baseline value (default
+//! 4.0: order-of-magnitude regressions, not scheduler noise).
 
-use lkas_bench::{arg_value, reference, render_table, write_result};
+use lkas_bench::{fail, reference, render_table, write_result, Args};
 use lkas_imaging::image::{PixelWindow, RgbImage};
 use lkas_imaging::isp::{IspConfig, IspPipeline};
 use lkas_imaging::sensor::{Sensor, SensorConfig};
@@ -268,92 +268,104 @@ fn measure(iters: usize, tile_threads: usize) -> Report {
     }
 }
 
+/// What `check` compares, by name: each pooled-lanes ISP mean and
+/// pooled perception mean (µs), and each speedup measured back to back
+/// in this one process — a config's and perception's lanes over scalar,
+/// a fast path's library over its reference.
+type Gauges = Vec<(String, f64)>;
+
+fn gauges(report: &Report) -> (Gauges, Gauges) {
+    let (mut means, mut speedups) = (Vec::new(), Vec::new());
+    for r in &report.isp {
+        means.push((format!("{} lanes µs", r.config), r.lanes_us));
+        speedups.push((format!("{} lanes speedup", r.config), r.scalar_us / r.lanes_us));
+    }
+    let pooled = |b: &str| report.perception.iter().find(|p| p.backend == b).map(|p| p.pooled_us);
+    for p in &report.perception {
+        means.push((format!("perception[{}] µs", p.backend), p.pooled_us));
+    }
+    if let (Some(scalar), Some(lanes)) = (pooled("scalar"), pooled("lanes")) {
+        speedups.push(("perception lanes speedup".to_string(), scalar / lanes));
+    }
+    for f in &report.fast_paths {
+        speedups.push((format!("{} speedup", f.stage), f.speedup));
+    }
+    (means, speedups)
+}
+
 /// `check` subcommand: compare a fresh measurement against a recorded
-/// baseline, allowing each tracked mean to grow by at most `max_rel`×.
-fn check(report: &Report, baseline_path: &str, max_rel: f64) -> i32 {
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-    let baseline: Report =
-        serde_json::from_str(&text).unwrap_or_else(|e| panic!("bad baseline JSON: {e}"));
+/// baseline, allowing each mean to grow to `max_rel`× its baseline and
+/// each speedup to fall to [`MIN_SPEEDUP_KEPT`]× its baseline. Returns
+/// the number of violated bounds.
+fn check(report: &Report, baseline: &Report, max_rel: f64) -> usize {
+    let ((means, speedups), (base_means, base_speedups)) = (gauges(report), gauges(baseline));
     let mut failures = 0;
-    for base in &baseline.isp {
-        let Some(cur) = report.isp.iter().find(|r| r.config == base.config) else {
-            eprintln!("[check] FAIL: config {} missing from fresh report", base.config);
-            failures += 1;
-            continue;
-        };
-        let bound = base.lanes_us * max_rel;
-        if cur.lanes_us > bound {
-            eprintln!(
-                "[check] FAIL: {} lanes {:.0} µs > {:.0} µs ({}× baseline {:.0} µs)",
-                base.config, cur.lanes_us, bound, max_rel, base.lanes_us
-            );
-            failures += 1;
-        } else {
-            eprintln!("[check] ok: {} lanes {:.0} µs ≤ {:.0} µs", base.config, cur.lanes_us, bound);
-        }
+    let mut verdict = |name: &str, current: &Gauges, bound: f64, ceiling: bool| {
+        let cur = current.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
+        let ok = cur.is_some_and(|c| if ceiling { c <= bound } else { c >= bound });
+        let relation = if ceiling { "≤" } else { "≥" };
+        let verdict = if ok { "ok" } else { "FAIL" };
+        eprintln!("[check] {verdict}: {name} {cur:.2?} must be {relation} {bound:.2}");
+        failures += usize::from(!ok);
+    };
+    for (name, base) in &base_means {
+        verdict(name, &means, base * max_rel, true);
     }
-    for base in &baseline.perception {
-        let Some(cur) = report.perception.iter().find(|r| r.backend == base.backend) else {
-            eprintln!("[check] FAIL: perception backend {} missing", base.backend);
-            failures += 1;
-            continue;
-        };
-        let bound = base.pooled_us * max_rel;
-        if cur.pooled_us > bound {
-            eprintln!(
-                "[check] FAIL: perception[{}] {:.0} µs > {:.0} µs",
-                base.backend, cur.pooled_us, bound
-            );
-            failures += 1;
-        } else {
-            eprintln!(
-                "[check] ok: perception[{}] {:.0} µs ≤ {:.0} µs",
-                base.backend, cur.pooled_us, bound
-            );
-        }
+    for (name, base) in &base_speedups {
+        verdict(name, &speedups, base * MIN_SPEEDUP_KEPT, false);
     }
-    for base in &baseline.fast_paths {
-        let Some(cur) = report.fast_paths.iter().find(|r| r.stage == base.stage) else {
-            eprintln!("[check] FAIL: fast path {} missing", base.stage);
-            failures += 1;
-            continue;
-        };
-        let floor = base.speedup * MIN_SPEEDUP_KEPT;
-        if cur.speedup < floor {
-            eprintln!(
-                "[check] FAIL: {} speedup {:.2}x < {:.2}x ({MIN_SPEEDUP_KEPT}× baseline {:.2}x)",
-                base.stage, cur.speedup, floor, base.speedup
-            );
-            failures += 1;
-        } else {
-            eprintln!("[check] ok: {} speedup {:.2}x ≥ {:.2}x", base.stage, cur.speedup, floor);
-        }
-    }
-    if failures > 0 {
-        eprintln!("[check] {failures} bound violation(s) against {baseline_path}");
-        1
-    } else {
-        eprintln!(
-            "[check] all means within {max_rel}× and all speedups above {MIN_SPEEDUP_KEPT}× of \
-             {baseline_path}"
-        );
-        0
-    }
+    failures
 }
 
 fn main() {
-    let iters: usize = arg_value("--iters").and_then(|v| v.parse().ok()).unwrap_or(40);
-    let tile_threads: usize = arg_value("--threads").and_then(|v| v.parse().ok()).unwrap_or(4);
-    let check_mode = std::env::args().nth(1).is_some_and(|a| a == "check");
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(&argv, "--iters --threads --baseline --max-rel", "", true);
+    let check_mode = match args.positional.as_slice() {
+        [] => false,
+        [command] if command == "check" => true,
+        _ => fail("expected no subcommand or `check`"),
+    };
+    let iters: usize = args.parsed("--iters").unwrap_or(40);
+    let tile_threads: usize = args.parsed("--threads").unwrap_or(4);
+    let baseline_path = args.value("--baseline");
+    let max_rel: f64 = args.parsed("--max-rel").unwrap_or(4.0);
+    if check_mode != baseline_path.is_some() {
+        fail("`check` and --baseline PATH go together");
+    }
 
     eprintln!("[isp_throughput] {iters} iters/cell, tiled path on {tile_threads} threads");
     let report = measure(iters, tile_threads);
-
-    if check_mode {
-        let baseline = arg_value("--baseline").expect("check requires --baseline PATH");
-        let max_rel: f64 = arg_value("--max-rel").and_then(|v| v.parse().ok()).unwrap_or(4.0);
-        std::process::exit(check(&report, &baseline, max_rel));
+    let Some(path) = baseline_path else {
+        write_result("isp_throughput", &report);
+        return;
+    };
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail(&format!("cannot read baseline {path}: {e}")));
+    let baseline: Report =
+        serde_json::from_str(&text).unwrap_or_else(|e| fail(&format!("bad baseline JSON: {e}")));
+    let failures = check(&report, &baseline, max_rel);
+    if failures > 0 {
+        eprintln!("[check] {failures} bound violation(s) against {path}");
+        std::process::exit(1);
     }
-    write_result("isp_throughput", &report);
+    eprintln!(
+        "[check] all means within {max_rel}× and all speedups above {MIN_SPEEDUP_KEPT}× of {path}"
+    );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn baseline() -> Report {
+        serde_json::from_str(include_str!("../../../../BENCH_isp_baseline.json")).unwrap()
+    }
+
+    #[test]
+    fn check_fails_when_one_config_loses_a_third_of_its_lanes_speed() {
+        assert_eq!(check(&baseline(), &baseline(), 4.0), 0, "the baseline passes itself");
+        let mut slowed = baseline();
+        slowed.isp[4].lanes_us *= 1.5;
+        assert_eq!(check(&slowed, &baseline(), 4.0), 1, "only the S4 ratio falls");
+    }
 }

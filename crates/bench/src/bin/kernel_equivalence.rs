@@ -22,9 +22,10 @@
 //!    sequential `StdRng` Box–Muller reference frame after frame, for
 //!    several seeds including ones whose counter wraps past `u64::MAX`.
 //! 5. **Batched classifier inference ≡ sequential.** On a fixed-seed
-//!    window set, stacking the three classifiers into one grouped GEMM
-//!    per layer yields the same logits-level decisions as three
-//!    independent forward passes.
+//!    window set and for every classifier set the invocation schemes
+//!    issue, stacking the three classifiers into one grouped GEMM per
+//!    layer and writing the invoked groups yields the same estimate as
+//!    the invoked classifiers' independent forward passes.
 //! 6. **Render and features ≡ their per-pixel references.** On both
 //!    cameras, `--frames` poses in each sector of the Fig. 7 track (plus
 //!    negative `s` and `s` past its end) and on each Table III
@@ -36,7 +37,7 @@
 //! Flags: `--frames N` (frames per cell, default 3).
 
 use lkas::identify::{BundleBatch, ClassifierBundle, SituationEstimate};
-use lkas_bench::{arg_value, load_or_train_bundle, reference};
+use lkas_bench::{load_or_train_bundle, reference, Args};
 use lkas_faults::{apply_bayer_fault, apply_bayer_fault_window, BayerFaultKind};
 use lkas_imaging::image::{BayerChannel, PixelWindow, RawImage, RgbImage};
 use lkas_imaging::isp::{IspConfig, IspPipeline, STENCIL_HALO};
@@ -45,6 +46,7 @@ use lkas_imaging::{KernelBackend, Scratch};
 use lkas_nn::features::extract;
 use lkas_perception::pipeline::{Perception, PerceptionConfig, PerceptionScratch};
 use lkas_perception::roi::Roi;
+use lkas_platform::profiles::ClassifierKind;
 use lkas_platform::schedule::ClassifierSet;
 use lkas_scene::camera::Camera;
 use lkas_scene::render::SceneRenderer;
@@ -318,7 +320,9 @@ fn check_references(frames: usize) -> usize {
 }
 
 fn main() {
-    let frames: usize = arg_value("--frames").and_then(|v| v.parse().ok()).unwrap_or(3);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(&argv, "--frames", "", false);
+    let frames: usize = args.parsed("--frames").unwrap_or(3);
     let cam = Camera::default_automotive();
     let mut failures = 0usize;
 
@@ -380,39 +384,44 @@ fn main() {
     failures += check_windows(frames);
     failures += check_keyed_noise();
 
-    // --- 5: batched vs sequential classifiers --------------------------
+    // --- 5: batched vs sequential classifiers, for every set the
+    // invocation schemes issue, from an estimate that is not the frame's
+    // situation, so a group written or kept wrongly shows.
     let bundle: &ClassifierBundle = &load_or_train_bundle();
     let mut batch = BundleBatch::new(bundle);
     let isp = IspPipeline::new(IspConfig::S0);
+    let sets = [
+        ClassifierSet::road_only(),
+        ClassifierSet::road_lane(),
+        ClassifierSet::single(ClassifierKind::Lane),
+        ClassifierSet::single(ClassifierKind::Scene),
+        ClassifierSet::all(),
+    ];
     let mut windows = 0usize;
     for (i, sit) in TABLE3_SITUATIONS.iter().enumerate() {
         let track = Track::for_situation(sit, 500.0);
+        let start = TABLE3_SITUATIONS[(i + 10) % TABLE3_SITUATIONS.len()];
         for seed in 0..2u64 {
-            let frame = SceneRenderer::new(cam.clone()).render(
-                &track,
-                20.0 + 15.0 * seed as f64,
-                0.02,
-                0.0,
-            );
+            let s = 20.0 + 15.0 * seed as f64;
+            let frame = SceneRenderer::new(cam.clone()).render(&track, s, 0.02, 0.0);
             let raw =
                 Sensor::new(SensorConfig::default(), 31 * i as u64 + seed).capture(&frame, 1.0);
             let rgb = isp.process(&raw);
-            let mut seq = SituationEstimate::new();
-            seq.update_from_frame(bundle, &rgb, &cam, ClassifierSet::all());
-            let mut batched = SituationEstimate::new();
-            batched.update_from_frame_with(bundle, &mut batch, &rgb, &cam, ClassifierSet::all());
-            if seq.current() != batched.current() {
-                eprintln!(
-                    "FAIL: situation {i} seed {seed}: batched {:?} vs sequential {:?}",
-                    batched.current(),
-                    seq.current()
-                );
-                failures += 1;
+            for invoked in sets {
+                let mut seq = SituationEstimate::with_initial(start);
+                seq.update_from_frame(bundle, &rgb, &cam, invoked);
+                let mut batched = SituationEstimate::with_initial(start);
+                batched.update_from_frame_with(bundle, &mut batch, &rgb, &cam, invoked);
+                let (got, want) = (batched.current(), seq.current());
+                if got != want {
+                    eprintln!("FAIL: situation {i} seed {seed} {invoked:?}: {got:?} vs {want:?}");
+                    failures += 1;
+                }
+                windows += 1;
             }
-            windows += 1;
         }
     }
-    eprintln!("[5/6] classifiers: {windows} full windows checked");
+    eprintln!("[5/6] classifiers: {windows} invocations checked ({} sets)", sets.len());
 
     // --- 6: render and features against the per-pixel references -------
     failures += check_references(frames);

@@ -76,7 +76,7 @@ fn main() {
     }
 
     let value_flags = "--seed --threads --out --metrics-out --shard --checkpoint --shard-out";
-    let args = Args::parse(&args, value_flags, "--quick --resume");
+    let args = Args::parse(&args, value_flags, "--quick --resume", false);
     let cfg = CampaignConfig::new(args.parsed("--seed").unwrap_or(7))
         .with_threads(args.parsed("--threads").unwrap_or_else(default_threads))
         .with_quick(args.has("--quick"));
@@ -85,14 +85,14 @@ fn main() {
         let report = assemble_report(&cfg, entries);
         print_report(&cfg, &report);
         write_report(&report, &report_out_path(&args));
-        write_metrics("robustness_campaign", &metrics);
+        write_metrics(&args, "robustness_campaign", &metrics);
     }
 }
 
 /// `robustness_campaign merge SHARD...`: fold shard artifacts into the
 /// full report and the merged telemetry artifact.
 fn merge(args: &[String]) {
-    let args = Args::parse(args, "--out --metrics-out", "");
+    let args = Args::parse(args, "--out --metrics-out", "", true);
     let merged = merge_shards_cli(&args.positional);
     let cfg = config_from_params(&merged.params).unwrap_or_else(|e| fail(&e));
     let report = assemble_report(&cfg, merged.entries(&cfg).unwrap_or_else(|e| fail(&e)));
@@ -103,7 +103,7 @@ fn merge(args: &[String]) {
     );
     print_report(&cfg, &report);
     write_report(&report, &report_out_path(&args));
-    write_metrics("robustness_campaign", &merged.metrics);
+    write_metrics(&args, "robustness_campaign", &merged.metrics);
 }
 
 /// `robustness_campaign drift ...`: one standalone run of the
@@ -112,7 +112,7 @@ fn merge(args: &[String]) {
 fn drift(args: &[String]) {
     let value_flags = "--seed --knobs --epsilon --situation --out --stream-out --metrics-out \
                        --flight-out --tile-threads";
-    let args = Args::parse(args, value_flags, "--quick --compare");
+    let args = Args::parse(args, value_flags, "--quick --compare", false);
     let cfg =
         CampaignConfig::new(args.parsed("--seed").unwrap_or(7)).with_quick(args.has("--quick"));
     let epsilon: Option<f64> = args.parsed("--epsilon");

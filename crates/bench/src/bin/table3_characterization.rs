@@ -41,7 +41,8 @@ fn main() {
         return;
     }
 
-    let args = Args::parse(&args, "--threads --shard --checkpoint --shard-out", "--quick --resume");
+    let args =
+        Args::parse(&args, "--threads --shard --checkpoint --shard-out", "--quick --resume", false);
     let mut config = CharacterizeConfig::new()
         .with_threads(args.parsed("--threads").unwrap_or_else(default_threads));
     if args.has("--quick") {
@@ -62,7 +63,7 @@ fn main() {
 /// `table3_characterization merge SHARD...`: fold shard artifacts into
 /// the full characterization.
 fn merge(args: &[String]) {
-    let args = Args::parse(args, "", "");
+    let args = Args::parse(args, "", "", true);
     let merged = merge_shards_cli(&args.positional);
     let characterizer = Characterizer::from_params(&merged.params).unwrap_or_else(|e| fail(&e));
     let sweep = Sweep { characterizer: &characterizer, situations: &TABLE3_SITUATIONS };

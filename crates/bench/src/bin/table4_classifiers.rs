@@ -11,7 +11,7 @@
 //! Usage: `cargo run --release -p lkas-bench --bin table4_classifiers [--quick]`
 
 use lkas_bench::{
-    default_threads, render_table, train_bundle, write_result, Executor, ARTIFACTS_DIR,
+    default_threads, render_table, train_bundle, write_result, Args, Executor, ARTIFACTS_DIR,
     TABLE4_SCALES,
 };
 use lkas_nn::classifiers::ClassifierSpec;
@@ -31,7 +31,9 @@ struct ClassifierRow {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(&argv, "", "--quick", false);
+    let quick = args.has("--quick");
     // The three classifiers have different class counts; train each at
     // its own Table IV scale unless --quick.
     let names = ["Road", "Lane", "Scene"];

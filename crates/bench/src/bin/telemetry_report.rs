@@ -29,134 +29,87 @@
 //! (default 10) — lane-offset estimate vs ground truth, stage latency
 //! samples, counter increments, and event labels per cycle.
 
+use lkas_bench::{fail, Args};
 use lkas_runtime::report::{diff_snapshots, format_snapshot, DiffThresholds};
 use lkas_runtime::{CycleDelta, MetricsSnapshot};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (value_flags, switches): (&[&str], &[&str]) = match args.first().map(String::as_str) {
-        Some("show") => (&[], &[]),
-        Some("diff") => {
-            (&["--max-rel-mean", "--max-rel-tail", "--min-mean-us"], &["--no-counters"])
-        }
-        Some("fold") => (&["--out"], &[]),
-        Some("tail") => (&["--last"], &[]),
-        _ => return usage("expected `show`, `diff`, `fold`, or `tail`"),
+    let (value_flags, switches) = match args.first().map(String::as_str) {
+        Some("show") => ("", ""),
+        Some("diff") => ("--max-rel-mean --max-rel-tail --min-mean-us", "--no-counters"),
+        Some("fold") => ("--out", ""),
+        Some("tail") => ("--last", ""),
+        _ => usage("expected `show`, `diff`, `fold`, or `tail`"),
     };
-    let parsed = match Args::parse(&args[1..], value_flags, switches) {
-        Ok(parsed) => parsed,
-        Err(e) => return usage(&e),
-    };
-    let outcome = match args[0].as_str() {
+    let parsed = Args::parse(&args[1..], value_flags, switches, true);
+    match args[0].as_str() {
         "show" => show(&parsed),
         "diff" => diff(&parsed),
         "fold" => fold(&parsed),
         _ => tail(&parsed),
-    };
-    outcome.unwrap_or_else(|e| e)
-}
-
-/// A subcommand's arguments: positional paths plus the value flags and
-/// switches it accepts. Each value flag takes the next argument as its
-/// value wherever it appears; any other `--flag` is an error.
-struct Args<'a> {
-    paths: Vec<&'a str>,
-    values: Vec<(&'a str, &'a str)>,
-    switches: Vec<&'a str>,
-}
-
-impl<'a> Args<'a> {
-    fn parse(args: &'a [String], value_flags: &[&str], switches: &[&str]) -> Result<Self, String> {
-        let mut parsed = Args { paths: Vec::new(), values: Vec::new(), switches: Vec::new() };
-        let mut iter = args.iter().map(String::as_str);
-        while let Some(arg) = iter.next() {
-            if value_flags.contains(&arg) {
-                let value = iter.next().ok_or_else(|| format!("{arg} takes a value"))?;
-                parsed.values.push((arg, value));
-            } else if switches.contains(&arg) {
-                parsed.switches.push(arg);
-            } else if arg.starts_with("--") {
-                return Err(format!("unknown flag `{arg}`"));
-            } else {
-                parsed.paths.push(arg);
-            }
-        }
-        Ok(parsed)
-    }
-
-    /// The value of flag `name` (the last one given), parsed as `T`.
-    fn value<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, ExitCode> {
-        match self.values.iter().rev().find(|(flag, _)| *flag == name) {
-            None => Ok(None),
-            Some((_, v)) => {
-                v.parse().map(Some).map_err(|_| usage(&format!("{name} takes a number")))
-            }
-        }
     }
 }
 
-/// A subcommand's exit code; `Err` carries an early usage or I/O exit.
-type Outcome = Result<ExitCode, ExitCode>;
-
-fn show(args: &Args) -> Outcome {
-    let [path] = args.paths.as_slice() else {
-        return Err(usage("show takes exactly one snapshot path"));
+fn show(args: &Args) -> ExitCode {
+    let [path] = args.positional.as_slice() else {
+        usage("show takes exactly one snapshot path");
     };
-    print!("{}", format_snapshot(&load(path).map_err(|e| fail(&e))?));
-    Ok(ExitCode::SUCCESS)
+    print!("{}", format_snapshot(&load(path)));
+    ExitCode::SUCCESS
 }
 
-fn diff(args: &Args) -> Outcome {
-    let [baseline_path, candidate_path] = args.paths.as_slice() else {
-        return Err(usage("diff takes a baseline and a candidate path"));
+fn diff(args: &Args) -> ExitCode {
+    let [baseline_path, candidate_path] = args.positional.as_slice() else {
+        usage("diff takes a baseline and a candidate path");
     };
     let mut thresholds = DiffThresholds::default();
-    if let Some(f) = args.value("--max-rel-mean")? {
+    if let Some(f) = args.parsed("--max-rel-mean") {
         thresholds.max_rel_mean = f;
     }
-    if let Some(f) = args.value("--max-rel-tail")? {
+    if let Some(f) = args.parsed("--max-rel-tail") {
         thresholds.max_rel_tail = f;
     }
-    if let Some(f) = args.value("--min-mean-us")? {
+    if let Some(f) = args.parsed("--min-mean-us") {
         thresholds.min_mean_us = f;
     }
-    thresholds.check_counters = !args.switches.contains(&"--no-counters");
-    let (baseline, candidate) = match (load(baseline_path), load(candidate_path)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(e), _) | (_, Err(e)) => return Err(fail(&e)),
-    };
-    let outcome = diff_snapshots(&baseline, &candidate, &thresholds);
+    thresholds.check_counters = !args.has("--no-counters");
+    let outcome = diff_snapshots(&load(baseline_path), &load(candidate_path), &thresholds);
     print!("{}", outcome.report);
-    Ok(if outcome.passed() { ExitCode::SUCCESS } else { ExitCode::FAILURE })
+    if outcome.passed() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }
 
-fn fold(args: &Args) -> Outcome {
-    let [path] = args.paths.as_slice() else {
-        return Err(usage("fold takes one stream capture path"));
+fn fold(args: &Args) -> ExitCode {
+    let [path] = args.positional.as_slice() else {
+        usage("fold takes one stream capture path");
     };
-    let deltas = load_stream(path).map_err(|e| fail(&e))?;
+    let deltas = load_stream(path);
     let metrics = lkas_runtime::fold(&deltas);
-    match args.value::<String>("--out")? {
+    match args.value("--out") {
         Some(out) => {
-            metrics.write_json(&out).map_err(|e| fail(&format!("cannot write {out}: {e}")))?;
+            metrics.write_json(out).unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
             eprintln!("[fold] {} event(s) -> {out}", deltas.len());
         }
         None => print!("{}", format_snapshot(&metrics.snapshot())),
     }
-    Ok(ExitCode::SUCCESS)
+    ExitCode::SUCCESS
 }
 
-fn tail(args: &Args) -> Outcome {
-    let [path] = args.paths.as_slice() else {
-        return Err(usage("tail takes one stream capture path"));
+fn tail(args: &Args) -> ExitCode {
+    let [path] = args.positional.as_slice() else {
+        usage("tail takes one stream capture path");
     };
-    let last = args.value("--last")?.unwrap_or(10);
-    let deltas = load_stream(path).map_err(|e| fail(&e))?;
+    let last = args.parsed("--last").unwrap_or(10);
+    let deltas = load_stream(path);
     for delta in &deltas[deltas.len().saturating_sub(last)..] {
         println!("{}", format_cycle(delta));
     }
-    Ok(ExitCode::SUCCESS)
+    ExitCode::SUCCESS
 }
 
 /// One human-readable line per stream event.
@@ -182,28 +135,31 @@ fn format_cycle(delta: &CycleDelta) -> String {
     line
 }
 
-fn load_stream(path: &str) -> Result<Vec<CycleDelta>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+fn load_stream(path: &str) -> Vec<CycleDelta> {
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
     text.lines()
         .enumerate()
         .filter(|(_, line)| !line.trim().is_empty())
         .map(|(i, line)| {
-            serde_json::from_str(line).map_err(|e| format!("{path}:{}: bad event: {e}", i + 1))
+            serde_json::from_str(line)
+                .unwrap_or_else(|e| fail(&format!("{path}:{}: bad event: {e}", i + 1)))
         })
         .collect()
 }
 
-fn load(path: &str) -> Result<MetricsSnapshot, String> {
-    let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+fn load(path: &str) -> MetricsSnapshot {
+    let json =
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
     let snap: MetricsSnapshot =
-        serde_json::from_str(&json).map_err(|e| format!("cannot parse {path}: {e}"))?;
+        serde_json::from_str(&json).unwrap_or_else(|e| fail(&format!("cannot parse {path}: {e}")));
     if !snap.schema_is_supported() {
-        return Err(format!("{path}: unsupported schema `{}`", snap.schema));
+        fail(&format!("{path}: unsupported schema `{}`", snap.schema));
     }
-    Ok(snap)
+    snap
 }
 
-fn usage(context: &str) -> ExitCode {
+fn usage(context: &str) -> ! {
     eprintln!("error: {context}");
     eprintln!(
         "usage: telemetry_report show SNAPSHOT.json\n\
@@ -212,10 +168,5 @@ fn usage(context: &str) -> ExitCode {
          \x20      telemetry_report fold STREAM.jsonl [--out SNAPSHOT.json]\n\
          \x20      telemetry_report tail STREAM.jsonl [--last N]"
     );
-    ExitCode::from(2)
-}
-
-fn fail(message: &str) -> ExitCode {
-    eprintln!("error: {message}");
-    ExitCode::from(2)
+    std::process::exit(2)
 }

@@ -129,8 +129,8 @@ pub fn load_or_train_bundle() -> Arc<ClassifierBundle> {
 
 /// Resolves where a harness writes its telemetry artifact: the
 /// `--metrics-out PATH` override, or `artifacts/telemetry_<name>.json`.
-pub fn metrics_out_path(name: &str) -> PathBuf {
-    arg_value("--metrics-out")
+pub fn metrics_out_path(args: &Args, name: &str) -> PathBuf {
+    args.value("--metrics-out")
         .map(PathBuf::from)
         .unwrap_or_else(|| Path::new(ARTIFACTS_DIR).join(format!("telemetry_{name}.json")))
 }
@@ -141,16 +141,16 @@ pub fn metrics_out_path(name: &str) -> PathBuf {
 /// # Panics
 ///
 /// Panics on I/O failure (harness binaries want loud failures).
-pub fn write_metrics(name: &str, metrics: &Metrics) {
-    let path = metrics_out_path(name);
+pub fn write_metrics(args: &Args, name: &str, metrics: &Metrics) {
+    let path = metrics_out_path(args, name);
     metrics.write_json(&path).expect("write telemetry artifact");
     eprintln!("[telemetry] {}", path.display());
 }
 
 /// Resolves the `--trace-out PATH` flag: where a harness writes its
 /// Chrome trace-event export, or `None` when tracing is off.
-pub fn trace_out_path() -> Option<PathBuf> {
-    arg_value("--trace-out").map(PathBuf::from)
+pub fn trace_out_path(args: &Args) -> Option<PathBuf> {
+    args.value("--trace-out").map(PathBuf::from)
 }
 
 /// Writes a recorder's Chrome trace-event JSON to `path` and logs its
@@ -170,11 +170,6 @@ pub fn default_threads() -> usize {
     Executor::default_threads()
 }
 
-/// `true` if `--oracle` was passed (skip trained classifiers).
-pub fn oracle_flag() -> bool {
-    std::env::args().any(|a| a == "--oracle")
-}
-
 /// Prints `error: MSG` and exits with status 2 — how harness binaries
 /// reject bad arguments and unreadable inputs.
 pub fn fail(msg: &str) -> ! {
@@ -183,8 +178,9 @@ pub fn fail(msg: &str) -> ! {
 }
 
 /// A command line checked against the flags a harness knows: every
-/// `--flag` is one of them and every value flag carries a value. Any
-/// other argument [`fail`]s (exit 2) before the harness runs.
+/// `--flag` is one of them and given once, every value flag carries a
+/// value, and only a harness that takes positional arguments gets any.
+/// Any other argument [`fail`]s (exit 2) before the harness runs.
 pub struct Args {
     flags: Vec<(String, Option<String>)>,
     /// The arguments that are not flags (a `merge`'s shard files).
@@ -193,8 +189,9 @@ pub struct Args {
 
 impl Args {
     /// Parses `args` against the harness's `value_flags` (`--flag
-    /// VALUE`) and `switches` (`--flag`), each a space-separated list.
-    pub fn parse(args: &[String], value_flags: &str, switches: &str) -> Args {
+    /// VALUE`) and `switches` (`--flag`), each a space-separated list;
+    /// `positional` says whether the harness takes positional arguments.
+    pub fn parse(args: &[String], value_flags: &str, switches: &str, positional: bool) -> Args {
         let known = |list: &str, arg: &str| list.split_whitespace().any(|flag| flag == arg);
         let mut parsed = Args { flags: Vec::new(), positional: Vec::new() };
         let mut iter = args.iter();
@@ -208,10 +205,15 @@ impl Args {
                 None
             } else if arg.starts_with("--") {
                 fail(&format!("unknown flag `{arg}`"))
+            } else if !positional {
+                fail(&format!("unexpected argument `{arg}`"))
             } else {
                 parsed.positional.push(arg.clone());
                 continue;
             };
+            if parsed.has(arg) {
+                fail(&format!("`{arg}` given twice"));
+            }
             parsed.flags.push((arg.clone(), value));
         }
         parsed
@@ -284,17 +286,6 @@ pub fn merge_shards_cli(paths: &[String]) -> MergedShards {
     merge_shard_files(files).unwrap_or_else(|e| fail(&e))
 }
 
-/// Fetches `--arg value` style overrides from the command line.
-pub fn arg_value(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,7 +326,7 @@ mod tests {
 
     fn sharded(args: &[&str]) -> (Option<Vec<u64>>, Arc<Metrics>) {
         let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        let args = Args::parse(&args, "--shard --checkpoint --shard-out", "--resume");
+        let args = Args::parse(&args, "--shard --checkpoint --shard-out", "--resume", false);
         let metrics = Arc::new(Metrics::new());
         (run_sharded(&args, &Squares, "squares", &metrics), metrics)
     }
@@ -373,7 +364,7 @@ mod tests {
             .iter()
             .map(|a| a.to_string())
             .collect();
-        let args = Args::parse(&args, "--out --seed", "--quick --resume");
+        let args = Args::parse(&args, "--out --seed", "--quick --resume", true);
         assert_eq!(args.value("--out"), Some("r.json"));
         assert_eq!(args.value("--seed"), None);
         assert_eq!(args.parsed::<u64>("--seed"), None);
@@ -391,11 +382,5 @@ mod tests {
         assert_eq!(lines.len(), 4);
         let w = lines[0].len();
         assert!(lines.iter().all(|l| l.len() == w), "all rows equal width:\n{t}");
-    }
-
-    #[test]
-    fn arg_value_parses() {
-        // No flags in the test environment: must be None.
-        assert!(arg_value("--definitely-not-set").is_none());
     }
 }

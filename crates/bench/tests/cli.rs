@@ -1,7 +1,7 @@
-//! The campaign binaries reject a bad command line — an unknown flag, a
-//! value flag without a value or with one that does not parse, and
-//! `--resume` without `--checkpoint` — with exit status 2 before any
-//! run starts.
+//! Every harness binary rejects a bad command line — an unknown or
+//! repeated flag, a value flag without a value or with one that does
+//! not parse, a stray argument, and `--resume` without `--checkpoint` —
+//! with exit status 2 before any run starts.
 
 use std::io::Read;
 use std::process::{Command, Stdio};
@@ -79,6 +79,74 @@ fn table3_characterization_rejects_bad_command_lines() {
             (&["--quick", "--threads"], "`--threads` needs a value"),
             (&["--quick", "--resume"], "--resume needs --checkpoint"),
             (&["merge", "--out", "x.json", "a.json"], "unknown flag `--out`"),
+        ],
+    );
+}
+
+#[test]
+fn every_other_harness_rejects_an_unknown_flag_and_a_bad_value() {
+    assert_rejected(
+        env!("CARGO_BIN_EXE_fig6_static"),
+        &[
+            (&["--oracel"], "unknown flag `--oracel`"),
+            (&["--oracle", "--threads", "abc"], "bad --threads `abc`"),
+        ],
+    );
+    assert_rejected(
+        env!("CARGO_BIN_EXE_fig8_dynamic"),
+        &[
+            (&["--oracle", "--seed", "3"], "unknown flag `--seed`"),
+            (&["--oracle", "--seeds", "many"], "bad --seeds `many`"),
+        ],
+    );
+    assert_rejected(
+        env!("CARGO_BIN_EXE_isp_throughput"),
+        &[
+            (&["check", "--baseline", "b.json", "--iter", "15"], "unknown flag `--iter`"),
+            (&["--iters", "abc"], "bad --iters `abc`"),
+        ],
+    );
+    assert_rejected(
+        env!("CARGO_BIN_EXE_kernel_equivalence"),
+        &[
+            (&["--frame", "5"], "unknown flag `--frame`"),
+            (&["--frames", "abc"], "bad --frames `abc`"),
+        ],
+    );
+    assert_rejected(
+        env!("CARGO_BIN_EXE_table4_classifiers"),
+        &[(&["--quik"], "unknown flag `--quik`"), (&["--quick", "5"], "unexpected argument `5`")],
+    );
+    for ablation in [env!("CARGO_BIN_EXE_ablation_isp"), env!("CARGO_BIN_EXE_ablation_invocation")]
+    {
+        assert_rejected(
+            ablation,
+            &[
+                (&["--half-rez"], "unknown flag `--half-rez`"),
+                (&["--half-res", "2"], "unexpected argument `2`"),
+            ],
+        );
+    }
+    assert_rejected(
+        env!("CARGO_BIN_EXE_fleetd"),
+        &[
+            (&["--wokers", "1"], "unknown flag `--wokers`"),
+            (&["--workers", "abc"], "bad --workers `abc`"),
+        ],
+    );
+    assert_rejected(
+        env!("CARGO_BIN_EXE_fleetctl"),
+        &[
+            (&["status", "--adr", "127.0.0.1:1"], "unknown flag `--adr`"),
+            (&["cancel", "--addr", "127.0.0.1:1", "--job", "abc"], "bad --job `abc`"),
+        ],
+    );
+    assert_rejected(
+        env!("CARGO_BIN_EXE_telemetry_report"),
+        &[
+            (&["tail", "--lst", "2", "s.jsonl"], "unknown flag `--lst`"),
+            (&["tail", "--last", "abc", "s.jsonl"], "bad --last `abc`"),
+            (&["tail", "--last", "1", "--last", "3", "s.jsonl"], "`--last` given twice"),
         ],
     );
 }

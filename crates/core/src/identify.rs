@@ -49,9 +49,9 @@ impl ClassifierBundle {
 
 /// Batched-inference state for a [`ClassifierBundle`]: the three MLPs
 /// stacked road→lane→scene into one [`BatchedMlps`] plus the reusable
-/// feature, input and scratch buffers, so a full re-identification
-/// window extracts features and runs one grouped GEMM per layer without
-/// touching the heap.
+/// feature, input and scratch buffers, so any invocation extracts
+/// features and runs one grouped GEMM per layer without touching the
+/// heap.
 ///
 /// Predictions are bit-identical to the per-classifier path (the
 /// grouped GEMM accumulates in the same order as `Dense::forward` and
@@ -142,14 +142,11 @@ impl SituationEstimate {
     }
 
     /// [`SituationEstimate::update_from_frame`] with batched inference:
-    /// when all three classifiers are invoked (the full
-    /// re-identification window — the case where classifier latency
-    /// actually stacks), their normalized features are stacked and a
-    /// single grouped GEMM per layer produces all three predictions.
-    /// The full window reuses the batch's buffers, so after its first
-    /// call it allocates nothing. Partial invocations keep the
-    /// per-classifier path, which skipping classifiers already makes
-    /// cheap, and which allocates its feature vector.
+    /// the frame's features are extracted once, the three classifiers'
+    /// normalized inputs are stacked, and a single grouped GEMM per
+    /// layer predicts all three; only the invoked classifiers' groups
+    /// are written. Every invocation set takes this path, and after its
+    /// first call it reuses the batch's buffers and allocates nothing.
     pub fn update_from_frame_with(
         &mut self,
         bundle: &ClassifierBundle,
@@ -158,8 +155,7 @@ impl SituationEstimate {
         camera: &Camera,
         invoked: ClassifierSet,
     ) {
-        if invoked.count() < 3 {
-            self.update_from_frame(bundle, frame, camera, invoked);
+        if invoked.count() == 0 {
             return;
         }
         extract_into(frame, camera, &mut batch.feature_scratch, &mut batch.features);
@@ -168,11 +164,17 @@ impl SituationEstimate {
         bundle.lane.normalizer().apply_into(&batch.features, &mut batch.xs);
         bundle.scene.normalizer().apply_into(&batch.features, &mut batch.xs);
         batch.mlps.predict_into(&batch.xs, &mut batch.scratch, &mut batch.preds);
-        self.current.layout = RoadClassifier::class_of_index(batch.preds[0]);
-        let (color, form) = LaneClassifier::class_of_index(batch.preds[1]);
-        self.current.lane_color = color;
-        self.current.lane_form = form;
-        self.current.scene = SceneClassifier::class_of_index(batch.preds[2]);
+        if invoked.road {
+            self.current.layout = RoadClassifier::class_of_index(batch.preds[0]);
+        }
+        if invoked.lane {
+            let (color, form) = LaneClassifier::class_of_index(batch.preds[1]);
+            self.current.lane_color = color;
+            self.current.lane_form = form;
+        }
+        if invoked.scene {
+            self.current.scene = SceneClassifier::class_of_index(batch.preds[2]);
+        }
     }
 
     /// Overwrites the whole estimate — the classifier-misprediction
@@ -281,35 +283,29 @@ mod tests {
         let bundle = ClassifierBundle { road, lane, scene };
         let mut batch = BundleBatch::new(&bundle);
 
+        // Every set the invocation schemes issue, applied to an estimate
+        // that starts away from the benign default, so a group the
+        // batched path wrongly touched (or left alone) shows.
+        let sets = [
+            ClassifierSet::road_only(),
+            ClassifierSet::road_lane(),
+            ClassifierSet::single(lkas_platform::profiles::ClassifierKind::Lane),
+            ClassifierSet::single(lkas_platform::profiles::ClassifierKind::Scene),
+            ClassifierSet::all(),
+        ];
         let isp = IspPipeline::new(IspConfig::S0);
         for (i, sit) in lkas_scene::situation::TABLE3_SITUATIONS.iter().enumerate() {
             let track = Track::for_situation(sit, 500.0);
             let frame = SceneRenderer::new(spec.camera.clone()).render(&track, 20.0, 0.05, 0.0);
             let raw = Sensor::new(SensorConfig::default(), i as u64).capture(&frame, 1.0);
             let rgb = isp.process(&raw);
-            let mut seq = SituationEstimate::new();
-            seq.update_from_frame(&bundle, &rgb, &spec.camera, ClassifierSet::all());
-            let mut batched = SituationEstimate::new();
-            batched.update_from_frame_with(
-                &bundle,
-                &mut batch,
-                &rgb,
-                &spec.camera,
-                ClassifierSet::all(),
-            );
-            assert_eq!(seq.current(), batched.current(), "situation {i}");
-            // Partial invocation falls back to the per-classifier path.
-            let mut part_seq = SituationEstimate::new();
-            part_seq.update_from_frame(&bundle, &rgb, &spec.camera, ClassifierSet::road_only());
-            let mut part_batched = SituationEstimate::new();
-            part_batched.update_from_frame_with(
-                &bundle,
-                &mut batch,
-                &rgb,
-                &spec.camera,
-                ClassifierSet::road_only(),
-            );
-            assert_eq!(part_seq.current(), part_batched.current(), "partial, situation {i}");
+            for invoked in sets {
+                let mut seq = SituationEstimate::with_initial(truth());
+                seq.update_from_frame(&bundle, &rgb, &spec.camera, invoked);
+                let mut batched = SituationEstimate::with_initial(truth());
+                batched.update_from_frame_with(&bundle, &mut batch, &rgb, &spec.camera, invoked);
+                assert_eq!(seq.current(), batched.current(), "situation {i}, {invoked:?}");
+            }
         }
     }
 

@@ -22,11 +22,9 @@
 //! and every capture advances the counter by `2·w·h` draws. A pixel's
 //! noise therefore depends only on (frame, pixel), never on which other
 //! pixels were captured, so [`Sensor::capture_window_into`] computes any
-//! [`PixelWindow`] of a frame bit-identically to the full capture, and
-//! [`Sensor::recapture_window_into`] exposes the same frame again on
-//! another window. The hot-pixel fault primitive is keyed the same way
-//! (photosite `i` draws at `seed + (i+1)·γ`), and all three fault
-//! primitives take a window.
+//! [`PixelWindow`] of a frame bit-identically to the full capture. The
+//! hot-pixel fault primitive is keyed the same way (photosite `i` draws
+//! at `seed + (i+1)·γ`), and all three fault primitives take a window.
 
 use crate::image::{BayerChannel, PixelWindow, RawImage, RgbImage};
 use serde::{Deserialize, Serialize};
@@ -101,14 +99,13 @@ fn pixel_gaussian(start: u64, i: usize) -> f32 {
 /// use lkas_imaging::sensor::{Sensor, SensorConfig};
 ///
 /// let scene = RgbImage::filled(8, 8, [0.5, 0.5, 0.5]);
-/// let mut sensor = Sensor::new(SensorConfig::default(), 7);
-/// let raw = sensor.capture(&scene, 1.0);
+/// let raw = Sensor::new(SensorConfig::default(), 7).capture(&scene, 1.0);
 /// assert_eq!((raw.width(), raw.height()), (8, 8));
 ///
-/// // A window of the same frame carries the same noise.
+/// // A window of the frame carries the full capture's noise.
 /// let mut part = RawImage::new(8, 8);
 /// let window = PixelWindow { x0: 2, y0: 1, x1: 6, y1: 5 };
-/// sensor.recapture_window_into(&scene, 1.0, window, &mut part);
+/// Sensor::new(SensorConfig::default(), 7).capture_window_into(&scene, 1.0, window, &mut part);
 /// assert_eq!(part.get(3, 2), raw.get(3, 2));
 /// ```
 #[derive(Debug, Clone)]
@@ -116,14 +113,12 @@ pub struct Sensor {
     config: SensorConfig,
     /// Noise counter at which the next captured frame starts.
     next_frame: u64,
-    /// Noise counter at which the most recent capture started.
-    last_frame: u64,
 }
 
 impl Sensor {
     /// Creates a sensor with the given configuration and RNG seed.
     pub fn new(config: SensorConfig, seed: u64) -> Self {
-        Sensor { config, next_frame: seed, last_frame: seed }
+        Sensor { config, next_frame: seed }
     }
 
     /// Borrow the sensor configuration.
@@ -177,22 +172,17 @@ impl Sensor {
         window: PixelWindow,
         raw: &mut RawImage,
     ) {
+        let start = self.next_frame;
         let draws = 2 * (scene.width() * scene.height()) as u64;
-        self.last_frame = self.next_frame;
-        self.next_frame = self.next_frame.wrapping_add(draws.wrapping_mul(GAMMA));
-        self.recapture_window_into(scene, illumination, window, raw);
+        self.next_frame = start.wrapping_add(draws.wrapping_mul(GAMMA));
+        self.expose(start, scene, illumination, window, raw);
     }
 
-    /// Exposes the most recently captured frame again on `window`, with
-    /// the same noise: the window's photosites get the values the last
-    /// capture gave (or would have given) them. The noise counter does
-    /// not move. Before the first capture this exposes the first frame.
-    ///
-    /// # Panics
-    ///
-    /// As [`Sensor::capture_window_into`].
-    pub fn recapture_window_into(
+    /// Exposes the photosites of `window` of the frame whose noise
+    /// starts at counter `start`.
+    fn expose(
         &self,
+        start: u64,
         scene: &RgbImage,
         illumination: f32,
         window: PixelWindow,
@@ -216,7 +206,7 @@ impl Sensor {
                 let signal = (row[0] * lit[0] + row[1] * lit[1] + row[2] * lit[2]) * g;
                 let var = self.config.read_noise.powi(2)
                     + self.config.shot_noise.powi(2) * signal.max(0.0);
-                let noise = pixel_gaussian(self.last_frame, y * w + x) * var.sqrt();
+                let noise = pixel_gaussian(start, y * w + x) * var.sqrt();
                 raw.set(x, y, (signal + noise).clamp(0.0, 1.0));
             }
         }
@@ -392,9 +382,6 @@ mod tests {
                     assert_eq!(raw.get(x, y), expect, "frame {frame} ({x}, {y})");
                 }
             }
-            // The same frame again on the whole window: identical noise.
-            windowed.recapture_window_into(&scene, 1.0, PixelWindow::full(24, 16), &mut raw);
-            assert_eq!(raw, reference, "frame {frame} recaptured");
         }
     }
 

@@ -171,8 +171,9 @@ pub enum Counter {
     /// Flight-recorder rings dumped as post-mortem artifacts.
     FlightDumps,
     /// Pixels the HiL frame path rendered, captured and ISP-processed:
-    /// each framed cycle's pixel window, plus the widened window on a
-    /// cycle whose ROI switch needed more of the frame.
+    /// each framed cycle's pixel window — on an oracle-source cycle the
+    /// grown tap window of the ROI it ran on, on a trained one the full
+    /// frame.
     FramePixels,
 }
 

@@ -133,13 +133,20 @@ fn thread_counts_agree_with_each_other_per_config() {
 /// of every `TraceSample` and every counter of the `HilResult` is folded
 /// into one fingerprint, and the constant below was recorded with the
 /// full-frame loop, before the frame path computed pixel windows. The
-/// windowed loop must reproduce it bit for bit, widen steps included.
+/// windowed loop must reproduce it bit for bit.
+///
+/// The same run also writes a Chrome trace and a metrics-free stream.
+/// Their fingerprints were recorded with the loop that produced each
+/// oracle frame before the knob decision (and again on a ROI switch
+/// that needed more pixels), so a reordered span, instant or label
+/// fails here. `frame_pixels` is left out of the stream: it counts the
+/// window a cycle computed, which is what that change moved.
 #[test]
 fn windowed_loop_reproduces_the_full_frame_golden() {
     use lkas::cases::Case;
     use lkas::hil::{HilConfig, HilSimulator, SituationSource};
     use lkas_faults::FaultPlan;
-    use lkas_runtime::Fingerprint;
+    use lkas_runtime::{Fingerprint, TelemetryBus, TraceRecorder};
     use lkas_scene::track::Sector;
     use std::sync::Arc;
 
@@ -152,11 +159,16 @@ fn windowed_loop_reproduces_the_full_frame_golden() {
         Sector::for_situation(&TABLE3_SITUATIONS[0], 60.0),
         Sector::for_situation(&TABLE3_SITUATIONS[7], 60.0),
     ]);
+    let recorder = TraceRecorder::new();
+    let bus = Arc::new(TelemetryBus::new(1 << 12));
+    let stream = bus.subscribe();
     let config = HilConfig::new(Case::Case4, SituationSource::Oracle)
         .with_camera(Camera::new(256, 128, 150.0, 1.3, 6.0_f64.to_radians()))
         .with_seed(11)
         .with_fault_plan(Arc::new(plan))
-        .with_trace(true);
+        .with_trace(true)
+        .with_trace_sink(recorder.sink(1, "window-golden"))
+        .with_stream(Arc::clone(&bus));
     let r = HilSimulator::new(track, config).run();
     assert!(r.trace.windows(2).any(|p| p[0].roi != p[1].roi), "the ROI knob must switch");
     assert_eq!(r.frame_drops, 8, "the drop burst must land inside the run");
@@ -198,6 +210,17 @@ fn windowed_loop_reproduces_the_full_frame_golden() {
     }
     fp = fp.push_f64(r.time_s).push_f64(r.overall_mae().unwrap_or(f64::NAN));
     assert_eq!(fp.finish(), "a9d741c218db923a", "trajectory of {} samples", r.samples);
+
+    let trace = Fingerprint::new().push_str(&recorder.chrome_trace_json()).finish();
+    let deltas = stream.drain();
+    assert_eq!((deltas.len() as u64, stream.dropped()), (r.samples, 0), "one line per cycle");
+    let mut lines = Fingerprint::new();
+    for mut delta in deltas {
+        delta.counters.retain(|(name, _)| name != "frame_pixels");
+        lines = lines.push_str(&serde_json::to_string(&delta).unwrap());
+    }
+    assert_eq!(trace, "9a02818d89d08232", "Chrome trace of {} samples", r.samples);
+    assert_eq!(lines.finish(), "4fac8b8c5da2cea3", "stream of {} samples", r.samples);
 }
 
 /// The poses of the render/feature golden on the Fig. 7 track: every

@@ -5,8 +5,8 @@
 //! claim: after the warm-up cycles size every pooled buffer, one full
 //! camera-to-measurement cycle — render, capture, ISP, perception —
 //! performs **zero heap allocations** on the single-threaded executor.
-//! So does a trained-source cycle's full re-identification window:
-//! feature extraction and the three classifiers' batched inference.
+//! So does a trained-source cycle, whatever classifiers it invokes:
+//! feature extraction and the classifiers' batched inference.
 //!
 //! With worker threads the executor spawns per call by design, so the
 //! multi-threaded assertion is the next-strongest observable pair: the
@@ -65,9 +65,9 @@ fn allocations_on_this_thread() -> u64 {
 }
 
 /// The steady-state stage chain of one HiL control sample, writing into
-/// caller-owned buffers only. Mirrors the cycle body of
-/// `lkas::hil::HilSimulator::run` minus the allocating bookkeeping
-/// (trace recording, pending-command queue) that is not per-frame work.
+/// caller-owned buffers only. Mirrors one control sample of the
+/// `lkas::hil` loop minus the allocating bookkeeping (trace recording,
+/// pending-command queue) that is not per-frame work.
 #[allow(clippy::too_many_arguments)]
 fn one_cycle(
     renderer: &SceneRenderer,
@@ -152,8 +152,8 @@ fn steady_state_cycle_allocates_nothing_single_threaded() {
 }
 
 /// The HiL loop's oracle-source frame path: render, capture and ISP on
-/// `window`, then — on a cycle whose ROI switch needs `widen` — the same
-/// frame again on the wider window before perception reads it.
+/// the grown tap window of the ROI perception runs this cycle, once,
+/// then perception.
 #[allow(clippy::too_many_arguments)]
 fn windowed_cycle(
     renderer: &SceneRenderer,
@@ -163,7 +163,6 @@ fn windowed_cycle(
     track: &Track,
     s: f64,
     window: PixelWindow,
-    widen: Option<PixelWindow>,
     scene_rgb: &mut RgbImage,
     raw: &mut RawImage,
     rgb: &mut RgbImage,
@@ -173,16 +172,11 @@ fn windowed_cycle(
     renderer.render_window_into(track, s, 0.1, 0.0, window, scene_rgb).expect("valid camera");
     sensor.capture_window_into(scene_rgb, 1.0, window, raw);
     isp.process_window_into(raw, window, scratch, rgb);
-    if let Some(wider) = widen {
-        renderer.render_window_into(track, s, 0.1, 0.0, wider, scene_rgb).expect("valid camera");
-        sensor.recapture_window_into(scene_rgb, 1.0, wider, raw);
-        isp.process_window_into(raw, wider, scratch, rgb);
-    }
     perception.process_into(rgb, pscratch).ok().map(|out| out.y_l)
 }
 
 #[test]
-fn windowed_and_widen_cycles_allocate_nothing_single_threaded() {
+fn windowed_cycles_allocate_nothing_single_threaded() {
     let cam = Camera::default_automotive();
     let (w, h) = (cam.width(), cam.height());
     let track = Track::for_situation(&TABLE3_SITUATIONS[0], 500.0);
@@ -193,17 +187,18 @@ fn windowed_and_widen_cycles_allocate_nothing_single_threaded() {
     let wide = Perception::new(PerceptionConfig::new(Roi::Roi3), cam);
     let window_of = |p: &Perception| p.pixel_window(w, h).grow(STENCIL_HALO, w, h);
     let (small, large) = (window_of(&narrow), window_of(&wide));
-    assert!(!small.contains(&large), "ROI 3's window must need a widen from ROI 1's");
+    assert!(!small.contains(&large), "ROI 3's window must reach past ROI 1's");
     let mut scratch = Scratch::new();
     let mut pscratch = PerceptionScratch::new();
     let mut scene_rgb = RgbImage::new(1, 1);
     let mut raw = RawImage::new(2, 2);
     let mut rgb = RgbImage::new(1, 1);
 
-    // Cycle i is a plain windowed ROI 1 cycle when even, and a ROI 1 →
-    // ROI 3 switch cycle with its widen step when odd.
+    // Cycle i runs ROI 1 on its window when even and ROI 3 on its wider
+    // window when odd, as a run that switches ROI every cycle would.
     let mut cycle = |i: usize| {
-        let (perception, widen) = if i % 2 == 0 { (&narrow, None) } else { (&wide, Some(large)) };
+        let (perception, window) =
+            if i.is_multiple_of(2) { (&narrow, small) } else { (&wide, large) };
         windowed_cycle(
             &renderer,
             &mut sensor,
@@ -211,8 +206,7 @@ fn windowed_and_widen_cycles_allocate_nothing_single_threaded() {
             perception,
             &track,
             10.0 + i as f64,
-            small,
-            widen,
+            window,
             &mut scene_rgb,
             &mut raw,
             &mut rgb,
@@ -230,7 +224,7 @@ fn windowed_and_widen_cycles_allocate_nothing_single_threaded() {
     assert_eq!(
         after - before,
         0,
-        "windowed and widen cycles must not touch the heap ({} allocations)",
+        "windowed cycles must not touch the heap ({} allocations)",
         after - before
     );
 }
@@ -294,6 +288,7 @@ fn steady_state_pool_is_quiescent_and_identical_at_four_threads() {
 fn trained_source_cycle_allocates_nothing_single_threaded() {
     use lkas::identify::{BundleBatch, ClassifierBundle, SituationEstimate};
     use lkas_nn::classifiers::{ClassifierSpec, LaneClassifier, RoadClassifier, SceneClassifier};
+    use lkas_platform::profiles::ClassifierKind;
     use lkas_platform::schedule::ClassifierSet;
 
     // A bundle trained in well under a second: what it has learned does
@@ -322,15 +317,22 @@ fn trained_source_cycle_allocates_nothing_single_threaded() {
     let mut raw = RawImage::new(2, 2);
     let mut rgb = RgbImage::new(1, 1);
 
-    // Render → capture → ISP on the full frame, then every classifier:
-    // the cycle of a trained-source run on a full re-identification
-    // window, along the whole Fig. 7 track.
+    // Render → capture → ISP on the full frame, then the classifiers of
+    // the cycle's invocation set — cycling through every set the
+    // schemes issue — along the whole Fig. 7 track.
+    let sets = [
+        ClassifierSet::road_only(),
+        ClassifierSet::road_lane(),
+        ClassifierSet::single(ClassifierKind::Lane),
+        ClassifierSet::single(ClassifierKind::Scene),
+        ClassifierSet::all(),
+    ];
     let mut cycle = |i: usize| {
         let s = 20.0 + 47.0 * i as f64;
         renderer.render_into(&track, s, 0.1, 0.0, &mut scene_rgb).expect("valid camera");
         sensor.capture_into(&scene_rgb, 1.0, &mut raw);
         isp.process_into(&raw, &mut scratch, &mut rgb);
-        estimate.update_from_frame_with(&bundle, &mut batch, &rgb, &cam, ClassifierSet::all());
+        estimate.update_from_frame_with(&bundle, &mut batch, &rgb, &cam, sets[i % sets.len()]);
         estimate.current()
     };
     for i in 0..3 {

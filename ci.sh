@@ -365,6 +365,7 @@ gate_hygiene() {
 }
 
 stage fmt cargo fmt --check
+stage gate-clippy cargo clippy --workspace --all-targets -- -D warnings
 stage build build_all
 stage test cargo test -q --workspace
 stage gate-kernel-equivalence gate_kernel_equivalence

@@ -5,11 +5,12 @@
 //! pooled in-place `process_into`, row-tiled `process_into` on worker
 //! threads) and the kernel backend (`scalar` reference, bit-exact
 //! `lanes`) — plus the perception pipeline
-//! (rectify + binarize) per backend, and the renderer and feature
-//! extractor against their per-pixel references
-//! (`lkas_bench::reference`), interleaved round by round in this one
-//! process on the 256×128 camera. This is the harness behind the
-//! README "Steady-state frame path" table and DESIGN.md §10/§17.
+//! (rectify + binarize) per backend, and the renderer, the feature
+//! extractor and perception's binarize + sliding-window search against
+//! their references (`lkas_bench::reference`), interleaved round by
+//! round in this one process on the 256×128 camera. This is the harness
+//! behind the README "Steady-state frame path" table and DESIGN.md
+//! §10/§17.
 //!
 //! Flags: `--iters N` (timed iterations per cell, default 40),
 //! `--threads N` (tiled-path worker count, default 4).
@@ -18,11 +19,12 @@
 //! re-measures and fails (exit 1) when a speedup measured in this one
 //! process falls below 0.75× its baseline value: each config's
 //! lanes-over-scalar ISP speedup, perception's lanes-over-scalar
-//! speedup, and the render and feature-extraction speedups over their
-//! references. A ratio cancels the host's speed, so that bound can be
-//! tight. As a backstop it also fails if any pooled-lanes ISP mean or
-//! pooled perception mean exceeds `X` times its baseline value (default
-//! 4.0: order-of-magnitude regressions, not scheduler noise).
+//! speedup, and the render, feature-extraction and binarize + search
+//! speedups over their references. A ratio cancels the host's speed,
+//! so that bound can be tight. As a backstop it also fails if any
+//! pooled-lanes ISP mean or pooled perception mean exceeds `X` times
+//! its baseline value (default 4.0: order-of-magnitude regressions, not
+//! scheduler noise).
 
 use lkas_bench::{fail, reference, render_table, write_result, Args};
 use lkas_imaging::image::{PixelWindow, RgbImage};
@@ -30,8 +32,11 @@ use lkas_imaging::isp::{IspConfig, IspPipeline};
 use lkas_imaging::sensor::{Sensor, SensorConfig};
 use lkas_imaging::{KernelBackend, Scratch};
 use lkas_nn::features::{extract_into, FeatureScratch};
+use lkas_perception::bev::{BevImage, BirdsEye};
 use lkas_perception::pipeline::{Perception, PerceptionConfig, PerceptionScratch};
 use lkas_perception::roi::Roi;
+use lkas_perception::sliding::{sliding_window_search_with, SlidingScratch};
+use lkas_perception::threshold::{binarize_into_with, BinaryMask};
 use lkas_scene::camera::Camera;
 use lkas_scene::render::SceneRenderer;
 use lkas_scene::situation::TABLE3_SITUATIONS;
@@ -55,10 +60,10 @@ struct PerceptionRow {
     pooled_us: f64,
 }
 
-/// A library stage timed against its per-pixel reference.
+/// A library stage timed against its reference.
 #[derive(Serialize, Deserialize)]
 struct FastPathRow {
-    /// `render` or `extract`.
+    /// `render`, `extract` or `binarize+search`.
     stage: String,
     /// Median µs per call of the reference.
     reference_us: f64,
@@ -125,8 +130,10 @@ fn time_pair(
     (median(&mut slow), median(&mut fast))
 }
 
-/// Render and feature extraction against their per-pixel references on
-/// the 256×128 camera, over poses in each sector of the Fig. 7 track.
+/// Render, feature extraction, and binarize + sliding-window search
+/// against their references on the 256×128 camera, over poses in each
+/// sector of the Fig. 7 track (the search on each pose's five ROI
+/// grids).
 fn measure_fast_paths(iters: usize) -> Vec<FastPathRow> {
     let cam = Camera::new(256, 128, 150.0, 1.3, 6.0_f64.to_radians());
     let track = Track::fig7_track();
@@ -171,15 +178,40 @@ fn measure_fast_paths(iters: usize) -> Vec<FastPathRow> {
             std::hint::black_box(&features);
         },
     );
-    [("render", ref_render, lib_render), ("extract", ref_extract, lib_extract)]
-        .into_iter()
-        .map(|(stage, reference_us, library_us)| FastPathRow {
-            stage: stage.to_string(),
-            reference_us,
-            library_us,
-            speedup: reference_us / library_us,
+    let grids: Vec<BevImage> = frames
+        .iter()
+        .flat_map(|rgb| {
+            Roi::ALL.map(|roi| BirdsEye::new(cam.clone(), roi).expect("built-in ROI").rectify(rgb))
         })
-        .collect()
+        .collect();
+    let (mut ref_mask, mut ref_search) = (reference::Mask::default(), Default::default());
+    let (mut mask, mut sliding) = (BinaryMask::empty(), SlidingScratch::new());
+    let (ref_search_us, lib_search_us) = time_pair(
+        iters,
+        grids.len(),
+        |i| {
+            reference::binarize_into(&grids[i], &mut ref_mask);
+            let fits = reference::sliding_window_search_with(&grids[i], &ref_mask, &mut ref_search);
+            std::hint::black_box(fits);
+        },
+        |i| {
+            binarize_into_with(&grids[i], &mut mask, KernelBackend::default());
+            std::hint::black_box(sliding_window_search_with(&grids[i], &mask, &mut sliding));
+        },
+    );
+    [
+        ("render", ref_render, lib_render),
+        ("extract", ref_extract, lib_extract),
+        ("binarize+search", ref_search_us, lib_search_us),
+    ]
+    .into_iter()
+    .map(|(stage, reference_us, library_us)| FastPathRow {
+        stage: stage.to_string(),
+        reference_us,
+        library_us,
+        speedup: reference_us / library_us,
+    })
+    .collect()
 }
 
 fn measure(iters: usize, tile_threads: usize) -> Report {
@@ -288,7 +320,7 @@ fn gauges(report: &Report) -> (Gauges, Gauges) {
         speedups.push(("perception lanes speedup".to_string(), scalar / lanes));
     }
     for f in &report.fast_paths {
-        speedups.push((format!("{} speedup", f.stage), f.speedup));
+        speedups.push((format!("{} speedup", f.stage), f.reference_us / f.library_us));
     }
     (means, speedups)
 }
@@ -367,5 +399,13 @@ mod tests {
         let mut slowed = baseline();
         slowed.isp[4].lanes_us *= 1.5;
         assert_eq!(check(&slowed, &baseline(), 4.0), 1, "only the S4 ratio falls");
+    }
+
+    #[test]
+    fn check_fails_when_binarize_and_search_lose_a_third_of_their_speed() {
+        let mut slowed = baseline();
+        let row = slowed.fast_paths.iter_mut().find(|f| f.stage == "binarize+search");
+        row.expect("the baseline has a binarize+search row").library_us *= 1.5;
+        assert_eq!(check(&slowed, &baseline(), 4.0), 1, "only the search ratio falls");
     }
 }

@@ -1,7 +1,7 @@
 //! Kernel-equivalence gate: Scalar vs Lanes, end to end.
 //!
 //! The CI stage `gate-kernel-equivalence` runs this binary; it exits
-//! non-zero on the first class of mismatch. Six claims are checked
+//! non-zero on the first class of mismatch. Seven claims are checked
 //! (DESIGN.md §10 and §17):
 //!
 //! 1. **ISP lanes are bit-identical.** For every ISP configuration
@@ -33,6 +33,16 @@
 //!    buffers) equal `lkas_bench::reference::render_window` bit for bit,
 //!    and `extract` equals `lkas_bench::reference::extract` on each
 //!    frame's ISP output, the configuration cycling through S0–S8.
+//! 7. **Binarize and the sliding-window search ≡ their references.** On
+//!    both cameras, at the poses of claim 6 on the Fig. 7 track, with no
+//!    fault and with each Bayer fault kind, for S0–S8 × ROI 1–5: the
+//!    library's mask bits and threshold equal
+//!    `lkas_bench::reference::binarize_into`'s, both lane fits
+//!    (coefficient bits, `n_pixels`, `row_span`, `base_col`) equal
+//!    `lkas_bench::reference::sliding_window_search_with`'s, and
+//!    `Perception::process_into` equals the reference deviation of those
+//!    fits. The rectifier backend alternates by pose, so both arms'
+//!    accumulated score sums are read.
 //!
 //! Flags: `--frames N` (frames per cell, default 3).
 
@@ -44,8 +54,11 @@ use lkas_imaging::isp::{IspConfig, IspPipeline, STENCIL_HALO};
 use lkas_imaging::sensor::{Sensor, SensorConfig, CROSSTALK};
 use lkas_imaging::{KernelBackend, Scratch};
 use lkas_nn::features::extract;
+use lkas_perception::bev::{BevImage, BirdsEye, RectifyTaps};
 use lkas_perception::pipeline::{Perception, PerceptionConfig, PerceptionScratch};
 use lkas_perception::roi::Roi;
+use lkas_perception::sliding::{sliding_window_search_with, LaneFit, SlidingScratch};
+use lkas_perception::threshold::{binarize_into_with, BinaryMask};
 use lkas_platform::profiles::ClassifierKind;
 use lkas_platform::schedule::ClassifierSet;
 use lkas_scene::camera::Camera;
@@ -83,6 +96,17 @@ const FAULTS: [Option<BayerFaultKind>; 4] = [
     Some(BayerFaultKind::HotPixels { density: 0.03 }),
     Some(BayerFaultKind::RowBanding { period: 3, gain: 0.4 }),
     Some(BayerFaultKind::ExposureGlitch { gain: 2.2 }),
+];
+
+/// [`FAULTS`] plus exposure glitches that crush the frame to black and
+/// clip it to white: the grids whose masks come out empty.
+const PERCEPTION_FAULTS: [Option<BayerFaultKind>; 6] = [
+    FAULTS[0],
+    FAULTS[1],
+    FAULTS[2],
+    FAULTS[3],
+    Some(BayerFaultKind::ExposureGlitch { gain: 0.02 }),
+    Some(BayerFaultKind::ExposureGlitch { gain: 50.0 }),
 ];
 
 /// Windowed render → capture → fault → ISP against the full path, per
@@ -169,7 +193,7 @@ fn check_windows(frames: usize) -> usize {
         }
     }
     eprintln!(
-        "[3/6] windows: {cells} cells (2 cameras × {frames} frames × {} faults × S0–S8 × {} ROIs \
+        "[3/7] windows: {cells} cells (2 cameras × {frames} frames × {} faults × S0–S8 × {} ROIs \
          × 1/4 threads) checked",
         FAULTS.len(),
         Roi::ALL.len()
@@ -232,7 +256,7 @@ fn check_keyed_noise() -> usize {
             }
         }
     }
-    eprintln!("[4/6] keyed noise: {} seeds × {} frames checked", seeds.len(), frames.len());
+    eprintln!("[4/7] keyed noise: {} seeds × {} frames checked", seeds.len(), frames.len());
     failures
 }
 
@@ -312,9 +336,96 @@ fn check_references(frames: usize) -> usize {
         }
     }
     eprintln!(
-        "[6/6] references: {renders} renders (full and 5 ROI windows) and {extracts} feature \
+        "[6/7] references: {renders} renders (full and 5 ROI windows) and {extracts} feature \
          vectors (S0–S8) checked on 2 cameras × the Fig. 7 track and {} Table III tracks",
         TABLE3_SITUATIONS.len()
+    );
+    failures
+}
+
+/// The bits of a lane fit that perception's output depends on.
+fn fit_key(fit: &Option<LaneFit>) -> Option<([u64; 3], usize, usize, usize)> {
+    fit.as_ref().map(|f| (f.coeffs.map(f64::to_bits), f.n_pixels, f.row_span, f.base_col))
+}
+
+/// Binarize, the sliding-window search and the perception output
+/// against `lkas_bench::reference`, per camera, Fig. 7 pose, fault, ISP
+/// configuration and ROI. Returns the number of mismatching cells.
+fn check_perception(frames: usize) -> usize {
+    let cameras =
+        [Camera::default_automotive(), Camera::new(256, 128, 150.0, 1.3, 6.0_f64.to_radians())];
+    let track = Track::fig7_track();
+    let (mut bev, mut taps) = (BevImage::empty(), RectifyTaps::empty());
+    let (mut mask, mut sliding) = (BinaryMask::empty(), SlidingScratch::new());
+    let (mut ref_mask, mut ref_search) = (reference::Mask::default(), Default::default());
+    let (mut isp_scratch, mut rgb, mut pscratch) =
+        (Scratch::new(), RgbImage::new(2, 2), PerceptionScratch::new());
+    let (mut failures, mut cells, mut empty, mut dense) = (0, 0, 0, 0);
+    for cam in &cameras {
+        let renderer = SceneRenderer::new(cam.clone());
+        let stages: Vec<(BirdsEye, [Perception; 2])> = Roi::ALL
+            .iter()
+            .map(|&roi| {
+                let pr = Perception::new(PerceptionConfig::new(roi), cam.clone());
+                let backends = KernelBackend::ALL.map(|b| pr.clone().with_backend(b));
+                (BirdsEye::new(cam.clone(), roi).expect("built-in ROI"), backends)
+            })
+            .collect();
+        for (p, &(s, d, psi)) in reference_poses(&track, frames).iter().enumerate() {
+            let backend = KernelBackend::ALL[p % KernelBackend::ALL.len()];
+            let scene = renderer.render(&track, s, d, psi);
+            for fault in PERCEPTION_FAULTS {
+                let mut raw =
+                    Sensor::new(SensorConfig::default(), 8000 + p as u64).capture(&scene, 1.0);
+                if let Some(kind) = fault {
+                    apply_bayer_fault(kind, &mut raw, 91, p as u64);
+                }
+                for cfg in IspConfig::ALL {
+                    IspPipeline::new(cfg).process_into(&raw, &mut isp_scratch, &mut rgb);
+                    for (birds_eye, perceptions) in &stages {
+                        let pr = &perceptions[p % KernelBackend::ALL.len()];
+                        birds_eye.rectify_into_with(&rgb, &mut bev, backend, &mut taps);
+                        binarize_into_with(&bev, &mut mask, backend);
+                        reference::binarize_into(&bev, &mut ref_mask);
+                        let bits_ok = mask.threshold().to_bits() == ref_mask.threshold.to_bits()
+                            && (0..mask.height()).all(|row| {
+                                (0..mask.width())
+                                    .all(|col| mask.get(col, row) == ref_mask.get(col, row))
+                            });
+                        let fits = sliding_window_search_with(&bev, &mask, &mut sliding);
+                        let ref_fits =
+                            reference::sliding_window_search_with(&bev, &ref_mask, &mut ref_search);
+                        let fits_ok = fit_key(&fits.left) == fit_key(&ref_fits.left)
+                            && fit_key(&fits.right) == fit_key(&ref_fits.right);
+                        let output = pr.process_into(&rgb, &mut pscratch);
+                        let expect = reference::lateral_deviation(pr.config(), &bev, &ref_fits);
+                        if !bits_ok || !fits_ok || output != expect {
+                            eprintln!(
+                                "FAIL: {}x{} pose {p} (s {s}) {fault:?} {} {} {backend}: mask \
+                                 and threshold equal {bits_ok}, fits equal {fits_ok}, \
+                                 perception {output:?} vs reference {expect:?}",
+                                cam.width(),
+                                cam.height(),
+                                cfg.name(),
+                                pr.config().roi.name()
+                            );
+                            failures += 1;
+                        }
+                        let set = ref_mask.bits.iter().filter(|&&b| b).count();
+                        empty += usize::from(set == 0);
+                        dense += usize::from(set * 10 > ref_mask.bits.len());
+                        cells += 1;
+                    }
+                }
+            }
+        }
+    }
+    eprintln!(
+        "[7/7] binarize and search: {cells} cells (2 cameras × {} Fig. 7 poses × {} faults × \
+         S0–S8 × {} ROIs) checked; {empty} empty masks, {dense} over 10% set",
+        reference_poses(&track, frames).len(),
+        PERCEPTION_FAULTS.len(),
+        Roi::ALL.len()
     );
     failures
 }
@@ -354,7 +465,7 @@ fn main() {
             }
         }
     }
-    eprintln!("[1/6] ISP: {} configs × {frames} frames checked", IspConfig::ALL.len());
+    eprintln!("[1/7] ISP: {} configs × {frames} frames checked", IspConfig::ALL.len());
 
     // --- 2: perception backends, every ROI -----------------------------
     let track = Track::for_situation(&TABLE3_SITUATIONS[0], 500.0);
@@ -378,7 +489,7 @@ fn main() {
             }
         }
     }
-    eprintln!("[2/6] perception: {} ROIs × 2 passes checked", Roi::ALL.len());
+    eprintln!("[2/7] perception: {} ROIs × 2 passes checked", Roi::ALL.len());
 
     // --- 3–4: windowed frame path, keyed noise -------------------------
     failures += check_windows(frames);
@@ -421,10 +532,13 @@ fn main() {
             }
         }
     }
-    eprintln!("[5/6] classifiers: {windows} invocations checked ({} sets)", sets.len());
+    eprintln!("[5/7] classifiers: {windows} invocations checked ({} sets)", sets.len());
 
     // --- 6: render and features against the per-pixel references -------
     failures += check_references(frames);
+
+    // --- 7: binarize and the sliding-window search against theirs ------
+    failures += check_perception(frames);
 
     if failures > 0 {
         eprintln!("kernel_equivalence: {failures} FAILURE(S)");

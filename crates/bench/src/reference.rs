@@ -1,18 +1,31 @@
-//! Per-pixel reference formulations of the renderer and the feature
-//! extractor.
+//! Reference formulations of the renderer, the feature extractor and
+//! perception's binarize and sliding-window search.
 //!
 //! `lkas_scene::render::SceneRenderer` and `lkas_nn::features` do each
-//! pose-independent computation once per camera, frame or sector. The
-//! functions here are the plain formulations they replaced, kept
-//! verbatim: every pixel back-projected with its own `sin_cos`, two
-//! sector searches per ground pixel, one `rem_euclid` per dotted line,
-//! and three photometric passes over the frame. They exist to be
-//! compared against — `kernel_equivalence` requires bit-identical
-//! frames and feature vectors, and `isp_throughput` times the library
-//! against them in one process — and nothing in the program calls them.
+//! pose-independent computation once per camera, frame or sector;
+//! `lkas_perception` binarizes with the mean the rectifier accumulated
+//! and searches with row-slice mask walks, a median selection and the
+//! fused degree-2 QR. The functions here are the plain formulations
+//! they replaced, kept verbatim: every pixel back-projected with its own
+//! `sin_cos`, two sector searches per ground pixel, one `rem_euclid` per
+//! dotted line, three photometric passes over the frame, two folds over
+//! the bird's-eye grid, `get(col, row)` per mask cell, a full sort for
+//! the residual median and the generic `polyfit_into`. Where a library
+//! type keeps its fields private they work on plain values ([`Mask`],
+//! [`SearchScratch`]). They exist to be compared against —
+//! `kernel_equivalence` requires bit-identical frames, feature vectors,
+//! masks, fits and perception outputs, and `isp_throughput` times the
+//! library against them in one process — and nothing in the program
+//! calls them.
 
 use lkas_imaging::image::{PixelWindow, RgbImage};
-use lkas_linalg::polyfit::polyfit;
+use lkas_linalg::polyfit::{polyfit, polyfit_into, polyval, PolyfitScratch};
+use lkas_perception::bev::BevImage;
+use lkas_perception::pipeline::{PerceptionConfig, PerceptionError, PerceptionOutput};
+use lkas_perception::sliding::{
+    LaneFit, SlidingWindowResult, MARGIN_M, MIN_PIX_FIT, MIN_PIX_RECENTER, MIN_ROW_SPAN, N_WINDOWS,
+};
+use lkas_perception::threshold::{K_SIGMA, MIN_THRESHOLD};
 use lkas_scene::camera::Camera;
 use lkas_scene::render::{albedo, HEADLIGHT_FALLOFF, SHOULDER};
 use lkas_scene::situation::{LaneColor, LaneForm, SceneKind};
@@ -549,6 +562,236 @@ fn score_of(p: [f32; 3]) -> f32 {
     luma.max(1.6 * yell)
 }
 
+/// A binarized bird's-eye grid as plain values: the fields of
+/// `lkas_perception::threshold::BinaryMask`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Mask {
+    /// Grid width.
+    pub width: usize,
+    /// Grid height.
+    pub height: usize,
+    /// Cell bits, row-major.
+    pub bits: Vec<bool>,
+    /// The threshold that produced the bits.
+    pub threshold: f32,
+}
+
+impl Mask {
+    /// Mask value at `(col, row)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if out of bounds.
+    #[inline]
+    pub fn get(&self, col: usize, row: usize) -> bool {
+        self.bits[row * self.width + col]
+    }
+}
+
+/// Binarizes with the adaptive threshold
+/// `t = max(μ + K_SIGMA·σ, MIN_THRESHOLD)`, folding the grid once for
+/// the mean and once for the variance.
+pub fn binarize_into(bev: &BevImage, mask: &mut Mask) {
+    let data = bev.as_slice();
+    let n = data.len() as f32;
+    let mean = data.iter().sum::<f32>() / n;
+    let var = data.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
+    let threshold = (mean + K_SIGMA * var.sqrt()).max(MIN_THRESHOLD);
+    mask.width = bev.width();
+    mask.height = bev.height();
+    mask.threshold = threshold;
+    mask.bits.clear();
+    mask.bits.extend(data.iter().map(|&v| v > threshold));
+}
+
+/// The workspace of [`sliding_window_search_with`]: the fields of
+/// `lkas_perception::sliding::SlidingScratch`.
+#[derive(Debug, Clone, Default)]
+pub struct SearchScratch {
+    hist: Vec<usize>,
+    hist2: Vec<usize>,
+    cols: Vec<f64>,
+    rows: Vec<f64>,
+    res: Vec<f64>,
+    sorted: Vec<f64>,
+    cols2: Vec<f64>,
+    rows2: Vec<f64>,
+    polyfit: PolyfitScratch,
+}
+
+/// The sliding-window lane search over a binarized bird's-eye view,
+/// reading the mask one `get(col, row)` at a time, sorting the
+/// residuals for their median and fitting with the generic
+/// `polyfit_into`.
+pub fn sliding_window_search_with(
+    bev: &BevImage,
+    mask: &Mask,
+    scratch: &mut SearchScratch,
+) -> SlidingWindowResult {
+    let w = mask.width;
+    let h = mask.height;
+    debug_assert_eq!(w, bev.width());
+    debug_assert_eq!(h, bev.height());
+
+    // Column histogram over the lower half.
+    scratch.hist.clear();
+    scratch.hist.resize(w, 0);
+    for row in h / 2..h {
+        for col in 0..w {
+            if mask.get(col, row) {
+                scratch.hist[col] += 1;
+            }
+        }
+    }
+    let min_sep = (2.0 / bev.meters_per_col()).round() as usize; // ≥ 2 m apart
+    let peak1 = argmax(&scratch.hist);
+    let mut result = SlidingWindowResult::default();
+    let Some((p1, v1)) = peak1 else { return result };
+    if v1 == 0 {
+        return result;
+    }
+    // Suppress around the first peak, find the second.
+    scratch.hist2.clear();
+    scratch.hist2.extend_from_slice(&scratch.hist);
+    let lo = p1.saturating_sub(min_sep / 2);
+    let hi = (p1 + min_sep / 2).min(w - 1);
+    for v in &mut scratch.hist2[lo..=hi] {
+        *v = 0;
+    }
+    let peak2 = argmax(&scratch.hist2).filter(|&(_, v)| v >= 3);
+
+    for base in std::iter::once(p1).chain(peak2.map(|(p, _)| p)) {
+        let Some(fit) = track_lane(bev, mask, base, scratch) else { continue };
+        let lateral = bev.lateral_of_col(fit.base_col as f64);
+        let slot = if lateral >= 0.0 { &mut result.left } else { &mut result.right };
+        // Keep the better-supported fit if both peaks land on one side.
+        let better = match slot {
+            Some(existing) => fit.n_pixels > existing.n_pixels,
+            None => true,
+        };
+        if better {
+            *slot = Some(fit);
+        }
+    }
+    result
+}
+
+/// Index and value of the maximum entry.
+fn argmax(values: &[usize]) -> Option<(usize, usize)> {
+    values.iter().enumerate().max_by_key(|&(_, v)| *v).map(|(i, &v)| (i, v))
+}
+
+/// Tracks one lane upward from `base` and fits the polynomial.
+fn track_lane(
+    bev: &BevImage,
+    mask: &Mask,
+    base: usize,
+    scratch: &mut SearchScratch,
+) -> Option<LaneFit> {
+    let w = mask.width;
+    let h = mask.height;
+    let margin = (MARGIN_M / bev.meters_per_col()).round().max(2.0) as i64;
+    let win_h = h / N_WINDOWS;
+    let mut center = base as i64;
+    scratch.cols.clear();
+    scratch.rows.clear();
+
+    for win in 0..N_WINDOWS {
+        let row_hi = h - win * win_h; // exclusive
+        let row_lo = row_hi.saturating_sub(win_h);
+        let c_lo = (center - margin).clamp(0, w as i64 - 1) as usize;
+        let c_hi = (center + margin).clamp(0, w as i64 - 1) as usize;
+        let mut sum_c = 0.0;
+        let mut cnt = 0usize;
+        for row in row_lo..row_hi {
+            for col in c_lo..=c_hi {
+                if mask.get(col, row) {
+                    scratch.cols.push(col as f64);
+                    scratch.rows.push(row as f64);
+                    sum_c += col as f64;
+                    cnt += 1;
+                }
+            }
+        }
+        if cnt >= MIN_PIX_RECENTER {
+            center = (sum_c / cnt as f64).round() as i64;
+        }
+    }
+
+    let (cols, rows) = (&scratch.cols, &scratch.rows);
+    if cols.len() < MIN_PIX_FIT {
+        return None;
+    }
+    let row_min = rows.iter().cloned().fold(f64::INFINITY, f64::min);
+    let row_max = rows.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let span = (row_max - row_min) as usize;
+    if (span as f64) < MIN_ROW_SPAN * h as f64 {
+        return None;
+    }
+    let mut coeffs = [0.0f64; 3];
+    polyfit_into(rows, cols, &mut coeffs, &mut scratch.polyfit).ok()?;
+    // Residual-trimmed refit: window-edge pixels and stray blobs (dash
+    // ends, noise) otherwise swing the curvature term, which the
+    // look-ahead extrapolation then amplifies.
+    scratch.res.clear();
+    scratch.res.extend(rows.iter().zip(cols).map(|(r, c)| (c - polyval(&coeffs, *r)).abs()));
+    scratch.sorted.clear();
+    scratch.sorted.extend_from_slice(&scratch.res);
+    // Unstable sort: no temporary buffer, and for plain finite values the
+    // sorted sequence (hence the median) is the same as a stable sort's.
+    scratch.sorted.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    let sigma = scratch.sorted[scratch.sorted.len() / 2].max(1.0); // robust scale (median)
+    let gate = 2.5 * sigma;
+    scratch.cols2.clear();
+    scratch.rows2.clear();
+    for i in 0..cols.len() {
+        if scratch.res[i] <= gate {
+            scratch.cols2.push(cols[i]);
+            scratch.rows2.push(rows[i]);
+        }
+    }
+    if scratch.cols2.len() >= MIN_PIX_FIT / 2 && scratch.cols2.len() < cols.len() {
+        let mut refit = [0.0f64; 3];
+        if polyfit_into(&scratch.rows2, &scratch.cols2, &mut refit, &mut scratch.polyfit).is_ok() {
+            coeffs = refit;
+        }
+    }
+    Some(LaneFit { coeffs, n_pixels: scratch.cols.len(), row_span: span, base_col: base })
+}
+
+/// The lateral deviation at the look-ahead from a search's lane fits:
+/// `Perception`'s private conversion, copied unchanged.
+///
+/// # Errors
+///
+/// [`PerceptionError::NoLaneDetected`] when neither fit exists.
+pub fn lateral_deviation(
+    config: PerceptionConfig,
+    bev: &BevImage,
+    fits: &SlidingWindowResult,
+) -> Result<PerceptionOutput, PerceptionError> {
+    let row_la = bev.row_of_forward(config.look_ahead);
+    let (center_lateral, lanes_used, support) = match (&fits.left, &fits.right) {
+        (Some(l), Some(r)) => {
+            let cl = bev.lateral_of_col(l.col_at(row_la));
+            let cr = bev.lateral_of_col(r.col_at(row_la));
+            ((cl + cr) / 2.0, 2, l.n_pixels + r.n_pixels)
+        }
+        (Some(l), None) => {
+            let cl = bev.lateral_of_col(l.col_at(row_la));
+            (cl - LANE_WIDTH / 2.0, 1, l.n_pixels)
+        }
+        (None, Some(r)) => {
+            let cr = bev.lateral_of_col(r.col_at(row_la));
+            (cr + LANE_WIDTH / 2.0, 1, r.n_pixels)
+        }
+        (None, None) => return Err(PerceptionError::NoLaneDetected),
+    };
+    // The lane center appearing at lateral `c` in the vehicle frame
+    // means the vehicle sits at `−c` relative to the lane center.
+    Ok(PerceptionOutput { y_l: -center_lateral, lanes_used, support })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -578,6 +821,45 @@ mod tests {
                 let rgb = IspPipeline::new(IspConfig::ALL[p]).process(&raw);
                 let features = lkas_nn::features::extract(&rgb, &cam);
                 assert_eq!(bits(&features), bits(&extract(&rgb, &cam)), "track {t}, s {s}");
+            }
+        }
+    }
+
+    #[test]
+    fn library_binarize_and_search_equal_the_references() {
+        use lkas_perception::pipeline::Perception;
+        use lkas_perception::roi::Roi;
+        use lkas_perception::sliding::sliding_window_search;
+        use lkas_perception::threshold::binarize;
+        let key = |fit: &Option<LaneFit>| {
+            fit.as_ref().map(|f| (f.coeffs.map(f64::to_bits), f.n_pixels, f.row_span, f.base_col))
+        };
+        let cam = Camera::new(256, 128, 150.0, 1.3, 6.0_f64.to_radians());
+        let renderer = SceneRenderer::new(cam.clone());
+        let track = Track::fig7_track();
+        for (p, s) in [3.0, 151.0, 598.5, 1165.0].into_iter().enumerate() {
+            let frame = renderer.render(&track, s, 0.1, 0.01);
+            let raw = Sensor::new(SensorConfig::default(), 40 + p as u64).capture(&frame, 1.0);
+            let rgb = IspPipeline::new(IspConfig::ALL[2 * p]).process(&raw);
+            for roi in Roi::ALL {
+                let bev =
+                    lkas_perception::bev::BirdsEye::new(cam.clone(), roi).unwrap().rectify(&rgb);
+                let mask = binarize(&bev);
+                let mut expect = Mask::default();
+                binarize_into(&bev, &mut expect);
+                assert_eq!(mask.threshold().to_bits(), expect.threshold.to_bits(), "s {s} {roi}");
+                let bits: Vec<bool> = (0..mask.height())
+                    .flat_map(|row| (0..mask.width()).map(move |col| (col, row)))
+                    .map(|(col, row)| mask.get(col, row))
+                    .collect();
+                assert_eq!(bits, expect.bits, "s {s} {roi}");
+                let fits = sliding_window_search(&bev, &mask);
+                let want = sliding_window_search_with(&bev, &expect, &mut SearchScratch::default());
+                assert_eq!(key(&fits.left), key(&want.left), "s {s} {roi}");
+                assert_eq!(key(&fits.right), key(&want.right), "s {s} {roi}");
+                let config = PerceptionConfig::new(roi);
+                let output = Perception::new(config, cam.clone()).process(&rgb);
+                assert_eq!(output, lateral_deviation(config, &bev, &want), "s {s} {roi}");
             }
         }
     }

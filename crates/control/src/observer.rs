@@ -59,7 +59,9 @@ impl LaneObserver {
         h_ms: f64,
         profile: &PerceptionErrorProfile,
     ) -> Result<Self, LinalgError> {
-        if !(speed_kmph > 0.0) || !(h_ms > 0.0) {
+        // A NaN speed or period is not positive either.
+        let positive = |v: f64| v.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater);
+        if !positive(speed_kmph) || !positive(h_ms) {
             return Err(LinalgError::InvalidInput("observer needs positive speed and period"));
         }
         let vehicle = VehicleParams::default();

@@ -264,7 +264,7 @@ mod tests {
         // to 1 along a skewed direction.
         let a = Mat::from_rows(&[&[0.0, 2.0], &[-0.3, 0.0]]); // ρ(A)=0.77 but ‖A‖ > 1
         let p = Mat::identity(2);
-        assert!(!verify_cqlf(&[a.clone()], &p));
+        assert!(!verify_cqlf(std::slice::from_ref(&a), &p));
         // The proper Lyapunov solution certifies it.
         let found = find_cqlf(std::slice::from_ref(&a)).expect("stable");
         assert!(verify_cqlf(&[a], &found));

@@ -187,6 +187,10 @@ impl Characterization {
 /// Schema tag of the serialized [`KnobStore`].
 pub const KNOB_STORE_SCHEMA: &str = "lkas-knobstore-v1";
 
+/// One situation's stored sweep: each candidate tuning with its
+/// measured MAE (`None` if the run crashed).
+type StoredSweep = (SituationFeatures, Vec<(KnobTuning, Option<f64>)>);
+
 /// The versioned, serializable knob service shared by the batch
 /// characterization and the online tuner.
 ///
@@ -204,7 +208,7 @@ pub struct KnobStore {
     version: u64,
     config_hash: String,
     table: KnobTable,
-    sweeps: Vec<(SituationFeatures, Vec<(KnobTuning, Option<f64>)>)>,
+    sweeps: Vec<StoredSweep>,
 }
 
 impl KnobStore {

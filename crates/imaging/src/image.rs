@@ -123,7 +123,10 @@ impl RawImage {
     /// Panics if either dimension is zero or odd (Bayer quads must tile).
     pub fn new(width: usize, height: usize) -> Self {
         assert!(width > 0 && height > 0, "image dimensions must be nonzero");
-        assert!(width % 2 == 0 && height % 2 == 0, "Bayer frames need even dimensions");
+        assert!(
+            width.is_multiple_of(2) && height.is_multiple_of(2),
+            "Bayer frames need even dimensions"
+        );
         RawImage { width, height, data: vec![0.0; width * height] }
     }
 
@@ -187,7 +190,10 @@ impl RawImage {
     /// Panics if either dimension is zero or odd (Bayer quads must tile).
     pub fn reshape(&mut self, width: usize, height: usize) {
         assert!(width > 0 && height > 0, "image dimensions must be nonzero");
-        assert!(width % 2 == 0 && height % 2 == 0, "Bayer frames need even dimensions");
+        assert!(
+            width.is_multiple_of(2) && height.is_multiple_of(2),
+            "Bayer frames need even dimensions"
+        );
         self.data.resize(width * height, 0.0);
         self.width = width;
         self.height = height;

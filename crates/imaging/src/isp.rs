@@ -646,7 +646,7 @@ fn tile_window_rows(
         rows(span, window.y0);
         return;
     }
-    let band_rows = (n + exec.threads() - 1) / exec.threads();
+    let band_rows = n.div_ceil(exec.threads());
     let jobs: Vec<(usize, &mut [f32])> = span
         .chunks_mut(band_rows * stride)
         .enumerate()
@@ -959,7 +959,7 @@ fn quantize_table(stage: impl Fn(f32) -> f32) -> QuantTable {
         let mut hi = F32_INF_BITS; // code(hi) ≥ k + 1
         while lo + 1 < hi {
             let mid = lo + (hi - lo) / 2;
-            if code(mid) >= k + 1 {
+            if code(mid) > k {
                 hi = mid;
             } else {
                 lo = mid;
@@ -1040,14 +1040,14 @@ fn invert3(m: [[f32; 3]; 3]) -> [[f32; 3]; 3] {
     assert!(det.abs() > 1e-9, "crosstalk matrix must be invertible");
     let inv_det = 1.0 / det;
     let mut inv = [[0.0f32; 3]; 3];
-    for i in 0..3 {
-        for j in 0..3 {
+    for (i, inv_row) in inv.iter_mut().enumerate() {
+        for (j, cell) in inv_row.iter_mut().enumerate() {
             // Cofactor expansion, transposed.
             let r0 = (j + 1) % 3;
             let r1 = (j + 2) % 3;
             let c0 = (i + 1) % 3;
             let c1 = (i + 2) % 3;
-            inv[i][j] = (m[r0][c0] * m[r1][c1] - m[r0][c1] * m[r1][c0]) * inv_det;
+            *cell = (m[r0][c0] * m[r1][c1] - m[r0][c1] * m[r1][c0]) * inv_det;
         }
     }
     inv
@@ -1163,7 +1163,7 @@ mod tests {
         for i in 0..4096 {
             vals.push(i as f32 / 4096.0 * 1.5 - 0.1);
         }
-        while vals.len() % 2 != 0 {
+        while !vals.len().is_multiple_of(2) {
             vals.push(0.0);
         }
         let w = vals.len() / 2;
@@ -1416,11 +1416,11 @@ mod tests {
     fn invert3_roundtrip() {
         let m = crate::sensor::CROSSTALK;
         let inv = invert3(m);
-        for i in 0..3 {
+        for (i, inv_row) in inv.iter().enumerate() {
             for j in 0..3 {
                 let mut v = 0.0;
-                for k in 0..3 {
-                    v += inv[i][k] * m[k][j];
+                for (a, m_row) in inv_row.iter().zip(&m) {
+                    v += a * m_row[j];
                 }
                 let expect = if i == j { 1.0 } else { 0.0 };
                 assert!((v - expect).abs() < 1e-5);

@@ -112,7 +112,7 @@ pub fn zoh_discretize(a: &Mat, b: &Mat, t: f64) -> Result<ZohDiscretization> {
             rhs: b.shape(),
         });
     }
-    if !(t >= 0.0) || !t.is_finite() {
+    if t < 0.0 || !t.is_finite() {
         return Err(LinalgError::InvalidInput("interval must be finite and nonnegative"));
     }
     let n = a.rows();

@@ -205,8 +205,7 @@ impl Mlp {
             // update, using current weights).
             let layer = &self.layers[li];
             let mut grad_input = vec![0.0f32; layer.cols];
-            for r in 0..layer.rows {
-                let d = delta[r];
+            for (r, &d) in delta.iter().enumerate().take(layer.rows) {
                 if d == 0.0 {
                     continue;
                 }
@@ -217,11 +216,10 @@ impl Mlp {
             }
             // Parameter update with momentum.
             let layer = &mut self.layers[li];
-            for r in 0..layer.rows {
-                let d = delta[r];
+            for (r, &d) in delta.iter().enumerate().take(layer.rows) {
                 let base = r * layer.cols;
-                for c in 0..layer.cols {
-                    let g = d * input[c];
+                for (c, &x) in input.iter().enumerate().take(layer.cols) {
+                    let g = d * x;
                     let v = config.momentum * layer.vw[base + c] - config.learning_rate * g;
                     layer.vw[base + c] = v;
                     layer.w[base + c] += v;

@@ -146,7 +146,7 @@ impl LaneDetector for SobelHoughDetector {
                 }
             }
         }
-        best.sort_unstable_by(|a, b| b.0.cmp(&a.0));
+        best.sort_unstable_by_key(|b| std::cmp::Reverse(b.0));
         let first = *best.first().ok_or(PerceptionError::NoLaneDetected)?;
         let second =
             best.iter().find(|&&(_, ti, _)| (thetas[ti] - thetas[first.1]).abs() > 0.3).copied();

@@ -6,6 +6,12 @@
 //! a flat road is a homography; it is estimated once per (camera, ROI)
 //! pair from the four corner correspondences, exactly like the
 //! `warpPerspective` step of the classical pipelines the paper builds on.
+//!
+//! Every producer of a [`BevImage`] also adds each cell's score to a
+//! running `f32` sum in the loop that writes the cell, in row-major
+//! order from `-0.0` — the operations `Iterator::sum` performs over the
+//! finished grid. Binarization reads its mean from that sum instead of
+//! folding the grid a second time.
 
 use crate::roi::Roi;
 use lkas_imaging::image::{PixelWindow, RgbImage};
@@ -28,6 +34,9 @@ pub struct BevImage {
     height: usize,
     /// Marking-likelihood score per cell (higher = more marking-like).
     score: Vec<f32>,
+    /// `score.iter().sum::<f32>()`, accumulated while the cells are
+    /// written.
+    sum: f32,
     roi: Roi,
 }
 
@@ -36,22 +45,23 @@ impl BevImage {
     /// [`BirdsEye::rectify_into`]. The ROI is a placeholder until the
     /// first rectification overwrites it.
     pub fn empty() -> Self {
-        BevImage { width: 0, height: 0, score: Vec::new(), roi: Roi::Roi1 }
+        BevImage { width: 0, height: 0, score: Vec::new(), sum: -0.0, roi: Roi::Roi1 }
     }
 
     /// Resizes the grid (keeping the score buffer's capacity) and adopts
-    /// the producing rectifier's ROI. Contents are unspecified
-    /// afterwards; `rectify_into` overwrites every cell.
-    pub(crate) fn reshape(&mut self, width: usize, height: usize, roi: Roi) {
+    /// the producing rectifier's ROI. Contents and sum are unspecified
+    /// afterwards; the rectifier overwrites every cell and then the sum.
+    fn reshape(&mut self, width: usize, height: usize, roi: Roi) {
         self.width = width;
         self.height = height;
         self.roi = roi;
         self.score.resize(width * height, 0.0);
     }
 
-    /// Mutable access to all scores (row-major).
-    pub(crate) fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.score
+    /// The sum of all scores, bit-identical to
+    /// `self.as_slice().iter().sum::<f32>()`.
+    pub(crate) fn score_sum(&self) -> f32 {
+        self.sum
     }
 
     /// Grid width.
@@ -235,9 +245,12 @@ impl BirdsEye {
     /// precomputed at construction. This is the scalar reference kernel.
     pub fn rectify_into(&self, frame: &RgbImage, out: &mut BevImage) {
         out.reshape(BEV_WIDTH, BEV_HEIGHT, self.roi);
-        for (cell, &(u, v)) in out.as_mut_slice().iter_mut().zip(&self.samples) {
+        let mut sum = -0.0f32;
+        for (cell, &(u, v)) in out.score.iter_mut().zip(&self.samples) {
             *cell = marking_score(sample_bilinear(frame, u, v));
+            sum += *cell;
         }
+        out.sum = sum;
     }
 
     /// [`BirdsEye::rectify_into`] with an explicit [`KernelBackend`].
@@ -262,9 +275,12 @@ impl BirdsEye {
                 out.reshape(BEV_WIDTH, BEV_HEIGHT, self.roi);
                 taps.ensure(frame, &self.samples, self.roi);
                 let data = frame.as_slice();
-                for (cell, tap) in out.as_mut_slice().iter_mut().zip(&taps.taps) {
+                let mut sum = -0.0f32;
+                for (cell, tap) in out.score.iter_mut().zip(&taps.taps) {
                     *cell = marking_score(bilin_eval(data, tap));
+                    sum += *cell;
                 }
+                out.sum = sum;
             }
         }
     }
@@ -282,15 +298,18 @@ impl BirdsEye {
         }
         let g = self.roi.ground_extent();
         let mut score = vec![0.0f32; width * height];
+        let mut sum = -0.0f32;
         for row in 0..height {
             let x = g.x_far - (row as f64 + 0.5) * (g.x_far - g.x_near) / height as f64;
             for col in 0..width {
                 let y = g.y_left - (col as f64 + 0.5) * (g.y_left - g.y_right) / width as f64;
                 let (u, v) = self.ground_to_image.apply(x, y);
-                score[row * width + col] = marking_score(sample_bilinear(frame, u, v));
+                let cell = marking_score(sample_bilinear(frame, u, v));
+                score[row * width + col] = cell;
+                sum += cell;
             }
         }
-        BevImage { width, height, score, roi: self.roi }
+        BevImage { width, height, score, sum, roi: self.roi }
     }
 }
 
@@ -564,6 +583,25 @@ mod tests {
         let be = BirdsEye::new(Camera::default_automotive(), Roi::Roi1).unwrap();
         be.rectify_into_with(&frame, &mut lanes, KernelBackend::Lanes, &mut taps);
         assert_eq!(be.rectify(&frame).as_slice(), lanes.as_slice());
+    }
+
+    #[test]
+    fn every_producer_carries_the_sum_of_its_scores() {
+        let sum_of = |bev: &BevImage| bev.as_slice().iter().sum::<f32>().to_bits();
+        let empty = BevImage::empty();
+        assert_eq!(empty.score_sum().to_bits(), sum_of(&empty), "the empty grid's -0.0");
+        let frame = rendered_frame();
+        let mut taps = RectifyTaps::empty();
+        for roi in Roi::ALL {
+            let be = BirdsEye::new(Camera::default_automotive(), roi).unwrap();
+            let scalar = be.rectify(&frame);
+            assert_eq!(scalar.score_sum().to_bits(), sum_of(&scalar), "{roi} scalar");
+            let mut lanes = BevImage::empty();
+            be.rectify_into_with(&frame, &mut lanes, KernelBackend::Lanes, &mut taps);
+            assert_eq!(lanes.score_sum().to_bits(), sum_of(&lanes), "{roi} lanes");
+            let sized = be.rectify_sized(&frame, 40, 24);
+            assert_eq!(sized.score_sum().to_bits(), sum_of(&sized), "{roi} 40x24");
+        }
     }
 
     #[test]

@@ -4,10 +4,18 @@
 //! "candidate lane pixels are determined using sliding windows from
 //! bottom to top of the image, and curve fitting is done using a
 //! second-order polynomial").
+//!
+//! The search does only the arithmetic its outputs need: the base
+//! histogram and each window walk mask rows as slices, the residual
+//! median is selected rather than sorted, and both fits of a lane run
+//! the fused degree-2 QR ([`fit_quadratic_into`]). Every step visits
+//! the same cells in the same order and performs the same floating-point
+//! operations as the formulation it replaced, which is kept in
+//! `lkas_bench::reference` and matches it bit for bit.
 
 use crate::bev::BevImage;
 use crate::threshold::BinaryMask;
-use lkas_linalg::polyfit::{polyfit_into, polyval, PolyfitScratch};
+use lkas_linalg::polyfit::{fit_quadratic_into, polyval, PolyfitScratch};
 
 /// Number of vertical windows.
 pub const N_WINDOWS: usize = 12;
@@ -68,7 +76,8 @@ pub struct SlidingScratch {
     cols: Vec<f64>,
     rows: Vec<f64>,
     res: Vec<f64>,
-    sorted: Vec<f64>,
+    /// A copy of `res` that the median selection reorders.
+    ranked: Vec<f64>,
     cols2: Vec<f64>,
     rows2: Vec<f64>,
     polyfit: PolyfitScratch,
@@ -110,10 +119,8 @@ pub fn sliding_window_search_with(
     scratch.hist.clear();
     scratch.hist.resize(w, 0);
     for row in h / 2..h {
-        for col in 0..w {
-            if mask.get(col, row) {
-                scratch.hist[col] += 1;
-            }
+        for (count, &set) in scratch.hist.iter_mut().zip(mask.row(row)) {
+            *count += usize::from(set);
         }
     }
     let min_sep = (2.0 / bev.meters_per_col()).round() as usize; // ≥ 2 m apart
@@ -177,8 +184,8 @@ fn track_lane(
         let mut sum_c = 0.0;
         let mut cnt = 0usize;
         for row in row_lo..row_hi {
-            for col in c_lo..=c_hi {
-                if mask.get(col, row) {
+            for (col, &set) in (c_lo..).zip(&mask.row(row)[c_lo..=c_hi]) {
+                if set {
                     scratch.cols.push(col as f64);
                     scratch.rows.push(row as f64);
                     sum_c += col as f64;
@@ -202,18 +209,22 @@ fn track_lane(
         return None;
     }
     let mut coeffs = [0.0f64; 3];
-    polyfit_into(rows, cols, &mut coeffs, &mut scratch.polyfit).ok()?;
+    fit_quadratic_into(rows, cols, &mut coeffs, &mut scratch.polyfit).ok()?;
     // Residual-trimmed refit: window-edge pixels and stray blobs (dash
     // ends, noise) otherwise swing the curvature term, which the
     // look-ahead extrapolation then amplifies.
     scratch.res.clear();
     scratch.res.extend(rows.iter().zip(cols).map(|(r, c)| (c - polyval(&coeffs, *r)).abs()));
-    scratch.sorted.clear();
-    scratch.sorted.extend_from_slice(&scratch.res);
-    // Unstable sort: no temporary buffer, and for plain finite values the
-    // sorted sequence (hence the median) is the same as a stable sort's.
-    scratch.sorted.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let sigma = scratch.sorted[scratch.sorted.len() / 2].max(1.0); // robust scale (median)
+    scratch.ranked.clear();
+    scratch.ranked.extend_from_slice(&scratch.res);
+    // Residuals are absolute values of finite numbers, so the comparator
+    // is a total order on them and the value selected at len/2 is the
+    // one a full sort would put there.
+    let mid = scratch.ranked.len() / 2;
+    let (_, &mut median, _) = scratch
+        .ranked
+        .select_nth_unstable_by(mid, |a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    let sigma = median.max(1.0); // robust scale (median)
     let gate = 2.5 * sigma;
     scratch.cols2.clear();
     scratch.rows2.clear();
@@ -225,7 +236,9 @@ fn track_lane(
     }
     if scratch.cols2.len() >= MIN_PIX_FIT / 2 && scratch.cols2.len() < cols.len() {
         let mut refit = [0.0f64; 3];
-        if polyfit_into(&scratch.rows2, &scratch.cols2, &mut refit, &mut scratch.polyfit).is_ok() {
+        if fit_quadratic_into(&scratch.rows2, &scratch.cols2, &mut refit, &mut scratch.polyfit)
+            .is_ok()
+        {
             coeffs = refit;
         }
     }

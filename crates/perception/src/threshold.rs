@@ -5,6 +5,12 @@
 //! single parameterization works from day to dark — but the *quality* of
 //! the statistics still depends on what the ISP delivered, which is where
 //! the situation-specific ISP knobs earn their keep.
+//!
+//! The mean comes from the score sum the rectifier accumulated while it
+//! wrote the grid ([`BevImage`]), so binarization folds the grid once,
+//! for the variance, and then compares. The two-fold formulation it
+//! replaced is kept in `lkas_bench::reference` and matches it bit for
+//! bit.
 
 use crate::bev::BevImage;
 use lkas_imaging::kernel::KernelBackend;
@@ -57,6 +63,16 @@ impl BinaryMask {
         self.data[row * self.width + col]
     }
 
+    /// The cells of one row, left to right.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of bounds.
+    #[inline]
+    pub(crate) fn row(&self, row: usize) -> &[bool] {
+        &self.data[row * self.width..(row + 1) * self.width]
+    }
+
     /// Number of set cells.
     pub fn count(&self) -> usize {
         self.data.iter().filter(|&&b| b).count()
@@ -104,14 +120,16 @@ pub fn binarize_into(bev: &BevImage, mask: &mut BinaryMask) {
 /// sequential folds*: the threshold is a global statistic, and a
 /// lane-reassociated reduction would move it by a few ULPs — enough to
 /// flip borderline mask bits, which is a discrete (untolerable) change.
-/// The lane restructure is therefore confined to the elementwise
+/// The mean's fold is the one the rectifier already ran while writing
+/// the grid (its sum, divided by the cell count here); the variance
+/// fold runs here. The lane restructure is confined to the elementwise
 /// compare, which becomes a flat store loop over a pre-sized buffer
 /// (compare + pack, no per-element push); output is bit-identical
 /// across backends.
 pub fn binarize_into_with(bev: &BevImage, mask: &mut BinaryMask, backend: KernelBackend) {
     let data = bev.as_slice();
     let n = data.len() as f32;
-    let mean = data.iter().sum::<f32>() / n;
+    let mean = bev.score_sum() / n;
     let var = data.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
     let threshold = (mean + K_SIGMA * var.sqrt()).max(MIN_THRESHOLD);
     mask.width = bev.width();

@@ -62,12 +62,15 @@ struct RunTrace {
     next_seq: u64,
 }
 
+/// One registered run: its id, its name and its trace buffer.
+type RunSlot = (u64, String, Arc<Mutex<RunTrace>>);
+
 /// Collects the per-run trace buffers of one sweep and renders them as
 /// a single Chrome trace-event JSON document.
 #[derive(Debug)]
 pub struct TraceRecorder {
     capacity: usize,
-    runs: Mutex<Vec<(u64, String, Arc<Mutex<RunTrace>>)>>,
+    runs: Mutex<Vec<RunSlot>>,
 }
 
 impl Default for TraceRecorder {

@@ -122,7 +122,7 @@ impl Camera {
         if self.width == 0 || self.height == 0 {
             return Err(RenderError::InvalidCamera("frame dimensions must be nonzero"));
         }
-        if self.width % 2 != 0 || self.height % 2 != 0 {
+        if !self.width.is_multiple_of(2) || !self.height.is_multiple_of(2) {
             return Err(RenderError::InvalidCamera("frame dimensions must be even (Bayer quads)"));
         }
         if !self.focal.is_finite() || self.focal <= 0.0 {

@@ -292,3 +292,79 @@ fn render_and_features_reproduce_the_per_pixel_golden() {
     assert_eq!(frames.finish(), "e346adbea83eac49", "render bits over {n} frames");
     assert_eq!(features.finish(), "b6f4546a099df948", "feature bits over {n} frames");
 }
+
+/// Bit-level golden of binarize and the sliding-window search. On the
+/// 256×128 camera, one pose in each Fig. 7 sector goes through the
+/// sensor, a Bayer fault (none, each kind, or an exposure crushed to
+/// black; by sector) and one ISP configuration (by sector); then, for
+/// every ROI, the mask bits, the
+/// threshold, both lane fits and the perception output fold into one
+/// fingerprint. The constant was recorded with the binarize that folded
+/// the grid twice and the search that read the mask one `get(col, row)`
+/// at a time, sorted the residuals for their median and fitted with the
+/// generic `polyfit_into`.
+#[test]
+fn binarize_and_search_reproduce_the_golden() {
+    use lkas_faults::{apply_bayer_fault, BayerFaultKind};
+    use lkas_perception::bev::BirdsEye;
+    use lkas_perception::sliding::sliding_window_search;
+    use lkas_perception::threshold::binarize;
+    use lkas_runtime::Fingerprint;
+
+    let cam = Camera::new(256, 128, 150.0, 1.3, 6.0_f64.to_radians());
+    let renderer = SceneRenderer::new(cam.clone());
+    let track = Track::fig7_track();
+    let faults = [
+        None,
+        Some(BayerFaultKind::HotPixels { density: 0.03 }),
+        Some(BayerFaultKind::RowBanding { period: 3, gain: 0.4 }),
+        Some(BayerFaultKind::ExposureGlitch { gain: 2.2 }),
+        Some(BayerFaultKind::ExposureGlitch { gain: 0.02 }),
+    ];
+    let mut fp = Fingerprint::new();
+    let (mut fits, mut misses) = (0, 0);
+    for (k, sector) in track.sectors().iter().enumerate() {
+        let s = track.sector_start(k) + 0.4 * sector.length;
+        let scene = renderer.render(&track, s, 0.1, 0.01);
+        let mut raw = Sensor::new(SensorConfig::default(), 300 + k as u64).capture(&scene, 1.0);
+        if let Some(kind) = faults[k % faults.len()] {
+            apply_bayer_fault(kind, &mut raw, 5, k as u64);
+        }
+        let rgb = IspPipeline::new(IspConfig::ALL[k % IspConfig::ALL.len()]).process(&raw);
+        for roi in Roi::ALL {
+            let bev = BirdsEye::new(cam.clone(), roi).unwrap().rectify(&rgb);
+            let mask = binarize(&bev);
+            fp = fp.push_u64(u64::from(mask.threshold().to_bits()));
+            for row in 0..mask.height() {
+                let bits: Vec<u8> =
+                    (0..mask.width()).map(|col| u8::from(mask.get(col, row))).collect();
+                fp = fp.push_bytes(&bits);
+            }
+            let search = sliding_window_search(&bev, &mask);
+            for fit in [&search.left, &search.right] {
+                fp = match fit {
+                    None => fp.push_u64(u64::MAX),
+                    Some(f) => {
+                        fits += 1;
+                        let fp = f.coeffs.iter().fold(fp, |fp, &c| fp.push_f64(c));
+                        fp.push_u64(f.n_pixels as u64)
+                            .push_u64(f.row_span as u64)
+                            .push_u64(f.base_col as u64)
+                    }
+                };
+            }
+            fp = match Perception::new(PerceptionConfig::new(roi), cam.clone()).process(&rgb) {
+                Ok(out) => fp
+                    .push_f64(out.y_l)
+                    .push_u64(out.lanes_used as u64)
+                    .push_u64(out.support as u64),
+                Err(_) => {
+                    misses += 1;
+                    fp.push_u64(u64::MAX)
+                }
+            };
+        }
+    }
+    assert!(fits > 20 && misses > 0, "{fits} lane fits, {misses} perception misses");
+    assert_eq!(fp.finish(), "25ef12b4dbcf5fa9", "binarize and search over {fits} fits");
+}

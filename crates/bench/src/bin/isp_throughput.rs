@@ -1,16 +1,16 @@
-//! Frame-path throughput: allocating vs pooled, scalar vs lane kernels.
+//! Frame-path throughput: allocating vs in-place, scalar vs lane kernels.
 //!
 //! Measures the steady-state cost of each ISP configuration (S0–S8)
 //! along two axes — the memory path (one-shot allocating `process`,
-//! pooled in-place `process_into`, row-tiled `process_into` on worker
-//! threads) and the kernel backend (`scalar` reference, bit-exact
-//! `lanes`) — plus the perception pipeline
-//! (rectify + binarize) per backend, and the renderer, the feature
-//! extractor and perception's binarize + sliding-window search against
-//! their references (`lkas_bench::reference`), interleaved round by
-//! round in this one process on the 256×128 camera. This is the harness
-//! behind the README "Steady-state frame path" table and DESIGN.md
-//! §10/§17.
+//! in-place `process_into` with a reused scratch, row-tiled
+//! `process_into` on worker threads) and the kernel backend (`scalar`
+//! reference, bit-exact `lanes`) — plus demosaic alone and the
+//! perception pipeline (rectify + binarize + search) per backend, and
+//! the renderer, the feature extractor and perception's binarize +
+//! sliding-window search against their references
+//! (`lkas_bench::reference`), interleaved round by round in this one
+//! process on the 256×128 camera. This is the harness behind the README
+//! "Steady-state frame path" table and DESIGN.md §10/§17.
 //!
 //! Flags: `--iters N` (timed iterations per cell, default 40),
 //! `--threads N` (tiled-path worker count, default 4).
@@ -28,7 +28,7 @@
 
 use lkas_bench::{fail, reference, render_table, write_result, Args};
 use lkas_imaging::image::{PixelWindow, RgbImage};
-use lkas_imaging::isp::{IspConfig, IspPipeline};
+use lkas_imaging::isp::{demosaic_into_with, IspConfig, IspPipeline};
 use lkas_imaging::sensor::{Sensor, SensorConfig};
 use lkas_imaging::{KernelBackend, Scratch};
 use lkas_nn::features::{extract_into, FeatureScratch};
@@ -87,7 +87,7 @@ struct Report {
 const MIN_SPEEDUP_KEPT: f64 = 0.75;
 
 /// Mean microseconds per call of `f` over `iters` timed iterations
-/// (after 3 warm-up calls that also size any pooled buffers).
+/// (after 3 warm-up calls that also size any reused buffers).
 fn time_us(iters: usize, mut f: impl FnMut()) -> f64 {
     for _ in 0..3 {
         f();
@@ -263,6 +263,15 @@ fn measure(iters: usize, tile_threads: usize) -> Report {
         rows.push(row);
     }
 
+    let demosaic_us = KernelBackend::ALL.map(|backend| {
+        let mut scratch = Scratch::new();
+        let mut out = RgbImage::new(2, 2);
+        time_us(iters, || {
+            demosaic_into_with(&raw, &mut scratch, &mut out, backend);
+            std::hint::black_box(&out);
+        })
+    });
+
     let rgb = IspPipeline::new(IspConfig::S0).process(&raw);
     let mut perception = Vec::new();
     for backend in KernelBackend::ALL {
@@ -279,6 +288,8 @@ fn measure(iters: usize, tile_threads: usize) -> Report {
         "{}",
         render_table(&["config", "alloc µs", "scalar µs", "lanes µs", "tiled µs", "lanes"], &table,)
     );
+    let [dm_scalar, dm_lanes] = demosaic_us;
+    println!("demosaic: scalar {dm_scalar:.0} µs, lanes {dm_lanes:.0} µs");
     for p in &perception {
         println!("perception[{}]: pooled {:.0} µs", p.backend, p.pooled_us);
     }

@@ -25,7 +25,8 @@
 //!    window set and for every classifier set the invocation schemes
 //!    issue, stacking the three classifiers into one grouped GEMM per
 //!    layer and writing the invoked groups yields the same estimate as
-//!    the invoked classifiers' independent forward passes.
+//!    the invoked classifiers' independent forward passes
+//!    (`lkas_bench::reference::update_from_frame`).
 //! 6. **Render and features ≡ their per-pixel references.** On both
 //!    cameras, `--frames` poses in each sector of the Fig. 7 track (plus
 //!    negative `s` and `s` past its end) and on each Table III
@@ -520,7 +521,7 @@ fn main() {
             let rgb = isp.process(&raw);
             for invoked in sets {
                 let mut seq = SituationEstimate::with_initial(start);
-                seq.update_from_frame(bundle, &rgb, &cam, invoked);
+                reference::update_from_frame(&mut seq, bundle, &rgb, &cam, invoked);
                 let mut batched = SituationEstimate::with_initial(start);
                 batched.update_from_frame_with(bundle, &mut batch, &rgb, &cam, invoked);
                 let (got, want) = (batched.current(), seq.current());

@@ -1,23 +1,28 @@
-//! Reference formulations of the renderer, the feature extractor and
-//! perception's binarize and sliding-window search.
+//! Reference formulations of the renderer, the feature extractor,
+//! perception's binarize and sliding-window search, and the sequential
+//! classifier update.
 //!
 //! `lkas_scene::render::SceneRenderer` and `lkas_nn::features` do each
 //! pose-independent computation once per camera, frame or sector;
 //! `lkas_perception` binarizes with the mean the rectifier accumulated
 //! and searches with row-slice mask walks, a median selection and the
-//! fused degree-2 QR. The functions here are the plain formulations
-//! they replaced, kept verbatim: every pixel back-projected with its own
-//! `sin_cos`, two sector searches per ground pixel, one `rem_euclid` per
-//! dotted line, three photometric passes over the frame, two folds over
-//! the bird's-eye grid, `get(col, row)` per mask cell, a full sort for
-//! the residual median and the generic `polyfit_into`. Where a library
-//! type keeps its fields private they work on plain values ([`Mask`],
-//! [`SearchScratch`]). They exist to be compared against —
-//! `kernel_equivalence` requires bit-identical frames, feature vectors,
-//! masks, fits and perception outputs, and `isp_throughput` times the
+//! fused degree-2 QR; `lkas::identify` runs the invoked classifiers as
+//! one batched, grouped GEMM. The functions here are the plain
+//! formulations they replaced, kept verbatim: every pixel back-projected
+//! with its own `sin_cos`, two sector searches per ground pixel, one
+//! `rem_euclid` per dotted line, three photometric passes over the
+//! frame, two folds over the bird's-eye grid, `get(col, row)` per mask
+//! cell, a full sort for the residual median, the generic
+//! `polyfit_into`, and one forward pass per invoked classifier. Where a
+//! library type keeps its fields private they work on plain values
+//! ([`Mask`], [`SearchScratch`]) or through its public accessors. They
+//! exist to be compared against — `kernel_equivalence` requires
+//! bit-identical frames, feature vectors, masks, fits, perception
+//! outputs and situation estimates, and `isp_throughput` times the
 //! library against them in one process — and nothing in the program
 //! calls them.
 
+use lkas::identify::{ClassifierBundle, SituationEstimate};
 use lkas_imaging::image::{PixelWindow, RgbImage};
 use lkas_linalg::polyfit::{polyfit, polyfit_into, polyval, PolyfitScratch};
 use lkas_perception::bev::BevImage;
@@ -26,6 +31,7 @@ use lkas_perception::sliding::{
     LaneFit, SlidingWindowResult, MARGIN_M, MIN_PIX_FIT, MIN_PIX_RECENTER, MIN_ROW_SPAN, N_WINDOWS,
 };
 use lkas_perception::threshold::{K_SIGMA, MIN_THRESHOLD};
+use lkas_platform::schedule::ClassifierSet;
 use lkas_scene::camera::Camera;
 use lkas_scene::render::{albedo, HEADLIGHT_FALLOFF, SHOULDER};
 use lkas_scene::situation::{LaneColor, LaneForm, SceneKind};
@@ -792,6 +798,37 @@ pub fn lateral_deviation(
     Ok(PerceptionOutput { y_l: -center_lateral, lanes_used, support })
 }
 
+/// Updates the feature groups of `estimate` covered by the invoked
+/// classifiers, sharing one feature extraction across the classifiers
+/// that ran, each classifying on its own: the sequential formulation of
+/// `SituationEstimate::update_from_frame_with`, written through the
+/// estimate's `current` and `force`.
+pub fn update_from_frame(
+    estimate: &mut SituationEstimate,
+    bundle: &ClassifierBundle,
+    frame: &RgbImage,
+    camera: &Camera,
+    invoked: ClassifierSet,
+) {
+    if invoked.count() == 0 {
+        return;
+    }
+    let features = lkas_nn::features::extract(frame, camera);
+    let mut current = estimate.current();
+    if invoked.road {
+        current.layout = bundle.road.classify_features(&features);
+    }
+    if invoked.lane {
+        let (color, form) = bundle.lane.classify_features(&features);
+        current.lane_color = color;
+        current.lane_form = form;
+    }
+    if invoked.scene {
+        current.scene = bundle.scene.classify_features(&features);
+    }
+    estimate.force(current);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -877,6 +914,62 @@ mod tests {
                         assert_eq!(fast, slow, "pixel ({x}, {y})");
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_update_matches_sequential() {
+        use lkas::identify::BundleBatch;
+        use lkas_nn::classifiers::{
+            ClassifierSpec, LaneClassifier, RoadClassifier, SceneClassifier,
+        };
+        use lkas_platform::profiles::ClassifierKind;
+        use lkas_scene::situation::{LaneColor, RoadLayout, SituationFeatures};
+
+        // A deliberately tiny bundle: agreement between the batched and
+        // sequential paths is what's under test, not accuracy.
+        let spec = ClassifierSpec {
+            train_per_class: 12,
+            val_per_class: 0,
+            epochs: 6,
+            hidden: 12,
+            camera: Camera::new(256, 128, 150.0, 1.3, 6.0_f64.to_radians()),
+        };
+        let (road, _) = RoadClassifier::train(&spec, 41);
+        let (lane, _) = LaneClassifier::train(&spec, 42);
+        let (scene, _) = SceneClassifier::train(&spec, 43);
+        let bundle = ClassifierBundle { road, lane, scene };
+        let mut batch = BundleBatch::new(&bundle);
+
+        // Every set the invocation schemes issue, applied to an estimate
+        // that starts away from the benign default, so a group the
+        // batched path wrongly touched (or left alone) shows.
+        let start = SituationFeatures::new(
+            LaneColor::Yellow,
+            LaneForm::Dotted,
+            RoadLayout::LeftTurn,
+            SceneKind::Night,
+        );
+        let sets = [
+            ClassifierSet::road_only(),
+            ClassifierSet::road_lane(),
+            ClassifierSet::single(ClassifierKind::Lane),
+            ClassifierSet::single(ClassifierKind::Scene),
+            ClassifierSet::all(),
+        ];
+        let isp = IspPipeline::new(IspConfig::S0);
+        for (i, sit) in TABLE3_SITUATIONS.iter().enumerate() {
+            let track = Track::for_situation(sit, 500.0);
+            let frame = SceneRenderer::new(spec.camera.clone()).render(&track, 20.0, 0.05, 0.0);
+            let raw = Sensor::new(SensorConfig::default(), i as u64).capture(&frame, 1.0);
+            let rgb = isp.process(&raw);
+            for invoked in sets {
+                let mut seq = SituationEstimate::with_initial(start);
+                update_from_frame(&mut seq, &bundle, &rgb, &spec.camera, invoked);
+                let mut batched = SituationEstimate::with_initial(start);
+                batched.update_from_frame_with(&bundle, &mut batch, &rgb, &spec.camera, invoked);
+                assert_eq!(seq.current(), batched.current(), "situation {i}, {invoked:?}");
             }
         }
     }

@@ -452,19 +452,15 @@ pub fn blind_burst_plan(seed: u64) -> FaultPlan {
 /// most aggressive ISP approximation and therefore the entry most
 /// exposed to a drifted sensor), plus the nominal daylight straight
 /// (index 0) and its dashed-marking variant (index 1), which bound how
-/// the tuner behaves where the frozen table is *less* fragile.
+/// the tuner behaves where the frozen table is *less* fragile. The
+/// headline `drift_mae_static/tuned` summary fields and the standalone
+/// `drift` subcommand default to the primary.
 pub const DRIFT_SITUATIONS: [usize; 3] = [6, 0, 1];
 
-/// The primary drift situation ([`DRIFT_SITUATIONS`]`[0]`) — the one
-/// the headline `drift_mae_static/tuned` summary fields and the
-/// standalone `drift` subcommand default to.
-pub fn drift_situation() -> SituationFeatures {
-    TABLE3_SITUATIONS[DRIFT_SITUATIONS[0]]
-}
-
 /// The drifted sensor model: noise well above the nominal
-/// characterization conditions, so the frozen table's choice for
-/// [`drift_situation`] is no longer the best arm.
+/// characterization conditions, so the frozen table's choice for the
+/// primary drift situation ([`DRIFT_SITUATIONS`]`[0]`) is no longer the
+/// best arm.
 pub fn drift_sensor() -> SensorConfig {
     SensorConfig { read_noise: 0.06, shot_noise: 0.08, gain: 1.0 }
 }

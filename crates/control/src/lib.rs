@@ -36,7 +36,8 @@
 //! // Case 1 of Table V: 50 km/h, h = 25 ms, τ = 24.6 ms.
 //! let config = ControllerConfig { speed_kmph: 50.0, h_ms: 25.0, tau_ms: 24.6 };
 //! let controller = design_controller(&config).unwrap();
-//! assert!(controller.is_stable());
+//! let rho = lkas_linalg::eig::spectral_radius(&controller.closed_loop_matrix()).unwrap();
+//! assert!(rho < 1.0);
 //! ```
 
 pub mod certify;

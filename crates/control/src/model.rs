@@ -69,18 +69,6 @@ impl VehicleParams {
         Mat::col_vec(&[self.cf / self.mass, self.cf * self.lf / self.inertia_z, 0.0, 0.0])
     }
 
-    /// Continuous-time disturbance matrix `E` (road curvature `κ`):
-    /// `Δψ̇` contains `−vx·κ`.
-    pub fn e_matrix(&self, vx: f64) -> Mat {
-        Mat::col_vec(&[0.0, 0.0, -vx, 0.0])
-    }
-
-    /// Output row mapping the state to the look-ahead deviation
-    /// `y_L = y + L_L·Δψ`.
-    pub fn c_look_ahead() -> Mat {
-        Mat::from_rows(&[&[0.0, 0.0, LOOK_AHEAD_M, 1.0]])
-    }
-
     /// Measurement matrix for the runtime observer: vision `y_L` plus
     /// the gyro yaw rate `r`.
     pub fn c_measurements() -> Mat {
@@ -153,8 +141,6 @@ mod tests {
         let p = VehicleParams::bmw_x5();
         assert_eq!(p.a_matrix(13.9).shape(), (4, 4));
         assert_eq!(p.b_matrix().shape(), (4, 1));
-        assert_eq!(p.e_matrix(13.9).shape(), (4, 1));
-        assert_eq!(VehicleParams::c_look_ahead().shape(), (1, 4));
         assert_eq!(VehicleParams::c_measurements().shape(), (2, 4));
     }
 
@@ -165,7 +151,8 @@ mod tests {
         let p = VehicleParams::bmw_x5();
         for v in [8.33, 13.89, 25.0] {
             let a = p.a_matrix(v).block(0, 0, 2, 2);
-            assert!(eig::is_hurwitz_stable(&a).unwrap(), "unstable at {v} m/s");
+            let hurwitz = eig::eigenvalues(&a).unwrap().iter().all(|l| l.re < 0.0);
+            assert!(hurwitz, "unstable at {v} m/s");
         }
     }
 

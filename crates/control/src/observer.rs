@@ -125,16 +125,6 @@ impl LaneObserver {
         (self.speed_kmph, self.h_ms)
     }
 
-    /// The steady-state full-measurement Kalman gain (4×2).
-    pub fn gain(&self) -> &Mat {
-        &self.l_full
-    }
-
-    /// The gyro-only coasting gain (4×1).
-    pub fn gyro_gain(&self) -> &Mat {
-        &self.l_gyro
-    }
-
     /// The current look-ahead estimate `ŷ_L = ŷ + L_L·Δψ̂` (m).
     pub fn y_l_estimate(&self) -> f64 {
         self.x_hat[(3, 0)] + LOOK_AHEAD_M * self.x_hat[(2, 0)]
@@ -175,11 +165,6 @@ impl LaneObserver {
     pub fn rebase(&mut self, y_l: f64, yaw_rate: f64) {
         self.x_hat[(3, 0)] = y_l - LOOK_AHEAD_M * self.x_hat[(2, 0)];
         self.x_hat[(1, 0)] = yaw_rate;
-    }
-
-    /// Resets the estimate to the origin (lane center, straight).
-    pub fn reset(&mut self) {
-        self.x_hat = Mat::zeros(4, 1);
     }
 }
 
@@ -252,7 +237,7 @@ mod tests {
             p = apa.sub_mat(&lcpa).unwrap().add_mat(&w).unwrap();
             p.symmetrize();
         }
-        let diff = l_k.sub_mat(obs.gain()).unwrap().max_abs();
+        let diff = l_k.sub_mat(&obs.l_full).unwrap().max_abs();
         assert!(diff < 1e-6, "recursive gain must converge to the design gain (diff {diff})");
     }
 
@@ -320,8 +305,6 @@ mod tests {
         obs.rebase(0.3, 0.01);
         assert!((obs.y_l_estimate() - 0.3).abs() < 1e-12);
         assert!((obs.x_hat[(1, 0)] - 0.01).abs() < 1e-12);
-        obs.reset();
-        assert_eq!(obs.y_l_estimate(), 0.0);
     }
 
     #[test]
@@ -336,6 +319,6 @@ mod tests {
         let noisy =
             LaneObserver::design(50.0, 25.0, &PerceptionErrorProfile::noisy_vision()).unwrap();
         // The vision column of the gain shrinks on the lane-offset row.
-        assert!(noisy.gain()[(3, 0)].abs() < clean.gain()[(3, 0)].abs());
+        assert!(noisy.l_full[(3, 0)].abs() < clean.l_full[(3, 0)].abs());
     }
 }

@@ -69,16 +69,6 @@ impl Case {
     pub fn adapts_isp(self) -> bool {
         matches!(self, Case::Case4 | Case::VariableInvocation)
     }
-
-    /// `true` if this case adapts the ROI / speed knobs.
-    pub fn adapts_roi(self) -> bool {
-        !matches!(self, Case::Case1)
-    }
-
-    /// `true` if this case distinguishes lane forms (road+lane).
-    pub fn knows_lane_form(self) -> bool {
-        matches!(self, Case::Case3 | Case::Case4 | Case::VariableInvocation)
-    }
 }
 
 impl std::fmt::Display for Case {
@@ -116,10 +106,6 @@ mod tests {
 
     #[test]
     fn knob_adaptation_rules() {
-        assert!(!Case::Case1.adapts_roi());
-        assert!(Case::Case2.adapts_roi());
-        assert!(!Case::Case2.knows_lane_form());
-        assert!(Case::Case3.knows_lane_form());
         assert!(!Case::Case3.adapts_isp());
         assert!(Case::Case4.adapts_isp());
         assert!(Case::VariableInvocation.adapts_isp());

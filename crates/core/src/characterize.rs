@@ -229,17 +229,6 @@ impl KnobStore {
         self.version
     }
 
-    /// Fingerprint of the configuration the prior was characterized
-    /// under (empty for a bare-table store).
-    pub fn config_hash(&self) -> &str {
-        &self.config_hash
-    }
-
-    /// The characterized prior table.
-    pub fn table(&self) -> &KnobTable {
-        &self.table
-    }
-
     /// The characterized prior tuning for a situation, with the
     /// table's graceful nearest-situation fallback.
     pub fn prior(&self, situation: &SituationFeatures) -> KnobTuning {
@@ -522,12 +511,6 @@ impl Characterizer {
         let run = run_campaign(&sweep, &CampaignSpec::default(), None);
         sweep.assemble(run.entries.into_iter().map(|(_, outcome)| outcome).collect())
     }
-
-    /// Characterizes and packages the result as a versioned
-    /// [`KnobStore`] stamped with this configuration's fingerprint.
-    pub fn characterize_store(&self, situations: &[SituationFeatures]) -> KnobStore {
-        self.characterize(situations).into_store(&self.fingerprint())
-    }
 }
 
 /// The characterization sweep of `situations` as a [`Campaign`]: the
@@ -650,16 +633,37 @@ mod tests {
     fn sweep_fits_per_cell_error_profiles() {
         let c = tiny();
         let out = c.characterize(&TABLE3_SITUATIONS[0..1]);
-        let store = out.error_profiles(&c.fingerprint());
-        assert_eq!(store.cells().count(), 9, "one profile cell per candidate");
-        for (key, moments) in store.cells() {
-            assert!(moments.cycles() > 0, "cell {key} saw no cycles");
+        // Read the cells back from the artifact the store writes, as a
+        // reader of `error_profiles.json` would.
+        #[derive(Deserialize)]
+        struct Written {
+            cells: Vec<(String, Value)>,
+        }
+        #[derive(Deserialize)]
+        struct CycleCount {
+            cycles: u64,
+        }
+        let json = out.error_profiles(&c.fingerprint()).to_json();
+        let written: Written = serde_json::from_str(&json).expect("store JSON parses");
+        let outcomes = &out.sweeps[0].1;
+        assert_eq!(written.cells.len(), 9, "one profile cell per candidate");
+        assert_eq!(outcomes.len(), written.cells.len());
+        for ((key, cell), outcome) in written.cells.iter().zip(outcomes) {
+            let expected =
+                Characterization::profile_cell_key(&TABLE3_SITUATIONS[0], &outcome.tuning);
+            assert_eq!(*key, expected, "cells follow the sweep order");
+            let moments: ProfileFitter = serde_json::from_value(cell).expect("cell moments");
+            assert_eq!(moments, outcome.moments, "cell {key} holds its candidate's moments");
+            let count: CycleCount = serde_json::from_value(cell).expect("cell cycle count");
+            assert!(count.cycles > 0, "cell {key} saw no cycles");
         }
         // The winning cell's profile is sane: noisy but roughly
         // unbiased, with few misses on the benign straight.
         let best = out.table.get(&TABLE3_SITUATIONS[0]).unwrap();
         let key = Characterization::profile_cell_key(&TABLE3_SITUATIONS[0], &best);
-        let profile = store.profile(&key).expect("winner has a fitted cell");
+        let (_, cell) = written.cells.iter().find(|(k, _)| *k == key).expect("winner has a cell");
+        let moments: ProfileFitter = serde_json::from_value(cell).expect("winner moments");
+        let profile = moments.fit();
         assert!(profile.noise_std > 0.0 && profile.noise_std < 0.5, "σ = {}", profile.noise_std);
         assert!(profile.miss_rate < 0.5, "miss rate = {}", profile.miss_rate);
     }
@@ -739,10 +743,10 @@ mod tests {
     fn knob_store_round_trips_and_versions() {
         let situations = &TABLE3_SITUATIONS[0..1];
         let characterizer = tiny();
-        let store = characterizer.characterize_store(situations);
+        let store = characterizer.characterize(situations).into_store(&characterizer.fingerprint());
         assert_eq!(store.version(), 1);
-        assert_eq!(store.config_hash(), characterizer.fingerprint());
-        assert_eq!(store.table().len(), 1);
+        assert_eq!(store.config_hash, characterizer.fingerprint());
+        assert_eq!(store.table.len(), 1);
         // The prior and its sweep MAE are queryable.
         let prior = store.prior(&situations[0]);
         let prior_mae = store.prior_mae(&situations[0], &prior).expect("winner has a MAE");
@@ -770,6 +774,6 @@ mod tests {
         let prior = store.prior(&TABLE3_SITUATIONS[0]);
         assert_eq!(prior, KnobTable::paper_table3().lookup(&TABLE3_SITUATIONS[0]));
         assert_eq!(store.prior_mae(&TABLE3_SITUATIONS[0], &prior), None);
-        assert_eq!(store.config_hash(), "");
+        assert_eq!(store.config_hash, "");
     }
 }

@@ -187,9 +187,8 @@ pub struct CoastInput {
 }
 
 /// The per-run degradation state machine. Feed it every perception
-/// outcome via [`DegradationPolicy::observe`] (legacy hold arm) or
-/// [`DegradationPolicy::observe_with`] (required for the observer
-/// coast); read the mode and the substituted measurement back.
+/// outcome via [`DegradationPolicy::observe_with`]; read the mode and
+/// the substituted measurement back.
 #[derive(Debug, Clone)]
 pub struct DegradationPolicy {
     config: DegradationConfig,
@@ -222,19 +221,9 @@ impl DegradationPolicy {
         }
     }
 
-    /// Current mode.
-    pub fn mode(&self) -> DegradationMode {
-        self.mode
-    }
-
     /// `true` while safe mode is engaged.
     pub fn is_degraded(&self) -> bool {
         self.mode == DegradationMode::Degraded
-    }
-
-    /// Consecutive perception misses observed so far.
-    pub fn consecutive_misses(&self) -> u32 {
-        self.consecutive_misses
     }
 
     /// The safe fallback tuning for the current layout estimate: exact
@@ -245,18 +234,9 @@ impl DegradationPolicy {
 
     /// Feeds one perception outcome through the state machine and
     /// returns the measurement the controller should see plus any mode
-    /// transition that fired. This is the legacy entry point: without
-    /// plant context the observer coast cannot run, so the behavior is
-    /// the hold-and-extrapolate state machine regardless of
-    /// [`DegradationConfig::coast`].
-    pub fn observe(&mut self, measured: Option<f64>) -> Observation {
-        self.observe_hold(measured)
-    }
-
-    /// Like [`DegradationPolicy::observe`], but with the plant-side
-    /// context that lets [`CoastPolicy::ObserverCoast`] run its Kalman
-    /// coast. Under the legacy policy the input is ignored and the
-    /// behavior is bit-identical to [`DegradationPolicy::observe`].
+    /// transition that fired. The plant-side context lets
+    /// [`CoastPolicy::ObserverCoast`] run its Kalman coast; under the
+    /// legacy [`CoastPolicy::HoldAndExtrapolate`] the input is ignored.
     pub fn observe_with(&mut self, measured: Option<f64>, input: &CoastInput) -> Observation {
         match self.config.coast {
             CoastPolicy::HoldAndExtrapolate => self.observe_hold(measured),
@@ -456,29 +436,29 @@ mod tests {
     fn healthy_measurements_pass_through() {
         let mut p = policy();
         for i in 0..20 {
-            let obs = p.observe(Some(0.01 * f64::from(i)));
+            let obs = p.observe_hold(Some(0.01 * f64::from(i)));
             assert!(!obs.held && !obs.entered && !obs.exited);
             assert_eq!(obs.y_l, Some(0.01 * f64::from(i)));
         }
-        assert_eq!(p.mode(), DegradationMode::Nominal);
+        assert_eq!(p.mode, DegradationMode::Nominal);
     }
 
     #[test]
     fn holds_extrapolate_within_budget_then_release() {
         let mut p = policy();
-        p.observe(Some(0.10));
-        p.observe(Some(0.12)); // delta = +0.02, trend = alpha * 0.02
+        p.observe_hold(Some(0.10));
+        p.observe_hold(Some(0.12)); // delta = +0.02, trend = alpha * 0.02
         let mut trend = TREND_ALPHA * 0.02;
         let mut expected = 0.12;
         for k in 0..MISS_BUDGET {
-            let obs = p.observe(None);
+            let obs = p.observe_hold(None);
             expected += trend;
             trend *= TREND_DECAY;
             assert!(obs.held, "miss {k} within budget is held");
             assert!((obs.y_l.unwrap() - expected).abs() < 1e-12);
         }
         // Budget exhausted: the hold releases and the cycle goes blind.
-        let obs = p.observe(None);
+        let obs = p.observe_hold(None);
         assert!(!obs.held);
         assert!(obs.blind);
         assert_eq!(obs.y_l, None);
@@ -487,9 +467,9 @@ mod tests {
     #[test]
     fn hold_trend_is_slew_clamped_and_smoothed() {
         let mut p = policy();
-        p.observe(Some(0.0));
-        p.observe(Some(1.0)); // raw jump 1.0 m ≫ slew bound
-        let obs = p.observe(None);
+        p.observe_hold(Some(0.0));
+        p.observe_hold(Some(1.0)); // raw jump 1.0 m ≫ slew bound
+        let obs = p.observe_hold(None);
         // The per-cycle delta clamps to the slew bound, and the trend
         // only absorbs the smoothing fraction of it — a single noisy
         // jump cannot steer the hold by the full bound.
@@ -500,39 +480,39 @@ mod tests {
     #[test]
     fn safe_mode_entry_after_k_misses() {
         let mut p = policy();
-        p.observe(Some(0.0));
+        p.observe_hold(Some(0.0));
         for k in 1..SAFE_MODE_AFTER {
-            let obs = p.observe(None);
+            let obs = p.observe_hold(None);
             assert!(!obs.entered, "miss {k} must not yet trip safe mode");
-            assert_eq!(p.mode(), DegradationMode::Nominal);
+            assert_eq!(p.mode, DegradationMode::Nominal);
         }
-        let obs = p.observe(None);
+        let obs = p.observe_hold(None);
         assert!(obs.entered, "miss {} trips safe mode", SAFE_MODE_AFTER);
         assert!(p.is_degraded());
         // Entry fires once, not every subsequent miss.
-        assert!(!p.observe(None).entered);
+        assert!(!p.observe_hold(None).entered);
     }
 
     #[test]
     fn recovery_requires_hysteresis() {
         let mut p = policy();
         for _ in 0..SAFE_MODE_AFTER {
-            p.observe(None);
+            p.observe_hold(None);
         }
         assert!(p.is_degraded());
         // A lone good frame (then another miss) must not exit.
-        p.observe(Some(0.0));
-        p.observe(None);
+        p.observe_hold(Some(0.0));
+        p.observe_hold(None);
         assert!(p.is_degraded(), "one hit is not recovery");
         // A full run of RECOVERY_HITS consecutive hits exits exactly once.
         let mut exits = 0;
         for _ in 0..RECOVERY_HITS {
-            if p.observe(Some(0.0)).exited {
+            if p.observe_hold(Some(0.0)).exited {
                 exits += 1;
             }
         }
         assert_eq!(exits, 1);
-        assert_eq!(p.mode(), DegradationMode::Nominal);
+        assert_eq!(p.mode, DegradationMode::Nominal);
     }
 
     #[test]
@@ -548,7 +528,7 @@ mod tests {
     #[test]
     fn no_history_means_no_hold() {
         let mut p = policy();
-        let obs = p.observe(None);
+        let obs = p.observe_hold(None);
         assert_eq!(obs.y_l, None);
         assert!(!obs.held);
         assert!(obs.blind);
@@ -557,14 +537,14 @@ mod tests {
     #[test]
     fn long_outages_go_blind_even_in_safe_mode() {
         let mut p = policy();
-        p.observe(Some(0.10));
-        p.observe(Some(0.12));
+        p.observe_hold(Some(0.10));
+        p.observe_hold(Some(0.12));
         // Misses past the budget go blind, before and after safe-mode
         // entry: a fabricated constant `y_L` fed alongside the real
         // gyro destabilizes the observer, so the policy never pins one.
         let mut entered_at = None;
         for k in 1..=SAFE_MODE_AFTER {
-            let obs = p.observe(None);
+            let obs = p.observe_hold(None);
             if obs.entered {
                 entered_at = Some(k);
             }
@@ -574,7 +554,7 @@ mod tests {
         }
         assert_eq!(entered_at, Some(SAFE_MODE_AFTER));
         for k in 0..100 {
-            let obs = p.observe(None);
+            let obs = p.observe_hold(None);
             assert!(obs.blind && !obs.held, "safe-mode miss {k} stays blind");
         }
         assert!(p.is_degraded());
@@ -583,21 +563,21 @@ mod tests {
     #[test]
     fn held_cycles_are_not_blind() {
         let mut p = policy();
-        p.observe(Some(0.1));
-        let obs = p.observe(None);
+        p.observe_hold(Some(0.1));
+        let obs = p.observe_hold(None);
         assert!(obs.held && !obs.blind);
-        assert!(!p.observe(Some(0.1)).blind);
+        assert!(!p.observe_hold(Some(0.1)).blind);
     }
 
     #[test]
-    fn observe_with_is_identical_to_observe_under_the_legacy_arm() {
+    fn observe_with_is_the_hold_machine_under_the_legacy_arm() {
         // The baseline keeps the legacy arm.
         assert_eq!(DegradationConfig::new().coast, CoastPolicy::HoldAndExtrapolate);
         let mut legacy = policy();
         let mut with_input = policy();
         let stream = [Some(0.1), Some(0.12), None, None, None, None, None, Some(0.2), None];
         for measured in stream {
-            assert_eq!(legacy.observe(measured), with_input.observe_with(measured, &input()));
+            assert_eq!(legacy.observe_hold(measured), with_input.observe_with(measured, &input()));
         }
     }
 

@@ -3,20 +3,16 @@
 //! The control crate defines *what* a
 //! [`PerceptionErrorProfile`] is (bias, noise std, miss rate of the
 //! measured `y_L` against ground truth); this module owns *where it
-//! comes from* and *where it lives*:
+//! comes from* and *where it is written*:
 //!
 //! * [`ProfileFitter`] — a streaming moment accumulator the HIL loop
 //!   feeds one `(measured, truth)` pair per control cycle. It keeps raw
-//!   sums (not running means), so fitters from disjoint shards merge
-//!   exactly and the fitted profile is a pure function of the recorded
-//!   set.
+//!   sums (not running means), so the fitted profile is a pure function
+//!   of the recorded set.
 //! * [`ErrorProfileStore`] — the versioned `lkas-errprofile-v1`
-//!   artifact persisted alongside the knob store: one fitted cell per
-//!   `(situation, knob-config)` key, with the same schema-tagged
-//!   JSON round-trip and version-monotonic merge discipline as
-//!   [`crate::characterize::KnobStore`]. The campaign bins serialize
-//!   it; the robustness certificates and the LQG noise model consume
-//!   it.
+//!   artifact the characterization writes alongside the knob store: one
+//!   cell of raw moments per `(situation, knob-config)` key, serialized
+//!   as schema-tagged JSON. Nothing in the workspace reads it back.
 
 use lkas_control::errprofile::PerceptionErrorProfile;
 use serde::{Deserialize, Serialize};
@@ -28,10 +24,7 @@ pub const ERROR_PROFILE_SCHEMA: &str = "lkas-errprofile-v1";
 ///
 /// Records one outcome per control cycle: a hit contributes the signed
 /// error `measured − truth` to the first two moments, a miss only to
-/// the miss count. Sums are raw (not incrementally averaged), so
-/// [`ProfileFitter::absorb`] merges two fitters exactly and shard
-/// merges reproduce the single-pass result bit-for-bit when cells are
-/// disjoint.
+/// the miss count. Sums are raw (not incrementally averaged).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct ProfileFitter {
     cycles: u64,
@@ -60,23 +53,9 @@ impl ProfileFitter {
         }
     }
 
-    /// Total cycles recorded (hits + misses).
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
     /// Cycles on which perception produced a measurement.
     pub fn hits(&self) -> u64 {
         self.cycles - self.misses
-    }
-
-    /// Folds another fitter's raw moments into this one (exact —
-    /// addition of the underlying sums).
-    pub fn absorb(&mut self, other: &ProfileFitter) {
-        self.cycles += other.cycles;
-        self.misses += other.misses;
-        self.sum_err += other.sum_err;
-        self.sum_sq_err += other.sum_sq_err;
     }
 
     /// Distills the accumulated moments into a
@@ -101,13 +80,13 @@ impl ProfileFitter {
 }
 
 /// The versioned, serializable error-profile artifact
-/// (`lkas-errprofile-v1`), persisted alongside the knob store.
+/// (`lkas-errprofile-v1`), written alongside the knob store.
 ///
 /// Cells are keyed by the caller's `(situation, knob-config)` key
 /// string (the campaign uses its canonical grid keys) and hold the raw
-/// [`ProfileFitter`] moments, so merged stores re-derive fitted
-/// profiles from exact sums instead of averaging averages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// [`ProfileFitter`] moments, so a reader re-derives fitted profiles
+/// from exact sums instead of averaging averages.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ErrorProfileStore {
     schema: String,
     version: u64,
@@ -127,26 +106,6 @@ impl ErrorProfileStore {
         }
     }
 
-    /// The monotonic store version; bumps on every recorded cell.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Fingerprint of the configuration the profiles were fitted under.
-    pub fn config_hash(&self) -> &str {
-        &self.config_hash
-    }
-
-    /// Number of fitted cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// `true` when no cell has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
     /// Records (or replaces) the fitted moments of one cell and bumps
     /// the store version.
     pub fn record(&mut self, key: &str, fitter: ProfileFitter) {
@@ -157,47 +116,6 @@ impl ErrorProfileStore {
         self.version += 1;
     }
 
-    /// The raw moments of one cell.
-    pub fn moments(&self, key: &str) -> Option<&ProfileFitter> {
-        self.cells.iter().find(|(k, _)| k == key).map(|(_, f)| f)
-    }
-
-    /// The fitted profile of one cell.
-    pub fn profile(&self, key: &str) -> Option<PerceptionErrorProfile> {
-        self.moments(key).map(ProfileFitter::fit)
-    }
-
-    /// Iterates the cells in recorded order.
-    pub fn cells(&self) -> impl Iterator<Item = (&str, &ProfileFitter)> {
-        self.cells.iter().map(|(k, f)| (k.as_str(), f))
-    }
-
-    /// Folds another store's cells into this one, version-monotonically
-    /// (the [`crate::characterize::KnobStore::merge_from`] discipline):
-    /// when `other` carries the higher version its cells override this
-    /// store's on key conflict, otherwise this store's entries win and
-    /// `other` only fills gaps. The merged version is the maximum of
-    /// the two. Campaign shards fit disjoint cells, so their merges are
-    /// pure unions and the assembled store is independent of merge
-    /// order.
-    pub fn merge_from(&mut self, other: &ErrorProfileStore) {
-        let theirs_newer = other.version > self.version;
-        for (key, fitter) in &other.cells {
-            match self.cells.iter_mut().find(|(k, _)| k == key) {
-                Some(slot) => {
-                    if theirs_newer {
-                        slot.1 = *fitter;
-                    }
-                }
-                None => self.cells.push((key.clone(), *fitter)),
-            }
-        }
-        if self.config_hash.is_empty() {
-            self.config_hash = other.config_hash.clone();
-        }
-        self.version = self.version.max(other.version);
-    }
-
     /// Serializes the store as pretty JSON.
     ///
     /// # Panics
@@ -205,25 +123,6 @@ impl ErrorProfileStore {
     /// Panics on an internal serde error (cannot happen for this type).
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("serialize error-profile store")
-    }
-
-    /// Deserializes a store, rejecting unknown schema tags.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the document does not parse or carries a
-    /// schema this build cannot interpret.
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        let store: ErrorProfileStore = serde_json::from_str(json)
-            .map_err(|e| format!("error-profile store does not parse: {e:?}"))?;
-        if store.schema != ERROR_PROFILE_SCHEMA {
-            return Err(format!(
-                "error-profile store schema `{}` is not supported (expected \
-                 `{ERROR_PROFILE_SCHEMA}`)",
-                store.schema
-            ));
-        }
-        Ok(store)
     }
 }
 
@@ -245,7 +144,7 @@ mod tests {
         assert!(p.bias.abs() < 1e-12, "symmetric errors have zero bias, got {}", p.bias);
         assert!((p.noise_std - 0.1).abs() < 1e-12, "std 0.1, got {}", p.noise_std);
         assert!((p.miss_rate - 0.2).abs() < 1e-12, "2/10 misses, got {}", p.miss_rate);
-        assert_eq!(f.cycles(), 10);
+        assert_eq!(f.cycles, 10);
         assert_eq!(f.hits(), 8);
     }
 
@@ -262,93 +161,43 @@ mod tests {
     }
 
     #[test]
-    fn absorb_is_exact_against_single_pass() {
-        let samples = [Some(0.12), None, Some(-0.05), Some(0.31), None, Some(0.07)];
-        let mut single = ProfileFitter::new();
-        let mut left = ProfileFitter::new();
-        let mut right = ProfileFitter::new();
-        for (i, s) in samples.iter().enumerate() {
-            single.record(*s, 0.02);
-            if i < 3 {
-                left.record(*s, 0.02);
-            } else {
-                right.record(*s, 0.02);
-            }
-        }
-        left.absorb(&right);
-        assert_eq!(left, single, "raw-moment merge is exact");
-        assert_eq!(left.fit().bias.to_bits(), single.fit().bias.to_bits());
-    }
-
-    #[test]
-    fn store_round_trips_and_rejects_alien_schemas() {
+    fn store_serializes_to_the_pinned_artifact_bytes() {
         let mut store = ErrorProfileStore::new("cfg-abc");
-        let mut f = ProfileFitter::new();
-        f.record(Some(0.55), 0.5);
-        store.record("s00|straight|isp=S0|roi=Roi1|v=50", f);
-        assert_eq!(store.version(), 2);
-        assert_eq!(store.len(), 1);
-        let back = ErrorProfileStore::from_json(&store.to_json()).unwrap();
-        assert_eq!(back, store);
-        assert!(back.profile("s00|straight|isp=S0|roi=Roi1|v=50").is_some());
-        assert!(back.profile("missing").is_none());
-
-        let alien = store.to_json().replace(ERROR_PROFILE_SCHEMA, "lkas-errprofile-v999");
-        assert!(ErrorProfileStore::from_json(&alien).is_err());
-    }
-
-    #[test]
-    fn merge_is_version_monotonic() {
-        let mut f_old = ProfileFitter::new();
-        f_old.record(Some(0.6), 0.5);
-        let mut f_new = ProfileFitter::new();
-        f_new.record(Some(0.9), 0.5);
-
-        let mut mine = ErrorProfileStore::new("cfg");
-        mine.record("shared", f_old);
-        let mut theirs = ErrorProfileStore::new("cfg");
-        theirs.record("shared", f_new);
-        theirs.record("theirs-only", f_new);
-        theirs.record("theirs-only-2", f_new); // version 4 > mine's 2
-
-        mine.merge_from(&theirs);
-        assert_eq!(mine.version(), 4);
-        // Theirs is newer: the shared cell takes their moments.
-        assert_eq!(mine.moments("shared"), Some(&f_new));
-        assert_eq!(mine.len(), 3, "gap cells fill in");
-
-        // The reverse merge (theirs now older) must not override.
-        let mut winner = ErrorProfileStore::new("cfg");
-        winner.record("shared", f_old);
-        winner.record("a", f_old);
-        winner.record("b", f_old);
-        winner.record("c", f_old); // version 5
-        winner.merge_from(&theirs);
-        assert_eq!(winner.moments("shared"), Some(&f_old), "older store cannot override");
-        assert_eq!(winner.version(), 5);
-    }
-
-    #[test]
-    fn shard_merge_is_order_independent_on_disjoint_cells() {
-        let mut f = ProfileFitter::new();
-        f.record(Some(0.51), 0.5);
-        let mut shard_a = ErrorProfileStore::new("cfg");
-        shard_a.record("cell-a", f);
-        let mut shard_b = ErrorProfileStore::new("cfg");
-        shard_b.record("cell-b", f);
-
-        let mut ab = ErrorProfileStore::new("cfg");
-        ab.merge_from(&shard_a);
-        ab.merge_from(&shard_b);
-        let mut ba = ErrorProfileStore::new("cfg");
-        ba.merge_from(&shard_b);
-        ba.merge_from(&shard_a);
-        // Key order differs, content does not: canonical consumers
-        // iterate by sorted key, so sort before comparing.
-        let mut cells_ab: Vec<_> = ab.cells().collect();
-        let mut cells_ba: Vec<_> = ba.cells().collect();
-        cells_ab.sort_by_key(|(k, _)| k.to_string());
-        cells_ba.sort_by_key(|(k, _)| k.to_string());
-        assert_eq!(cells_ab, cells_ba);
+        let mut hits = ProfileFitter::new();
+        hits.record(Some(0.75), 0.5);
+        hits.record(Some(0.25), 0.5);
+        hits.record(Some(1.5), 1.0);
+        let mut misses = ProfileFitter::new();
+        misses.record(None, 0.5);
+        misses.record(Some(-0.125), 0.0);
+        store.record("s00|straight|isp=S0|roi=Roi1|v=50", hits);
+        store.record("s07|right|isp=S6|roi=Roi2|v=30", misses);
+        // Exact binary fractions, so every moment prints exactly.
+        let expected = r#"{
+  "schema": "lkas-errprofile-v1",
+  "version": 3,
+  "config_hash": "cfg-abc",
+  "cells": [
+    [
+      "s00|straight|isp=S0|roi=Roi1|v=50",
+      {
+        "cycles": 3,
+        "misses": 0,
+        "sum_err": 0.5,
+        "sum_sq_err": 0.375
+      }
+    ],
+    [
+      "s07|right|isp=S6|roi=Roi2|v=30",
+      {
+        "cycles": 2,
+        "misses": 1,
+        "sum_err": -0.125,
+        "sum_sq_err": 0.015625
+      }
+    ]
+  ]
+}"#;
+        assert_eq!(store.to_json(), expected);
     }
 }

@@ -310,12 +310,6 @@ impl HilConfig {
         self.error_fit = error_fit;
         self
     }
-
-    /// Selects the frame-path kernel backend (builder style).
-    pub fn with_kernel_backend(mut self, backend: KernelBackend) -> Self {
-        self.kernel_backend = backend;
-        self
-    }
 }
 
 /// Outcome of one HiL run.
@@ -1447,12 +1441,12 @@ mod tests {
                 Sector::for_situation(&TABLE3_SITUATIONS[0], 120.0),
                 Sector::for_situation(&TABLE3_SITUATIONS[7], 200.0),
             ]);
-            let config = HilConfig::new(Case::Case4, SituationSource::Oracle)
+            let mut config = HilConfig::new(Case::Case4, SituationSource::Oracle)
                 .with_camera(test_camera())
                 .with_seed(42)
                 .with_fault_plan(plan)
-                .with_trace(true)
-                .with_kernel_backend(backend);
+                .with_trace(true);
+            config.kernel_backend = backend;
             HilSimulator::new(track, config).run()
         };
         let lanes = run(KernelBackend::default());
@@ -1503,7 +1497,11 @@ mod tests {
         // knobs chase the lie (and come back), every lied frame counts
         // as a misidentification.
         let wrong = TABLE3_SITUATIONS[7];
-        let plan = Arc::new(FaultPlan::named("liar", 1).force_situation(30, 10, wrong));
+        let plan = Arc::new(FaultPlan::named("liar", 1).with_window(
+            30,
+            10,
+            lkas_faults::FaultKind::Misclassify(Misprediction::Force(wrong)),
+        ));
         let track = Track::for_situation(&TABLE3_SITUATIONS[0], 200.0);
         let config = HilConfig::new(Case::Case3, SituationSource::Oracle)
             .with_camera(test_camera())

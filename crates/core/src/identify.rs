@@ -8,7 +8,7 @@
 
 use lkas_imaging::image::RgbImage;
 use lkas_nn::classifiers::{LaneClassifier, RoadClassifier, SceneClassifier};
-use lkas_nn::features::{extract, extract_into, FeatureScratch};
+use lkas_nn::features::{extract_into, FeatureScratch};
 use lkas_nn::mlp::{BatchedMlps, MlpScratch};
 use lkas_platform::schedule::ClassifierSet;
 use lkas_scene::camera::Camera;
@@ -55,9 +55,9 @@ impl ClassifierBundle {
 ///
 /// Predictions are bit-identical to the per-classifier path (the
 /// grouped GEMM accumulates in the same order as `Dense::forward` and
-/// softmax/argmax are shared) — asserted by
-/// `batched_update_matches_sequential` below and re-checked by the
-/// `gate-kernel-equivalence` CI stage.
+/// softmax/argmax are shared) — asserted against
+/// `lkas_bench::reference::update_from_frame` by that module's tests
+/// and re-checked by the `gate-kernel-equivalence` CI stage.
 #[derive(Debug, Clone)]
 pub struct BundleBatch {
     mlps: BatchedMlps,
@@ -115,38 +115,14 @@ impl SituationEstimate {
     }
 
     /// Updates the feature groups covered by the invoked classifiers
-    /// from a classifier bundle, sharing one feature extraction across
-    /// the classifiers that ran.
-    pub fn update_from_frame(
-        &mut self,
-        bundle: &ClassifierBundle,
-        frame: &RgbImage,
-        camera: &Camera,
-        invoked: ClassifierSet,
-    ) {
-        if invoked.count() == 0 {
-            return;
-        }
-        let features = extract(frame, camera);
-        if invoked.road {
-            self.current.layout = bundle.road.classify_features(&features);
-        }
-        if invoked.lane {
-            let (color, form) = bundle.lane.classify_features(&features);
-            self.current.lane_color = color;
-            self.current.lane_form = form;
-        }
-        if invoked.scene {
-            self.current.scene = bundle.scene.classify_features(&features);
-        }
-    }
-
-    /// [`SituationEstimate::update_from_frame`] with batched inference:
-    /// the frame's features are extracted once, the three classifiers'
-    /// normalized inputs are stacked, and a single grouped GEMM per
-    /// layer predicts all three; only the invoked classifiers' groups
-    /// are written. Every invocation set takes this path, and after its
-    /// first call it reuses the batch's buffers and allocates nothing.
+    /// from a classifier bundle with batched inference: the frame's
+    /// features are extracted once, the three classifiers' normalized
+    /// inputs are stacked, and a single grouped GEMM per layer predicts
+    /// all three; only the invoked classifiers' groups are written.
+    /// Every invocation set takes this path, and after its first call it
+    /// reuses the batch's buffers and allocates nothing. The per-
+    /// classifier formulation it replaced is
+    /// `lkas_bench::reference::update_from_frame`.
     pub fn update_from_frame_with(
         &mut self,
         bundle: &ClassifierBundle,
@@ -258,55 +234,6 @@ mod tests {
             ClassifierSet::none(),
         );
         assert_eq!(e.current(), truth());
-    }
-
-    #[test]
-    fn batched_update_matches_sequential() {
-        use lkas_imaging::isp::{IspConfig, IspPipeline};
-        use lkas_imaging::sensor::{Sensor, SensorConfig};
-        use lkas_nn::classifiers::ClassifierSpec;
-        use lkas_scene::render::SceneRenderer;
-        use lkas_scene::track::Track;
-
-        // A deliberately tiny bundle: agreement between the batched and
-        // sequential paths is what's under test, not accuracy.
-        let spec = ClassifierSpec {
-            train_per_class: 12,
-            val_per_class: 0,
-            epochs: 6,
-            hidden: 12,
-            camera: Camera::new(256, 128, 150.0, 1.3, 6.0_f64.to_radians()),
-        };
-        let (road, _) = RoadClassifier::train(&spec, 41);
-        let (lane, _) = LaneClassifier::train(&spec, 42);
-        let (scene, _) = SceneClassifier::train(&spec, 43);
-        let bundle = ClassifierBundle { road, lane, scene };
-        let mut batch = BundleBatch::new(&bundle);
-
-        // Every set the invocation schemes issue, applied to an estimate
-        // that starts away from the benign default, so a group the
-        // batched path wrongly touched (or left alone) shows.
-        let sets = [
-            ClassifierSet::road_only(),
-            ClassifierSet::road_lane(),
-            ClassifierSet::single(lkas_platform::profiles::ClassifierKind::Lane),
-            ClassifierSet::single(lkas_platform::profiles::ClassifierKind::Scene),
-            ClassifierSet::all(),
-        ];
-        let isp = IspPipeline::new(IspConfig::S0);
-        for (i, sit) in lkas_scene::situation::TABLE3_SITUATIONS.iter().enumerate() {
-            let track = Track::for_situation(sit, 500.0);
-            let frame = SceneRenderer::new(spec.camera.clone()).render(&track, 20.0, 0.05, 0.0);
-            let raw = Sensor::new(SensorConfig::default(), i as u64).capture(&frame, 1.0);
-            let rgb = isp.process(&raw);
-            for invoked in sets {
-                let mut seq = SituationEstimate::with_initial(truth());
-                seq.update_from_frame(&bundle, &rgb, &spec.camera, invoked);
-                let mut batched = SituationEstimate::with_initial(truth());
-                batched.update_from_frame_with(&bundle, &mut batch, &rgb, &spec.camera, invoked);
-                assert_eq!(seq.current(), batched.current(), "situation {i}, {invoked:?}");
-            }
-        }
     }
 
     #[test]

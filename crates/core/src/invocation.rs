@@ -115,18 +115,6 @@ impl InvocationScheme {
             InvocationScheme::Custom(table) => format!("custom period {}", table.len()),
         }
     }
-
-    /// The worst-case per-frame classifier count of this scheme, which
-    /// determines the delay the controller must be designed for.
-    pub fn worst_case_count(&self) -> usize {
-        match self {
-            InvocationScheme::EveryFrame(set) => set.count(),
-            InvocationScheme::RoundRobin { .. } => 1,
-            InvocationScheme::Custom(table) => {
-                table.iter().map(ClassifierSet::count).max().unwrap_or(0)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -139,7 +127,6 @@ mod tests {
         for i in 0..10 {
             assert_eq!(s.classifiers_for_frame(i, 40.0).count(), 2);
         }
-        assert_eq!(s.worst_case_count(), 2);
     }
 
     #[test]
@@ -155,7 +142,6 @@ mod tests {
         assert_eq!(s.classifiers_for_frame(10, 30.0), lane);
         assert_eq!(s.classifiers_for_frame(11, 30.0), scene);
         assert_eq!(s.classifiers_for_frame(12, 30.0), road);
-        assert_eq!(s.worst_case_count(), 1);
     }
 
     #[test]
@@ -173,7 +159,6 @@ mod tests {
         assert_eq!(s.classifiers_for_frame(0, 25.0).count(), 3);
         assert_eq!(s.classifiers_for_frame(1, 25.0).count(), 0);
         assert_eq!(s.classifiers_for_frame(2, 25.0).count(), 3);
-        assert_eq!(s.worst_case_count(), 3);
     }
 
     #[test]

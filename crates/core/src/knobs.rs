@@ -153,18 +153,6 @@ impl KnobTable {
         }
         table
     }
-
-    /// The paper's published `τ` values (ms) for the 21 Table III rows,
-    /// for comparison against the platform model.
-    pub fn paper_table3_tau_ms() -> [f64; 21] {
-        [
-            23.1, 22.4, 22.5, 22.5, 22.5, 23.0, 23.0, // 1–7
-            22.5, 23.1, 23.1, 23.0, 23.1, // 8–12
-            23.1, 23.0, // 13–14
-            23.1, 23.0, 23.0, 23.1, 23.0, // 15–19
-            40.7, 40.7, // 20–21
-        ]
-    }
 }
 
 impl FromIterator<(SituationFeatures, KnobTuning)> for KnobTable {
@@ -264,7 +252,14 @@ mod tests {
         // The platform model's τ for each Table III row must match the
         // paper's published value within 0.5 ms.
         let t = KnobTable::paper_table3();
-        let paper_tau = KnobTable::paper_table3_tau_ms();
+        // The paper's published τ values (ms) for the 21 Table III rows.
+        let paper_tau = [
+            23.1, 22.4, 22.5, 22.5, 22.5, 23.0, 23.0, // 1–7
+            22.5, 23.1, 23.1, 23.0, 23.1, // 8–12
+            23.1, 23.0, // 13–14
+            23.1, 23.0, 23.0, 23.1, 23.0, // 15–19
+            40.7, 40.7, // 20–21
+        ];
         for (i, s) in TABLE3_SITUATIONS.iter().enumerate() {
             let timing = t.get(s).unwrap().schedule(ClassifierSet::all()).timing();
             assert!(

@@ -27,11 +27,6 @@ impl SectorQoc {
     pub fn mae(&self) -> Option<f64> {
         (self.n > 0).then(|| self.abs_sum / self.n as f64)
     }
-
-    /// Number of samples.
-    pub fn samples(&self) -> u64 {
-        self.n
-    }
 }
 
 impl QocAccumulator {
@@ -88,11 +83,6 @@ impl QocAccumulator {
     pub fn sectors(&self) -> &[SectorQoc] {
         &self.sectors
     }
-
-    /// Total sample count.
-    pub fn samples(&self) -> u64 {
-        self.total_n
-    }
 }
 
 #[cfg(test)]
@@ -108,7 +98,7 @@ mod tests {
         assert!((q.overall_mae().unwrap() - 0.2).abs() < 1e-12);
         assert!((q.sectors()[0].mae().unwrap() - 0.3).abs() < 1e-12);
         assert_eq!(q.sectors()[1].mae().unwrap(), 0.0);
-        assert_eq!(q.samples(), 3);
+        assert_eq!(q.total_n, 3);
     }
 
     #[test]

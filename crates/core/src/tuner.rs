@@ -99,13 +99,6 @@ impl TunerConfig {
         self
     }
 
-    /// Replaces the decision-window length (builder style). Clamped to
-    /// at least 1 cycle.
-    pub fn with_window_cycles(mut self, window_cycles: u32) -> Self {
-        self.window_cycles = window_cycles.max(1);
-        self
-    }
-
     /// Supplies the characterized warm-start prior (builder style).
     pub fn with_store(mut self, store: KnobStore) -> Self {
         self.store = Some(store);
@@ -231,19 +224,9 @@ impl KnobTuner {
         }
     }
 
-    /// The live store: the prior plus every outcome committed so far.
-    pub fn store(&self) -> &KnobStore {
-        &self.store
-    }
-
     /// Consumes the tuner, returning the updated store.
     pub fn into_store(self) -> KnobStore {
         self.store
-    }
-
-    /// Total decision windows opened.
-    pub fn decisions(&self) -> u64 {
-        self.decisions
     }
 
     /// Chooses the tuning for this cycle.
@@ -437,15 +420,19 @@ mod tests {
         KnobStore::from_table(KnobTable::paper_table3())
     }
 
+    /// `config` with a decision window of `window_cycles` cycles.
+    fn windowed(config: TunerConfig, window_cycles: u32) -> TunerConfig {
+        TunerConfig { window_cycles, ..config }
+    }
+
     fn decision_trace(seed: u64, epsilon: f64, rewards: &[f64]) -> Vec<KnobTuning> {
         // Drive the tuner with a synthetic deterministic reward stream:
         // each cycle selects, then records a pseudo-measurement derived
         // from the cycle index.
-        let config = TunerConfig::new()
-            .with_seed(seed)
-            .with_epsilon(epsilon)
-            .with_window_cycles(3)
-            .with_store(paper_store());
+        let config = windowed(
+            TunerConfig::new().with_seed(seed).with_epsilon(epsilon).with_store(paper_store()),
+            3,
+        );
         let mut tuner = KnobTuner::new(config, &KnobTable::paper_table3());
         let situation = &TABLE3_SITUATIONS[0];
         let mut trace = Vec::new();
@@ -507,18 +494,18 @@ mod tests {
             }
         }
         tuner.flush();
-        assert_eq!(tuner.decisions(), 0);
-        assert_eq!(tuner.store().version(), version, "no learning with exploration disabled");
+        assert_eq!(tuner.decisions, 0);
+        assert_eq!(tuner.store.version(), version, "no learning with exploration disabled");
     }
 
     #[test]
     fn unexplored_arms_are_visited_first_in_canonical_order() {
         let mut tuner = KnobTuner::new(
-            TunerConfig::new().with_window_cycles(1).with_store(paper_store()),
+            windowed(TunerConfig::new().with_store(paper_store()), 1),
             &KnobTable::paper_table3(),
         );
         let situation = &TABLE3_SITUATIONS[0];
-        let candidates = tuner.store().candidates(situation);
+        let candidates = tuner.store.candidates(situation);
         // A bare-table store has no sweep MAEs, so every arm starts
         // unexplored; the first |arms| windows must sweep them in
         // candidate order.
@@ -536,7 +523,9 @@ mod tests {
         // first greedy decision exploits the best characterized arm.
         let characterizer =
             Characterizer::new(CharacterizeConfig::new().with_track_length(90.0).with_threads(2));
-        let store = characterizer.characterize_store(&TABLE3_SITUATIONS[0..1]);
+        let store = characterizer
+            .characterize(&TABLE3_SITUATIONS[0..1])
+            .into_store(&characterizer.fingerprint());
         let prior = store.prior(&TABLE3_SITUATIONS[0]);
         let mut tuner = KnobTuner::new(
             TunerConfig::new().with_epsilon(0.05).with_store(store),
@@ -552,12 +541,12 @@ mod tests {
         // Hammer the prior arm with terrible measured rewards; once
         // every arm has evidence, the greedy pick must leave the prior.
         let mut tuner = KnobTuner::new(
-            TunerConfig::new().with_window_cycles(2).with_epsilon(0.01).with_store(paper_store()),
+            windowed(TunerConfig::new().with_epsilon(0.01).with_store(paper_store()), 2),
             &KnobTable::paper_table3(),
         );
         let situation = &TABLE3_SITUATIONS[0];
-        let prior = tuner.store().prior(situation);
-        let before = tuner.store().version();
+        let prior = tuner.store.prior(situation);
+        let before = tuner.store.version();
         for _ in 0..200 {
             let choice = tuner.select(situation, false);
             // Good rewards everywhere except the prior arm.
@@ -567,8 +556,8 @@ mod tests {
         tuner.flush();
         let final_choice = tuner.select(situation, false).tuning;
         assert_ne!(final_choice, prior, "bandit must abandon a measurably bad prior");
-        assert!(tuner.store().version() > before, "committed windows bump the store version");
-        assert!(tuner.store().prior_mae(situation, &prior).expect("prior has evidence") > 1.0);
+        assert!(tuner.store.version() > before, "committed windows bump the store version");
+        assert!(tuner.store.prior_mae(situation, &prior).expect("prior has evidence") > 1.0);
     }
 
     use proptest::prelude::*;

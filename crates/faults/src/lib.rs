@@ -33,6 +33,6 @@ mod plan;
 
 pub use inject::{apply_bayer_fault, apply_bayer_fault_window, derive_cycle_seed, BayerFaultKind};
 pub use plan::{
-    benign_situation, ActuationFault, CycleFaults, FaultKind, FaultPlan, FaultWindow,
-    Misprediction, FAULT_PLAN_SCHEMA,
+    ActuationFault, CycleFaults, FaultKind, FaultPlan, FaultWindow, Misprediction,
+    FAULT_PLAN_SCHEMA,
 };

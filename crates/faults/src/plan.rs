@@ -9,7 +9,7 @@
 //! comparable, and replayable bit-for-bit.
 
 use crate::inject::BayerFaultKind;
-use lkas_scene::situation::{LaneColor, LaneForm, RoadLayout, SceneKind, SituationFeatures};
+use lkas_scene::situation::SituationFeatures;
 use lkas_vehicle::ActuatorFault;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -198,20 +198,6 @@ impl FaultPlan {
         self.with_window(start_cycle, cycles, FaultKind::Misclassify(Misprediction::Confuse))
     }
 
-    /// Forces this exact situation estimate for the affected cycles.
-    pub fn force_situation(
-        self,
-        start_cycle: u64,
-        cycles: u64,
-        situation: SituationFeatures,
-    ) -> Self {
-        self.with_window(
-            start_cycle,
-            cycles,
-            FaultKind::Misclassify(Misprediction::Force(situation)),
-        )
-    }
-
     /// Inflates the sensor-to-actuator delay by `extra_ms` past the
     /// designed `τ` for the affected cycles.
     pub fn deadline_overrun(self, start_cycle: u64, cycles: u64, extra_ms: f64) -> Self {
@@ -286,11 +272,6 @@ impl FaultPlan {
         self.windows.is_empty()
     }
 
-    /// One past the last faulted cycle (0 for an empty plan).
-    pub fn horizon(&self) -> u64 {
-        self.windows.iter().map(|w| w.start_cycle.saturating_add(w.cycles)).max().unwrap_or(0)
-    }
-
     /// Everything that goes wrong in `cycle`, aggregated across windows.
     pub fn faults_at(&self, cycle: u64) -> CycleFaults {
         let mut out = CycleFaults::default();
@@ -345,18 +326,6 @@ struct TaggedPlan {
     windows: Vec<FaultWindow>,
 }
 
-/// A deliberately-wrong situation for [`Misprediction::Force`] plans:
-/// the benign boot situation (straight, white continuous, day) — forcing
-/// it on a turn reproduces the paper's Case 1 failure mechanism.
-pub fn benign_situation() -> SituationFeatures {
-    SituationFeatures::new(
-        LaneColor::White,
-        LaneForm::Continuous,
-        RoadLayout::Straight,
-        SceneKind::Day,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,15 +355,14 @@ mod tests {
             vec!["fault:frame_drop", "fault:bayer", "fault:deadline_overrun"]
         );
         assert_eq!(plan.faults_at(40).trace_labels(), vec!["fault:actuation"]);
+        assert!(plan.faults_at(42).any());
         assert!(!plan.faults_at(43).any());
-        assert_eq!(plan.horizon(), 43);
     }
 
     #[test]
     fn empty_plan_is_fault_free() {
         let plan = FaultPlan::named("nominal", 7);
         assert!(plan.is_empty());
-        assert_eq!(plan.horizon(), 0);
         for cycle in [0u64, 100, u64::MAX] {
             assert!(!plan.faults_at(cycle).any());
         }
@@ -412,8 +380,14 @@ mod tests {
 
     #[test]
     fn plan_round_trips_through_json() {
-        let plan =
-            FaultPlan::random("roundtrip", 3, 500, 6).force_situation(490, 10, benign_situation());
+        // Forcing the benign boot situation (straight, white continuous,
+        // day) on a turn reproduces the paper's Case 1 failure mechanism.
+        let benign = lkas_scene::situation::TABLE3_SITUATIONS[0];
+        let plan = FaultPlan::random("roundtrip", 3, 500, 6).with_window(
+            490,
+            10,
+            FaultKind::Misclassify(Misprediction::Force(benign)),
+        );
         let json = plan.to_json();
         assert!(json.contains(FAULT_PLAN_SCHEMA));
         let back = FaultPlan::from_json(&json).unwrap();

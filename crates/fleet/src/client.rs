@@ -75,17 +75,6 @@ impl FleetClient {
         self.writer.flush()
     }
 
-    /// Sends a raw, already-framed line (test hook for malformed
-    /// traffic).
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport failures.
-    pub fn send_raw(&mut self, line: &str) -> std::io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.flush()
-    }
-
     /// Reads the next event frame.
     ///
     /// # Errors

@@ -102,16 +102,6 @@ pub struct JobContext {
 }
 
 impl JobContext {
-    /// The server-assigned job id.
-    pub fn job(&self) -> u64 {
-        self.job
-    }
-
-    /// The submitting tenant, if any.
-    pub fn tenant(&self) -> Option<&str> {
-        self.tenant.as_deref()
-    }
-
     /// The job's private telemetry registry. Runners record simulation
     /// telemetry here; the daemon merges it into its own registry when
     /// the job finishes.

@@ -12,8 +12,8 @@
 use lkas::characterize::KnobStore;
 use lkas_runtime::write_atomic;
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 
 /// Maps a tenant name to a filesystem-safe store file name. Anything
 /// outside `[A-Za-z0-9_-]` becomes `_`, so a hostile tenant string
@@ -26,10 +26,18 @@ pub fn store_file_name(tenant: &str) -> String {
     format!("knob_store_{safe}.json")
 }
 
+/// One tenant's store behind its own lock: `None` until it is hydrated
+/// from disk or first absorbed.
+type TenantSlot = Arc<Mutex<Option<KnobStore>>>;
+
 /// A lazily-loaded, persisted registry of per-tenant knob stores.
+///
+/// The registry lock only maps a tenant to its slot; reads, merges and
+/// the disk write happen under that tenant's own lock, so one tenant's
+/// write never stalls another tenant's reads.
 pub struct TenantStores {
     dir: Option<PathBuf>,
-    stores: Mutex<HashMap<String, KnobStore>>,
+    stores: Mutex<HashMap<String, TenantSlot>>,
 }
 
 impl TenantStores {
@@ -39,27 +47,30 @@ impl TenantStores {
         TenantStores { dir: dir.clone(), stores: Mutex::new(HashMap::new()) }
     }
 
-    /// The persistence directory, if any.
-    pub fn dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
-    }
-
     fn path_for(&self, tenant: &str) -> Option<PathBuf> {
         self.dir.as_ref().map(|dir| dir.join(store_file_name(tenant)))
+    }
+
+    /// Runs `f` on the tenant's store under the tenant's lock, first
+    /// hydrating it from disk if this session has not seen it yet.
+    fn with_store<R>(&self, tenant: &str, f: impl FnOnce(&mut Option<KnobStore>) -> R) -> R {
+        let slot = Arc::clone(
+            self.stores.lock().expect("stores lock").entry(tenant.to_string()).or_default(),
+        );
+        let mut store = slot.lock().expect("tenant store lock");
+        if store.is_none() {
+            *store = self
+                .path_for(tenant)
+                .and_then(|path| std::fs::read_to_string(path).ok())
+                .and_then(|json| KnobStore::from_json(&json).ok());
+        }
+        f(&mut store)
     }
 
     /// The tenant's current store: the in-memory one, hydrated from
     /// disk on first touch. `None` when the tenant has no store yet.
     pub fn get(&self, tenant: &str) -> Option<KnobStore> {
-        let mut stores = self.stores.lock().expect("stores lock");
-        if let Some(store) = stores.get(tenant) {
-            return Some(store.clone());
-        }
-        let path = self.path_for(tenant)?;
-        let json = std::fs::read_to_string(path).ok()?;
-        let store = KnobStore::from_json(&json).ok()?;
-        stores.insert(tenant.to_string(), store.clone());
-        Some(store)
+        self.with_store(tenant, |store| store.clone())
     }
 
     /// The tenant's store version, or 0 when none exists. Job keys for
@@ -67,55 +78,35 @@ impl TenantStores {
     /// against an older store can never be replayed from the cache once
     /// the tenant has learned more.
     pub fn version(&self, tenant: &str) -> u64 {
-        self.get(tenant).map(|s| s.version()).unwrap_or(0)
+        self.with_store(tenant, |store| store.as_ref().map_or(0, KnobStore::version))
     }
 
     /// Absorbs an evolved store for `tenant`: merges it
     /// version-monotonically into the in-memory (and any on-disk)
-    /// state, then persists the merge atomically.
+    /// state, then persists the merge atomically. The write happens
+    /// under the tenant's lock, so concurrent absorbs for one tenant
+    /// reach the disk in merge order and the file always holds the
+    /// newest merge.
     ///
     /// # Errors
     ///
     /// Returns a message on a filesystem failure; the in-memory merge
     /// survives regardless.
     pub fn absorb(&self, tenant: &str, evolved: &KnobStore) -> Result<(), String> {
-        let mut stores = self.stores.lock().expect("stores lock");
-        // Hydrate from disk first so a restarted daemon merges into its
-        // persisted history instead of clobbering it.
-        if !stores.contains_key(tenant) {
-            if let Some(path) = self.path_for(tenant) {
-                if let Ok(json) = std::fs::read_to_string(&path) {
-                    if let Ok(on_disk) = KnobStore::from_json(&json) {
-                        stores.insert(tenant.to_string(), on_disk);
-                    }
+        self.with_store(tenant, |store| {
+            let merged = match store {
+                Some(store) => {
+                    store.merge_from(evolved);
+                    store
                 }
+                None => store.insert(evolved.clone()),
+            };
+            match self.path_for(tenant) {
+                Some(path) => write_atomic(&path, (merged.to_json() + "\n").as_bytes())
+                    .map_err(|e| format!("persist knob store for `{tenant}`: {e}")),
+                None => Ok(()),
             }
-        }
-        let merged = match stores.get_mut(tenant) {
-            Some(store) => {
-                store.merge_from(evolved);
-                store.clone()
-            }
-            None => {
-                stores.insert(tenant.to_string(), evolved.clone());
-                evolved.clone()
-            }
-        };
-        drop(stores);
-        if let Some(path) = self.path_for(tenant) {
-            write_atomic(&path, (merged.to_json() + "\n").as_bytes())
-                .map_err(|e| format!("persist knob store for `{tenant}`: {e}"))?;
-        }
-        Ok(())
-    }
-
-    /// Tenants with an in-memory store (loaded or absorbed this
-    /// session).
-    pub fn loaded_tenants(&self) -> Vec<String> {
-        let mut tenants: Vec<String> =
-            self.stores.lock().expect("stores lock").keys().cloned().collect();
-        tenants.sort();
-        tenants
+        })
     }
 }
 
@@ -189,6 +180,45 @@ mod tests {
         let evolved = KnobStore::from_table(KnobTable::paper_table3());
         stores.absorb("ghost", &evolved).unwrap();
         assert_eq!(stores.version("ghost"), evolved.version());
-        assert_eq!(stores.loaded_tenants(), ["ghost"]);
+    }
+
+    #[test]
+    fn concurrent_absorbs_persist_the_newest_merge() {
+        let dir = temp_dir("concurrent");
+        let stores = TenantStores::new(Some(dir.clone()));
+        let situation = TABLE3_SITUATIONS[0];
+        // Eight evolved stores of distinct versions (2 through 9).
+        let evolved: Vec<KnobStore> = (0..8)
+            .map(|i| {
+                let mut store = KnobStore::from_table(KnobTable::paper_table3());
+                let tuning = store.prior(&situation);
+                for k in 0..=i {
+                    store.record_outcome(&situation, tuning, Some(0.01 * f64::from(k + 1)));
+                }
+                store
+            })
+            .collect();
+        // Released together, every thread absorbs its store into each
+        // of 16 tenants in turn, so the absorbs contend for each tenant.
+        let tenants: Vec<String> = (0..16).map(|t| format!("t{t}")).collect();
+        let start = std::sync::Barrier::new(evolved.len());
+        std::thread::scope(|s| {
+            for store in &evolved {
+                let (stores, tenants, start) = (&stores, &tenants, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for tenant in tenants {
+                        stores.absorb(tenant, store).expect("persist the merge");
+                    }
+                });
+            }
+        });
+        for tenant in &tenants {
+            let json = std::fs::read_to_string(dir.join(store_file_name(tenant))).unwrap();
+            let on_disk = KnobStore::from_json(&json).unwrap();
+            assert_eq!(on_disk.version(), stores.version(tenant), "{tenant}: the newest merge");
+            assert_eq!(on_disk, stores.get(tenant).unwrap(), "{tenant}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

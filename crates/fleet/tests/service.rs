@@ -337,35 +337,65 @@ fn queued_jobs_run_in_priority_order_and_cancel_works() {
     daemon.shutdown();
 }
 
+/// A connection that writes arbitrary bytes, framed or not, and reads
+/// the daemon's typed answers: the malformed-traffic side of the wire
+/// that [`FleetClient`] never produces.
+struct RawConnection {
+    writer: TcpStream,
+    reader: std::io::BufReader<TcpStream>,
+}
+
+impl RawConnection {
+    fn open(addr: std::net::SocketAddr) -> Self {
+        let stream = TcpStream::connect(addr).unwrap();
+        let writer = stream.try_clone().unwrap();
+        RawConnection { writer, reader: std::io::BufReader::new(stream) }
+    }
+
+    fn send_raw(&mut self, line: &str) {
+        self.writer.write_all(line.as_bytes()).unwrap();
+        self.writer.flush().unwrap();
+    }
+
+    fn next_event(&mut self) -> Event {
+        match lkas_fleet::read_frame(&mut self.reader, 1 << 20).unwrap() {
+            lkas_fleet::FrameRead::Frame(line) => lkas_fleet::decode_response(&line).unwrap().event,
+            other => panic!("expected a response frame, got {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn framing_failures_get_typed_errors_not_hangs() {
     let config = FleetConfig { max_line_bytes: 256, ..FleetConfig::default() };
     let daemon = Daemon::start(config);
 
     // Malformed JSON.
-    let mut client = daemon.client();
-    client.send_raw("{definitely not json}\n").unwrap();
-    let Event::Error(err) = client.next_event().unwrap() else { panic!() };
+    let mut client = RawConnection::open(daemon.addr);
+    client.send_raw("{definitely not json}\n");
+    let Event::Error(err) = client.next_event() else { panic!() };
     assert_eq!(err.kind, ErrorKind::MalformedJson);
 
     // Unknown schema version.
-    client.send_raw("{\"schema\":\"lkas-fleet-v0\",\"op\":\"Status\"}\n").unwrap();
-    let Event::Error(err) = client.next_event().unwrap() else { panic!() };
+    client.send_raw("{\"schema\":\"lkas-fleet-v0\",\"op\":\"Status\"}\n");
+    let Event::Error(err) = client.next_event() else { panic!() };
     assert_eq!(err.kind, ErrorKind::UnsupportedSchema);
 
     // Right schema, nonsense shape.
-    client.send_raw(&format!("{{\"schema\":\"{PROTO_SCHEMA}\",\"op\":\"Explode\"}}\n")).unwrap();
-    let Event::Error(err) = client.next_event().unwrap() else { panic!() };
+    client.send_raw(&format!("{{\"schema\":\"{PROTO_SCHEMA}\",\"op\":\"Explode\"}}\n"));
+    let Event::Error(err) = client.next_event() else { panic!() };
     assert_eq!(err.kind, ErrorKind::BadRequest);
 
     // Oversized line: drained, answered, and the connection stays
     // usable for a well-formed follow-up.
     let huge = format!("{{\"pad\":\"{}\"}}\n", "x".repeat(4096));
-    client.send_raw(&huge).unwrap();
-    let Event::Error(err) = client.next_event().unwrap() else { panic!() };
+    client.send_raw(&huge);
+    let Event::Error(err) = client.next_event() else { panic!() };
     assert_eq!(err.kind, ErrorKind::OversizedLine);
-    client.send(RequestOp::Status).unwrap();
-    assert!(matches!(client.next_event().unwrap(), Event::Status(_)));
+    client.send_raw(&lkas_fleet::proto::encode_request(&lkas_fleet::proto::Request::new(
+        RequestOp::Status,
+    )));
+    assert!(matches!(client.next_event(), Event::Status(_)));
 
     // Truncated request: half a frame then write-side close.
     let mut stream = TcpStream::connect(daemon.addr).unwrap();

@@ -181,8 +181,7 @@ impl RawImage {
     }
 
     /// Resizes the frame in place, keeping the existing allocation when
-    /// its capacity suffices (the [`crate::pool::FramePool`] reuse path).
-    /// The photosite contents are unspecified afterwards; every `*_into`
+    /// its capacity suffices. The photosite contents are unspecified afterwards; every `*_into`
     /// producer overwrites the whole frame, or its window of it.
     ///
     /// # Panics
@@ -274,8 +273,8 @@ impl RgbImage {
     }
 
     /// Resizes the frame in place, keeping the existing allocation when
-    /// its capacity suffices (the [`crate::pool::FramePool`] reuse path).
-    /// The pixel contents are unspecified afterwards; every `*_into`
+    /// its capacity suffices. The pixel contents are unspecified
+    /// afterwards; every `*_into`
     /// producer overwrites the whole frame, or its window of it.
     ///
     /// # Panics
@@ -311,21 +310,13 @@ impl RgbImage {
         g
     }
 
-    /// Quantizes every channel to `levels` uniformly spaced code values
-    /// (e.g. 256 for an 8-bit ISP output), clamping to `[0, 1]`.
+    /// Quantizes every channel of the pixels of `window` to `levels`
+    /// uniformly spaced code values (e.g. 256 for an 8-bit ISP output),
+    /// clamping to `[0, 1]`.
     ///
     /// The real ISP emits 8-bit RGB; quantization is what makes the tone
     /// map matter in dark scenes (without gamma, shadows collapse onto a
     /// few code levels).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `levels < 2`.
-    pub fn quantize(&mut self, levels: u32) {
-        self.quantize_window(levels, PixelWindow::full(self.width, self.height));
-    }
-
-    /// [`RgbImage::quantize`] restricted to the pixels of `window`.
     ///
     /// # Panics
     ///
@@ -404,38 +395,12 @@ impl GrayImage {
         &self.data
     }
 
-    /// Mutably borrows the row-major pixel data.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
-    /// Resizes the frame in place, keeping the existing allocation when
-    /// its capacity suffices (the [`crate::pool::FramePool`] reuse path).
-    /// The pixel contents are unspecified afterwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn reshape(&mut self, width: usize, height: usize) {
-        assert!(width > 0 && height > 0, "image dimensions must be nonzero");
-        self.data.resize(width * height, 0.0);
-        self.width = width;
-        self.height = height;
-    }
-
     /// Mean pixel value.
     pub fn mean(&self) -> f32 {
         if self.data.is_empty() {
             return 0.0;
         }
         self.data.iter().sum::<f32>() / self.data.len() as f32
-    }
-
-    /// Population standard deviation of the pixel values.
-    pub fn std_dev(&self) -> f32 {
-        let m = self.mean();
-        let var = self.data.iter().map(|v| (v - m) * (v - m)).sum::<f32>() / self.data.len() as f32;
-        var.sqrt()
     }
 }
 
@@ -485,7 +450,7 @@ mod tests {
     #[test]
     fn quantize_snaps_to_code_levels() {
         let mut img = RgbImage::filled(2, 2, [0.5001, 0.2499, 1.3]);
-        img.quantize(256);
+        img.quantize_window(256, PixelWindow::full(2, 2));
         let px = img.get(0, 0);
         // Values must be exact multiples of 1/255 and clamped.
         for v in px {
@@ -501,8 +466,8 @@ mod tests {
         // the banding effect that makes the tone map matter at night.
         let mut a = RgbImage::filled(1, 1, [0.05, 0.05, 0.05]);
         let mut b = RgbImage::filled(1, 1, [0.15, 0.15, 0.15]);
-        a.quantize(4);
-        b.quantize(4);
+        a.quantize_window(4, PixelWindow::full(1, 1));
+        b.quantize_window(4, PixelWindow::full(1, 1));
         assert_eq!(a.get(0, 0), b.get(0, 0));
     }
 
@@ -512,6 +477,5 @@ mod tests {
         g.set(0, 0, 0.0);
         g.set(1, 0, 1.0);
         assert!((g.mean() - 0.5).abs() < 1e-6);
-        assert!((g.std_dev() - 0.5).abs() < 1e-6);
     }
 }

@@ -14,7 +14,7 @@
 //! an RGB frame using a [`Scratch`] for intermediates, and
 //! [`IspPipeline::process_into`] writes into a caller-owned output
 //! frame. Steady-state processing at stable frame dimensions performs no
-//! heap allocations (see `lkas_imaging::pool`). Demosaic and denoise are
+//! heap allocations (see `lkas_imaging::scratch`). Demosaic and denoise are
 //! tiled row-band parallel on the scratch's executor; every tile runs
 //! identical per-pixel arithmetic on disjoint rows, so the output is
 //! byte-identical for any thread count.
@@ -58,7 +58,7 @@
 
 use crate::image::{BayerChannel, PixelWindow, RawImage, RgbImage};
 use crate::kernel::KernelBackend;
-use crate::pool::Scratch;
+use crate::scratch::Scratch;
 use lkas_runtime::Executor;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -96,11 +96,11 @@ impl IspStage {
     /// reference kernels.
     ///
     /// This is the single dispatch point for the RGB-domain stages
-    /// (denoise takes its ping-pong buffer from the scratch pool and
-    /// tiles on the scratch executor; the elementwise stages ignore the
-    /// scratch). `Demosaic` is a no-op here: it changes domains
-    /// (RAW → RGB) and is driven by [`demosaic_into`] /
-    /// [`IspPipeline::process_into`] instead.
+    /// (denoise ping-pongs through the scratch's buffer and tiles on the
+    /// scratch executor; the elementwise stages ignore the scratch).
+    /// `Demosaic` is a no-op here: it changes domains (RAW → RGB) and is
+    /// driven by [`demosaic_into_with`] / [`IspPipeline::process_into`]
+    /// instead.
     pub fn apply(&self, scratch: &mut Scratch, img: &mut RgbImage) {
         self.apply_with(KernelBackend::Scalar, scratch, img);
     }
@@ -216,11 +216,6 @@ impl IspConfig {
             IspConfig::S8 => "S8",
         }
     }
-
-    /// `true` if the given stage is part of this configuration.
-    pub fn has_stage(self, stage: IspStage) -> bool {
-        self.stages().contains(&stage)
-    }
 }
 
 impl std::fmt::Display for IspConfig {
@@ -248,7 +243,7 @@ pub const STENCIL_HALO: usize = 2;
 /// use lkas_imaging::image::RgbImage;
 /// use lkas_imaging::isp::{IspConfig, IspPipeline};
 /// use lkas_imaging::kernel::KernelBackend;
-/// use lkas_imaging::pool::Scratch;
+/// use lkas_imaging::Scratch;
 /// use lkas_imaging::sensor::{Sensor, SensorConfig};
 ///
 /// let scene = RgbImage::filled(16, 16, [0.2, 0.6, 0.2]);
@@ -286,11 +281,6 @@ impl IspPipeline {
     /// The active configuration.
     pub fn config(&self) -> IspConfig {
         self.config
-    }
-
-    /// The active kernel backend.
-    pub fn backend(&self) -> KernelBackend {
-        self.backend
     }
 
     /// Replaces the active configuration (used by the runtime
@@ -587,14 +577,9 @@ fn dm_border_pixel(raw: &RawImage, px: &mut [f32], x: usize, y: usize) {
 
 /// Bilinear demosaic of an RGGB Bayer mosaic into a caller-owned RGB
 /// frame (resized as needed), tiled row-band parallel on the scratch
-/// executor, using the scalar reference kernels. Byte-identical output
-/// for any thread count.
-pub fn demosaic_into(raw: &RawImage, scratch: &mut Scratch, out: &mut RgbImage) {
-    demosaic_into_with(raw, scratch, out, KernelBackend::Scalar);
-}
-
-/// [`demosaic_into`] with an explicit [`KernelBackend`]; both backends
-/// are bit-identical and tile row-band parallel.
+/// executor with the given [`KernelBackend`]. Both backends are
+/// bit-identical, and the output is byte-identical for any thread
+/// count.
 pub fn demosaic_into_with(
     raw: &RawImage,
     scratch: &mut Scratch,
@@ -777,8 +762,8 @@ fn denoise_vertical_rows(tmp: &RgbImage, band: &mut [f32], y0: usize, cols: Rang
 }
 
 /// 3×3 Gaussian blur (σ ≈ 0.85, separable binomial kernel) applied per
-/// channel in place on the pixels of `window`, ping-ponging through a
-/// pooled buffer. Both passes tile the window's rows in bands; the
+/// channel in place on the pixels of `window`, ping-ponging through the
+/// scratch's denoise buffer. Both passes tile the window's rows in bands; the
 /// vertical pass starts only after the full horizontal pass finished
 /// (the executor joins its workers), so cross-band reads see complete
 /// data and the result is byte-identical for any thread count. `lanes`
@@ -789,17 +774,17 @@ fn denoise_in_place(img: &mut RgbImage, window: PixelWindow, scratch: &mut Scrat
     window.assert_within(w, h);
     let horizontal: fn(&RgbImage, &mut [f32], usize, Range<usize>) =
         if lanes { denoise_horizontal_rows_lanes } else { denoise_horizontal_rows };
-    let mut tmp = scratch.pool.take_rgb(w, h);
+    let tmp = scratch.denoise.get_or_insert_with(|| RgbImage::new(w, h));
+    tmp.reshape(w, h);
     let exec = scratch.executor;
     let src: &RgbImage = img;
     tile_window_rows(exec, tmp.as_mut_slice(), w, window, |band, y0| {
         horizontal(src, band, y0, window.columns())
     });
-    let tmp_ref = &tmp;
+    let tmp: &RgbImage = tmp;
     tile_window_rows(exec, img.as_mut_slice(), w, window, |band, y0| {
-        denoise_vertical_rows(tmp_ref, band, y0, window.columns())
+        denoise_vertical_rows(tmp, band, y0, window.columns())
     });
-    scratch.pool.put_rgb(tmp);
 }
 
 // ---------------------------------------------------------------------
@@ -1065,7 +1050,7 @@ mod tests {
     /// Demosaic through the supported in-place entry point.
     fn dm(raw: &RawImage) -> RgbImage {
         let mut out = RgbImage::new(raw.width(), raw.height());
-        demosaic_into(raw, &mut Scratch::new(), &mut out);
+        demosaic_into_with(raw, &mut Scratch::new(), &mut out, KernelBackend::Scalar);
         out
     }
 
@@ -1076,7 +1061,7 @@ mod tests {
         assert_eq!(IspConfig::S5.stages(), &[Demosaic, Denoise]);
         assert_eq!(IspConfig::S8.stages(), &[Demosaic, ToneMap]);
         for cfg in IspConfig::ALL {
-            assert!(cfg.has_stage(Demosaic), "{cfg} must demosaic");
+            assert_eq!(cfg.stages()[0], Demosaic, "{cfg} must demosaic first");
         }
     }
 
@@ -1179,7 +1164,7 @@ mod tests {
             for v in reference.as_mut_slice() {
                 *v = one(*v);
             }
-            reference.quantize(OUTPUT_LEVELS);
+            reference.quantize_window(OUTPUT_LEVELS, PixelWindow::full(w, 2));
             let mut fused = img.clone();
             fused_quantize_in_place(&mut fused, PixelWindow::full(w, 2), table);
             assert_eq!(reference, fused);
@@ -1285,18 +1270,19 @@ mod tests {
     }
 
     #[test]
-    fn process_into_reuses_buffers_in_steady_state() {
+    fn process_into_reuses_the_denoise_buffer() {
         let mut s = noiseless_sensor();
         let raw = s.capture(&RgbImage::filled(16, 16, [0.4, 0.4, 0.4]), 1.0);
         let mut scratch = Scratch::new();
         let mut out = RgbImage::new(16, 16);
         let isp = IspPipeline::new(IspConfig::S0);
-        for _ in 0..5 {
+        isp.process_into(&raw, &mut scratch, &mut out);
+        let buffer = |s: &Scratch| s.denoise.as_ref().expect("denoise ran").as_slice().as_ptr();
+        let first = buffer(&scratch);
+        for _ in 0..4 {
             isp.process_into(&raw, &mut scratch, &mut out);
+            assert_eq!(buffer(&scratch), first, "denoise buffer reallocated");
         }
-        let stats = scratch.pool().stats();
-        assert_eq!(stats.allocations, 1, "only the denoise ping-pong buffer is ever fresh");
-        assert_eq!(stats.reuses, 4);
     }
 
     #[test]
@@ -1341,7 +1327,13 @@ mod tests {
         let noisy = dm(&raw);
         let mut smooth = noisy.clone();
         IspStage::Denoise.apply(&mut Scratch::new(), &mut smooth);
-        assert!(smooth.to_gray().std_dev() < 0.8 * noisy.to_gray().std_dev());
+        let std_dev = |img: &RgbImage| {
+            let gray = img.to_gray();
+            let m = gray.mean();
+            let n = gray.as_slice().len() as f32;
+            (gray.as_slice().iter().map(|v| (v - m) * (v - m)).sum::<f32>() / n).sqrt()
+        };
+        assert!(std_dev(&smooth) < 0.8 * std_dev(&noisy));
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   CI stage holds that identity.
 //!
 //! Every consumer (the ISP pipeline, the perception pipeline, the HiL
-//! loop via `HilConfig::with_kernel_backend`) defaults to the lane
-//! backend; only tests select the scalar reference.
+//! loop via `HilConfig::kernel_backend`) defaults to the lane backend;
+//! only tests and benches select the scalar reference.
 
 /// Which interior implementation the hot image kernels run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

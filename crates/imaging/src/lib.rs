@@ -22,11 +22,9 @@
 //! * [`kernel`] — the [`KernelBackend`](kernel::KernelBackend) toggle
 //!   selecting scalar-reference vs. chunked-lane interiors for the hot
 //!   kernels,
-//! * [`pool`] — the [`FramePool`](pool::FramePool) buffer arena and the
-//!   [`Scratch`](pool::Scratch) working memory of the zero-allocation
-//!   `*_into` frame path,
-//! * [`metrics`] — MSE / PSNR image-quality metrics used to quantify the
-//!   approximation error.
+//! * [`scratch`] — the [`Scratch`](scratch::Scratch) working memory of
+//!   the zero-allocation `*_into` frame path: the denoise intermediate
+//!   and the tiling executor.
 //!
 //! # Example
 //!
@@ -46,12 +44,11 @@
 pub mod image;
 pub mod isp;
 pub mod kernel;
-pub mod metrics;
-pub mod pool;
+pub mod scratch;
 pub mod sensor;
 
 pub use image::{GrayImage, PixelWindow, RawImage, RgbImage};
 pub use isp::{IspConfig, IspPipeline, IspStage};
 pub use kernel::KernelBackend;
-pub use pool::{FramePool, PoolStats, Scratch};
+pub use scratch::Scratch;
 pub use sensor::{Sensor, SensorConfig};

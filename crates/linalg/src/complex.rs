@@ -39,16 +39,6 @@ impl Complex {
     pub fn abs(self) -> f64 {
         self.re.hypot(self.im)
     }
-
-    /// Complex conjugate.
-    pub fn conj(self) -> Self {
-        Complex { re: self.re, im: -self.im }
-    }
-
-    /// `true` if the imaginary part is negligible relative to `tol`.
-    pub fn is_approx_real(self, tol: f64) -> bool {
-        self.im.abs() <= tol
-    }
 }
 
 impl Add for Complex {
@@ -99,12 +89,9 @@ mod tests {
     }
 
     #[test]
-    fn conj_and_abs() {
-        let z = Complex::new(3.0, 4.0);
-        assert_eq!(z.conj(), Complex::new(3.0, -4.0));
-        assert_eq!((z * z.conj()).re, 25.0);
-        assert!(z.conj().is_approx_real(5.0));
-        assert!(!z.is_approx_real(1e-9));
+    fn modulus() {
+        assert_eq!(Complex::new(3.0, 4.0).abs(), 5.0);
+        assert_eq!(Complex::new(3.0, -4.0).abs(), 5.0);
     }
 
     #[test]

@@ -232,19 +232,14 @@ pub fn is_schur_stable(a: &Mat) -> Result<bool> {
     Ok(spectral_radius(a)? < 1.0)
 }
 
-/// `true` if the continuous-time system `ẋ = A x` is Hurwitz stable (all
-/// eigenvalue real parts < 0).
-///
-/// # Errors
-///
-/// See [`eigenvalues`].
-pub fn is_hurwitz_stable(a: &Mat) -> Result<bool> {
-    Ok(eigenvalues(a)?.iter().all(|l| l.re < 0.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sum of the diagonal entries of a square matrix.
+    fn trace(a: &Mat) -> f64 {
+        (0..a.rows()).map(|i| a[(i, i)]).sum()
+    }
 
     fn sorted_reals(mut v: Vec<Complex>) -> Vec<f64> {
         v.sort_by(|a, b| a.re.partial_cmp(&b.re).unwrap());
@@ -315,7 +310,7 @@ mod tests {
         ]);
         let h = hessenberg(&a).unwrap();
         // Trace is preserved by similarity.
-        assert!((h.trace() - a.trace()).abs() < 1e-10);
+        assert!((trace(&h) - trace(&a)).abs() < 1e-10);
         // Hessenberg structure: zeros below the first subdiagonal.
         for i in 2..4 {
             for j in 0..(i - 1) {
@@ -330,16 +325,8 @@ mod tests {
         let e = eigenvalues(&a).unwrap();
         let sum_re: f64 = e.iter().map(|c| c.re).sum();
         let sum_im: f64 = e.iter().map(|c| c.im).sum();
-        assert!((sum_re - a.trace()).abs() < 1e-8);
+        assert!((sum_re - trace(&a)).abs() < 1e-8);
         assert!(sum_im.abs() < 1e-8);
-    }
-
-    #[test]
-    fn hurwitz_check() {
-        let stable = Mat::from_rows(&[&[-1.0, 2.0], &[0.0, -3.0]]);
-        assert!(is_hurwitz_stable(&stable).unwrap());
-        let unstable = Mat::from_rows(&[&[0.1, 0.0], &[0.0, -1.0]]);
-        assert!(!is_hurwitz_stable(&unstable).unwrap());
     }
 
     #[test]

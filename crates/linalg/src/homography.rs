@@ -5,7 +5,7 @@
 //! image onto a top-down rectangle. That warp is a 3×3 homography
 //! estimated from the four ROI corner correspondences.
 
-use crate::{lu, LinalgError, Mat, Result};
+use crate::{lu, Mat, Result};
 
 /// A 3×3 plane projective transform mapping `(x, y)` to
 /// `((h00·x + h01·y + h02) / w, (h10·x + h11·y + h12) / w)` with
@@ -31,27 +31,13 @@ impl Homography {
         Homography { m: [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0] }
     }
 
-    /// Creates a homography from a row-major 3×3 coefficient array.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::InvalidInput`] if the matrix is singular
-    /// to within machine precision (`|det| < 1e-12` after normalization).
-    pub fn from_coefficients(m: [f64; 9]) -> Result<Self> {
-        let mat = Mat::from_vec(3, 3, m.to_vec())?;
-        if lu::Lu::new(&mat).is_err() {
-            return Err(LinalgError::InvalidInput("homography matrix is singular"));
-        }
-        Ok(Homography { m })
-    }
-
     /// Estimates the homography mapping each `src[i]` to `dst[i]` from
     /// exactly four point correspondences (direct linear transform with
     /// `h22 = 1`).
     ///
     /// # Errors
     ///
-    /// * [`LinalgError::Singular`] if three of the source or destination
+    /// * [`crate::LinalgError::Singular`] if three of the source or destination
     ///   points are collinear (the DLT system is then rank deficient).
     ///
     /// # Example
@@ -112,7 +98,7 @@ impl Homography {
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::Singular`] if the homography is not
+    /// Returns [`crate::LinalgError::Singular`] if the homography is not
     /// invertible (cannot happen for instances created through the public
     /// constructors).
     pub fn inverse(&self) -> Result<Homography> {
@@ -121,11 +107,6 @@ impl Homography {
         let mut m = [0.0; 9];
         m.copy_from_slice(inv.as_slice());
         Ok(Homography { m })
-    }
-
-    /// Row-major coefficients.
-    pub fn coefficients(&self) -> &[f64; 9] {
-        &self.m
     }
 }
 
@@ -186,13 +167,5 @@ mod tests {
         let src = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 0.0)];
         let dst = SQ;
         assert!(Homography::from_points(&src, &dst).is_err());
-    }
-
-    #[test]
-    fn from_coefficients_rejects_singular() {
-        assert!(Homography::from_coefficients([0.0; 9]).is_err());
-        assert!(
-            Homography::from_coefficients([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]).is_ok()
-        );
     }
 }

@@ -4,10 +4,9 @@
 //! workspace needs, implemented from scratch on `f64`:
 //!
 //! * [`Mat`] — a dense row-major matrix with the usual arithmetic, plus
-//!   the [`sgemm_nt`] / [`sgemm_grouped_nt`] `f32` batched GEMM kernels
-//!   backing the classifier MLPs,
-//! * [`lu::Lu`] — LU factorization with partial pivoting (solve / inverse /
-//!   determinant),
+//!   the [`sgemm_grouped_nt`] `f32` grouped GEMM kernel backing the
+//!   classifier MLPs,
+//! * [`lu::Lu`] — LU factorization with partial pivoting (solve / inverse),
 //! * [`expm::expm`] — matrix exponential (scaling & squaring + Padé), plus
 //!   the block trick used for ZOH discretization with input delay,
 //! * [`eig::eigenvalues`] — eigenvalues of small real matrices (Hessenberg
@@ -47,7 +46,7 @@ pub mod riccati;
 
 pub use complex::Complex;
 pub use homography::Homography;
-pub use mat::{sgemm_grouped_nt, sgemm_nt, Mat};
+pub use mat::{sgemm_grouped_nt, Mat};
 
 /// Errors produced by the numerical routines in this crate.
 #[derive(Debug, Clone, PartialEq)]

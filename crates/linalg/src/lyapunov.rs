@@ -70,19 +70,15 @@ pub fn solve_discrete_lyapunov(a: &Mat, q: &Mat) -> Result<Mat> {
     Ok(p)
 }
 
-/// Residual `Aᵀ P A − P + Q` of a candidate solution (diagnostic helper).
-///
-/// # Errors
-///
-/// Returns dimension errors from the underlying matrix products.
-pub fn lyapunov_residual(a: &Mat, p: &Mat, q: &Mat) -> Result<Mat> {
-    a.transpose().matmul(p)?.matmul(a)?.sub_mat(p)?.add_mat(q)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eig;
+
+    /// Residual `Aᵀ P A − P + Q` of a candidate solution.
+    fn residual(a: &Mat, p: &Mat, q: &Mat) -> Mat {
+        a.transpose().matmul(p).unwrap().matmul(a).unwrap().sub_mat(p).unwrap().add_mat(q).unwrap()
+    }
 
     #[test]
     fn solves_diagonal_case() {
@@ -100,7 +96,7 @@ mod tests {
         assert!(eig::is_schur_stable(&a).unwrap());
         let q = Mat::diag(&[1.0, 2.0, 0.5]);
         let p = solve_discrete_lyapunov(&a, &q).unwrap();
-        let res = lyapunov_residual(&a, &p, &q).unwrap();
+        let res = residual(&a, &p, &q);
         assert!(res.max_abs() < 1e-10);
         assert!(p.is_positive_definite(), "P must be PD for stable A, PD Q");
     }

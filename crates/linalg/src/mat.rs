@@ -5,49 +5,6 @@ use crate::{LinalgError, Result};
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 
-/// Batched "NT" GEMM over `f32` slices: for every input `i` of the
-/// batch and every weight row `r`,
-/// `out[i·rows + r] = bias[r] + Σ_c w[r·dim + c] · x[i·dim + c]`.
-///
-/// `x` holds `batch` row-major `dim`-vectors, `w` a row-major
-/// `rows × dim` weight matrix. Each output element accumulates
-/// sequentially over `c` from a `bias[r]` seed — the exact operation
-/// order of a one-sample matrix–vector product — so a batched forward
-/// pass is bit-identical to `batch` sequential ones. The weight row is
-/// hoisted across the batch (the blocking that turns `batch` strided
-/// matvecs into one cache-friendly sweep).
-///
-/// # Panics
-///
-/// Panics if any slice length disagrees with the stated dimensions.
-pub fn sgemm_nt(
-    x: &[f32],
-    batch: usize,
-    dim: usize,
-    w: &[f32],
-    rows: usize,
-    bias: &[f32],
-    out: &mut Vec<f32>,
-) {
-    assert_eq!(x.len(), batch * dim, "input batch length mismatch");
-    assert_eq!(w.len(), rows * dim, "weight matrix length mismatch");
-    assert_eq!(bias.len(), rows, "bias length mismatch");
-    out.clear();
-    out.resize(batch * rows, 0.0);
-    for r in 0..rows {
-        let row = &w[r * dim..(r + 1) * dim];
-        let seed = bias[r];
-        for i in 0..batch {
-            let xi = &x[i * dim..(i + 1) * dim];
-            let mut acc = seed;
-            for (wv, xv) in row.iter().zip(xi) {
-                acc += wv * xv;
-            }
-            out[i * rows + r] = acc;
-        }
-    }
-}
-
 /// Grouped "NT" GEMM over `f32` slices: `groups.len()` independent
 /// `(rows_g × cols_g)` weight blocks, stacked row-major in `w`, each
 /// multiplying its own `cols_g`-vector stacked in `x`, with stacked
@@ -56,9 +13,10 @@ pub fn sgemm_nt(
 ///
 /// `groups[g] = (rows_g, cols_g)`. Expected lengths: `x` is
 /// `Σ cols_g`, `w` is `Σ rows_g·cols_g`, `bias` is `Σ rows_g`; `out`
-/// is resized to `Σ rows_g`. Per output element the accumulation order
-/// matches [`sgemm_nt`] (bias seed, then sequential over the columns),
-/// so grouped inference is bit-identical to per-group inference.
+/// is resized to `Σ rows_g`. Each output element accumulates from its
+/// bias seed sequentially over the columns — the operation order of a
+/// one-sample matrix–vector product — so grouped inference is
+/// bit-identical to per-group inference.
 ///
 /// # Panics
 ///
@@ -207,11 +165,6 @@ impl Mat {
         &self.data
     }
 
-    /// Mutably borrows the underlying row-major data.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Returns the transpose.
     pub fn transpose(&self) -> Mat {
         let mut t = Mat::zeros(self.cols, self.rows);
@@ -324,11 +277,6 @@ impl Mat {
         out
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute entry (∞-"entrywise" norm).
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
@@ -339,16 +287,6 @@ impl Mat {
         (0..self.cols)
             .map(|j| (0..self.rows).map(|i| self[(i, j)].abs()).sum::<f64>())
             .fold(0.0_f64, f64::max)
-    }
-
-    /// Trace (sum of diagonal entries).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square.
-    pub fn trace(&self) -> f64 {
-        assert!(self.is_square(), "trace requires a square matrix");
-        (0..self.rows).map(|i| self[(i, i)]).sum()
     }
 
     /// `true` if every entry of `self` is within `tol` of `other`.
@@ -534,9 +472,9 @@ mod tests {
     }
 
     #[test]
-    fn diag_and_trace() {
+    fn diag() {
         let d = Mat::diag(&[1.0, 2.0, 3.0]);
-        assert_eq!(d.trace(), 6.0);
+        assert_eq!(d[(2, 2)], 3.0);
         assert_eq!(d[(1, 1)], 2.0);
         assert_eq!(d[(0, 1)], 0.0);
     }
@@ -554,7 +492,6 @@ mod tests {
     #[test]
     fn norms() {
         let a = Mat::from_rows(&[&[3.0, -4.0]]);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
         assert_eq!(a.max_abs(), 4.0);
         assert_eq!(a.norm_1(), 4.0);
     }
@@ -594,20 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn sgemm_nt_is_bit_identical_to_sequential_matvecs() {
-        let (batch, dim, rows) = (5, 7, 4);
-        let x: Vec<f32> = (0..batch * dim).map(|i| ((i * 37 % 19) as f32 - 9.0) * 0.13).collect();
-        let w: Vec<f32> = (0..rows * dim).map(|i| ((i * 53 % 23) as f32 - 11.0) * 0.07).collect();
-        let bias: Vec<f32> = (0..rows).map(|i| i as f32 * 0.31 - 0.4).collect();
-        let mut out = Vec::new();
-        sgemm_nt(&x, batch, dim, &w, rows, &bias, &mut out);
-        for i in 0..batch {
-            let expect = matvec_ref(&x[i * dim..(i + 1) * dim], &w, rows, dim, &bias);
-            assert_eq!(&out[i * rows..(i + 1) * rows], expect.as_slice(), "sample {i}");
-        }
-    }
-
-    #[test]
     fn sgemm_grouped_nt_is_bit_identical_to_per_group_matvecs() {
         let groups = [(3usize, 4usize), (2, 6), (5, 4)];
         let total_cols: usize = groups.iter().map(|&(_, c)| c).sum();
@@ -636,8 +559,8 @@ mod tests {
 
     #[test]
     #[should_panic]
-    fn sgemm_nt_rejects_bad_lengths() {
+    fn sgemm_grouped_nt_rejects_bad_lengths() {
         let mut out = Vec::new();
-        sgemm_nt(&[1.0; 5], 2, 3, &[0.0; 6], 2, &[0.0; 2], &mut out);
+        sgemm_grouped_nt(&[1.0; 5], &[0.0; 12], &[0.0; 2], &[(2, 6)], &mut out);
     }
 }

@@ -382,16 +382,6 @@ impl BatchedMlps {
         }
     }
 
-    /// Input dimensionality of each member network, in stacking order.
-    pub fn input_dims(&self) -> &[usize] {
-        &self.input_dims
-    }
-
-    /// Class count of each member network, in stacking order.
-    pub fn class_counts(&self) -> &[usize] {
-        &self.class_counts
-    }
-
     /// Grouped forward pass: `xs` holds the members' input vectors
     /// concatenated in stacking order; returns the concatenated logits
     /// (living in `scratch` — allocation-free once warm).
@@ -561,8 +551,8 @@ mod tests {
     fn batched_predict_matches_sequential_predict() {
         let (a, b, c) = trio();
         let batched = BatchedMlps::new(&[&a, &b, &c]);
-        assert_eq!(batched.input_dims(), &[7, 7, 7]);
-        assert_eq!(batched.class_counts(), &[3, 4, 5]);
+        assert_eq!(batched.input_dims, [7, 7, 7]);
+        assert_eq!(batched.class_counts, [3, 4, 5]);
         let mut scratch = MlpScratch::new();
         let mut preds = Vec::new();
         for seed in 100..132 {

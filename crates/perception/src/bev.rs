@@ -74,11 +74,6 @@ impl BevImage {
         self.height
     }
 
-    /// The ROI this view rectifies.
-    pub fn roi(&self) -> Roi {
-        self.roi
-    }
-
     /// Score at `(col, row)`.
     ///
     /// # Panics
@@ -99,18 +94,6 @@ impl BevImage {
     pub fn lateral_of_col(&self, col: f64) -> f64 {
         let g = self.roi.ground_extent();
         g.y_left - (col + 0.5) * (g.y_left - g.y_right) / self.width as f64
-    }
-
-    /// Column (fractional) of a vehicle-frame lateral position.
-    pub fn col_of_lateral(&self, lateral: f64) -> f64 {
-        let g = self.roi.ground_extent();
-        (g.y_left - lateral) / (g.y_left - g.y_right) * self.width as f64 - 0.5
-    }
-
-    /// Vehicle-frame forward distance (m) of a row center.
-    pub fn forward_of_row(&self, row: f64) -> f64 {
-        let g = self.roi.ground_extent();
-        g.x_far - (row + 0.5) * (g.x_far - g.x_near) / self.height as f64
     }
 
     /// Row (fractional) of a vehicle-frame forward distance.
@@ -144,8 +127,6 @@ impl BevImage {
 #[derive(Debug, Clone)]
 pub struct BirdsEye {
     roi: Roi,
-    /// Maps ground (x_forward, y_left) to image (u, v).
-    ground_to_image: Homography,
     /// Precomputed image-space sample points `(u, v)` of the default
     /// `BEV_WIDTH`×`BEV_HEIGHT` grid (row-major). The homography and the
     /// grid are both fixed per rectifier, so the projection arithmetic is
@@ -192,12 +173,7 @@ impl BirdsEye {
                 samples.push(ground_to_image.apply(x, y));
             }
         }
-        Ok(BirdsEye { roi, ground_to_image, samples, corners: corners_px })
-    }
-
-    /// The ROI being rectified.
-    pub fn roi(&self) -> Roi {
-        self.roi
+        Ok(BirdsEye { roi, samples, corners: corners_px })
     }
 
     /// A window of a `w`×`h` frame holding every pixel the bilinear taps
@@ -283,33 +259,6 @@ impl BirdsEye {
                 out.sum = sum;
             }
         }
-    }
-
-    /// Rectifies into a custom grid size (used by tests and the dense
-    /// baseline).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn rectify_sized(&self, frame: &RgbImage, width: usize, height: usize) -> BevImage {
-        assert!(width > 0 && height > 0, "BEV dimensions must be nonzero");
-        if (width, height) == (BEV_WIDTH, BEV_HEIGHT) {
-            return self.rectify(frame);
-        }
-        let g = self.roi.ground_extent();
-        let mut score = vec![0.0f32; width * height];
-        let mut sum = -0.0f32;
-        for row in 0..height {
-            let x = g.x_far - (row as f64 + 0.5) * (g.x_far - g.x_near) / height as f64;
-            for col in 0..width {
-                let y = g.y_left - (col as f64 + 0.5) * (g.y_left - g.y_right) / width as f64;
-                let (u, v) = self.ground_to_image.apply(x, y);
-                let cell = marking_score(sample_bilinear(frame, u, v));
-                score[row * width + col] = cell;
-                sum += cell;
-            }
-        }
-        BevImage { width, height, score, sum, roi: self.roi }
     }
 }
 
@@ -452,17 +401,31 @@ mod tests {
         SceneRenderer::new(Camera::default_automotive()).render(&track, 10.0, 0.0, 0.0)
     }
 
+    /// Column (fractional) of a vehicle-frame lateral position: the
+    /// inverse of [`BevImage::lateral_of_col`].
+    fn col_of_lateral(bev: &BevImage, lateral: f64) -> f64 {
+        let g = bev.roi.ground_extent();
+        (g.y_left - lateral) / (g.y_left - g.y_right) * bev.width as f64 - 0.5
+    }
+
+    /// Vehicle-frame forward distance (m) of a row center: the inverse
+    /// of [`BevImage::row_of_forward`].
+    fn forward_of_row(bev: &BevImage, row: f64) -> f64 {
+        let g = bev.roi.ground_extent();
+        g.x_far - (row + 0.5) * (g.x_far - g.x_near) / bev.height as f64
+    }
+
     #[test]
     fn geometry_roundtrip() {
         let be = BirdsEye::new(Camera::default_automotive(), Roi::Roi1).unwrap();
         let bev = be.rectify(&RgbImage::filled(512, 256, [0.0; 3]));
         for lateral in [-3.0, -1.0, 0.0, 2.5] {
-            let col = bev.col_of_lateral(lateral);
+            let col = col_of_lateral(&bev, lateral);
             assert!((bev.lateral_of_col(col) - lateral).abs() < 1e-9);
         }
         for fwd in [5.0, 10.0, 25.0] {
             let row = bev.row_of_forward(fwd);
-            assert!((bev.forward_of_row(row) - fwd).abs() < 1e-9);
+            assert!((forward_of_row(&bev, row) - fwd).abs() < 1e-9);
         }
     }
 
@@ -473,7 +436,7 @@ mod tests {
         // point of the rectification).
         let be = BirdsEye::new(Camera::default_automotive(), Roi::Roi1).unwrap();
         let bev = be.rectify(&rendered_frame());
-        let expect_col = bev.col_of_lateral(LANE_WIDTH / 2.0).round() as usize;
+        let expect_col = col_of_lateral(&bev, LANE_WIDTH / 2.0).round() as usize;
         // Skip the farthest rows: at 30 m the camera resolves only
         // ≈0.1 m/px, so the peak can sit a few BEV columns off.
         for row in (40..bev.height() - 10).step_by(20) {
@@ -550,7 +513,7 @@ mod tests {
             .rectify_into(&frame, &mut reused);
         be.rectify_into(&frame, &mut reused);
         assert_eq!(reused.as_slice(), fresh.as_slice());
-        assert_eq!(reused.roi(), Roi::Roi1);
+        assert_eq!(reused.roi, Roi::Roi1);
     }
 
     #[test]
@@ -599,18 +562,7 @@ mod tests {
             let mut lanes = BevImage::empty();
             be.rectify_into_with(&frame, &mut lanes, KernelBackend::Lanes, &mut taps);
             assert_eq!(lanes.score_sum().to_bits(), sum_of(&lanes), "{roi} lanes");
-            let sized = be.rectify_sized(&frame, 40, 24);
-            assert_eq!(sized.score_sum().to_bits(), sum_of(&sized), "{roi} 40x24");
         }
-    }
-
-    #[test]
-    fn rectify_sized_default_dims_matches_rectify() {
-        let frame = rendered_frame();
-        let be = BirdsEye::new(Camera::default_automotive(), Roi::Roi1).unwrap();
-        let a = be.rectify(&frame);
-        let b = be.rectify_sized(&frame, BEV_WIDTH, BEV_HEIGHT);
-        assert_eq!(a.as_slice(), b.as_slice());
     }
 
     #[test]

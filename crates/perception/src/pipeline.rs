@@ -126,11 +126,6 @@ impl Perception {
         self
     }
 
-    /// The active kernel backend.
-    pub fn backend(&self) -> KernelBackend {
-        self.backend
-    }
-
     /// The active configuration.
     pub fn config(&self) -> PerceptionConfig {
         self.config

@@ -58,13 +58,6 @@ pub struct SlidingWindowResult {
     pub right: Option<LaneFit>,
 }
 
-impl SlidingWindowResult {
-    /// Number of detected boundaries (0–2).
-    pub fn detected(&self) -> usize {
-        self.left.is_some() as usize + self.right.is_some() as usize
-    }
-}
-
 /// Reusable workspace of [`sliding_window_search_with`]: histograms,
 /// candidate-pixel lists and the polynomial-fit workspace survive between
 /// frames, so the steady-state search performs no heap allocations. One
@@ -282,7 +275,7 @@ mod tests {
     fn detects_both_lanes_on_straight_day() {
         let track = Track::for_situation(&TABLE3_SITUATIONS[0], 500.0);
         let (bev, res) = search_for(&track, 10.0, 0.0, Roi::Roi1, 1);
-        assert_eq!(res.detected(), 2, "both lanes expected");
+        assert!(res.left.is_some() && res.right.is_some(), "both lanes expected");
         let left = res.left.unwrap();
         let right = res.right.unwrap();
         // Bottom row: boundaries near ±LANE_WIDTH/2.
@@ -346,6 +339,6 @@ mod tests {
         let bev = be.rectify(&lkas_imaging::image::RgbImage::filled(512, 256, [0.3; 3]));
         let mask = binarize(&bev);
         let res = sliding_window_search(&bev, &mask);
-        assert_eq!(res.detected(), 0);
+        assert!(res.left.is_none() && res.right.is_none());
     }
 }

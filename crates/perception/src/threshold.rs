@@ -77,11 +77,6 @@ impl BinaryMask {
     pub fn count(&self) -> usize {
         self.data.iter().filter(|&&b| b).count()
     }
-
-    /// Fraction of set cells.
-    pub fn density(&self) -> f64 {
-        self.count() as f64 / self.data.len() as f64
-    }
 }
 
 /// Binarizes a bird's-eye score map with the adaptive threshold
@@ -175,7 +170,8 @@ mod tests {
     fn day_markings_are_segmented() {
         let mask = bev_for_situation(0, IspConfig::S0, 1);
         // Markings cover a few percent of the ROI.
-        assert!(mask.density() > 0.01 && mask.density() < 0.30, "density {}", mask.density());
+        let density = mask.count() as f64 / mask.data.len() as f64;
+        assert!(density > 0.01 && density < 0.30, "density {density}");
     }
 
     #[test]
@@ -189,8 +185,12 @@ mod tests {
         let be = BirdsEye::new(cam, Roi::Roi1).unwrap();
         let bev = be.rectify(&rgb);
         let mask = binarize(&bev);
-        let left_col = bev.col_of_lateral(LANE_WIDTH / 2.0).round() as usize;
-        let mid_col = bev.col_of_lateral(0.0).round() as usize;
+        // Column (fractional) of a vehicle-frame lateral position.
+        let g = Roi::Roi1.ground_extent();
+        let col_of =
+            |lateral: f64| (g.y_left - lateral) / (g.y_left - g.y_right) * bev.width() as f64 - 0.5;
+        let left_col = col_of(LANE_WIDTH / 2.0).round() as usize;
+        let mid_col = col_of(0.0).round() as usize;
         let col_hits = |c: usize| (0..mask.height()).filter(|&r| mask.get(c, r)).count();
         let left_hits = (left_col.saturating_sub(2)..=left_col + 2).map(col_hits).sum::<usize>();
         let mid_hits = (mid_col.saturating_sub(2)..=mid_col + 2).map(col_hits).sum::<usize>();

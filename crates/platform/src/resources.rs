@@ -22,7 +22,6 @@ pub enum ProcessingResource {
 /// use lkas_platform::resources::XavierPlatform;
 ///
 /// let xavier = XavierPlatform::agx_30w();
-/// assert_eq!(xavier.cpu_cores(), 8);
 /// assert!(xavier.power_budget_w() <= 30.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -48,11 +47,6 @@ impl XavierPlatform {
             cpu_core_power_w: 1.6,
             gpu_power_w: 13.0,
         }
-    }
-
-    /// Number of CPU cores.
-    pub fn cpu_cores(&self) -> u8 {
-        self.cpu_cores
     }
 
     /// Power budget in watts.
@@ -81,11 +75,6 @@ impl XavierPlatform {
             + self.gpu_power_w * gpu_utilization
             + self.cpu_core_power_w * cpu_utilization * busy_cores as f64
     }
-
-    /// `true` if the given average power fits the budget.
-    pub fn fits_budget(&self, average_power_w: f64) -> bool {
-        average_power_w <= self.power_budget_w
-    }
 }
 
 impl Default for XavierPlatform {
@@ -101,7 +90,7 @@ mod tests {
     #[test]
     fn inventory() {
         let p = XavierPlatform::agx_30w();
-        assert_eq!(p.cpu_cores(), 8);
+        assert_eq!(p.cpu_cores, 8);
         assert_eq!(p.power_budget_w(), 30.0);
     }
 
@@ -109,7 +98,7 @@ mod tests {
     fn idle_power_fits_budget() {
         let p = XavierPlatform::agx_30w();
         let idle = p.average_power_w(0.0, 0.0, 0);
-        assert!(p.fits_budget(idle));
+        assert!(idle <= p.power_budget_w());
     }
 
     #[test]
@@ -118,7 +107,7 @@ mod tests {
         // LKAS workload shape.
         let p = XavierPlatform::agx_30w();
         let busy = p.average_power_w(1.0, 1.0, 2);
-        assert!(p.fits_budget(busy), "power {busy} W");
+        assert!(busy <= p.power_budget_w(), "power {busy} W");
     }
 
     #[test]

@@ -448,27 +448,29 @@ pub struct MetricsDump {
 /// Writes `bytes` to `path` atomically: the content lands in a
 /// temporary file in the same directory and is renamed into place, so a
 /// killed process never leaves a torn artifact. Parent directories are
-/// created as needed.
+/// created as needed. Each call writes its own temporary file (named by
+/// process id and a process-wide call counter), so concurrent writers
+/// of one path never share one; the last rename wins whole. A failed
+/// write or rename removes its temporary file.
 ///
 /// # Errors
 ///
 /// Returns any underlying filesystem error.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
         }
     }
     let file_name = path.file_name().and_then(|n| n.to_str()).unwrap_or("artifact");
-    let tmp = path.with_file_name(format!(".{file_name}.tmp-{}", std::process::id()));
-    std::fs::write(&tmp, bytes)?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_file_name(format!(".{file_name}.tmp-{}-{call}", std::process::id()));
+    let written = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
     }
+    written
 }
 
 /// Timing for one stage within a [`MetricsSnapshot`].
@@ -707,5 +709,49 @@ mod tests {
         shared.merge_from(&b);
         assert_eq!(shared.snapshot(), direct.snapshot());
         assert_eq!(shared.dump(), direct.dump());
+    }
+
+    #[test]
+    fn concurrent_atomic_writes_of_one_path_land_whole() {
+        let dir = std::env::temp_dir()
+            .join(format!("lkas-runtime-test-write-atomic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("artifact.json");
+        // Four writers, each with its own 1 MB payload, 50 writes each,
+        // released together so their writes overlap.
+        let payloads: Vec<Vec<u8>> = (0..4u8).map(|t| vec![b'a' + t; 1 << 20]).collect();
+        let start = std::sync::Barrier::new(payloads.len());
+        std::thread::scope(|s| {
+            for payload in &payloads {
+                let (path, start) = (&path, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..50 {
+                        write_atomic(path, payload).expect("every concurrent write succeeds");
+                    }
+                });
+            }
+        });
+        let written = std::fs::read(&path).unwrap();
+        assert!(payloads.contains(&written), "the file holds one whole payload");
+        let names: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(names, ["artifact.json"], "no temporary file is left behind");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_atomic_write_leaves_no_temporary() {
+        let dir = std::env::temp_dir()
+            .join(format!("lkas-runtime-test-write-atomic-fail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // A non-empty directory in the way makes the rename fail.
+        let path = dir.join("artifact.json");
+        std::fs::create_dir_all(path.join("occupied")).unwrap();
+        assert!(write_atomic(&path, b"payload").is_err());
+        let names: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(names, ["artifact.json"], "the temporary file is removed");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -180,11 +180,6 @@ impl TelemetryBus {
         evicted
     }
 
-    /// Per-subscription ring bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Events published so far.
     pub fn published(&self) -> u64 {
         self.published.load(Ordering::Relaxed)
@@ -194,13 +189,6 @@ impl TelemetryBus {
     /// `stream_dropped` total).
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Live (not yet dropped) subscriptions.
-    pub fn subscriber_count(&self) -> usize {
-        let mut subscribers = self.subscribers.lock().expect("bus subscriber lock");
-        subscribers.retain(|ring| !ring.closed.load(Ordering::Acquire));
-        subscribers.len()
     }
 }
 
@@ -220,11 +208,6 @@ impl std::fmt::Debug for Subscription {
 }
 
 impl Subscription {
-    /// Takes the oldest buffered event, if any (never blocks).
-    pub fn try_next(&self) -> Option<CycleDelta> {
-        self.ring.queue.lock().expect("subscription ring lock").events.pop_front()
-    }
-
     /// Takes every buffered event, oldest first.
     pub fn drain(&self) -> Vec<CycleDelta> {
         let mut state = self.ring.queue.lock().expect("subscription ring lock");
@@ -431,8 +414,8 @@ mod tests {
         let delta = delta_with(0, &[], &[(Counter::Cycles, 1)]);
         assert_eq!(bus.publish(&delta), 0);
         assert_eq!(a.drain(), vec![delta.clone()]);
-        assert_eq!(b.try_next(), Some(delta));
-        assert_eq!(b.try_next(), None);
+        assert_eq!(b.drain(), vec![delta]);
+        assert!(b.drain().is_empty());
         assert_eq!(bus.published(), 1);
         assert_eq!(bus.dropped(), 0);
     }
@@ -462,7 +445,7 @@ mod tests {
         for cycle in 0..10 {
             bus.publish(&CycleDelta::new(cycle));
         }
-        assert_eq!(bus.subscriber_count(), 0);
+        assert!(bus.subscribers.lock().unwrap().is_empty(), "the closed ring is pruned");
         assert_eq!(bus.dropped(), 0);
     }
 

@@ -98,7 +98,7 @@ impl TraceRecorder {
     pub fn sink(&self, pid: u64, name: impl Into<String>) -> TraceSink {
         let inner = Arc::new(Mutex::new(RunTrace::default()));
         self.runs.lock().expect("trace run list lock").push((pid, name.into(), Arc::clone(&inner)));
-        TraceSink { pid, capacity: self.capacity, inner }
+        TraceSink { capacity: self.capacity, inner }
     }
 
     /// Total events currently buffered across runs.
@@ -159,17 +159,11 @@ impl TraceRecorder {
 /// internal mutex is uncontended).
 #[derive(Debug, Clone)]
 pub struct TraceSink {
-    pid: u64,
     capacity: usize,
     inner: Arc<Mutex<RunTrace>>,
 }
 
 impl TraceSink {
-    /// The Chrome process id of this run.
-    pub fn pid(&self) -> u64 {
-        self.pid
-    }
-
     /// Records that `stage` ran in `cycle` (one fixed-width span in the
     /// cycle's stage slot).
     pub fn span(&self, cycle: u64, stage: Stage) {

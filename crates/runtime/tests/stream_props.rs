@@ -38,13 +38,13 @@ proptest! {
         let mut received = 0u64;
         for (cycle, &action) in actions.iter().enumerate() {
             bus.publish(&CycleDelta::new(cycle as u64));
-            // Occasionally drain mid-stream (action 0: hold back, 1:
-            // take one, 2: take all) to vary ring occupancy.
-            match action {
-                1 => received += u64::from(sub.try_next().is_some()),
-                2 => received += sub.drain().len() as u64,
-                _ => {}
+            // Occasionally drain mid-stream (action 0 or 1: hold back,
+            // 2: take all) to vary ring occupancy, which never exceeds
+            // the bound.
+            if action == 2 {
+                received += sub.drain().len() as u64;
             }
+            prop_assert!(sub.len() <= capacity);
         }
         received += sub.drain().len() as u64;
         prop_assert_eq!(received + sub.dropped(), bus.published());

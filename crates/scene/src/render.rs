@@ -131,11 +131,6 @@ impl SceneRenderer {
         SceneRenderer { camera, rows, columns }
     }
 
-    /// Borrow the camera model.
-    pub fn camera(&self) -> &Camera {
-        &self.camera
-    }
-
     /// Renders the scene-referred irradiance frame seen from Frenet pose
     /// `(s, d, psi)`: arc position `s` (m), lateral offset `d` from the
     /// lane center (m, positive left), heading error `psi` (rad, positive
@@ -411,7 +406,7 @@ mod tests {
     fn markings_appear_on_expected_sides() {
         let r = renderer();
         let img = r.render(&day_straight_track(), 6.0, 0.0, 0.0);
-        let cam = r.camera();
+        let cam = &r.camera;
         // Project the left/right marking ground positions at 10 m ahead
         // and verify bright pixels there.
         let (ul, vl) = cam.project_ground(10.0, LANE_WIDTH / 2.0).unwrap();
@@ -438,7 +433,7 @@ mod tests {
         let r = renderer();
         let centered = r.render(&day_straight_track(), 6.0, 0.0, 0.0);
         let offset = r.render(&day_straight_track(), 6.0, 0.8, 0.0);
-        let cam = r.camera();
+        let cam = &r.camera;
         let (_, v10) = cam.project_ground(10.0, LANE_WIDTH / 2.0).unwrap();
         let row = v10.round() as usize;
         // Track the left marking: brightest pixel in the left half.
@@ -472,7 +467,7 @@ mod tests {
         let track = Track::for_situation(&sit, 500.0);
         let r = renderer();
         let img = r.render(&track, 6.0, 0.0, 0.0);
-        let cam = r.camera();
+        let cam = &r.camera;
         let (ul, vl) = cam.project_ground(8.0, LANE_WIDTH / 2.0).unwrap();
         let px = img.get(ul.round() as usize, vl.round() as usize);
         assert!(px[0] > 2.0 * px[2], "yellow marking must have R >> B, got {px:?}");
@@ -493,7 +488,7 @@ mod tests {
         let dark = Track::for_situation(&TABLE3_SITUATIONS[6], 500.0);
         let r = renderer();
         let img = r.render(&dark, 6.0, 0.0, 0.0);
-        let cam = r.camera();
+        let cam = &r.camera;
         let (un, vn) = cam.project_ground(5.0, 0.0).unwrap();
         let (uf, vf) = cam.project_ground(45.0, 0.0).unwrap();
         let near = img.get(un.round() as usize, vn.round() as usize);
@@ -512,7 +507,7 @@ mod tests {
         let track = Track::for_situation(&sit, 500.0);
         let r = renderer();
         let img = r.render(&track, 0.0, 0.0, 0.0);
-        let cam = r.camera();
+        let cam = &r.camera;
         // Sample the left marking line every 0.5 m from 5 m to 20 m: some
         // samples painted, some not.
         let mut bright = 0;
@@ -543,7 +538,7 @@ mod tests {
         let r = renderer();
         let img = r.render(&track, 0.0, 0.0, 0.0);
         let straight = r.render(&day_straight_track(), 6.0, 0.0, 0.0);
-        let cam = r.camera();
+        let cam = &r.camera;
         // At a far preview distance, the turn's left marking is shifted
         // right (toward smaller lateral offset) vs the straight road.
         let (_, v_far) = cam.project_ground(40.0, LANE_WIDTH / 2.0).unwrap();

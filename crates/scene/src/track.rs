@@ -318,15 +318,10 @@ impl Track {
         self.starts[i]
     }
 
-    /// `true` if a marking is painted at longitudinal position `s` for
-    /// the given lane form (handles the dash pattern of dotted lanes).
-    pub fn marking_painted_at(form: LaneForm, s: f64) -> bool {
-        Track::painted_at_phase(form, Track::dash_phase(s))
-    }
-
-    /// [`Track::marking_painted_at`] for a position whose
-    /// [`Track::dash_phase`] is `phase` — one phase serves every marking
-    /// line at that position.
+    /// `true` if a marking of the given lane form is painted at a
+    /// position whose [`Track::dash_phase`] is `phase` (handles the dash
+    /// pattern of dotted lanes) — one phase serves every marking line at
+    /// that position.
     #[inline]
     pub(crate) fn painted_at_phase(form: LaneForm, phase: f64) -> bool {
         match form {
@@ -463,12 +458,13 @@ mod tests {
 
     #[test]
     fn dotted_dash_pattern() {
-        assert!(Track::marking_painted_at(LaneForm::Dotted, 0.0));
-        assert!(Track::marking_painted_at(LaneForm::Dotted, 2.9));
-        assert!(!Track::marking_painted_at(LaneForm::Dotted, 3.1));
-        assert!(!Track::marking_painted_at(LaneForm::Dotted, 7.4));
-        assert!(Track::marking_painted_at(LaneForm::Dotted, 7.6));
-        assert!(Track::marking_painted_at(LaneForm::Continuous, 1234.5));
+        let painted = |form, s| Track::painted_at_phase(form, Track::dash_phase(s));
+        assert!(painted(LaneForm::Dotted, 0.0));
+        assert!(painted(LaneForm::Dotted, 2.9));
+        assert!(!painted(LaneForm::Dotted, 3.1));
+        assert!(!painted(LaneForm::Dotted, 7.4));
+        assert!(painted(LaneForm::Dotted, 7.6));
+        assert!(painted(LaneForm::Continuous, 1234.5));
     }
 
     #[test]

@@ -59,11 +59,6 @@ impl SteeringActuator {
         self.angle
     }
 
-    /// Resets the wheel to center.
-    pub fn reset(&mut self) {
-        self.angle = 0.0;
-    }
-
     /// Injects (or, with `None`, clears) a failure mode. The wheel angle
     /// is continuous across injection and recovery — only the response
     /// changes.
@@ -131,11 +126,8 @@ mod tests {
     }
 
     #[test]
-    fn reset_centers() {
-        let mut act = SteeringActuator::default();
-        act.step(0.3, 0.1);
-        act.reset();
-        assert_eq!(act.angle(), 0.0);
+    fn starts_centered() {
+        assert_eq!(SteeringActuator::default().angle(), 0.0);
     }
 
     #[test]

@@ -33,11 +33,6 @@ impl VehicleState {
         let vx = kmph_to_mps(speed_kmph);
         VehicleState { s: 0.0, d: 0.0, psi: 0.0, vy: 0.0, r: 0.0, vx, vx_target: vx }
     }
-
-    /// A state with an initial lateral offset.
-    pub fn offset(speed_kmph: f64, d: f64) -> Self {
-        VehicleState { d, ..VehicleState::centered(speed_kmph) }
-    }
 }
 
 /// The vehicle simulator: RK4 single-track dynamics on a track, with
@@ -115,11 +110,6 @@ impl VehicleSim {
     pub fn true_y_l(&self) -> f64 {
         let kappa = self.track.curvature_at(self.state.s + LOOK_AHEAD_M);
         self.state.d + LOOK_AHEAD_M * self.state.psi - kappa * LOOK_AHEAD_M * LOOK_AHEAD_M / 2.0
-    }
-
-    /// The situation the vehicle currently drives in (ground truth).
-    pub fn situation(&self) -> SituationFeatures {
-        self.track.situation_at(self.state.s)
     }
 
     /// The situation visible in the camera's preview region, `preview_m`
@@ -255,7 +245,10 @@ mod tests {
 
     #[test]
     fn true_y_l_combines_offset_and_heading() {
-        let mut sim = VehicleSim::new(straight_track(), VehicleState::offset(50.0, 0.3));
+        let mut sim = VehicleSim::new(
+            straight_track(),
+            VehicleState { d: 0.3, ..VehicleState::centered(50.0) },
+        );
         assert!((sim.true_y_l() - 0.3).abs() < 1e-9);
         sim.state.psi = 0.02;
         assert!((sim.true_y_l() - (0.3 + 5.5 * 0.02)).abs() < 1e-9);
@@ -277,7 +270,10 @@ mod tests {
 
     #[test]
     fn departure_latches_and_freezes() {
-        let mut sim = VehicleSim::new(straight_track(), VehicleState::offset(50.0, 5.0));
+        let mut sim = VehicleSim::new(
+            straight_track(),
+            VehicleState { d: 5.0, ..VehicleState::centered(50.0) },
+        );
         sim.step(0.0);
         assert!(sim.departed());
         let s_at_crash = sim.state().s;

@@ -6,25 +6,29 @@
 //! `process_into` on worker threads) and the kernel backend (`scalar`
 //! reference, bit-exact `lanes`) — plus demosaic alone and the
 //! perception pipeline (rectify + binarize + search) per backend, and
-//! the renderer, the feature extractor and perception's binarize +
-//! sliding-window search against their references
-//! (`lkas_bench::reference`), interleaved round by round in this one
-//! process on the 256×128 camera. This is the harness behind the README
-//! "Steady-state frame path" table and DESIGN.md §10/§17.
+//! the renderer, the feature extractor, lane rectification and
+//! perception's binarize + sliding-window search against their
+//! references (`lkas_bench::reference`, or the scalar backend for
+//! rectify) on the 256×128 camera. Every scalar/lanes and
+//! reference/library pair is timed in alternating rounds in this one
+//! process, and each side reports its median round. This is the harness
+//! behind the README "Steady-state frame path" table and DESIGN.md
+//! §10/§17.
 //!
-//! Flags: `--iters N` (timed iterations per cell, default 40),
-//! `--threads N` (tiled-path worker count, default 4).
+//! Flags: `--iters N` (timed iterations or rounds per cell, default
+//! 40), `--threads N` (tiled-path worker count, default 4).
 //!
 //! Subcommand: `isp_throughput check --baseline PATH [--max-rel X]`
 //! re-measures and fails (exit 1) when a speedup measured in this one
 //! process falls below 0.75× its baseline value: each config's
 //! lanes-over-scalar ISP speedup, perception's lanes-over-scalar
-//! speedup, and the render, feature-extraction and binarize + search
-//! speedups over their references. A ratio cancels the host's speed,
-//! so that bound can be tight. As a backstop it also fails if any
-//! pooled-lanes ISP mean or pooled perception mean exceeds `X` times
-//! its baseline value (default 4.0: order-of-magnitude regressions, not
-//! scheduler noise).
+//! speedup, and the render, feature-extraction, rectify and binarize +
+//! search speedups over their references. A ratio cancels the host's
+//! speed, so that bound can be tight. As a backstop it also fails if
+//! any pooled-lanes ISP median or pooled perception median exceeds `X`
+//! times its baseline value (default 4.0: order-of-magnitude
+//! regressions, not scheduler noise), and it refuses a baseline of
+//! another schema (one recorded with means, say).
 
 use lkas_bench::{fail, reference, render_table, write_result, Args};
 use lkas_imaging::image::{PixelWindow, RgbImage};
@@ -32,7 +36,7 @@ use lkas_imaging::isp::{demosaic_into_with, IspConfig, IspPipeline};
 use lkas_imaging::sensor::{Sensor, SensorConfig};
 use lkas_imaging::{KernelBackend, Scratch};
 use lkas_nn::features::{extract_into, FeatureScratch};
-use lkas_perception::bev::{BevImage, BirdsEye};
+use lkas_perception::bev::{BevImage, BirdsEye, RectifyTaps};
 use lkas_perception::pipeline::{Perception, PerceptionConfig, PerceptionScratch};
 use lkas_perception::roi::Roi;
 use lkas_perception::sliding::{sliding_window_search_with, SlidingScratch};
@@ -44,6 +48,8 @@ use lkas_scene::track::Track;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
+/// One ISP configuration: mean µs per call of the allocating and the
+/// tiled path, median µs per call of the scalar and the lanes backend.
 #[derive(Serialize, Deserialize)]
 struct ConfigRow {
     config: String,
@@ -54,6 +60,7 @@ struct ConfigRow {
     lanes_speedup: f64,
 }
 
+/// Perception on one backend: median µs per pooled call.
 #[derive(Serialize, Deserialize)]
 struct PerceptionRow {
     backend: String,
@@ -63,7 +70,7 @@ struct PerceptionRow {
 /// A library stage timed against its reference.
 #[derive(Serialize, Deserialize)]
 struct FastPathRow {
-    /// `render`, `extract` or `binarize+search`.
+    /// `render`, `extract`, `binarize+search` or `rectify`.
     stage: String,
     /// Median µs per call of the reference.
     reference_us: f64,
@@ -85,6 +92,10 @@ struct Report {
 
 /// The fraction of its baseline speedup a fast path must keep.
 const MIN_SPEEDUP_KEPT: f64 = 0.75;
+
+/// The report schema. v3 times every backend and reference pair as
+/// medians of alternating rounds; v2 baselines hold block means.
+const SCHEMA: &str = "lkas-isp-throughput-v3";
 
 /// Mean microseconds per call of `f` over `iters` timed iterations
 /// (after 3 warm-up calls that also size any reused buffers).
@@ -130,10 +141,10 @@ fn time_pair(
     (median(&mut slow), median(&mut fast))
 }
 
-/// Render, feature extraction, and binarize + sliding-window search
-/// against their references on the 256×128 camera, over poses in each
-/// sector of the Fig. 7 track (the search on each pose's five ROI
-/// grids).
+/// Render, feature extraction, binarize + sliding-window search and
+/// lane rectification against their references on the 256×128 camera,
+/// over poses in each sector of the Fig. 7 track (the search and
+/// rectify on each pose's five ROIs).
 fn measure_fast_paths(iters: usize) -> Vec<FastPathRow> {
     let cam = Camera::new(256, 128, 150.0, 1.3, 6.0_f64.to_radians());
     let track = Track::fig7_track();
@@ -178,12 +189,28 @@ fn measure_fast_paths(iters: usize) -> Vec<FastPathRow> {
             std::hint::black_box(&features);
         },
     );
-    let grids: Vec<BevImage> = frames
-        .iter()
-        .flat_map(|rgb| {
-            Roi::ALL.map(|roi| BirdsEye::new(cam.clone(), roi).expect("built-in ROI").rectify(rgb))
-        })
-        .collect();
+    let birds_eyes = Roi::ALL.map(|roi| BirdsEye::new(cam.clone(), roi).expect("built-in ROI"));
+    let grids: Vec<BevImage> =
+        frames.iter().flat_map(|rgb| birds_eyes.iter().map(|be| be.rectify(rgb))).collect();
+    // Grid `i` is ROI `i % 5` of frame `i / 5`; one tap table per ROI, so
+    // no call rebuilds one.
+    let rois = birds_eyes.len();
+    let (mut ref_bev, mut lib_bev) = (BevImage::empty(), BevImage::empty());
+    let mut taps = Roi::ALL.map(|_| RectifyTaps::empty());
+    let (ref_rectify, lib_rectify) = time_pair(
+        iters,
+        grids.len(),
+        |i| {
+            let (rgb, be) = (&frames[i / rois], &birds_eyes[i % rois]);
+            be.rectify_into(rgb, &mut ref_bev);
+            std::hint::black_box(&ref_bev);
+        },
+        |i| {
+            let (rgb, be) = (&frames[i / rois], &birds_eyes[i % rois]);
+            be.rectify_into_with(rgb, &mut lib_bev, KernelBackend::Lanes, &mut taps[i % rois]);
+            std::hint::black_box(&lib_bev);
+        },
+    );
     let (mut ref_mask, mut ref_search) = (reference::Mask::default(), Default::default());
     let (mut mask, mut sliding) = (BinaryMask::empty(), SlidingScratch::new());
     let (ref_search_us, lib_search_us) = time_pair(
@@ -203,6 +230,7 @@ fn measure_fast_paths(iters: usize) -> Vec<FastPathRow> {
         ("render", ref_render, lib_render),
         ("extract", ref_extract, lib_extract),
         ("binarize+search", ref_search_us, lib_search_us),
+        ("rectify", ref_rectify, lib_rectify),
     ]
     .into_iter()
     .map(|(stage, reference_us, library_us)| FastPathRow {
@@ -226,17 +254,21 @@ fn measure(iters: usize, tile_threads: usize) -> Report {
         let alloc_us = time_us(iters, || {
             std::hint::black_box(IspPipeline::new(cfg).process(&raw));
         });
-        let mut backend_us = [0.0f64; 2];
-        for (i, backend) in KernelBackend::ALL.into_iter().enumerate() {
-            let isp = IspPipeline::new(cfg).with_backend(backend);
-            let mut scratch = Scratch::new();
-            let mut out = RgbImage::new(2, 2);
-            backend_us[i] = time_us(iters, || {
-                isp.process_into(&raw, &mut scratch, &mut out);
-                std::hint::black_box(&out);
-            });
-        }
-        let [scalar_us, lanes_us] = backend_us;
+        let [scalar, lanes] = KernelBackend::ALL.map(|b| IspPipeline::new(cfg).with_backend(b));
+        let (mut scalar_scratch, mut lanes_scratch) = (Scratch::new(), Scratch::new());
+        let (mut scalar_out, mut lanes_out) = (RgbImage::new(2, 2), RgbImage::new(2, 2));
+        let (scalar_us, lanes_us) = time_pair(
+            iters,
+            1,
+            |_| {
+                scalar.process_into(&raw, &mut scalar_scratch, &mut scalar_out);
+                std::hint::black_box(&scalar_out);
+            },
+            |_| {
+                lanes.process_into(&raw, &mut lanes_scratch, &mut lanes_out);
+                std::hint::black_box(&lanes_out);
+            },
+        );
         let isp = IspPipeline::new(cfg);
         let mut tiled_scratch = Scratch::with_threads(tile_threads);
         let mut out = RgbImage::new(2, 2);
@@ -273,16 +305,25 @@ fn measure(iters: usize, tile_threads: usize) -> Report {
     });
 
     let rgb = IspPipeline::new(IspConfig::S0).process(&raw);
-    let mut perception = Vec::new();
-    for backend in KernelBackend::ALL {
-        let pr =
-            Perception::new(PerceptionConfig::new(Roi::Roi1), cam.clone()).with_backend(backend);
-        let mut pscratch = PerceptionScratch::new();
-        let pooled_us = time_us(iters, || {
-            std::hint::black_box(pr.process_into(&rgb, &mut pscratch).ok());
-        });
-        perception.push(PerceptionRow { backend: backend.name().to_string(), pooled_us });
-    }
+    let [scalar_pr, lanes_pr] = KernelBackend::ALL
+        .map(|b| Perception::new(PerceptionConfig::new(Roi::Roi1), cam.clone()).with_backend(b));
+    let (mut scalar_scratch, mut lanes_scratch) =
+        (PerceptionScratch::new(), PerceptionScratch::new());
+    let (scalar_us, lanes_us) = time_pair(
+        iters,
+        1,
+        |_| {
+            std::hint::black_box(scalar_pr.process_into(&rgb, &mut scalar_scratch).ok());
+        },
+        |_| {
+            std::hint::black_box(lanes_pr.process_into(&rgb, &mut lanes_scratch).ok());
+        },
+    );
+    let perception: Vec<PerceptionRow> = KernelBackend::ALL
+        .into_iter()
+        .zip([scalar_us, lanes_us])
+        .map(|(b, pooled_us)| PerceptionRow { backend: b.name().to_string(), pooled_us })
+        .collect();
 
     println!(
         "{}",
@@ -301,20 +342,13 @@ fn measure(iters: usize, tile_threads: usize) -> Report {
         );
     }
 
-    Report {
-        schema: "lkas-isp-throughput-v2".to_string(),
-        iters,
-        tile_threads,
-        isp: rows,
-        perception,
-        fast_paths,
-    }
+    Report { schema: SCHEMA.to_string(), iters, tile_threads, isp: rows, perception, fast_paths }
 }
 
-/// What `check` compares, by name: each pooled-lanes ISP mean and
-/// pooled perception mean (µs), and each speedup measured back to back
-/// in this one process — a config's and perception's lanes over scalar,
-/// a fast path's library over its reference.
+/// What `check` compares, by name: each pooled-lanes ISP median and
+/// pooled perception median (µs), and each speedup measured in
+/// alternating rounds in this one process — a config's and perception's
+/// lanes over scalar, a fast path's library over its reference.
 type Gauges = Vec<(String, f64)>;
 
 fn gauges(report: &Report) -> (Gauges, Gauges) {
@@ -337,10 +371,18 @@ fn gauges(report: &Report) -> (Gauges, Gauges) {
 }
 
 /// `check` subcommand: compare a fresh measurement against a recorded
-/// baseline, allowing each mean to grow to `max_rel`× its baseline and
-/// each speedup to fall to [`MIN_SPEEDUP_KEPT`]× its baseline. Returns
-/// the number of violated bounds.
+/// baseline, allowing each median µs to grow to `max_rel`× its baseline
+/// and each speedup to fall to [`MIN_SPEEDUP_KEPT`]× its baseline.
+/// Returns the number of violated bounds; a baseline of another schema
+/// is one violation, compared no further.
 fn check(report: &Report, baseline: &Report, max_rel: f64) -> usize {
+    if baseline.schema != report.schema {
+        eprintln!(
+            "[check] FAIL: baseline schema {} is not {}; re-record it",
+            baseline.schema, report.schema
+        );
+        return 1;
+    }
     let ((means, speedups), (base_means, base_speedups)) = (gauges(report), gauges(baseline));
     let mut failures = 0;
     let mut verdict = |name: &str, current: &Gauges, bound: f64, ceiling: bool| {
@@ -392,7 +434,7 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!(
-        "[check] all means within {max_rel}× and all speedups above {MIN_SPEEDUP_KEPT}× of {path}"
+        "[check] all medians within {max_rel}× and all speedups above {MIN_SPEEDUP_KEPT}× of {path}"
     );
 }
 
@@ -418,5 +460,20 @@ mod tests {
         let row = slowed.fast_paths.iter_mut().find(|f| f.stage == "binarize+search");
         row.expect("the baseline has a binarize+search row").library_us *= 1.5;
         assert_eq!(check(&slowed, &baseline(), 4.0), 1, "only the search ratio falls");
+    }
+
+    #[test]
+    fn check_fails_when_rectify_loses_a_third_of_its_speed() {
+        let mut slowed = baseline();
+        let row = slowed.fast_paths.iter_mut().find(|f| f.stage == "rectify");
+        row.expect("the baseline has a rectify row").library_us *= 1.5;
+        assert_eq!(check(&slowed, &baseline(), 4.0), 1, "only the rectify ratio falls");
+    }
+
+    #[test]
+    fn check_refuses_a_baseline_of_another_schema() {
+        let mut means = baseline();
+        means.schema = "lkas-isp-throughput-v2".to_string();
+        assert_eq!(check(&baseline(), &means, 4.0), 1);
     }
 }

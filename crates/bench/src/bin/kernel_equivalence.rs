@@ -17,7 +17,11 @@
 //!    stencil halo, the fault applied to the window only — into buffers
 //!    poisoned with NaN outside it — give
 //!    byte-identical ISP pixels on the tap window and the identical
-//!    perception output.
+//!    perception output. On those NaN-poisoned frames the lane
+//!    rectifier also reproduces the scalar grid bit for bit, every cell
+//!    and the score sum, with the SSE2 kernel running on x86_64: its
+//!    4-float loads read one pixel past each tap, which may lie in the
+//!    NaN outside the window.
 //! 4. **Keyed sensor noise ≡ the sequential stream.** Captures equal a
 //!    sequential `StdRng` Box–Muller reference frame after frame, for
 //!    several seeds including ones whose counter wraps past `u64::MAX`.
@@ -110,14 +114,33 @@ const PERCEPTION_FAULTS: [Option<BayerFaultKind>; 6] = [
     Some(BayerFaultKind::ExposureGlitch { gain: 50.0 }),
 ];
 
+/// Rectifies `rgb` with both backends: true when every cell and the
+/// score sum agree bit for bit and, on x86_64, the lane arm ran the SSE2
+/// kernel (a silent fallback would leave it unchecked).
+fn same_grids(
+    birds_eye: &BirdsEye,
+    rgb: &RgbImage,
+    taps: &mut RectifyTaps,
+    [scalar, lanes]: &mut [BevImage; 2],
+) -> bool {
+    birds_eye.rectify_into(rgb, scalar);
+    birds_eye.rectify_into_with(rgb, lanes, KernelBackend::Lanes, taps);
+    fn bits(b: &BevImage) -> impl Iterator<Item = u32> + '_ {
+        b.as_slice().iter().map(|v| v.to_bits()).chain([b.score_sum().to_bits()])
+    }
+    bits(scalar).eq(bits(lanes)) && taps.vectorized() == cfg!(target_arch = "x86_64")
+}
+
 /// Windowed render → capture → fault → ISP against the full path, per
 /// camera, frame pose, fault, ROI, ISP configuration and tile-thread
-/// count. Returns the number of mismatching cells.
+/// count, and the lane rectifier against the scalar one on each
+/// windowed frame. Returns the number of mismatching cells.
 fn check_windows(frames: usize) -> usize {
     let cameras =
         [Camera::default_automotive(), Camera::new(256, 128, 150.0, 1.3, 6.0_f64.to_radians())];
     let mut failures = 0;
     let mut cells = 0;
+    let mut grids = [BevImage::empty(), BevImage::empty()];
     for cam in &cameras {
         let (w, h) = (cam.width(), cam.height());
         let renderer = SceneRenderer::new(cam.clone());
@@ -127,6 +150,11 @@ fn check_windows(frames: usize) -> usize {
             .collect();
         let taps: Vec<PixelWindow> = perceptions.iter().map(|p| p.pixel_window(w, h)).collect();
         let windows: Vec<PixelWindow> = taps.iter().map(|t| t.grow(STENCIL_HALO, w, h)).collect();
+        let birds_eyes: Vec<BirdsEye> = Roi::ALL
+            .iter()
+            .map(|&roi| BirdsEye::new(cam.clone(), roi).expect("built-in ROI"))
+            .collect();
+        let mut tables: Vec<RectifyTaps> = Roi::ALL.iter().map(|_| RectifyTaps::empty()).collect();
         for f in 0..frames {
             let sit = &TABLE3_SITUATIONS[(3 * f + 1) % TABLE3_SITUATIONS.len()];
             let track = Track::for_situation(sit, 500.0);
@@ -176,11 +204,13 @@ fn check_windows(frames: usize) -> usize {
                             );
                             let pixels_ok = same_on(&full_rgb, &rgb, taps[r]);
                             let output = perceptions[r].process(&rgb);
-                            if !pixels_ok || output != expect {
+                            let grids_ok =
+                                same_grids(&birds_eyes[r], &rgb, &mut tables[r], &mut grids);
+                            if !pixels_ok || output != expect || !grids_ok {
                                 eprintln!(
                                     "FAIL: {w}x{h} frame {f} {fault:?} {} {} at {threads} \
-                                     threads: tap pixels equal {pixels_ok}, perception \
-                                     {output:?} vs full {expect:?}",
+                                     threads: tap pixels equal {pixels_ok}, lane grid equal \
+                                     {grids_ok}, perception {output:?} vs full {expect:?}",
                                     cfg.name(),
                                     roi.name()
                                 );
@@ -195,7 +225,7 @@ fn check_windows(frames: usize) -> usize {
     }
     eprintln!(
         "[3/7] windows: {cells} cells (2 cameras × {frames} frames × {} faults × S0–S8 × {} ROIs \
-         × 1/4 threads) checked",
+         × 1/4 threads) checked, each with its lane grid against the scalar one",
         FAULTS.len(),
         Roi::ALL.len()
     );

@@ -8,6 +8,8 @@
 //! binaries ([`run_sharded`]). Sweeps build plain `HilConfig`s and map
 //! them through the shared [`Executor`].
 
+#![forbid(unsafe_code)]
+
 pub mod fleet;
 pub mod reference;
 pub mod robustness;

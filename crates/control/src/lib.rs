@@ -40,6 +40,8 @@
 //! assert!(rho < 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod certify;
 pub mod controller;
 pub mod design;

@@ -47,6 +47,8 @@
 //! println!("crashed: {}, overall MAE: {:?}", result.crashed, result.overall_mae());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cases;
 pub mod characterize;
 pub mod degrade;

@@ -28,6 +28,8 @@
 //! counts, which is what makes fault campaigns usable as regression
 //! tests.
 
+#![forbid(unsafe_code)]
+
 mod inject;
 mod plan;
 

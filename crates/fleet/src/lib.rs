@@ -17,6 +17,7 @@
 //! the architecture.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod client;

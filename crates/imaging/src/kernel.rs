@@ -8,12 +8,18 @@
 //!   are judged against them.
 //! * [`KernelBackend::Lanes`] — chunked-lane data-parallel kernels that
 //!   the compiler autovectorizes (plain slices and fixed-width chunks,
-//!   no intrinsics, no new dependencies). The lane kernels execute
-//!   *exactly* the scalar expressions in the same order, so their output
-//!   is bit-identical to `Scalar` — which is what lets the default
-//!   backend change without moving a single byte of any
-//!   campaign/stream/certificate report. The `gate-kernel-equivalence`
-//!   CI stage holds that identity.
+//!   no new dependencies). The lane kernels execute *exactly* the scalar
+//!   expressions in the same order, so their output is bit-identical to
+//!   `Scalar` — which is what lets the default backend change without
+//!   moving a single byte of any campaign/stream/certificate report. The
+//!   `gate-kernel-equivalence` CI stage holds that identity.
+//!
+//! They use no intrinsics, with one exception: perception's lane
+//! rectify kernel (`lkas_perception::bev`) runs SSE2 intrinsics on
+//! x86_64. Its bilinear taps read a pixel's three consecutive floats,
+//! and LLVM splits a safe 3-float load into `movsd` + `movss` and
+//! shuffles, so no safe layout beat the plain loop; one unaligned
+//! 4-float load per tap halves the stage (DESIGN.md §10).
 //!
 //! Every consumer (the ISP pipeline, the perception pipeline, the HiL
 //! loop via `HilConfig::kernel_backend`) defaults to the lane backend;

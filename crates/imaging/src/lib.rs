@@ -41,6 +41,8 @@
 //! assert_eq!((rgb.width(), rgb.height()), (64, 32));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod image;
 pub mod isp;
 pub mod kernel;

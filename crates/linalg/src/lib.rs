@@ -34,6 +34,8 @@
 //! assert!(eigs.iter().all(|l| l.re < 0.0));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod complex;
 pub mod eig;
 pub mod expm;

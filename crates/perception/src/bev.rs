@@ -19,6 +19,11 @@ use lkas_imaging::kernel::KernelBackend;
 use lkas_linalg::Homography;
 use lkas_scene::camera::Camera;
 
+#[allow(unsafe_code)]
+mod lanes;
+
+pub use lanes::RectifyTaps;
+
 /// Default bird's-eye grid width (lateral samples).
 pub const BEV_WIDTH: usize = 160;
 /// Default bird's-eye grid height (longitudinal samples).
@@ -60,7 +65,7 @@ impl BevImage {
 
     /// The sum of all scores, bit-identical to
     /// `self.as_slice().iter().sum::<f32>()`.
-    pub(crate) fn score_sum(&self) -> f32 {
+    pub fn score_sum(&self) -> f32 {
         self.sum
     }
 
@@ -234,10 +239,13 @@ impl BirdsEye {
     /// The lane backend routes through a cached tap table
     /// ([`RectifyTaps`], rebuilt only when the frame dimensions or ROI
     /// change): the per-cell clamp/floor/cast coordinate arithmetic is
-    /// hoisted out of the frame loop, leaving a flat gather + f32
-    /// interpolation kernel. Tap weights and the interpolation
-    /// expression are shared with the scalar path ([`bilin_tap`] /
-    /// [`bilin_eval`]), so both backends are bit-identical here.
+    /// hoisted out of the frame loop. On x86_64 an SSE2 kernel then
+    /// interpolates each tap's R, G and B from one 4-float load and
+    /// scores four cells at once, with the scalar operations in their
+    /// order (DESIGN.md §10); elsewhere, for cells past the last group
+    /// of four, and for a table that reaches the frame's last pixel, a
+    /// loop over [`bilin_eval`] does. Tap weights are shared with the
+    /// scalar path ([`bilin_tap`]), so both backends are bit-identical.
     pub fn rectify_into_with(
         &self,
         frame: &RgbImage,
@@ -250,13 +258,7 @@ impl BirdsEye {
             KernelBackend::Lanes => {
                 out.reshape(BEV_WIDTH, BEV_HEIGHT, self.roi);
                 taps.ensure(frame, &self.samples, self.roi);
-                let data = frame.as_slice();
-                let mut sum = -0.0f32;
-                for (cell, tap) in out.score.iter_mut().zip(&taps.taps) {
-                    *cell = marking_score(bilin_eval(data, tap));
-                    sum += *cell;
-                }
-                out.sum = sum;
+                out.sum = taps.rectify(frame.as_slice(), &mut out.score);
             }
         }
     }
@@ -335,58 +337,6 @@ fn bilin_eval(data: &[f32], t: &BilinTap) -> [f32; 3] {
 fn sample_bilinear(img: &RgbImage, u: f64, v: f64) -> [f32; 3] {
     let t = bilin_tap(img.width(), img.height(), u, v);
     bilin_eval(img.as_slice(), &t)
-}
-
-/// Cached tap table of the lane rectification kernel: the resolved
-/// [`BilinTap`]s of one (frame dimensions, ROI) pair. Lives in the
-/// caller's perception scratch and is rebuilt automatically by
-/// [`BirdsEye::rectify_into_with`] whenever its key stops matching (the
-/// first sample point doubles as a fingerprint, catching camera
-/// changes at equal dimensions).
-#[derive(Debug, Clone)]
-pub struct RectifyTaps {
-    frame_w: usize,
-    frame_h: usize,
-    roi: Option<Roi>,
-    fingerprint: (f64, f64),
-    taps: Vec<BilinTap>,
-}
-
-impl RectifyTaps {
-    /// An empty cache; the first rectification populates it.
-    pub fn empty() -> Self {
-        RectifyTaps {
-            frame_w: 0,
-            frame_h: 0,
-            roi: None,
-            fingerprint: (f64::NAN, f64::NAN),
-            taps: Vec::new(),
-        }
-    }
-
-    fn ensure(&mut self, frame: &RgbImage, samples: &[(f64, f64)], roi: Roi) {
-        let (w, h) = (frame.width(), frame.height());
-        let fingerprint = samples.first().copied().unwrap_or((0.0, 0.0));
-        if self.roi == Some(roi)
-            && (self.frame_w, self.frame_h) == (w, h)
-            && self.fingerprint == fingerprint
-            && self.taps.len() == samples.len()
-        {
-            return;
-        }
-        self.taps.clear();
-        self.taps.extend(samples.iter().map(|&(u, v)| bilin_tap(w, h, u, v)));
-        self.frame_w = w;
-        self.frame_h = h;
-        self.roi = Some(roi);
-        self.fingerprint = fingerprint;
-    }
-}
-
-impl Default for RectifyTaps {
-    fn default() -> Self {
-        RectifyTaps::empty()
-    }
 }
 
 #[cfg(test)]
@@ -516,20 +466,106 @@ mod tests {
         assert_eq!(reused.roi, Roi::Roi1);
     }
 
+    /// The two cameras of the workspace: the default and hilbench's
+    /// 256×128 one.
+    fn cameras() -> [Camera; 2] {
+        [Camera::default_automotive(), Camera::new(256, 128, 150.0, 1.3, 6.0_f64.to_radians())]
+    }
+
+    /// Bits of every cell, then of the accumulated sum.
+    fn grid_bits(bev: &BevImage) -> Vec<u32> {
+        bev.as_slice().iter().map(|v| v.to_bits()).chain([bev.score_sum().to_bits()]).collect()
+    }
+
+    /// Rectifies `frame` with both backends and asserts the grids and
+    /// sums agree bit for bit; returns the scalar grid and whether the
+    /// lane arm ran the SSE2 kernel.
+    fn assert_lanes_match_scalar(be: &BirdsEye, frame: &RgbImage, what: &str) -> (BevImage, bool) {
+        let scalar = be.rectify(frame);
+        let (mut lanes, mut taps) = (BevImage::empty(), RectifyTaps::empty());
+        // Twice through the same cache: cold build, then warm replay.
+        for pass in 0..2 {
+            be.rectify_into_with(frame, &mut lanes, KernelBackend::Lanes, &mut taps);
+            assert!(grid_bits(&scalar) == grid_bits(&lanes), "{what} pass {pass}");
+        }
+        (scalar, taps.vectorized())
+    }
+
     #[test]
     fn lane_rectify_is_bit_identical_to_scalar() {
-        let frame = rendered_frame();
-        for roi in [Roi::Roi1, Roi::Roi3] {
-            let be = BirdsEye::new(Camera::default_automotive(), roi).unwrap();
-            let scalar = be.rectify(&frame);
-            let mut lanes = BevImage::empty();
-            let mut taps = RectifyTaps::empty();
-            // Twice through the same cache: cold build, then warm replay.
-            for _ in 0..2 {
-                be.rectify_into_with(&frame, &mut lanes, KernelBackend::Lanes, &mut taps);
-                assert_eq!(scalar.as_slice(), lanes.as_slice(), "{roi}");
+        use lkas_imaging::isp::{IspConfig, IspPipeline};
+        use lkas_imaging::sensor::{Sensor, SensorConfig};
+        let track = Track::for_situation(&TABLE3_SITUATIONS[0], 500.0);
+        for cam in cameras() {
+            let scene = SceneRenderer::new(cam.clone()).render(&track, 10.0, 0.1, 0.02);
+            let raw = Sensor::new(SensorConfig::default(), 3).capture(&scene, 1.0);
+            let frame = IspPipeline::new(IspConfig::S0).process(&raw);
+            for roi in Roi::ALL {
+                let be = BirdsEye::new(cam.clone(), roi).unwrap();
+                let what = format!("{roi} on {}x{}", cam.width(), cam.height());
+                let (_, vectorized) = assert_lanes_match_scalar(&be, &frame, &what);
+                // No built-in ROI reaches the last pixel, so a silent
+                // fallback to the loop fails here.
+                assert_eq!(vectorized, cfg!(target_arch = "x86_64"), "{what}");
             }
         }
+    }
+
+    #[test]
+    fn taps_reaching_the_last_pixel_take_the_loop() {
+        // The default camera's samples lie far outside a 64×32 frame, so
+        // clamping sends taps to its last pixel, whose 4-float load would
+        // read one float past the end.
+        let mut frame = RgbImage::new(64, 32);
+        for (i, v) in frame.as_mut_slice().iter_mut().enumerate() {
+            *v = (i % 97) as f32 / 96.0;
+        }
+        let be = BirdsEye::new(Camera::default_automotive(), Roi::Roi2).unwrap();
+        let (_, vectorized) = assert_lanes_match_scalar(&be, &frame, "64x32");
+        assert!(!vectorized, "a table reaching the last pixel must not run the kernel");
+    }
+
+    #[test]
+    fn nan_and_signed_zero_taps_score_like_scalar() {
+        let specials = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            -0.75,
+            f32::from_bits(1),
+            -f32::NAN,
+            f32::NEG_INFINITY,
+            1.0,
+            -f32::from_bits(1),
+        ];
+        let cam = cameras()[1].clone();
+        let be = BirdsEye::new(cam.clone(), Roi::Roi1).unwrap();
+        let (w, h) = (cam.width(), cam.height());
+        let mut seen = Vec::new();
+        // Uniform frames: every cell scores one (r, g, b) of the first
+        // six specials.
+        let uniform = &specials[..6];
+        for &r in uniform {
+            for &g in uniform {
+                for &b in uniform {
+                    let frame = RgbImage::filled(w, h, [r, g, b]);
+                    let (scalar, vectorized) =
+                        assert_lanes_match_scalar(&be, &frame, &format!("[{r}, {g}, {b}]"));
+                    assert_eq!(vectorized, cfg!(target_arch = "x86_64"));
+                    seen.push(scalar.get(0, 0).to_bits());
+                }
+            }
+        }
+        // A frame mixing them tap by tap, channel by channel.
+        let mut frame = RgbImage::new(w, h);
+        for (i, v) in frame.as_mut_slice().iter_mut().enumerate() {
+            *v = specials[(i * 7 + i / 5) % specials.len()];
+        }
+        assert_lanes_match_scalar(&be, &frame, "mixed");
+        // Both zeros and NaN luma reached the score: -0.0 comes from the
+        // all--0.0 frame (luma's sign), +0.0 from the all-NaN one.
+        assert!(seen.contains(&(-0.0f32).to_bits()) && seen.contains(&0.0f32.to_bits()));
     }
 
     #[test]
@@ -567,9 +603,7 @@ mod tests {
 
     #[test]
     fn pixel_window_holds_every_bilinear_tap() {
-        let cameras =
-            [Camera::default_automotive(), Camera::new(256, 128, 150.0, 1.3, 6.0_f64.to_radians())];
-        for cam in cameras {
+        for cam in cameras() {
             let (w, h) = (cam.width(), cam.height());
             for roi in Roi::ALL {
                 let be = BirdsEye::new(cam.clone(), roi).unwrap();

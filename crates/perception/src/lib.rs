@@ -39,6 +39,10 @@
 //! assert!((out.y_l - 0.2).abs() < 0.2);
 //! ```
 
+// `unsafe` is allowed in one module only, `bev`'s lane kernel, and each
+// of its blocks must say why it is sound.
+#![deny(unsafe_code, unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 pub mod baselines;
 pub mod bev;
 pub mod pipeline;

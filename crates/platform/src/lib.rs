@@ -31,6 +31,8 @@
 //! assert_eq!(t.h_ms, 25.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod profiles;
 pub mod resources;
 pub mod schedule;

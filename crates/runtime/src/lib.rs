@@ -37,6 +37,8 @@
 //!   byte-identical to the single-process sweep at any shard and
 //!   thread count.
 
+#![forbid(unsafe_code)]
+
 pub mod campaign;
 mod executor;
 mod hist;

@@ -33,6 +33,8 @@
 //! assert_eq!(frame.width(), 512);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod camera;
 pub mod render;
 pub mod situation;

@@ -26,6 +26,8 @@
 //! assert!(!sim.departed());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod actuation;
 pub mod sim;
 

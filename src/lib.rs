@@ -5,6 +5,8 @@
 //! through one dependency. Library users should depend on the individual
 //! crates (most importantly [`lkas`]) directly.
 
+#![forbid(unsafe_code)]
+
 pub use lkas;
 pub use lkas_control as control;
 pub use lkas_imaging as imaging;

@@ -6,12 +6,13 @@
 //! `process_into` on worker threads) and the kernel backend (`scalar`
 //! reference, bit-exact `lanes`) — plus demosaic alone and the
 //! perception pipeline (rectify + binarize + search) per backend, and
-//! the renderer, the feature extractor, lane rectification and
-//! perception's binarize + sliding-window search against their
-//! references (`lkas_bench::reference`, or the scalar backend for
-//! rectify) on the 256×128 camera. Every scalar/lanes and
-//! reference/library pair is timed in alternating rounds in this one
-//! process, and each side reports its median round. This is the harness
+//! the renderer, the sensor's capture, the feature extractor, lane
+//! rectification and perception's binarize + sliding-window search
+//! against their references (`lkas_bench::reference`, or the scalar
+//! backend for rectify) on the 256×128 camera. Every scalar/lanes and
+//! reference/library pair is timed in interleaved rounds in this one
+//! process, at least 31 per side in a fixed shuffled order, and each
+//! side reports its fastest round. This is the harness
 //! behind the README "Steady-state frame path" table and DESIGN.md
 //! §10/§17.
 //!
@@ -22,16 +23,16 @@
 //! re-measures and fails (exit 1) when a speedup measured in this one
 //! process falls below 0.75× its baseline value: each config's
 //! lanes-over-scalar ISP speedup, perception's lanes-over-scalar
-//! speedup, and the render, feature-extraction, rectify and binarize +
-//! search speedups over their references. A ratio cancels the host's
+//! speedup, and the render, sensor, feature-extraction, rectify and
+//! binarize + search speedups over their references. A ratio cancels the host's
 //! speed, so that bound can be tight. As a backstop it also fails if
-//! any pooled-lanes ISP median or pooled perception median exceeds `X`
+//! any pooled-lanes ISP time or pooled perception time exceeds `X`
 //! times its baseline value (default 4.0: order-of-magnitude
 //! regressions, not scheduler noise), and it refuses a baseline of
 //! another schema (one recorded with means, say).
 
 use lkas_bench::{fail, reference, render_table, write_result, Args};
-use lkas_imaging::image::{PixelWindow, RgbImage};
+use lkas_imaging::image::{PixelWindow, RawImage, RgbImage};
 use lkas_imaging::isp::{demosaic_into_with, IspConfig, IspPipeline};
 use lkas_imaging::sensor::{Sensor, SensorConfig};
 use lkas_imaging::{KernelBackend, Scratch};
@@ -45,11 +46,14 @@ use lkas_scene::camera::Camera;
 use lkas_scene::render::SceneRenderer;
 use lkas_scene::situation::TABLE3_SITUATIONS;
 use lkas_scene::track::Track;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// One ISP configuration: mean µs per call of the allocating and the
-/// tiled path, median µs per call of the scalar and the lanes backend.
+/// tiled path, fastest-round µs per call of the scalar and the lanes
+/// backend.
 #[derive(Serialize, Deserialize)]
 struct ConfigRow {
     config: String,
@@ -60,7 +64,7 @@ struct ConfigRow {
     lanes_speedup: f64,
 }
 
-/// Perception on one backend: median µs per pooled call.
+/// Perception on one backend: fastest-round µs per pooled call.
 #[derive(Serialize, Deserialize)]
 struct PerceptionRow {
     backend: String,
@@ -70,11 +74,11 @@ struct PerceptionRow {
 /// A library stage timed against its reference.
 #[derive(Serialize, Deserialize)]
 struct FastPathRow {
-    /// `render`, `extract`, `binarize+search` or `rectify`.
+    /// `render`, `sensor`, `extract`, `binarize+search` or `rectify`.
     stage: String,
-    /// Median µs per call of the reference.
+    /// Fastest-round µs per call of the reference.
     reference_us: f64,
-    /// Median µs per call of the library.
+    /// Fastest-round µs per call of the library.
     library_us: f64,
     /// `reference_us / library_us`.
     speedup: f64,
@@ -93,9 +97,13 @@ struct Report {
 /// The fraction of its baseline speedup a fast path must keep.
 const MIN_SPEEDUP_KEPT: f64 = 0.75;
 
-/// The report schema. v3 times every backend and reference pair as
-/// medians of alternating rounds; v2 baselines hold block means.
-const SCHEMA: &str = "lkas-isp-throughput-v3";
+/// The report schema. v4 times every backend and reference pair as the
+/// fastest of shuffled rounds; v3 baselines hold medians of alternating
+/// rounds, v2 baselines block means.
+const SCHEMA: &str = "lkas-isp-throughput-v4";
+
+/// Rounds per side of [`time_pair`], whatever `--iters` asks below it.
+const MIN_ROUNDS: usize = 31;
 
 /// Mean microseconds per call of `f` over `iters` timed iterations
 /// (after 3 warm-up calls that also size any reused buffers).
@@ -110,8 +118,24 @@ fn time_us(iters: usize, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_secs_f64() * 1e6 / iters as f64
 }
 
-/// Median µs per call of `reference` and of `library`, timed in
-/// alternating rounds of `calls` calls each after 3 warm-up rounds.
+/// The side of each round of [`time_pair`], `true` for the library:
+/// `rounds` of each, Fisher–Yates shuffled with a fixed seed, so the
+/// order is the same every run and a periodic stall cannot lock onto one
+/// side.
+fn round_order(rounds: usize) -> Vec<bool> {
+    let mut order: Vec<bool> = (0..2 * rounds).map(|k| k % 2 == 1).collect();
+    let mut rng = StdRng::seed_from_u64(0x15B_0004);
+    for k in (1..order.len()).rev() {
+        order.swap(k, rng.gen_range(0..k + 1));
+    }
+    order
+}
+
+/// µs per call of `reference` and of `library`: each side's fastest
+/// round of `calls` calls, over `iters` (at least [`MIN_ROUNDS`]) rounds
+/// per side in [`round_order`], after 3 warm-up rounds each. A
+/// scheduler stall only ever slows a round, so the fastest one is the
+/// least disturbed.
 fn time_pair(
     iters: usize,
     calls: usize,
@@ -129,22 +153,21 @@ fn time_pair(
         round(&mut reference);
         round(&mut library);
     }
-    let (mut slow, mut fast) = (Vec::with_capacity(iters), Vec::with_capacity(iters));
-    for _ in 0..iters {
-        slow.push(round(&mut reference));
-        fast.push(round(&mut library));
+    let (mut slow, mut fast) = (f64::INFINITY, f64::INFINITY);
+    for library_side in round_order(iters.max(MIN_ROUNDS)) {
+        if library_side {
+            fast = fast.min(round(&mut library));
+        } else {
+            slow = slow.min(round(&mut reference));
+        }
     }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    (median(&mut slow), median(&mut fast))
+    (slow, fast)
 }
 
-/// Render, feature extraction, binarize + sliding-window search and
-/// lane rectification against their references on the 256×128 camera,
-/// over poses in each sector of the Fig. 7 track (the search and
-/// rectify on each pose's five ROIs).
+/// Render, the sensor's capture, feature extraction, binarize +
+/// sliding-window search and lane rectification against their
+/// references on the 256×128 camera, over poses in each sector of the
+/// Fig. 7 track (the search and rectify on each pose's five ROIs).
 fn measure_fast_paths(iters: usize) -> Vec<FastPathRow> {
     let cam = Camera::new(256, 128, 150.0, 1.3, 6.0_f64.to_radians());
     let track = Track::fig7_track();
@@ -167,13 +190,29 @@ fn measure_fast_paths(iters: usize) -> Vec<FastPathRow> {
             std::hint::black_box(&frame);
         },
     );
+    let scenes: Vec<RgbImage> =
+        poses.iter().map(|&(s, d, psi)| renderer.render(&track, s, d, psi)).collect();
+    let config = SensorConfig::default();
+    let (mut ref_raw, mut raw) = (RawImage::new(2, 2), RawImage::new(2, 2));
+    let (ref_sensor, lib_sensor) = time_pair(
+        iters,
+        scenes.len(),
+        |i| {
+            reference::capture_window(&config, 60 + i as u64, &scenes[i], 1.0, full, &mut ref_raw);
+            std::hint::black_box(&ref_raw);
+        },
+        |i| {
+            let mut sensor = Sensor::new(config.clone(), 60 + i as u64);
+            sensor.capture_window_into(&scenes[i], 1.0, full, &mut raw);
+            std::hint::black_box(&raw);
+        },
+    );
     let isp = IspPipeline::new(IspConfig::S0);
-    let frames: Vec<RgbImage> = poses
+    let frames: Vec<RgbImage> = scenes
         .iter()
         .enumerate()
-        .map(|(i, &(s, d, psi))| {
-            let scene = renderer.render(&track, s, d, psi);
-            isp.process(&Sensor::new(SensorConfig::default(), 60 + i as u64).capture(&scene, 1.0))
+        .map(|(i, scene)| {
+            isp.process(&Sensor::new(SensorConfig::default(), 60 + i as u64).capture(scene, 1.0))
         })
         .collect();
     let mut scratch = FeatureScratch::new();
@@ -228,6 +267,7 @@ fn measure_fast_paths(iters: usize) -> Vec<FastPathRow> {
     );
     [
         ("render", ref_render, lib_render),
+        ("sensor", ref_sensor, lib_sensor),
         ("extract", ref_extract, lib_extract),
         ("binarize+search", ref_search_us, lib_search_us),
         ("rectify", ref_rectify, lib_rectify),
@@ -345,9 +385,9 @@ fn measure(iters: usize, tile_threads: usize) -> Report {
     Report { schema: SCHEMA.to_string(), iters, tile_threads, isp: rows, perception, fast_paths }
 }
 
-/// What `check` compares, by name: each pooled-lanes ISP median and
-/// pooled perception median (µs), and each speedup measured in
-/// alternating rounds in this one process — a config's and perception's
+/// What `check` compares, by name: each pooled-lanes ISP time and
+/// pooled perception time (µs), and each speedup measured in
+/// interleaved rounds in this one process — a config's and perception's
 /// lanes over scalar, a fast path's library over its reference.
 type Gauges = Vec<(String, f64)>;
 
@@ -371,7 +411,7 @@ fn gauges(report: &Report) -> (Gauges, Gauges) {
 }
 
 /// `check` subcommand: compare a fresh measurement against a recorded
-/// baseline, allowing each median µs to grow to `max_rel`× its baseline
+/// baseline, allowing each pooled µs to grow to `max_rel`× its baseline
 /// and each speedup to fall to [`MIN_SPEEDUP_KEPT`]× its baseline.
 /// Returns the number of violated bounds; a baseline of another schema
 /// is one violation, compared no further.
@@ -434,7 +474,7 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!(
-        "[check] all medians within {max_rel}× and all speedups above {MIN_SPEEDUP_KEPT}× of {path}"
+        "[check] all pooled times within {max_rel}× and all speedups above {MIN_SPEEDUP_KEPT}× of {path}"
     );
 }
 
@@ -471,9 +511,26 @@ mod tests {
     }
 
     #[test]
+    fn check_fails_when_sensor_loses_a_third_of_its_speed() {
+        let mut slowed = baseline();
+        let row = slowed.fast_paths.iter_mut().find(|f| f.stage == "sensor");
+        row.expect("the baseline has a sensor row").library_us *= 1.5;
+        assert_eq!(check(&slowed, &baseline(), 4.0), 1, "only the sensor ratio falls");
+    }
+
+    #[test]
     fn check_refuses_a_baseline_of_another_schema() {
-        let mut means = baseline();
-        means.schema = "lkas-isp-throughput-v2".to_string();
-        assert_eq!(check(&baseline(), &means, 4.0), 1);
+        let mut medians = baseline();
+        medians.schema = "lkas-isp-throughput-v3".to_string();
+        assert_eq!(check(&baseline(), &medians, 4.0), 1);
+    }
+
+    #[test]
+    fn round_order_shuffles_equal_rounds_the_same_way_every_run() {
+        let order = round_order(MIN_ROUNDS);
+        assert_eq!(order.iter().filter(|&&library| library).count(), MIN_ROUNDS);
+        assert_eq!(order, round_order(MIN_ROUNDS));
+        let alternating: Vec<bool> = (0..2 * MIN_ROUNDS).map(|k| k % 2 == 1).collect();
+        assert_ne!(order, alternating);
     }
 }

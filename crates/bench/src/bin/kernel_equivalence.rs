@@ -22,9 +22,16 @@
 //!    and the score sum, with the SSE2 kernel running on x86_64: its
 //!    4-float loads read one pixel past each tap, which may lie in the
 //!    NaN outside the window.
-//! 4. **Keyed sensor noise ≡ the sequential stream.** Captures equal a
-//!    sequential `StdRng` Box–Muller reference frame after frame, for
-//!    several seeds including ones whose counter wraps past `u64::MAX`.
+//! 4. **Keyed sensor noise ≡ the sequential stream and the libm
+//!    exposure.** Captures equal a sequential `StdRng` Box–Muller
+//!    reference frame after frame, for several seeds including ones whose
+//!    counter wraps past `u64::MAX`; and on both cameras, for the nine
+//!    Fig. 7 scenes and one poisoned with NaN, ±∞ and negative values, at
+//!    those seeds, `Sensor::capture_window_into` equals
+//!    `lkas_bench::reference::capture_window` (one libm `ln` and `cos`
+//!    per photosite) bit for bit on the full frame, the five ROI windows
+//!    grown by the stencil halo and windows on the normals' chunk edges,
+//!    into RAW frames poisoned with NaN outside the window.
 //! 5. **Batched classifier inference ≡ sequential.** On a fixed-seed
 //!    window set and for every classifier set the invocation schemes
 //!    issue, stacking the three classifiers into one grouped GEMM per
@@ -288,6 +295,79 @@ fn check_keyed_noise() -> usize {
         }
     }
     eprintln!("[4/7] keyed noise: {} seeds × {} frames checked", seeds.len(), frames.len());
+    failures + check_keyed_windows(&seeds)
+}
+
+/// Windowed captures against `lkas_bench::reference::capture_window`, per
+/// camera, scene, seed and window: the whole RAW frame, poisoned with NaN
+/// outside the window, compared bit for bit. Returns the number of
+/// mismatching captures.
+fn check_keyed_windows(seeds: &[u64]) -> usize {
+    let cameras =
+        [Camera::default_automotive(), Camera::new(256, 128, 150.0, 1.3, 6.0_f64.to_radians())];
+    let track = Track::fig7_track();
+    let config = SensorConfig::default();
+    let (mut failures, mut captures) = (0, 0);
+    for cam in &cameras {
+        let (w, h) = (cam.width(), cam.height());
+        let renderer = SceneRenderer::new(cam.clone());
+        let mut scenes: Vec<RgbImage> = (0..track.sectors().len())
+            .map(|k| renderer.render(&track, track.sector_start(k) + 40.0, 0.1, 0.01))
+            .collect();
+        let mut poisoned = scenes[0].clone();
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.25, -0.0];
+        for (i, v) in poisoned.as_mut_slice().iter_mut().enumerate() {
+            if i % 7 < specials.len() && i % 3 != 0 {
+                *v = specials[(i / 7) % specials.len()];
+            }
+        }
+        scenes.push(poisoned);
+        let mut windows: Vec<PixelWindow> = Roi::ALL
+            .iter()
+            .map(|&roi| {
+                let p = Perception::new(PerceptionConfig::new(roi), cam.clone());
+                p.pixel_window(w, h).grow(STENCIL_HALO, w, h)
+            })
+            .chain([PixelWindow::full(w, h), PixelWindow { x0: 1, y0: 7, x1: w - 2, y1: 8 }])
+            .collect();
+        // Chunk edges: the normals run 64 photosites at a time.
+        windows.extend([1, 63, 64, 65, 129].map(|width| PixelWindow {
+            x0: 3,
+            y0: 10,
+            x1: 3 + width,
+            y1: 13,
+        }));
+        for (n, scene) in scenes.iter().enumerate() {
+            for &seed in seeds {
+                for &window in &windows {
+                    let (mut library, mut reference) = (poisoned_raw(w, h), poisoned_raw(w, h));
+                    Sensor::new(config.clone(), seed).capture_window_into(
+                        scene,
+                        0.8,
+                        window,
+                        &mut library,
+                    );
+                    reference::capture_window(&config, seed, scene, 0.8, window, &mut reference);
+                    let bits = |raw: &RawImage| -> Vec<u32> {
+                        raw.as_slice().iter().map(|v| v.to_bits()).collect()
+                    };
+                    if bits(&library) != bits(&reference) {
+                        eprintln!(
+                            "FAIL: {w}x{h} scene {n} seed {seed} window {window:?}: capture \
+                             differs from the libm reference"
+                        );
+                        failures += 1;
+                    }
+                    captures += 1;
+                }
+            }
+        }
+    }
+    eprintln!(
+        "[4/7] keyed windows: {captures} captures (2 cameras × 10 scenes × {} seeds × full, 5 ROI, \
+         row and 5 chunk-edge windows) checked against the libm reference",
+        seeds.len()
+    );
     failures
 }
 

@@ -1,29 +1,32 @@
-//! Reference formulations of the renderer, the feature extractor,
-//! perception's binarize and sliding-window search, and the sequential
-//! classifier update.
+//! Reference formulations of the renderer, the sensor's exposure, the
+//! feature extractor, perception's binarize and sliding-window search,
+//! and the sequential classifier update.
 //!
 //! `lkas_scene::render::SceneRenderer` and `lkas_nn::features` do each
 //! pose-independent computation once per camera, frame or sector;
-//! `lkas_perception` binarizes with the mean the rectifier accumulated
-//! and searches with row-slice mask walks, a median selection and the
-//! fused degree-2 QR; `lkas::identify` runs the invoked classifiers as
-//! one batched, grouped GEMM. The functions here are the plain
-//! formulations they replaced, kept verbatim: every pixel back-projected
-//! with its own `sin_cos`, two sector searches per ground pixel, one
-//! `rem_euclid` per dotted line, three photometric passes over the
-//! frame, two folds over the bird's-eye grid, `get(col, row)` per mask
-//! cell, a full sort for the residual median, the generic
+//! `lkas_imaging::sensor` draws its normals a row chunk at a time with
+//! exact ports of glibc's `logf` and `cosf`; `lkas_perception` binarizes
+//! with the mean the rectifier accumulated and searches with row-slice
+//! mask walks, a median selection and the fused degree-2 QR;
+//! `lkas::identify` runs the invoked classifiers as one batched, grouped
+//! GEMM. The functions here are the plain formulations they replaced,
+//! kept verbatim: every pixel back-projected with its own `sin_cos`, two
+//! sector searches per ground pixel, one `rem_euclid` per dotted line,
+//! one libm `ln` and `cos` per photosite, three photometric passes over
+//! the frame, two folds over the bird's-eye grid, `get(col, row)` per
+//! mask cell, a full sort for the residual median, the generic
 //! `polyfit_into`, and one forward pass per invoked classifier. Where a
 //! library type keeps its fields private they work on plain values
-//! ([`Mask`], [`SearchScratch`]) or through its public accessors. They
-//! exist to be compared against — `kernel_equivalence` requires
-//! bit-identical frames, feature vectors, masks, fits, perception
-//! outputs and situation estimates, and `isp_throughput` times the
-//! library against them in one process — and nothing in the program
-//! calls them.
+//! ([`Mask`], [`SearchScratch`], a sensor's noise counter) or through its
+//! public accessors. They exist to be compared against —
+//! `kernel_equivalence` requires bit-identical frames, RAW captures,
+//! feature vectors, masks, fits, perception outputs and situation
+//! estimates, and `isp_throughput` times the library against them in one
+//! process — and nothing in the program calls them.
 
 use lkas::identify::{ClassifierBundle, SituationEstimate};
-use lkas_imaging::image::{PixelWindow, RgbImage};
+use lkas_imaging::image::{BayerChannel, PixelWindow, RawImage, RgbImage};
+use lkas_imaging::sensor::{SensorConfig, CROSSTALK};
 use lkas_linalg::polyfit::{polyfit, polyfit_into, polyval, PolyfitScratch};
 use lkas_perception::bev::BevImage;
 use lkas_perception::pipeline::{PerceptionConfig, PerceptionError, PerceptionOutput};
@@ -220,6 +223,77 @@ fn sky_color(scene: SceneKind) -> [f32; 3] {
         albedo::SKY[1] * level * tint[1],
         albedo::SKY[2] * level * tint[2],
     ]
+}
+
+/// Counter increment of one splitmix64 draw (the golden-ratio gamma).
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The splitmix64 output at counter `state` — the draw `StdRng` returns
+/// once its state has advanced to `state`.
+#[inline(always)]
+fn splitmix64(state: u64) -> u64 {
+    let mut z = state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// `gen_range(lo..hi)` over f32 applied to the 64 bits `z`: the top 24
+/// bits scaled into `[0, 1)`, then mapped onto the range.
+#[inline(always)]
+fn uniform(lo: f32, hi: f32, z: u64) -> f32 {
+    let unit = (z >> 40) as f32 * (1.0 / (1u32 << 24) as f32);
+    lo + unit * (hi - lo)
+}
+
+/// Standard normal noise of pixel `i` of the frame whose noise starts at
+/// counter `start` (Box–Muller over the pixel's two keyed draws).
+#[inline(always)]
+fn pixel_gaussian(start: u64, i: usize) -> f32 {
+    let first = start.wrapping_add((2 * i as u64 + 1).wrapping_mul(GAMMA));
+    let u1 = uniform(f32::EPSILON, 1.0, splitmix64(first));
+    let u2 = uniform(0.0, 1.0, splitmix64(first.wrapping_add(GAMMA)));
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
+}
+
+/// The photosites of `window` of the frame captured with `config` whose
+/// noise starts at counter `start` — the first frame of
+/// `Sensor::new(config, start)`; every other photosite of `raw` keeps its
+/// contents.
+///
+/// # Panics
+///
+/// Panics if the scene dimensions are odd or the window does not lie
+/// inside the frame.
+pub fn capture_window(
+    config: &SensorConfig,
+    start: u64,
+    scene: &RgbImage,
+    illumination: f32,
+    window: PixelWindow,
+    raw: &mut RawImage,
+) {
+    let (w, h) = (scene.width(), scene.height());
+    raw.reshape(w, h);
+    window.assert_within(w, h);
+    let g = config.gain;
+    for y in window.rows() {
+        for x in window.columns() {
+            let px = scene.get(x, y);
+            // Illumination scaling happens in the scene-referred
+            // domain (light level), then sensor crosstalk.
+            let lit = [px[0] * illumination, px[1] * illumination, px[2] * illumination];
+            let row = match raw.channel_at(x, y) {
+                BayerChannel::Red => CROSSTALK[0],
+                BayerChannel::GreenR | BayerChannel::GreenB => CROSSTALK[1],
+                BayerChannel::Blue => CROSSTALK[2],
+            };
+            let signal = (row[0] * lit[0] + row[1] * lit[1] + row[2] * lit[2]) * g;
+            let var = config.read_noise.powi(2) + config.shot_noise.powi(2) * signal.max(0.0);
+            let noise = pixel_gaussian(start, y * w + x) * var.sqrt();
+            raw.set(x, y, (signal + noise).clamp(0.0, 1.0));
+        }
+    }
 }
 
 /// Number of luma-grid cells (8 × 4).

@@ -25,9 +25,19 @@
 //! [`PixelWindow`] of a frame bit-identically to the full capture. The
 //! hot-pixel fault primitive is keyed the same way (photosite `i` draws
 //! at `seed + (i+1)·γ`), and all three fault primitives take a window.
+//!
+//! Each pixel's normal is `(-2·ln u1).sqrt() · cos(2π·u2)` in f32, with
+//! the bits glibc's `logf` and `cosf` give it. A capture computes them a
+//! row chunk at a time with exact, branch-free ports of those two
+//! functions (the private `normal` module), in passes LLVM vectorizes;
+//! `u1` and `u2` are functions of 24-bit draws, so a unit test compares
+//! the ports with `f32::ln` and `f32::cos` on every input the sensor can
+//! produce, and frames do not depend on the platform's libm.
 
-use crate::image::{BayerChannel, PixelWindow, RawImage, RgbImage};
+use crate::image::{PixelWindow, RawImage, RgbImage};
 use serde::{Deserialize, Serialize};
+
+mod normal;
 
 /// Spectral crosstalk matrix of the modeled sensor (rows: sensor R/G/B
 /// response; columns: scene R/G/B). Deliberately leaky so that the ISP's
@@ -78,16 +88,6 @@ fn splitmix64(state: u64) -> u64 {
 fn uniform(lo: f32, hi: f32, z: u64) -> f32 {
     let unit = (z >> 40) as f32 * (1.0 / (1u32 << 24) as f32);
     lo + unit * (hi - lo)
-}
-
-/// Standard normal noise of pixel `i` of the frame whose noise starts at
-/// counter `start` (Box–Muller over the pixel's two keyed draws).
-#[inline(always)]
-fn pixel_gaussian(start: u64, i: usize) -> f32 {
-    let first = start.wrapping_add((2 * i as u64 + 1).wrapping_mul(GAMMA));
-    let u1 = uniform(f32::EPSILON, 1.0, splitmix64(first));
-    let u2 = uniform(0.0, 1.0, splitmix64(first.wrapping_add(GAMMA)));
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
 }
 
 /// A deterministic (seeded) camera sensor.
@@ -179,7 +179,9 @@ impl Sensor {
     }
 
     /// Exposes the photosites of `window` of the frame whose noise
-    /// starts at counter `start`.
+    /// starts at counter `start`, a row chunk at a time: the chunk's
+    /// normals ([`normal::fill`]), then the exposure over the row's scene
+    /// and RAW slices with the row's two crosstalk rows.
     fn expose(
         &self,
         start: u64,
@@ -192,22 +194,41 @@ impl Sensor {
         raw.reshape(w, h);
         window.assert_within(w, h);
         let g = self.config.gain;
+        let read_var = self.config.read_noise.powi(2);
+        let shot_var = self.config.shot_noise.powi(2);
+        let mut gauss = [0f32; normal::CHUNK];
         for y in window.rows() {
-            for x in window.columns() {
-                let px = scene.get(x, y);
-                // Illumination scaling happens in the scene-referred
-                // domain (light level), then sensor crosstalk.
-                let lit = [px[0] * illumination, px[1] * illumination, px[2] * illumination];
-                let row = match raw.channel_at(x, y) {
-                    BayerChannel::Red => CROSSTALK[0],
-                    BayerChannel::GreenR | BayerChannel::GreenB => CROSSTALK[1],
-                    BayerChannel::Blue => CROSSTALK[2],
-                };
-                let signal = (row[0] * lit[0] + row[1] * lit[1] + row[2] * lit[2]) * g;
-                let var = self.config.read_noise.powi(2)
-                    + self.config.shot_noise.powi(2) * signal.max(0.0);
-                let noise = pixel_gaussian(start, y * w + x) * var.sqrt();
-                raw.set(x, y, (signal + noise).clamp(0.0, 1.0));
+            // RGGB: even rows alternate red and green photosites, odd rows
+            // green and blue, starting at an even column.
+            let phase = if y % 2 == 0 {
+                [CROSSTALK[0], CROSSTALK[1]]
+            } else {
+                [CROSSTALK[1], CROSSTALK[2]]
+            };
+            let row = y * w + window.x0..y * w + window.x1;
+            let lights = &scene.as_slice()[3 * row.start..3 * row.end];
+            let photosites = &mut raw.as_mut_slice()[row.clone()];
+            for (c, (lights, photosites)) in lights
+                .chunks(3 * normal::CHUNK)
+                .zip(photosites.chunks_mut(normal::CHUNK))
+                .enumerate()
+            {
+                let x0 = window.x0 + c * normal::CHUNK;
+                let first = (2 * (y * w + x0) as u64 + 1).wrapping_mul(GAMMA);
+                let gauss = &mut gauss[..photosites.len()];
+                normal::fill(start.wrapping_add(first), gauss);
+                for (j, ((v, px), &gauss)) in
+                    photosites.iter_mut().zip(lights.chunks_exact(3)).zip(&*gauss).enumerate()
+                {
+                    // Illumination scaling happens in the scene-referred
+                    // domain (light level), then sensor crosstalk.
+                    let lit = [px[0] * illumination, px[1] * illumination, px[2] * illumination];
+                    let row = phase[(x0 + j) % 2];
+                    let signal = (row[0] * lit[0] + row[1] * lit[1] + row[2] * lit[2]) * g;
+                    let var = read_var + shot_var * signal.max(0.0);
+                    let noise = gauss * var.sqrt();
+                    *v = (signal + noise).clamp(0.0, 1.0);
+                }
             }
         }
     }
@@ -296,6 +317,7 @@ pub fn inject_exposure_glitch(raw: &mut RawImage, window: PixelWindow, gain: f32
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::image::BayerChannel;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -380,6 +402,30 @@ mod tests {
                     let inside = window.rows().contains(&y) && window.columns().contains(&x);
                     let expect = if inside { reference.get(x, y) } else { -1.0 };
                     assert_eq!(raw.get(x, y), expect, "frame {frame} ({x}, {y})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_windows_match_the_full_capture() {
+        let scene = gradient_scene(200, 12);
+        let reference = Sensor::new(SensorConfig::default(), 5).capture(&scene, 1.0);
+        // Odd first columns, widths around the 64-photosite chunk, a row.
+        let mut windows: Vec<PixelWindow> = [1, 63, 64, 65, 129]
+            .map(|width| PixelWindow { x0: 3, y0: 2, x1: 3 + width, y1: 7 })
+            .to_vec();
+        windows.push(PixelWindow { x0: 1, y0: 9, x1: 199, y1: 10 });
+        for window in windows {
+            let mut raw = RawImage::new(200, 12);
+            raw.as_mut_slice().fill(-1.0);
+            Sensor::new(SensorConfig::default(), 5)
+                .capture_window_into(&scene, 1.0, window, &mut raw);
+            for y in 0..12 {
+                for x in 0..200 {
+                    let inside = window.rows().contains(&y) && window.columns().contains(&x);
+                    let expect = if inside { reference.get(x, y) } else { -1.0 };
+                    assert_eq!(raw.get(x, y).to_bits(), expect.to_bits(), "{window:?} ({x}, {y})");
                 }
             }
         }
